@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
+from .ring import sparse_add, sparse_mul
 from .series import (
     BilateralWindow,
     LaurentElement,
@@ -282,20 +283,13 @@ def _delta_tower(law, base, base_vars, out_var, B):
     fzi = law.f_z_iota_w(out_var, aux)
     a = fzi.int_power(-1)
     b = fzi.reorder((aux, out_var)).int_power(-1).reorder((out_var, aux))
+    diff = sparse_add(R, dict(a.coeffs), ((e, R.neg(c)) for e, c in b.coeffs.items()))
     slices = {}
-    for src, neg in ((a, False), (b, True)):
-        for (e0, n), c in src.coeffs.items():
-            d = slices.setdefault(n, {})
-            s = R.add(d.get(e0, R.zero()), R.neg(c) if neg else c)
-            if R.is_zero(s):
-                d.pop(e0, None)
-            else:
-                d[e0] = s
+    for (e0, n), c in diff.items():
+        slices.setdefault(n, {})[e0] = c
 
     allvars = ("z0", "z1", "z2")
     oi = allvars.index(out_var)
-    b0 = allvars.index(base_vars[0])
-    b1 = allvars.index(base_vars[1])
     lo = [-B, -B, -B]
     hi = [B, B, B]
     if a.floors[0] is not None:
@@ -316,18 +310,9 @@ def _delta_tower(law, base, base_vars, out_var, B):
             if f is not None:
                 k = allvars.index(v)
                 lo[k] = max(lo[k], f)
-        for e0, c0 in sl.items():
-            for e, c in p.coeffs.items():
-                full = [0, 0, 0]
-                full[oi] = e0
-                full[b0] = e[0]
-                full[b1] = e[1]
-                key = tuple(full)
-                s = R.add(coeffs.get(key, R.zero()), R.mul(c0, c))
-                if R.is_zero(s):
-                    coeffs.pop(key, None)
-                else:
-                    coeffs[key] = s
+        out_terms = {tuple(e0 if k == oi else 0 for k in range(3)): c0
+                     for e0, c0 in sl.items()}
+        sparse_mul(R, out_terms, p.extend(allvars).coeffs, out=coeffs)
     return BilateralWindow(R, allvars, coeffs,
                            list(zip(lo, hi)), max_total=mt)
 

@@ -14,10 +14,9 @@ import argparse
 import csv
 import io
 import json
-import os
+import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,22 +95,43 @@ def _parse_params(pairs):
     return out
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _exact(x, text=False):
+    """x itself if it is a JSON integer (JSON true/false load as bool, a
+    subclass of int) or, with text=True, a "p" or "p/q" string."""
+    if type(x) is int or (text and isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        return x
+    raise ValueError(f"{x!r} is not an exact {'rational' if text else 'integer'}")
+
+
 def load_law(cfg):
-    """Build the configured law: a built-in kind or a coefficient file."""
+    """Build the configured law: a built-in kind or a coefficient file.
+
+    A law file's trunc and exponents must be JSON integers and its
+    coefficients integers or exact "p" / "p/q" strings; floats are refused
+    rather than rounded."""
     if cfg.law_file:
         try:
             with open(cfg.law_file) as fh:
                 data = json.load(fh)
-            trunc = int(data.get("trunc", cfg.trunc))
+            if not isinstance(data, dict):
+                raise ValueError("the file must hold a JSON object")
+            name = data.get("name", "file")
+            if not isinstance(name, str):
+                raise ValueError(f"name {name!r} is not a string")
+            trunc = _exact(data.get("trunc", cfg.trunc))
             QQ = Ring.rationals()
             coeffs = {}
             for item in data["coeffs"]:
                 i, j, c = item
-                coeffs[(int(i), int(j))] = Fraction(c)
+                coeffs[(_exact(i), _exact(j))] = Fraction(_exact(c, text=True))
             F = PowerSeries(QQ, ("z", "w"), coeffs, trunc)
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
+                json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read law file {cfg.law_file}: {e}")
-        return fgl_new(F, name=data.get("name", "file"))
+        return fgl_new(F, name=name)
     return standard_law(cfg.kind, trunc=cfg.trunc, **cfg.params)
 
 
@@ -205,7 +225,7 @@ def cmd_binom(cfg, nmin, nmax):
                 k = i + j - n
                 want = R.mul(R.from_fraction(
                     Fraction(comb_any(n, j)) * Fraction(comb_any(j, k))),
-                    R.pow(s, k) if hasattr(R, "pow") else _rpow(R, s, k))
+                    _rpow(R, s, k))
                 if not R.eq(c, want):
                     match = False
         payload["closed_form_match"] = match
@@ -306,14 +326,8 @@ def _suite_checks(cfg, law, suite):
 def cmd_verify(cfg, suite):
     law = load_law(cfg)
     checks = _suite_checks(cfg, law, suite)
-    threads = max(1, int(os.environ.get("FGLCALC_THREADS", "1")))
     t0 = time.time()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [(name, pool.submit(fn)) for name, fn in checks]
-            results = [(name, f.result()) for name, f in futs]
-    else:
-        results = [(name, fn()) for name, fn in checks]
+    results = [(name, fn()) for name, fn in checks]
     elapsed = time.time() - t0
     print(f"verify suite={suite} law={law.name} "
           f"elapsed={elapsed:.2f}s", file=sys.stderr)

@@ -1,7 +1,11 @@
 """Exact coefficient rings: rationals, integers, integers mod m, parameter polynomials.
 
+Each kind is its own subclass of Ring (Rationals, Integers, IntegersMod,
+ParamPoly), so every arithmetic decision is made once, by method lookup.
 Every ring value is kept in canonical form so that equality is structural:
 fractions reduced, residues in [0, m), polynomial dicts with zero terms pruned.
+In that form the zero of every kind is falsy (Fraction(0), 0, {}), which is
+what ``is_zero`` and the sparse kernel at the end of this module test.
 No floating point anywhere.
 """
 
@@ -9,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
+from operator import add as _plus
 
 
 class RingMismatch(Exception):
@@ -36,21 +41,26 @@ NOT_INVERTIBLE = _NotInvertible()
 class Ring:
     """A commutative unital ring with exact arithmetic on raw values.
 
-    Raw value representations:
-      rationals     -> Fraction
-      integers      -> int
-      mod m         -> int in [0, m)
-      parameter polynomials -> dict {exponent tuple: base raw value}, no zeros
+    ``Ring(kind, ...)`` returns the per-kind subclass: Rationals, Integers,
+    IntegersMod or ParamPoly.  Each provides zero, from_int, add, neg, mul,
+    try_invert (b with a*b = 1, or NOT_INVERTIBLE; never raises for
+    non-units), divide_by_int (exact division by a nonzero integer; raises if
+    not divisible) and to_text (canonical decimal-free text, e.g. '5/6',
+    's^2+s', '3 mod 7').
 
     Series code works with raw values directly; RingElement is a thin
     wrapper for the public boundary (parsing, printing, ring-level tests).
     """
 
     KINDS = ("rationals", "integers", "mod", "parampoly")
+    contains_rationals = False
+
+    def __new__(cls, kind, modulus=None, base=None, params=()):
+        if kind not in cls.KINDS:
+            raise ValueError(f"unknown ring kind {kind!r}")
+        return super().__new__(_CLASSES[kind])
 
     def __init__(self, kind, modulus=None, base=None, params=()):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown ring kind {kind!r}")
         self.kind = kind
         self.modulus = modulus
         self.base = base
@@ -96,120 +106,169 @@ class Ring:
         return hash((self.kind, self.modulus, self.params, self.base))
 
     def __repr__(self):
-        if self.kind == "mod":
-            return f"Ring(mod {self.modulus})"
-        if self.kind == "parampoly":
-            return f"Ring({self.base!r}[{','.join(self.params)}])"
         return f"Ring({self.kind})"
 
-    @property
-    def contains_rationals(self):
-        if self.kind == "rationals":
-            return True
-        if self.kind == "parampoly":
-            return self.base.kind == "rationals"
-        return False
-
-    # -- raw arithmetic ----------------------------------------------------
+    # -- raw arithmetic shared by every kind ---------------------------------
 
     def zero(self):
-        if self.kind == "parampoly":
-            return {}
-        if self.kind == "rationals":
-            return Fraction(0)
-        return 0
+        return self._ZERO
 
     def one(self):
         return self.from_int(1)
 
-    def from_int(self, n):
-        if self.kind == "rationals":
-            return Fraction(n)
-        if self.kind == "integers":
-            return int(n)
-        if self.kind == "mod":
-            return n % self.modulus
-        v = self.base.from_int(n)
-        return {} if self.base.is_zero(v) else {(0,) * len(self.params): v}
-
     def from_fraction(self, q):
         q = Fraction(q)
-        if self.kind == "rationals":
-            return q
         if q.denominator == 1:
             return self.from_int(q.numerator)
-        if self.kind == "parampoly" and self.base.kind == "rationals":
-            return {(0,) * len(self.params): q}
         raise ValueError(f"{q} does not lie in {self!r}")
 
     def param(self, name):
         """The raw value of a single parameter variable."""
-        if self.kind != "parampoly" or name not in self.params:
+        if name not in self.params:
             raise ValueError(f"{name!r} is not a parameter of {self!r}")
         exp = tuple(1 if p == name else 0 for p in self.params)
         return {exp: self.base.one()}
 
     def is_zero(self, a):
-        if self.kind == "parampoly":
-            return not a
-        return a == self.zero()
+        return not a
 
     def eq(self, a, b):
         return a == b
 
-    def add(self, a, b):
-        if self.kind == "rationals" or self.kind == "integers":
-            return a + b
-        if self.kind == "mod":
-            return (a + b) % self.modulus
-        out = dict(a)
-        for e, c in b.items():
-            s = self.base.add(out.get(e, self.base.zero()), c)
-            if self.base.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return out
-
-    def neg(self, a):
-        if self.kind in ("rationals", "integers"):
-            return -a
-        if self.kind == "mod":
-            return (-a) % self.modulus
-        return {e: self.base.neg(c) for e, c in a.items()}
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+
+class _Numbers(Ring):
+    """Arithmetic shared by the rings whose raw values are Python numbers."""
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
     def mul(self, a, b):
-        if self.kind in ("rationals", "integers"):
-            return a * b
-        if self.kind == "mod":
-            return (a * b) % self.modulus
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = self.base.add(out.get(e, self.base.zero()), self.base.mul(c1, c2))
-                if self.base.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
+        return a * b
+
+    def to_text(self, a):
+        return str(a)
+
+
+class Rationals(_Numbers):
+    """QQ; raw values are Fractions."""
+
+    contains_rationals = True
+    _ZERO = Fraction(0)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def from_fraction(self, q):
+        return Fraction(q)
 
     def try_invert(self, a):
-        """Return b with a*b = 1, or NOT_INVERTIBLE. Never raises for non-units."""
-        if self.kind == "rationals":
-            return NOT_INVERTIBLE if a == 0 else 1 / a
-        if self.kind == "integers":
-            return a if a in (1, -1) else NOT_INVERTIBLE
-        if self.kind == "mod":
-            if self.modulus == 1:
-                return 0
-            g = gcd(a, self.modulus)
-            if g != 1:
-                return NOT_INVERTIBLE
-            return pow(a, -1, self.modulus)
+        return NOT_INVERTIBLE if a == 0 else 1 / a
+
+    def divide_by_int(self, a, n):
+        return a / n
+
+
+class Integers(_Numbers):
+    """ZZ; raw values are ints."""
+
+    _ZERO = 0
+
+    def from_int(self, n):
+        return int(n)
+
+    def try_invert(self, a):
+        return a if a in (1, -1) else NOT_INVERTIBLE
+
+    def divide_by_int(self, a, n):
+        q, r = divmod(a, n)
+        if r:
+            raise ValueError(f"{a} not divisible by {n}")
+        return q
+
+
+class IntegersMod(Ring):
+    """Z/m; raw values are ints in [0, m)."""
+
+    _ZERO = 0
+
+    def __repr__(self):
+        return f"Ring(mod {self.modulus})"
+
+    def from_int(self, n):
+        return n % self.modulus
+
+    def add(self, a, b):
+        return (a + b) % self.modulus
+
+    def neg(self, a):
+        return (-a) % self.modulus
+
+    def mul(self, a, b):
+        return (a * b) % self.modulus
+
+    def try_invert(self, a):
+        if self.modulus == 1:
+            return 0
+        if gcd(a, self.modulus) != 1:
+            return NOT_INVERTIBLE
+        return pow(a, -1, self.modulus)
+
+    def divide_by_int(self, a, n):
+        if n == 0:
+            raise ZeroDivisionError
+        inv = self.try_invert(n % self.modulus)
+        if inv is NOT_INVERTIBLE:
+            raise ValueError(f"{n} not invertible mod {self.modulus}")
+        return (a * inv) % self.modulus
+
+    def to_text(self, a):
+        return f"{a} mod {self.modulus}"
+
+
+class ParamPoly(Ring):
+    """base[params]; raw values are dicts {exponent tuple: base raw value}
+    with no zero values, so the zero polynomial is {}."""
+
+    def __repr__(self):
+        return f"Ring({self.base!r}[{','.join(self.params)}])"
+
+    @property
+    def contains_rationals(self):
+        return self.base.contains_rationals
+
+    def zero(self):
+        # a fresh dict: a shared one would be corrupted by any caller that
+        # filled in the zero it was handed
+        return {}
+
+    def _const(self, c):
+        return {(0,) * len(self.params): c} if c else {}
+
+    def from_int(self, n):
+        return self._const(self.base.from_int(n))
+
+    def from_fraction(self, q):
+        q = Fraction(q)
+        if q.denominator != 1 and not self.base.contains_rationals:
+            raise ValueError(f"{q} does not lie in {self!r}")
+        return self._const(self.base.from_fraction(q))
+
+    def add(self, a, b):
+        return sparse_add(self.base, dict(a), b.items())
+
+    def neg(self, a):
+        return {e: self.base.neg(c) for e, c in a.items()}
+
+    def mul(self, a, b):
+        return sparse_mul(self.base, a, b)
+
+    def try_invert(self, a):
         # units of base[params] are the unit constants of the base
         if len(a) != 1:
             return NOT_INVERTIBLE
@@ -222,33 +281,11 @@ class Ring:
         return {e: inv}
 
     def divide_by_int(self, a, n):
-        """Exact division by a nonzero integer; raises if not divisible."""
         if n == 0:
             raise ZeroDivisionError
-        if self.kind == "rationals":
-            return a / n
-        if self.kind == "integers":
-            q, r = divmod(a, n)
-            if r:
-                raise ValueError(f"{a} not divisible by {n}")
-            return q
-        if self.kind == "mod":
-            inv = self.try_invert(n % self.modulus)
-            if inv is NOT_INVERTIBLE:
-                raise ValueError(f"{n} not invertible mod {self.modulus}")
-            return (a * inv) % self.modulus
         return {e: self.base.divide_by_int(c, n) for e, c in a.items()}
 
-    # -- text form ---------------------------------------------------------
-
     def to_text(self, a):
-        """Canonical decimal-free text form, e.g. '5/6', 's^2+s', '3 mod 7'."""
-        if self.kind == "rationals":
-            return str(a)
-        if self.kind == "integers":
-            return str(a)
-        if self.kind == "mod":
-            return f"{a} mod {self.modulus}"
         if not a:
             return "0"
         terms = []
@@ -273,6 +310,47 @@ class Ring:
         for t in terms[1:]:
             out += t if t.startswith("-") else "+" + t
         return out
+
+
+_CLASSES = {"rationals": Rationals, "integers": Integers, "mod": IntegersMod,
+            "parampoly": ParamPoly}
+
+
+# -- the sparse kernel -----------------------------------------------------
+#
+# Sparse maps {exponent tuple: raw value} over any coefficient ring whose
+# canonical zero is falsy (every Ring kind, and vertex.StateSpace) and whose
+# values are never mutated in place.
+
+
+def sparse_add(R, out, terms):
+    """Add the (exponent, value) pairs of ``terms`` into ``out`` in place,
+    dropping every sum that becomes zero; returns ``out``."""
+    add = R.add
+    get = out.get
+    for e, c in terms:
+        s = get(e)
+        if s is not None:
+            c = add(s, c)
+        if c:
+            out[e] = c
+        elif s is not None:
+            del out[e]
+    return out
+
+
+def sparse_mul(R, a, b, cut=None, out=None):
+    """Accumulate the product of sparse maps ``a`` and ``b`` into ``out`` (a
+    new dict by default): c1*c2 lands on e1+e2, zero sums are dropped, and
+    pairs of total degree >= ``cut`` are skipped when a cut is given."""
+    out = {} if out is None else out
+    mul = R.mul
+    bt = [(e2, c2, sum(e2)) for e2, c2 in b.items()]
+    for e1, c1 in a.items():
+        room = inf if cut is None else cut - sum(e1)
+        sparse_add(R, out, ((tuple(map(_plus, e1, e2)), mul(c1, c2))
+                            for e2, c2, t2 in bt if t2 < room))
+    return out
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from math import comb
 
-from .ring import NOT_INVERTIBLE, Ring
+from .ring import NOT_INVERTIBLE, Ring, sparse_add, sparse_mul
 
 
 class OrderingMismatch(Exception):
@@ -162,14 +162,7 @@ class PowerSeries:
         t = min(self.trunc, other.trunc)
         R = self.ring
         out = {e: c for e, c in self.coeffs.items() if _tot(e) < t}
-        for e, c in other.coeffs.items():
-            if _tot(e) >= t:
-                continue
-            s = R.add(out.get(e, R.zero()), c)
-            if R.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+        sparse_add(R, out, ((e, c) for e, c in other.coeffs.items() if _tot(e) < t))
         return PowerSeries(R, self.vars, out, t, _clean=True)
 
     def __neg__(self):
@@ -184,18 +177,7 @@ class PowerSeries:
         self._check(other)
         R = self.ring
         t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            t1 = _tot(e1)
-            for e2, c2 in other.coeffs.items():
-                if t1 + _tot(e2) >= t:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = R.add(out.get(e, R.zero()), R.mul(c1, c2))
-                if R.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+        out = sparse_mul(R, self.coeffs, other.coeffs, cut=t)
         return PowerSeries(R, self.vars, out, t, _clean=True)
 
     def scale(self, raw):
@@ -528,13 +510,7 @@ class LaurentElement:
         R = self.ring
         t = min(self.trunc, other.trunc)
         floors = self._join_floors_add(self.floors, other.floors)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = R.add(out.get(e, R.zero()), c)
-            if R.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+        out = sparse_add(R, dict(self.coeffs), other.coeffs.items())
         return LaurentElement(R, self.vars, out, t, floors=floors)
 
     def __neg__(self):
@@ -564,18 +540,7 @@ class LaurentElement:
             return LaurentElement.zero(R, self.vars, max(self.trunc, other.trunc))
         t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
         floors = self._mul_floors(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            t1 = _tot(e1)
-            for e2, c2 in other.coeffs.items():
-                if t1 + _tot(e2) >= t:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = R.add(out.get(e, R.zero()), R.mul(c1, c2))
-                if R.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+        out = sparse_mul(R, self.coeffs, other.coeffs, cut=t)
         return LaurentElement(R, self.vars, out, t, floors=floors)
 
     def scale(self, raw):
@@ -856,14 +821,7 @@ class LaurentElement:
             raise DiagonalDivergence("truncated tails prevent a finite diagonal sum")
         R = self.ring
         name = out_var or self.vars[0]
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            e = (i + j,)
-            s = R.add(out.get(e, R.zero()), c)
-            if R.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+        out = sparse_add(R, {}, (((i + j,), c) for (i, j), c in self.coeffs.items()))
         return LaurentElement(R, (name,), out, self.trunc, _clean=True)
 
     def residue_coeff(self, name):
@@ -1013,13 +971,7 @@ class BilateralWindow:
         rel = tuple((max(a, c), min(b, d))
                     for (a, b), (c, d) in zip(self.reliable, other.reliable))
         mt = self._merge_total(self.max_total, other.max_total)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = R.add(out.get(e, R.zero()), c)
-            if R.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+        out = sparse_add(R, dict(self.coeffs), other.coeffs.items())
         return BilateralWindow(R, self.vars, out, rel, max_total=mt)
 
     def __neg__(self):
@@ -1065,15 +1017,7 @@ class BilateralWindow:
             # g.trunc + (lowest stored total degree) upward
             self_min = min(_tot(e) for e in self.coeffs)
             mt = self._merge_total(mt, g.trunc + self_min - 1)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in g.coeffs.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = R.add(out.get(e, R.zero()), R.mul(c1, c2))
-                if R.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+        out = sparse_mul(R, self.coeffs, g.coeffs)
         return BilateralWindow(R, self.vars, out, rel, max_total=mt)
 
     def restrict(self, box):
@@ -1119,8 +1063,9 @@ class BilateralWindow:
 
         keys = {e for e in self.coeffs if inside(e)}
         keys |= {e for e in other.coeffs if inside(e)}
+        zero = R.zero()
         for e in sorted(keys):
-            if not R.eq(self.coeffs.get(e, R.zero()), other.coeffs.get(e, R.zero())):
+            if not R.eq(self.coeffs.get(e, zero), other.coeffs.get(e, zero)):
                 return False, e, box
         return True, None, box
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import Report, _fail, f_residue, hyperderivative
+from .ring import Ring, sparse_add, sparse_mul
 from .series import BilateralWindow, LaurentElement, WindowMiss
 
 
@@ -44,16 +45,11 @@ class NotFound(Exception):
 # negative integers (mode indices of the creation operators applied to the
 # vacuum); () is the vacuum monomial.
 
+_QQ = Ring.rationals()
+
 
 def st_add(s1, s2):
-    out = dict(s1)
-    for k, v in s2.items():
-        c = out.get(k, Fraction(0)) + v
-        if c:
-            out[k] = c
-        else:
-            out.pop(k, None)
-    return out
+    return sparse_add(_QQ, dict(s1), s2.items())
 
 
 def st_scale(s, c):
@@ -149,22 +145,15 @@ class StateSpace:
         return self.base.from_fraction(q)
 
     def is_zero(self, a):
-        if isinstance(a, dict):
-            return not a
-        return self.base.is_zero(a)
+        return not a
 
     def add(self, a, b):
-        if isinstance(a, dict) and isinstance(b, dict):
-            return st_add(a, b)
-        if isinstance(a, dict):
-            if self.base.is_zero(b):
-                return a
+        if isinstance(a, dict) == isinstance(b, dict):
+            return st_add(a, b) if isinstance(a, dict) else self.base.add(a, b)
+        state, scalar = (a, b) if isinstance(a, dict) else (b, a)
+        if scalar:
             raise ValueError("cannot add a state and a nonzero scalar")
-        if isinstance(b, dict):
-            if self.base.is_zero(a):
-                return b
-            raise ValueError("cannot add a state and a nonzero scalar")
-        return self.base.add(a, b)
+        return state
 
     def neg(self, a):
         if isinstance(a, dict):
@@ -184,13 +173,8 @@ class StateSpace:
         return self.base.mul(a, b)
 
     def eq(self, a, b):
-        if self.is_zero(a) and self.is_zero(b):
-            return True
-        if isinstance(a, dict) != isinstance(b, dict):
-            return False
-        if isinstance(a, dict):
-            return a == b
-        return self.base.eq(a, b)
+        # a state never equals a scalar, but both kinds of zero are zero
+        return a == b or (not a and not b)
 
     def to_text(self, a):
         if isinstance(a, dict):
@@ -877,15 +861,7 @@ def mul_complete_lower(win, g):
            for _ in [0] if g.coeffs):
         raise ValueError("factor must have nonnegative exponents")
     R = win.ring
-    out = {}
-    for e1, c1 in win.coeffs.items():
-        for e2, c2 in g.coeffs.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = R.add(out.get(e, R.zero()), R.mul(c1, c2))
-            if R.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+    out = sparse_mul(R, win.coeffs, g.coeffs)
     # cells can only miss contributions pairing a factor term beyond g.trunc
     # with a window cell below total (cell - g.trunc); the least possible
     # total of a true window cell is bounded by the stored support (complete

@@ -116,3 +116,24 @@ def test_invert_roundtrip(ring, vals):
         inv = ring.try_invert(v)
         assert inv is not NOT_INVERTIBLE
         assert ring.mul(v, inv) == ring.one()
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, Z7, Z6, ZS, QDE])
+def test_canonical_zero_is_falsy(ring):
+    # the sparse kernel prunes zero sums with a plain truth test
+    z = ring.zero()
+    assert not z and ring.is_zero(z)
+    assert ring.sub(ring.one(), ring.one()) == z
+    assert not ring.is_zero(ring.one())
+    assert Ring(ring.kind, ring.modulus, ring.base, ring.params) == ring
+
+
+@pytest.mark.parametrize("make,msg", [
+    (lambda: Ring("bogus"), "unknown ring kind"),
+    (lambda: Ring.integers_mod(0), "modulus must be a positive integer"),
+    (lambda: Ring.parampoly(Z6, ["s"]), "parampoly base must be rationals or integers"),
+    (lambda: Ring.parampoly(QQ, []), "parampoly needs at least one parameter"),
+])
+def test_constructor_validation(make, msg):
+    with pytest.raises(ValueError, match=msg):
+        make()

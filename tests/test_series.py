@@ -14,6 +14,7 @@ from fglcalc.series import (
     PowerSeries,
     comb_any,
 )
+from fglcalc.vertex import StateSpace, mul_complete_lower
 
 QQ = Ring.rationals()
 
@@ -251,3 +252,157 @@ def test_comb_any():
     assert comb_any(-2, 2) == 3
     assert comb_any(4, 2) == 6
     assert comb_any(3, 5) == 0
+
+
+# -- the sparse kernel against a naive double loop ---------------------------
+#
+# Each operand pair is (left, right) coefficient strategies; over the state
+# module the left factor carries states and the right one scalars, the only
+# products that module defines.
+
+ZZ = Ring.integers()
+Z6 = Ring.integers_mod(6)
+QS = Ring.parampoly(QQ, ["s"])
+STATES = StateSpace(QQ)
+
+# nonzero values, so that zero sums and zero products come from the
+# arithmetic (cancellation, zero divisors in Z/6), not from the operands
+_small_q = st.fractions(min_value=-2, max_value=2, max_denominator=2).filter(bool)
+_poly_s = st.dictionaries(st.tuples(st.integers(0, 2)), _small_q, min_size=1,
+                          max_size=3)
+_state = st.dictionaries(st.sampled_from([(), (-1,), (-2,), (-1, -1)]), _small_q,
+                         min_size=1, max_size=3)
+
+KERNEL_RINGS = {
+    "QQ": (QQ, _small_q, _small_q),
+    "ZZ": (ZZ, st.integers(-2, 2).filter(bool), st.integers(-2, 2).filter(bool)),
+    "Z6": (Z6, st.integers(1, 5), st.integers(1, 5)),
+    "QQ[s]": (QS, _poly_s, _poly_s),
+    "states": (STATES, _state, _small_q),
+}
+
+
+def _terms(data, values, lo, hi):
+    exps = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
+    return data.draw(st.dictionaries(exps, values, max_size=8))
+
+
+def _naive_product(R, a, b, cut=None):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if cut is not None and sum(e1) + sum(e2) >= cut:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = R.add(out.get(e, R.zero()), R.mul(c1, c2))
+            if s == R.zero():
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _val(f):
+    return min((sum(e) for e in f.coeffs), default=f.trunc)
+
+
+def _inside(e, reliable, max_total):
+    return (max_total is None or sum(e) <= max_total) and all(
+        lo <= x <= hi for x, (lo, hi) in zip(e, reliable))
+
+
+def _min_or(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _window(data, R, values):
+    reliable = []
+    for _ in range(2):
+        lo = data.draw(st.integers(-2, 0))
+        reliable.append((lo, lo + data.draw(st.integers(1, 3))))
+    mt = data.draw(st.one_of(st.none(), st.integers(-1, 4)))
+    return BilateralWindow(R, ("z", "w"), _terms(data, values, -2, 2), reliable,
+                           max_total=mt)
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)))
+@settings(max_examples=100, deadline=None)
+def test_kernel_power_series_mul(data, ring):
+    R, left, right = KERNEL_RINGS[ring]
+    f = PowerSeries(R, ("z", "w"), _terms(data, left, 0, 2),
+                    data.draw(st.integers(2, 6)))
+    g = PowerSeries(R, ("z", "w"), _terms(data, right, 0, 2),
+                    data.draw(st.integers(2, 6)))
+    h = f * g
+    t = min(f.trunc + _val(g), g.trunc + _val(f))
+    assert h.trunc == t
+    assert h.coeffs == _naive_product(R, f.coeffs, g.coeffs, cut=t)
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)))
+@settings(max_examples=100, deadline=None)
+def test_kernel_laurent_mul_with_floors(data, ring):
+    R, left, right = KERNEL_RINGS[ring]
+    floors = st.tuples(*[st.one_of(st.none(), st.integers(-2, 0))] * 2)
+    f = LaurentElement(R, ("z", "w"), _terms(data, left, -2, 2),
+                       data.draw(st.integers(1, 5)), floors=data.draw(floors))
+    g = LaurentElement(R, ("z", "w"), _terms(data, right, -2, 2),
+                       data.draw(st.integers(1, 5)), floors=data.draw(floors))
+    h = f * g
+    if not f.coeffs or not g.coeffs:
+        assert (h.coeffs, h.trunc, h.floors) == ({}, max(f.trunc, g.trunc), (None, None))
+        return
+    t = min(f.trunc + _val(g), g.trunc + _val(f))
+    want_floors = []
+    for i in range(2):
+        cands = [fl + max(e[i] for e in other.coeffs)
+                 for fl, other in ((f.floors[i], g), (g.floors[i], f)) if fl is not None]
+        want_floors.append(max(cands) if cands else None)
+    want = {e: c for e, c in _naive_product(R, f.coeffs, g.coeffs, cut=t).items()
+            if all(fl is None or x >= fl for x, fl in zip(e, want_floors))}
+    assert (h.trunc, h.floors) == (t, tuple(want_floors))
+    assert h.coeffs == want
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)),
+       exact=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_kernel_window_mul_laurent(data, ring, exact):
+    R, left, right = KERNEL_RINGS[ring]
+    win = _window(data, R, left)
+    g = LaurentElement(R, ("z", "w"), _terms(data, right, -2, 2),
+                       data.draw(st.integers(1, 6)))
+    h = win.mul_laurent(g, exact_factor=exact)
+    if not g.coeffs:
+        assert (h.coeffs, h.reliable, h.max_total) == ({}, win.reliable, win.max_total)
+        return
+    rel = tuple((lo + max(e[i] for e in g.coeffs), hi + min(e[i] for e in g.coeffs))
+                for i, (lo, hi) in enumerate(win.reliable))
+    mt = None if win.max_total is None else win.max_total + _val(g)
+    if not exact and win.coeffs:
+        mt = _min_or(mt, g.trunc + min(sum(e) for e in win.coeffs) - 1)
+    want = {e: c for e, c in _naive_product(R, win.coeffs, g.coeffs).items()
+            if _inside(e, rel, mt)}
+    assert (h.reliable, h.max_total) == (rel, mt)
+    assert h.coeffs == want
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)))
+@settings(max_examples=100, deadline=None)
+def test_kernel_mul_complete_lower(data, ring):
+    R, left, right = KERNEL_RINGS[ring]
+    win = _window(data, R, left)
+    g = LaurentElement(R, ("z", "w"), _terms(data, right, 0, 2),
+                       data.draw(st.integers(1, 6)))
+    h = mul_complete_lower(win, g)
+    lo_tot = sum(lo for lo, _ in win.reliable)
+    min_true = min(hi + 1 + lo_tot - lo for lo, hi in win.reliable)
+    if win.coeffs:
+        min_true = min(min_true, min(sum(e) for e in win.coeffs))
+    ceil = None if win.max_total is None else \
+        win.max_total + min((sum(e) for e in g.coeffs), default=0)
+    mt = _min_or(ceil, min_true + g.trunc - 1)
+    want = {e: c for e, c in _naive_product(R, win.coeffs, g.coeffs).items()
+            if _inside(e, win.reliable, mt)}
+    assert (h.reliable, h.max_total) == (win.reliable, mt)
+    assert h.coeffs == want
