@@ -73,10 +73,7 @@ class FBinomialTable:
         self.law = law
         self.nmax = nmax
         self.override = dict(override or {})
-        base = law.as_laurent()
-        self.slices = {}
-        for n in range(-nmax, nmax + 1):
-            self.slices[n] = base.int_power(n)
+        self.slices = {n: law.power(n) for n in range(-nmax, nmax + 1)}
 
     def reliable(self, n, i, j):
         return self.slices[n].reliable_at((i, j))
@@ -90,10 +87,9 @@ class FBinomialTable:
         return s.coefficient((i, j))
 
 
-def f_binomial(law, n, trunc=None):
+def f_binomial(law, n):
     """The (i,j) -> coefficient map of the z-dominant expansion of F^n."""
-    s = law.as_laurent(trunc=trunc).int_power(n)
-    return {e: c for e, c in s.coeffs.items()}
+    return dict(law.power(n).coeffs)
 
 
 def f_binomial_identities(law, nmax=3, smax=4, override=None):
@@ -178,17 +174,33 @@ class DeltaWindow:
         return d
 
 
+def _inverse_expansions(law, vars=("z", "w"), classical=False):
+    """The two expansions of F(x, iota y)^{-1}, or of (x - y)^{-1} when
+    classical, for (x, y) = vars: x dominant, then y dominant.  Both have
+    exponents in vars order; their difference is x^{-1} delta(y/x)."""
+    if not classical:
+        return (law.power(-1, vars, twisted=True),
+                law.power(-1, vars, twisted=True, dominant=1))
+    R = law.ring
+    x, y = vars
+    zmw = LaurentElement(R, vars, {(1, 0): R.one(), (0, 1): R.neg(R.one())},
+                         law.trunc)
+    return zmw.int_power(-1), zmw.reorder((y, x)).int_power(-1).reorder(vars)
+
+
+def _delta_window(law, zbox, wbox, vars=("z", "w"), classical=False):
+    a, b = _inverse_expansions(law, vars, classical)
+    full = [zbox, wbox]
+    return BilateralWindow.from_laurent(a, full) - BilateralWindow.from_laurent(b, full)
+
+
 def delta_F(law, box=(-6, 6), zvar="z", wvar="w", zbox=None):
     """z^{-1} delta_F(w/z): difference of the two expansions of F(z, iota w)^{-1}.
 
     zbox widens the certified z-range independently (useful before taking a
     z-residue against the truncated p_F factor).
     """
-    fzi = law.f_z_iota_w(zvar, wvar)
-    a = fzi.int_power(-1)
-    b = fzi.reorder((wvar, zvar)).int_power(-1).reorder((zvar, wvar))
-    full = [zbox or box, box]
-    win = BilateralWindow.from_laurent(a, full) - BilateralWindow.from_laurent(b, full)
+    win = _delta_window(law, zbox or box, box, (zvar, wvar))
     return DeltaWindow(law.name, (zvar, wvar), win,
                        ((zvar, wvar), (wvar, zvar)))
 
@@ -228,12 +240,7 @@ def delta_g_relation_check(law, box=(-6, 6)):
     """delta_F(w/z) = G(z,w)^{-1} * delta_{F_a}(w/z) on the surviving window."""
     R = law.ring
     D = delta_F(law, box=box).window
-    zmw = LaurentElement(R, ("z", "w"), {(1, 0): R.one(), (0, 1): R.neg(R.one())},
-                         law.trunc)
-    a = zmw.int_power(-1)
-    b = zmw.reorder(("w", "z")).int_power(-1).reorder(("z", "w"))
-    Da = BilateralWindow.from_laurent(a, [box, box]) - \
-        BilateralWindow.from_laurent(b, [box, box])
+    Da = _delta_window(law, box, box, classical=True)
     Ginv = law.G.invert_unit()
     rhs = Da.mul_laurent(Ginv.as_laurent())
     ok, bad, surv = D.agrees_with(rhs)
@@ -251,12 +258,7 @@ def delta_phi_relation_check(law, box=(-6, 6)):
     D = delta_F(law, box=box).window
     pf = law.pF.rename(("z",)).extend(("z", "w"))
     lhs = D.mul_laurent(pf.as_laurent())
-    zmw = LaurentElement(R, ("z", "w"), {(1, 0): R.one(), (0, 1): R.neg(R.one())},
-                         law.trunc)
-    a = zmw.int_power(-1)
-    b = zmw.reorder(("w", "z")).int_power(-1).reorder(("z", "w"))
-    rhs = BilateralWindow.from_laurent(a, [box, box]) - \
-        BilateralWindow.from_laurent(b, [box, box])
+    rhs = _delta_window(law, box, box, classical=True)
     ok, bad, surv = lhs.agrees_with(rhs)
     if not ok:
         return Report("delta/invariant_factor", law.name, [list(r) for r in surv],
@@ -279,10 +281,7 @@ def _delta_tower(law, base, base_vars, out_var, B):
     keeps every certified cell a finite sum.
     """
     R = law.ring
-    aux = "u"
-    fzi = law.f_z_iota_w(out_var, aux)
-    a = fzi.int_power(-1)
-    b = fzi.reorder((aux, out_var)).int_power(-1).reorder((out_var, aux))
+    a, b = _inverse_expansions(law, (out_var, "u"))
     diff = sparse_add(R, dict(a.coeffs), ((e, R.neg(c)) for e, c in b.coeffs.items()))
     slices = {}
     for (e0, n), c in diff.items():
@@ -380,14 +379,13 @@ def hyperderivative_expansion(law, f):
 
     Negative powers are expanded three truncation orders deep so that the
     result stays residue-reliable after multiplication by p_F.  The map is
-    linear in f, so the expansion of each power of z is cached on the law.
+    linear in f, so the expansion of each monomial z^e, a substitution into
+    F(z,w), is kept on the law in ``law._hyperexp_cache``.
     """
     if f.vars != ("z",):
         raise ValueError("hyperderivative input must be univariate in z")
     R = law.ring
-    cache = getattr(law, "_hyperexp_cache", None)
-    if cache is None:
-        cache = law._hyperexp_cache = {}
+    cache = law._hyperexp_cache
     Fzw = law.as_laurent()
     out = None
     for (e,), c in sorted(f.coeffs.items()):
@@ -423,18 +421,27 @@ def hyperderivatives(law, f, nmax):
     return [_slice_w(g, n) for n in range(nmax + 1)]
 
 
-def _agree_on_reliable(a, b):
-    """Compare two capped LaurentElements where both are certified."""
+def _agree_on_reliable(identity, name, window, a, b):
+    """Compare two capped LaurentElements where both are certified.
+
+    Returns None when they agree there, else the failing Report.  A pair
+    whose certified regions do not meet certifies nothing and fails too; a
+    cell where both sides are certified zero counts as certified.
+    """
+    # both certify e iff e_i >= the higher floor in each variable and the
+    # total degree is below the lower truncation
+    lows = [max((f for f in fs if f is not None), default=None)
+            for fs in zip(a.floors, b.floors)]
+    if None not in lows and sum(lows) >= min(a.trunc, b.trunc):
+        return Report(identity, name, window,
+                      {"fail": {"reason": "no certified cells"}})
     R = a.ring
-    bad = None
-    seen = 0
     for e in set(a.coeffs) | set(b.coeffs):
-        if a.reliable_at(e) and b.reliable_at(e):
-            seen += 1
-            if not R.eq(a.coefficient(e), b.coefficient(e)):
-                bad = e
-                break
-    return bad, seen
+        if a.reliable_at(e) and b.reliable_at(e) and \
+                not R.eq(a.coefficient(e), b.coefficient(e)):
+            return Report(identity, name, window,
+                          _fail(R, e, a.coefficient(e), b.coefficient(e)))
+    return None
 
 
 def hyperderivative_properties(law, fs=None, nmax=3):
@@ -454,17 +461,15 @@ def hyperderivative_properties(law, fs=None, nmax=3):
         cache[id(f)] = hyperderivatives(law, f, 2 * nmax)
         sf = cache[id(f)]
         # S_0 = identity
-        bad, _ = _agree_on_reliable(sf[0], f)
-        if bad is not None:
-            return Report("hyper/identity", name, None,
-                          _fail(R, bad, sf[0].coefficient(bad), f.coefficient(bad)))
+        fail = _agree_on_reliable("hyper/identity", name, None, sf[0], f)
+        if fail:
+            return fail
         # S_1 f * p_F = f'
         lhs = sf[1] * law.pF.rename(("z",)).as_laurent()
-        bad, _ = _agree_on_reliable(lhs, f.derivative("z"))
-        if bad is not None:
-            return Report("hyper/first_derivative", name, None,
-                          _fail(R, bad, lhs.coefficient(bad),
-                                f.derivative("z").coefficient(bad)))
+        fail = _agree_on_reliable("hyper/first_derivative", name, None,
+                                  lhs, f.derivative("z"))
+        if fail:
+            return fail
 
     # Leibniz
     f, g = fs[0], fs[1 % len(fs)]
@@ -476,11 +481,9 @@ def hyperderivative_properties(law, fs=None, nmax=3):
         for i in range(0, n + 1):
             term = sf[i] * sg[n - i]
             rhs = term if rhs is None else rhs + term
-        bad, seen = _agree_on_reliable(sprod[n], rhs)
-        if bad is not None:
-            return Report("hyper/leibniz", name, {"n": n},
-                          _fail(R, bad, sprod[n].coefficient(bad),
-                                rhs.coefficient(bad)))
+        fail = _agree_on_reliable("hyper/leibniz", name, {"n": n}, sprod[n], rhs)
+        if fail:
+            return fail
 
     # composition and commutation
     nested = {n: hyperderivatives(law, sf[n], nmax) for n in range(nmax + 1)}
@@ -488,21 +491,19 @@ def hyperderivative_properties(law, fs=None, nmax=3):
         for n in range(0, nmax + 1):
             smn = nested[n][m]
             snm = nested[m][n]
-            bad, _ = _agree_on_reliable(smn, snm)
-            if bad is not None:
-                return Report("hyper/commutation", name, {"m": m, "n": n},
-                              _fail(R, bad, smn.coefficient(bad),
-                                    snm.coefficient(bad)))
+            fail = _agree_on_reliable("hyper/commutation", name,
+                                      {"m": m, "n": n}, smn, snm)
+            if fail:
+                return fail
             rhs = None
             for k in range(0, m + n + 1):
                 coef = table.entry(k, m, n) if k <= table.nmax else R.zero()
                 term = sf[k].scale(coef)
                 rhs = term if rhs is None else rhs + term
-            bad, _ = _agree_on_reliable(smn, rhs)
-            if bad is not None:
-                return Report("hyper/composition", name, {"m": m, "n": n},
-                              _fail(R, bad, smn.coefficient(bad),
-                                    rhs.coefficient(bad)))
+            fail = _agree_on_reliable("hyper/composition", name,
+                                      {"m": m, "n": n}, smn, rhs)
+            if fail:
+                return fail
 
     is_additive = law.F.coeffs == {(1, 0): R.one(), (0, 1): R.one()}
     if is_additive:
@@ -514,11 +515,10 @@ def hyperderivative_properties(law, fs=None, nmax=3):
             cur = hyperderivative(law, cur, 1)
             fact *= n
             rhs = sf[n].scale(R.from_int(fact))
-            bad, _ = _agree_on_reliable(cur, rhs)
-            if bad is not None:
-                return Report("hyper/repeated_s1", name, {"n": n},
-                              _fail(R, bad, cur.coefficient(bad),
-                                    rhs.coefficient(bad)))
+            fail = _agree_on_reliable("hyper/repeated_s1", name, {"n": n},
+                                      cur, rhs)
+            if fail:
+                return fail
         if R.kind == "mod":
             p = R.modulus
             cur = f
@@ -624,30 +624,23 @@ def iterated_residue_check(law, triples):
     name = law.name
 
     depth = 3 * law.trunc
-    pow_cache = {}
 
-    def double_res(base, b_exps, mono_exps):
-        # base^a * (vars monomials), residue in second then first variable;
-        # the power is expanded deep enough to survive both p_F factors.
-        # Powers are cached across triples since the exponents recur.
-        key = (base.vars, mono_exps[0])
-        a_pow = pow_cache.get(key)
-        if a_pow is None:
-            a_pow = base.int_power(mono_exps[0], floors=(-depth, -depth))
-            pow_cache[key] = a_pow
-        shift = LaurentElement(R, base.vars,
+    def double_res(vars, dominant, a, b_exps):
+        # F(x, iota y)^a * (vars monomial) with vars[dominant] dominant,
+        # residue in the other variable, then in the dominant one; the power
+        # is expanded deep enough to survive both p_F factors
+        a_pow = law.power(a, vars, twisted=True, dominant=dominant,
+                          floors=(-depth, -depth))
+        shift = LaurentElement(R, vars,
                                {b_exps: R.one()}, a_pow.trunc + sum(b_exps) + 1)
         el = a_pow * shift
-        inner = f_residue(law, el, base.vars[1])
-        return f_residue(law, inner, base.vars[0])
+        inner = f_residue(law, el, vars[1 - dominant])
+        return f_residue(law, inner, vars[dominant])
 
-    f12 = law.f_z_iota_w("z1", "z2")
-    f21 = f12.reorder(("z2", "z1"))
-    f10 = law.f_z_iota_w("z1", "z0")
     for (a, b, c) in triples:
-        term1 = double_res(f12, (b, c), (a,))
-        term2 = double_res(f21, (c, b), (a,))
-        term3 = double_res(f10, (b, a), (c,))
+        term1 = double_res(("z1", "z2"), 0, a, (b, c))
+        term2 = double_res(("z1", "z2"), 1, a, (b, c))
+        term3 = double_res(("z1", "z0"), 0, c, (b, a))
         lhs = R.sub(term1, term2)
         if not R.eq(lhs, term3):
             return Report("residue/iterated", name, {"triple": [a, b, c]},

@@ -37,7 +37,7 @@ from .calculus import (
     residue_inversion_check,
     residue_theorems_check,
 )
-from .series import LaurentElement
+from .series import LaurentElement, WindowMiss
 from .vertex import (
     HeisenbergAlgebra,
     TrivialAlgebra,
@@ -327,7 +327,15 @@ def cmd_verify(cfg, suite):
     law = load_law(cfg)
     checks = _suite_checks(cfg, law, suite)
     t0 = time.time()
-    results = [(name, fn()) for name, fn in checks]
+    results = []
+    for name, fn in checks:
+        try:
+            results.append((name, fn()))
+        except WindowMiss as e:
+            # a certified window beyond the truncation is a configuration
+            # problem, not a failed identity
+            raise ConfigError(f"check {name!r} needs more than truncation "
+                              f"{law.trunc}: {e}")
     elapsed = time.time() - t0
     print(f"verify suite={suite} law={law.name} "
           f"elapsed={elapsed:.2f}s", file=sys.stderr)

@@ -4,7 +4,8 @@ A law is a two-variable truncated power series F(z,w) = z + w + O(zw)
 that is commutative and associative; the object caches the inverse
 iota, the invariant differential coefficient p_F, the logarithm and
 exponential (over rings containing the rationals), and the unit factor
-G with F(z, iota(w)) = G(z,w) * (z - w).
+G with F(z, iota(w)) = G(z,w) * (z - w).  Laurent powers of F(z,w) and
+F(z, iota w) are computed on demand by ``power`` and kept on the law.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ring import Ring
-from .series import PowerSeries
+from .series import LaurentElement, PowerSeries
 
 
 class AxiomViolation(Exception):
@@ -66,6 +67,8 @@ class FormalGroupLaw:
             self.log = None
             self.exp = None
         self.G = self._g_factor()
+        self._powers = {}
+        self._hyperexp_cache = {}
 
     # -- validation --------------------------------------------------------
 
@@ -181,10 +184,37 @@ class FormalGroupLaw:
         t = trunc or self.trunc
         return self.F.truncate(t).rename((zname, wname)).as_laurent()
 
-    def pF_laurent(self, name, vars, trunc=None):
-        """p_F(name) viewed in a larger Laurent variable list."""
-        t = trunc or self.trunc
-        return self.pF.truncate(t).rename((name,)).extend(vars).as_laurent()
+    def power(self, n, vars=(Z, W), *, twisted=False, dominant=0, floors=None):
+        """F(x, y)^n, or F(x, iota y)^n when twisted, for (x, y) = vars.
+
+        The expansion has vars[dominant] dominant; exponents and ``floors``
+        (passed to ``LaurentElement.int_power``) are in vars order.  Each
+        entry is computed once and memoised under the positional key
+        (twisted, dominant, n, floors), so requests that differ only in the
+        variable names share one entry: the result is a view with the names
+        applied, sharing the stored coefficient dict, which must not be
+        mutated.  F is symmetric, so the w-dominant expansion of F(z,w)^n
+        is ``power(n, ("w", "z"))``.
+        """
+        key = (twisted, dominant, n, floors)
+        g = self._powers.get(key)
+        if g is None:
+            # the n = 1 entry is the base itself (int_power(1) returns it)
+            base = self._powers.get((twisted, 0, 1, None))
+            if base is None:
+                base = self.f_z_iota_w() if twisted else self.as_laurent()
+                self._powers[(twisted, 0, 1, None)] = base
+            if dominant:
+                rev = None if floors is None else floors[::-1]
+                g = base.reorder((W, Z)).int_power(n, floors=rev).reorder((Z, W))
+            else:
+                g = base.int_power(n, floors=floors)
+            self._powers[key] = g
+        vars = tuple(vars)
+        if vars == (Z, W):
+            return g
+        return LaurentElement(self.ring, vars, g.coeffs, g.trunc, floors=g.floors,
+                              _clean=True)
 
     def __repr__(self):
         return f"<FormalGroupLaw {self.name} over {self.ring!r} at N={self.trunc}>"

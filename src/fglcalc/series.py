@@ -189,17 +189,6 @@ class PowerSeries:
                 out[e] = s
         return PowerSeries(R, self.vars, out, self.trunc, _clean=True)
 
-    def pow(self, n):
-        if n < 0:
-            raise ValueError("use invert_unit / as_laurent for negative powers")
-        out = PowerSeries.one(self.ring, self.vars, self.trunc + max(0, (n - 1)) * self.valuation() if self.coeffs else self.trunc)
-        out = out.truncate(out.trunc)
-        for _ in range(n):
-            out = out * self
-        if n == 0:
-            out = PowerSeries.one(self.ring, self.vars, self.trunc)
-        return out
-
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, name):
@@ -449,11 +438,6 @@ class LaurentElement:
             return 0
         return max(e[i] for e in self.coeffs)
 
-    def support_min(self, i):
-        if not self.coeffs:
-            return 0
-        return min(e[i] for e in self.coeffs)
-
     def reliable_at(self, e):
         """Whether the coefficient at exponent vector e is certified."""
         if _tot(e) >= self.trunc:
@@ -677,20 +661,16 @@ class LaurentElement:
         out_floors = tuple(
             (af + s) if af is not None else (None if sf is None else fl)
             for af, s, sf, fl in zip(acc.floors, shift, self.floors, floors))
+        # an exact base is kept by reference (nothing mutates coefficient
+        # dicts in place), so results held in a power table share it
         tag = None
         if all(f is None for f in self.floors):
-            tag = ("power", self.plain(), n)
+            tag = ("power", self, n)
         return LaurentElement(R, self.vars, out, out_trunc, floors=out_floors, tag=tag)
 
     @staticmethod
     def one_like(f):
         return LaurentElement.const(f.ring, f.vars, f.ring.one(), f.trunc)
-
-    def plain(self):
-        """A copy without reliability caps; only valid for exact elements."""
-        if any(f is not None for f in self.floors):
-            raise NotLocalizable("element carries truncation floors")
-        return LaurentElement(self.ring, self.vars, dict(self.coeffs), self.trunc, _clean=True)
 
     # -- expansion maps ----------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import Report, _fail, f_residue, hyperderivative
+from .calculus import Report, _fail, _inverse_expansions, f_residue, hyperderivative
 from .ring import Ring, sparse_add, sparse_mul
 from .series import BilateralWindow, LaurentElement, WindowMiss
 
@@ -188,11 +188,6 @@ def lift_laurent(adapter, f):
                           floors=f.floors, _clean=True)
 
 
-def lift_window(adapter, w):
-    return BilateralWindow(adapter, w.vars, dict(w.coeffs), w.reliable,
-                           max_total=w.max_total, _clean=True)
-
-
 # -- algebras ---------------------------------------------------------------
 
 
@@ -249,10 +244,6 @@ class HeisenbergAlgebra(VertexFAlgebra):
         super().__init__(law)
         self.K = K
         self.W = W
-        self._FL = law.as_laurent("z", "w")
-        self._FWZ = self._FL.reorder(("w", "z"))
-        self._pow_wz = {}
-        self._pow_zw = {}
         self._smono = {}
         self.generator = {(-1,): Fraction(1)}
         # precompute the shift images of the weight basis; these rows are the
@@ -261,21 +252,12 @@ class HeisenbergAlgebra(VertexFAlgebra):
             for n in range(0, W + 1):
                 self._shift_mono(n, mono)
 
-    # -- F power caches ------------------------------------------------------
-
-    def f_power_wz(self, n):
-        if n not in self._pow_wz:
-            self._pow_wz[n] = self._FWZ.int_power(n)
-        return self._pow_wz[n]
-
-    def f_power_zw(self, n):
-        if n not in self._pow_zw:
-            self._pow_zw[n] = self._FL.int_power(n)
-        return self._pow_zw[n]
+    # -- shift coefficients --------------------------------------------------
 
     def beta(self, j, k, m):
-        """z^k w^(-m-1) coefficient of the w-dominant expansion of F^(-j-1)."""
-        g = self.f_power_wz(-j - 1)
+        """z^k w^(-m-1) coefficient of the w-dominant expansion of F^(-j-1),
+        read from the law's power table."""
+        g = self.law.power(-j - 1, ("w", "z"))
         e = (-m - 1, k)
         if not g.reliable_at(e):
             raise WindowMiss(
@@ -569,8 +551,7 @@ def shifted_bracket_series(A, a, b, mmax):
             yk = A.y_coeff(a, b, k)
             if not yk:
                 continue
-            g = A.f_power_zw(k) if hasattr(A, "f_power_zw") \
-                else law.as_laurent("z", "w").int_power(k)
+            g = law.power(k)
             r = law.ring.zero()
             for i in range(0, m - k):
                 e = (-1 - i, m)
@@ -732,26 +713,6 @@ def lie_axiom_check(A, samples=None, W=None, mmax=4):
 # max_total=None and certification comes purely from the requested box.
 
 
-def _fpow_zw(A, k, zlo=None):
-    # default floors of a negative power reach -trunc; grids with deeper
-    # box lows must ask for the floor explicitly
-    if k < 0 and zlo is not None and zlo < -A.law.trunc:
-        deep = A.__dict__.setdefault("_fpow_zw_deep", {})
-        ent = deep.get(k)
-        if ent is None or ent[0] > zlo:
-            g = A.law.as_laurent("z", "w").int_power(k, floors=(zlo, None))
-            deep[k] = (zlo, g)
-        return deep[k][1]
-    if hasattr(A, "f_power_zw"):
-        return A.f_power_zw(k)
-    cache = getattr(A, "_fpow_zw_cache", None)
-    if cache is None:
-        cache = A._fpow_zw_cache = {"base": A.law.as_laurent("z", "w")}
-    if k not in cache:
-        cache[k] = cache["base"].int_power(k)
-    return cache[k]
-
-
 def op_product_grid(A, a, b, c, box):
     """Y(a,z) Y(b,w) c on the box: cell (i,j) = a_(coeff i) of b_(coeff j) c."""
     (zlo, zhi), (wlo, whi) = box
@@ -803,7 +764,10 @@ def y_at_group_law_grid(A, a, series, box, tot_cap=None):
             yk = A.y_coeff(a, s, k)
             if not yk:
                 continue
-            g = _fpow_zw(A, k, zlo=zlo)
+            # default floors of a negative power reach -trunc; deeper box
+            # lows ask for the floor explicitly
+            deep = k < 0 and zlo < -A.law.trunc
+            g = A.law.power(k, floors=(zlo, None) if deep else None)
             for i in range(zlo, zhi + 1):
                 for j in range(max(wlo, n), whi + 1):
                     if i + j - n < k:
@@ -839,9 +803,8 @@ def shift_conjugation_defect(A, a, b, box=((-8, 4), (0, 4))):
     return ok, bad
 
 
-def _lifted_f_power(A, n, vars=("z", "w")):
-    g = A.law.as_laurent(*vars).int_power(n)
-    return lift_laurent(A.adapter, g)
+def _lifted_f_power(A, n):
+    return lift_laurent(A.adapter, A.law.power(n))
 
 
 def mul_complete_lower(win, g):
@@ -1007,15 +970,13 @@ def axiom_check(A, which, samples=None, Nmax=8, kmax=None):
                               {"part": "vacuum", "n": n},
                               _fail(A.adapter, None, A.shift(n, A.vacuum), {}))
         # the shift group law, matrix-exactly on the sample states
-        FL = law.as_laurent("z", "w")
-        fpow = {n: FL.int_power(n) for n in range(0, kmax + 1)}
         for s in samples:
             for p in range(0, kmax + 1):
                 for q in range(0, kmax + 1 - p):
                     got = A.shift(p, A.shift(q, s))
                     want = {}
                     for n in range(0, p + q + 1):
-                        cf = fpow[n].coefficient((p, q))
+                        cf = law.power(n).coefficient((p, q))
                         if cf:
                             want = st_add(want, st_scale(A.shift(n, s), cf))
                     if got != want:
@@ -1138,14 +1099,15 @@ def weak_commutativity_order(A, a, b, c, Mmax=8, top=(4, 4), factor="group"):
         raise NotFound(Mmax, what="commutativity order")
     R = A.ring
     if factor == "classical":
-        base = LaurentElement(R, ("z", "w"),
-                              {(1, 0): R.one(), (0, 1): R.neg(R.one())},
-                              A.law.trunc)
+        power = LaurentElement(R, ("z", "w"),
+                               {(1, 0): R.one(), (0, 1): R.neg(R.one())},
+                               A.law.trunc).int_power
     else:
-        base = A.law.f_z_iota_w("z", "w")
+        def power(M):
+            return A.law.power(M, twisted=True)
     for M in range(0, Mmax + 1):
         prod = diff if M == 0 else mul_complete_lower(
-            diff, lift_laurent(A.adapter, base.int_power(M)))
+            diff, lift_laurent(A.adapter, power(M)))
         if prod.is_zero_on_window():
             return M
     raise NotFound(Mmax, what="commutativity order")
@@ -1280,14 +1242,10 @@ def _substituted_p_check(A, a, b, c, p, N, top):
     cmp_box = ((vlo, vhi), (kbc, whi))
     direct = op_product_grid(A, a, b, c, cmp_box)
 
-    fvw = law.f_z_iota_w("v", "w")
-    powers = {}
     coeffs = {}
     mt = p.max_total
     for (i, j), pij in p.coeffs.items():
-        if i not in powers:
-            powers[i] = fvw.int_power(i)
-        P = powers[i]
+        P = law.power(i, ("v", "w"), twisted=True)
         for u in range(vlo, vhi + 1):
             e1 = u + N
             for j2 in range(max(kbc, j), whi + 1):
@@ -1318,37 +1276,14 @@ def _substituted_p_check(A, a, b, c, p, N, top):
 # -- the three-term delta Jacobi identity for Y -------------------------------
 
 
-def _delta_elements(A):
-    if not hasattr(A, "_delta_elems"):
-        fzu = A.law.f_z_iota_w("z", "u")
-        da = fzu.int_power(-1)
-        db = fzu.reorder(("u", "z")).int_power(-1).reorder(("z", "u"))
-        A._delta_elems = (da, db)
-    return A._delta_elems
-
-
-def _delta_coeff(A, m, n):
-    """out^m u^n coefficient of out^{-1} delta_F(u/out), certified."""
-    da, db = _delta_elements(A)
+def _delta_coeff(da, db, m, n):
+    """out^m u^n coefficient of out^{-1} delta_F(u/out) from the two
+    expansions (da, db) of F(out, iota u)^{-1}, certified."""
     e = (m, n)
     if not (da.reliable_at(e) and db.reliable_at(e)):
         raise WindowMiss(f"delta cell {e} beyond certified truncation")
     R = da.ring
     return R.add(da.coefficient(e), R.neg(db.coefficient(e)))
-
-
-def _fzi_pow(A, dominant_first, k):
-    """F(x, iota y)^k with x dominant (dominant_first) or y dominant,
-    exponents always reported in (x, y) order."""
-    cache = A.__dict__.setdefault("_fzi_pow_cache", {})
-    key = (dominant_first, k)
-    if key not in cache:
-        base = A.law.f_z_iota_w("x", "y")
-        if dominant_first:
-            cache[key] = base.int_power(k)
-        else:
-            cache[key] = base.reorder(("y", "x")).int_power(k).reorder(("x", "y"))
-    return cache[key]
 
 
 def jacobi_identity_check(A, a, b, c, B=4, N=None):
@@ -1375,6 +1310,7 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
     kbc = A.y_kmin(b, c)
     kac = A.y_kmin(a, c)
     cap = 3 * B + 1
+    da, db = _inverse_expansions(law)
 
     g1 = {}
     for j2 in range(kbc, B + 1):
@@ -1434,10 +1370,10 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
                     if s2 < 0:
                         continue
                     for n in range(-e0 - 1, s1 + s2 + 1):
-                        d = _delta_coeff(A, e0, n)
+                        d = _delta_coeff(da, db, e0, n)
                         if R.is_zero(d):
                             continue
-                        P = _fzi_pow(A, True, n)
+                        P = law.power(n, twisted=True)
                         if not P.reliable_at((s1, s2)):
                             raise WindowMiss(
                                 f"power cell ({s1},{s2}) of F^{n} beyond "
@@ -1450,10 +1386,10 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
                     if s1 < 0:
                         continue
                     for n in range(-e0 - 1, s1 + s2 + 1):
-                        d = _delta_coeff(A, e0, n)
+                        d = _delta_coeff(da, db, e0, n)
                         if R.is_zero(d):
                             continue
-                        P = _fzi_pow(A, False, n)
+                        P = law.power(n, twisted=True, dominant=1)
                         if not P.reliable_at((s1, s2)):
                             raise WindowMiss(
                                 f"power cell ({s1},{s2}) of F^{n} beyond "
@@ -1468,10 +1404,10 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
                         continue
                     m2 = e2 - j
                     for n in range(-m2 - 1, e1 + N + s0 + 1):
-                        d = _delta_coeff(A, m2, n)
+                        d = _delta_coeff(da, db, m2, n)
                         if R.is_zero(d):
                             continue
-                        P = _fzi_pow(A, True, n)
+                        P = law.power(n, twisted=True)
                         if not P.reliable_at((e1 + N, s0)):
                             raise WindowMiss(
                                 f"power cell ({e1 + N},{s0}) of F^{n} beyond "

@@ -9,6 +9,7 @@ from fglcalc.series import LaurentElement, PowerSeries, WindowMiss, comb_any
 from fglcalc.fgl import FormalGroupLaw, standard_law
 from fglcalc.calculus import (
     FBinomialTable,
+    _agree_on_reliable,
     additive_iterated_oracle,
     delta_F,
     delta_g_relation_check,
@@ -351,6 +352,25 @@ def test_hyperderivative_properties_pass():
     for law in (ADD, MUL, ONEP):
         rep = hyperderivative_properties(law)
         assert rep.ok, (law.name, rep.to_json())
+
+
+def test_comparison_without_certified_cells_fails():
+    # a certified only below degree 3, b only from z^5 up: no common cell
+    a = LaurentElement(QQ, ("z",), {(1,): Fraction(1)}, 3)
+    b = LaurentElement(QQ, ("z",), {(1,): Fraction(2), (6,): Fraction(1)}, 10,
+                       floors=(5,))
+    rep = _agree_on_reliable("hyper/identity", "x", None, a, b)
+    assert not rep.ok
+    assert rep.status == {"fail": {"reason": "no certified cells"}}
+    # certified zeros count: two zero series on a common region agree
+    zero = LaurentElement(QQ, ("z",), {}, 4, floors=(-3,))
+    assert _agree_on_reliable("hyper/identity", "x", None, zero,
+                              LaurentElement(QQ, ("z",), {}, 10)) is None
+    # one common certified cell is enough to pass, and a mismatch there fails
+    c = LaurentElement(QQ, ("z",), {(1,): Fraction(1)}, 10)
+    assert _agree_on_reliable("hyper/identity", "x", None, a, c) is None
+    rep = _agree_on_reliable("hyper/identity", "x", {"n": 1}, a, c.scale(Fraction(2)))
+    assert rep.status["fail"]["monomial"] == [1]
 
 
 def test_hyperderivative_repeated_s1_factorials():

@@ -157,6 +157,23 @@ def test_verify_injected_fault_exits_1(tmp_path):
     assert d["first_failure"]["identity"].startswith("f_binomial")
 
 
+def test_verify_too_small_truncation_exits_2(tmp_path, capsys):
+    # a certified window beyond the truncation is a configuration error that
+    # names the check and the truncation, not a traceback with exit 1
+    runs = [(["--kind", "multiplicative", "--suite", "hyper", "--trunc", "6"], 6),
+            (["--kind", "multiplicative", "--suite", "hyper", "--trunc", "4"], 4)]
+    for trunc in (4, 5):
+        path = tmp_path / f"law{trunc}.json"
+        path.write_text(json.dumps({"trunc": trunc, "coeffs": [
+            [1, 0, 1], [0, 1, 1], [1, 1, 1]]}))
+        runs.append((["--suite", "all", "--law-file", str(path)], trunc))
+    for args, trunc in runs:
+        assert main(["verify"] + args) == 2, args
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "'hyper'" in err, args
+        assert f"truncation {trunc}:" in err, args
+
+
 def test_verify_payload_is_byte_stable(tmp_path):
     args = ["verify", "--suite", "binom", "--kind", "additive", "--seed", "0"]
     _, a = run_text(tmp_path, args)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fglcalc.fgl import (
     AxiomViolation,
@@ -341,3 +342,76 @@ def test_elliptic_degenerates_to_rescaled_multiplicative(delta):
     den = qq_series({(0, 0): 1, (1, 1): delta}, trunc=10)
     want = (num * den.invert_unit()).truncate(got.trunc)
     assert got == want
+
+
+# -- the power table --------------------------------------------------------
+
+TABLE_LAWS = {k: standard_law(k, trunc=t) for k, t in
+              [("additive", 12), ("multiplicative", 12),
+               ("one_parameter", 10), ("elliptic", 10)]}
+
+
+@pytest.mark.parametrize("kind", list(TABLE_LAWS))
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("dominant", [0, 1])
+def test_power_table_matches_int_power(kind, twisted, dominant):
+    law = TABLE_LAWS[kind]
+    # the reference: int_power on a base built afresh, outside the table
+    fresh = standard_law(kind, trunc=law.trunc)
+    base = fresh.f_z_iota_w() if twisted else fresh.as_laurent()
+    # one deep floor, below the default -trunc cut, on the dominant variable
+    deep = [None, None]
+    deep[dominant] = -2 * law.trunc
+    for floors in (None, tuple(deep)):
+        for n in range(-5, 9):
+            got = law.power(n, twisted=twisted, dominant=dominant, floors=floors)
+            if dominant:
+                want = base.reorder(("w", "z")).int_power(
+                    n, floors=None if floors is None else floors[::-1]
+                ).reorder(("z", "w"))
+            else:
+                want = base.int_power(n, floors=floors)
+            assert (got.coeffs, got.trunc, got.floors) == \
+                (want.coeffs, want.trunc, want.floors), (n, floors)
+
+
+def test_power_table_shares_entries_across_names(monkeypatch):
+    law = standard_law("multiplicative", trunc=10)
+    calls = []
+    real = LaurentElement.int_power
+
+    def counting(self, n, floors=None):
+        calls.append(n)
+        return real(self, n, floors=floors)
+
+    monkeypatch.setattr(LaurentElement, "int_power", counting)
+    a = law.power(-2, ("z1", "z2"), twisted=True)
+    b = law.power(-2, ("z1", "z0"), twisted=True)
+    assert calls == [-2]
+    assert (a.vars, b.vars) == (("z1", "z2"), ("z1", "z0"))
+    assert a.coeffs is b.coeffs
+    # F is symmetric: the w-dominant (w, z) power is the z-dominant entry
+    wz = law.power(3, ("w", "z"))
+    zw = law.power(3)
+    assert calls == [-2, 3]
+    assert wz.coeffs is zw.coeffs
+    assert wz.coeffs == real(law.as_laurent().reorder(("w", "z")), 3).coeffs
+
+
+@given(kind=st.sampled_from(["multiplicative", "one_parameter"]),
+       m=st.integers(-4, 4), n=st.integers(-4, 4),
+       twisted=st.booleans(), dominant=st.integers(0, 1))
+@settings(max_examples=40, deadline=None)
+def test_power_table_exponent_law(kind, m, n, twisted, dominant):
+    # F^m * F^n = F^(m+n) on every cell both sides certify
+    law = TABLE_LAWS[kind]
+    R = law.ring
+    kw = {"twisted": twisted, "dominant": dominant}
+    lhs = law.power(m, **kw) * law.power(n, **kw)
+    rhs = law.power(m + n, **kw)
+    t = law.trunc
+    cells = [(i, j) for i in range(-2 * t, 2 * t) for j in range(-2 * t, 2 * t)
+             if lhs.reliable_at((i, j)) and rhs.reliable_at((i, j))]
+    assert cells
+    for e in cells:
+        assert R.eq(lhs.coefficient(e), rhs.coefficient(e)), (m, n, e)
