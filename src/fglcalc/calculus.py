@@ -293,6 +293,10 @@ def _delta_tower(law, base, base_vars, out_var, B):
     hi = [B, B, B]
     if a.floors[0] is not None:
         lo[oi] = max(lo[oi], a.floors[0])
+    if b.floors[1] is not None:
+        # slices below the u floor of the u-dominant expansion are not
+        # certified, and out-exponent e0 needs every slice n >= -e0-1
+        hi[oi] = min(hi[oi], -b.floors[1] - 1)
     coeffs = {}
     mt = min(a.trunc, b.trunc) - 1
     for n in range(-(B + 1), law.trunc + B + 1):
@@ -624,13 +628,16 @@ def iterated_residue_check(law, triples):
     name = law.name
 
     depth = 3 * law.trunc
+    # only this check reads the deep powers: memoise them for this call
+    # rather than in the law's table
+    deep = {}
 
     def double_res(vars, dominant, a, b_exps):
         # F(x, iota y)^a * (vars monomial) with vars[dominant] dominant,
         # residue in the other variable, then in the dominant one; the power
         # is expanded deep enough to survive both p_F factors
         a_pow = law.power(a, vars, twisted=True, dominant=dominant,
-                          floors=(-depth, -depth))
+                          floors=(-depth, -depth), table=deep)
         shift = LaurentElement(R, vars,
                                {b_exps: R.one()}, a_pow.trunc + sum(b_exps) + 1)
         el = a_pow * shift

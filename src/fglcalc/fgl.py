@@ -184,7 +184,8 @@ class FormalGroupLaw:
         t = trunc or self.trunc
         return self.F.truncate(t).rename((zname, wname)).as_laurent()
 
-    def power(self, n, vars=(Z, W), *, twisted=False, dominant=0, floors=None):
+    def power(self, n, vars=(Z, W), *, twisted=False, dominant=0, floors=None,
+              table=None):
         """F(x, y)^n, or F(x, iota y)^n when twisted, for (x, y) = vars.
 
         The expansion has vars[dominant] dominant; exponents and ``floors``
@@ -194,10 +195,13 @@ class FormalGroupLaw:
         variable names share one entry: the result is a view with the names
         applied, sharing the stored coefficient dict, which must not be
         mutated.  F is symmetric, so the w-dominant expansion of F(z,w)^n
-        is ``power(n, ("w", "z"))``.
+        is ``power(n, ("w", "z"))``.  A caller that passes its own dict as
+        ``table`` memoises the entry there instead, keeping one-off powers
+        out of the law for the rest of the process.
         """
+        memo = self._powers if table is None else table
         key = (twisted, dominant, n, floors)
-        g = self._powers.get(key)
+        g = memo.get(key)
         if g is None:
             # the n = 1 entry is the base itself (int_power(1) returns it)
             base = self._powers.get((twisted, 0, 1, None))
@@ -209,7 +213,7 @@ class FormalGroupLaw:
                 g = base.reorder((W, Z)).int_power(n, floors=rev).reorder((Z, W))
             else:
                 g = base.int_power(n, floors=floors)
-            self._powers[key] = g
+            memo[key] = g
         vars = tuple(vars)
         if vars == (Z, W):
             return g

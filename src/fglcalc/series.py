@@ -21,6 +21,7 @@ All coefficients are raw ring values owned by a Ring (see ring.py).
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from math import comb
 
 from .ring import NOT_INVERTIBLE, Ring, sparse_add, sparse_mul
@@ -551,7 +552,50 @@ class LaurentElement:
         For n < 0 the leading coefficient must be invertible in the base
         ring; the result is cut at ``floors`` (default: -trunc per variable)
         which become the reliability floors of the output.
+
+        Write f = c*m*(1 + h) with c*m the leading term and t_rel = trunc -
+        tot(m).  (1 + h)^n is computed at total degree below t_rel by one of
+        two routes:
+
+        * the graded recurrence, when the base is exact (no floors), has two
+          variables (x, y) = self.vars, lies over a ring containing the
+          rationals, every term of h has total degree >= 0, t_rel >= 1, and
+          either n > 0 or x has a floor (it does by default for n < 0).
+          Split u = 1 + h = sum_k u_k y^k by the y-exponent.  u_0 = 1 + p(x)
+          with p of positive x-degree; u_0^n and u_0^-1 come from the same
+          recurrence graded by the x-degree, and dividing u by u_0 leaves
+          u_0 = 1.  Euler's operator y d/dy applied to u*E(g) = n*g*E(u),
+          g = u^n, then gives (J.C.P. Miller's power recurrence; Knuth,
+          TAOCP vol. 2, 4.7)
+              k * g_k = sum_{i=1..k} ((n+1)*i - k) * u_i * g_{k-i}.
+          Products are cut at total degree t_rel and never at a floor, so
+          every g_k is finite and exact.  The recurrence stops at the last
+          y-degree with a cell of total degree < t_rel above the x floor
+          (n < 0), at n * deg_y(u) (n > 0), or once deg_y(u) consecutive g_k
+          vanish, and the result is clipped once at the floors.  A floor is
+          reported where the clip removed a stored cell, and on x for n < 0
+          whenever h has terms of total degree 0: (1 + h)^n then has cells
+          of total degree 0 below every x floor.
+        * otherwise the binomial loop ``_binomial_power``, sum_k C(n, k) h^k:
+          over Z and Z/m, for bases with floors, for h with terms of negative
+          total degree, and for one- or three-variable bases.
+
+        Where both apply they give the same cells and truncation, except
+        that the loop loses cells when the floor on y lies more than t_rel
+        above n times the y-exponent of m.  The recurrence reports a floor
+        only where a cell below it is nonzero; the loop also reports one
+        where terms of its sum cancel below the floor, and otherwise the
+        floors agree.  An exact base is recorded in the result's tag so
+        that ``expand`` can recompute the power in another ordering.
         """
+        return self._power(n, floors, graded=True)
+
+    def _binomial_power(self, n, floors=None):
+        """int_power by the binomial loop alone (the reference for the
+        graded recurrence)."""
+        return self._power(n, floors, graded=False)
+
+    def _power(self, n, floors, graded):
         R = self.ring
         if n == 0:
             return LaurentElement.one_like(self)
@@ -587,6 +631,39 @@ class LaurentElement:
             if not any(e2):
                 continue
             h_coeffs[e2] = R.mul(ce, cinv)
+        exact = all(f is None for f in self.floors)
+        graded_ok = (graded and exact and len(self.vars) == 2
+                     and R.contains_rationals and t_rel > 0
+                     and (n > 0 or work_floors[0] is not None)
+                     and all(_tot(e) >= 0 for e in h_coeffs))
+        if graded_ok:
+            coeffs, acc_floors = _graded_power(R, h_coeffs, n, t_rel, work_floors)
+            min_trunc = t_rel
+        else:
+            acc, min_trunc = self._binomial_series(h_coeffs, n, t_rel, work_floors)
+            coeffs, acc_floors = acc.coeffs, acc.floors
+        # shift by n*m and scale by c^n
+        cn = c if n >= 0 else cinv
+        cpow = R.one()
+        for _ in range(abs(n)):
+            cpow = R.mul(cpow, cn)
+        shift = tuple(n * x for x in m)
+        out = {}
+        for e, ce in coeffs.items():
+            out[tuple(x + y for x, y in zip(e, shift))] = R.mul(ce, cpow)
+        out_trunc = min_trunc + n * v
+        out_floors = tuple(
+            (af + s) if af is not None else (None if sf is None else fl)
+            for af, s, sf, fl in zip(acc_floors, shift, self.floors, floors))
+        # an exact base is kept by reference (nothing mutates coefficient
+        # dicts in place), so results held in a power table share it
+        tag = ("power", self, n) if exact else None
+        return LaurentElement(R, self.vars, out, out_trunc, floors=out_floors, tag=tag)
+
+    def _binomial_series(self, h_coeffs, n, t_rel, work_floors):
+        """sum_k C(n, k) h^k at relative truncation t_rel, cut at the
+        relative floors; returns the sum and its truncation."""
+        R = self.ring
         h = LaurentElement(R, self.vars, h_coeffs, t_rel, _clean=True)
         hv = min(0, h.valuation()) if h.coeffs else 0
         # Deep-cut mode: when the base is exact and every dominated direction
@@ -648,25 +725,7 @@ class LaurentElement:
             acc = acc.truncate(acc.trunc, floors=loop_floors)
             acc = LaurentElement(R, self.vars, acc.coeffs, acc.trunc,
                                  floors=self._join_floors_add(acc.floors, loop_floors))
-        # shift by n*m and scale by c^n
-        cn = c if n >= 0 else cinv
-        cpow = R.one()
-        for _ in range(abs(n)):
-            cpow = R.mul(cpow, cn)
-        shift = tuple(n * x for x in m)
-        out = {}
-        for e, ce in acc.coeffs.items():
-            out[tuple(x + y for x, y in zip(e, shift))] = R.mul(ce, cpow)
-        out_trunc = min_trunc + n * v
-        out_floors = tuple(
-            (af + s) if af is not None else (None if sf is None else fl)
-            for af, s, sf, fl in zip(acc.floors, shift, self.floors, floors))
-        # an exact base is kept by reference (nothing mutates coefficient
-        # dicts in place), so results held in a power table share it
-        tag = None
-        if all(f is None for f in self.floors):
-            tag = ("power", self, n)
-        return LaurentElement(R, self.vars, out, out_trunc, floors=out_floors, tag=tag)
+        return acc, min_trunc
 
     @staticmethod
     def one_like(f):
@@ -866,6 +925,76 @@ class LaurentElement:
 
     def to_json(self):
         return _series_json(self)
+
+
+def _unit_power(R, parts, n, cut, kmax=None):
+    """The graded pieces g_0, g_1, ... of u^n for u = 1 + sum_{i>=1} u_i.
+
+    ``parts[i]`` is u_i, a sparse map over two-variable exponents of grade
+    i (``parts[0]`` is ignored); products are cut at total degree ``cut``.
+    g_k follows from the recurrence in ``LaurentElement.int_power``.  Stops
+    after g_kmax, or once as many consecutive g_k vanish as u has grades,
+    since every later g_k then vanishes too.
+    """
+    top = len(parts) - 1
+    g = [{(0, 0): R.one()}]
+    k = empty = 0
+    while empty < top and (kmax is None or k < kmax):
+        k += 1
+        gk = {}
+        for i in range(1, min(k, top) + 1):
+            coef = (n + 1) * i - k
+            if coef and parts[i] and g[k - i]:
+                s = R.from_fraction(Fraction(coef, k))
+                sparse_mul(R, {e: R.mul(c, s) for e, c in parts[i].items()},
+                           g[k - i], cut=cut, out=gk)
+        g.append(gk)
+        empty = 0 if gk else empty + 1
+    return g
+
+
+def _graded_power(R, h, n, t_rel, work_floors):
+    """(1 + h)^n for an exact two-variable h whose terms have total degree
+    >= 0, cut at total degree t_rel and clipped at ``work_floors``; returns
+    the cells and the floors (see ``LaurentElement.int_power``)."""
+    top = max((e[1] for e in h), default=0)
+    parts = [{} for _ in range(top + 1)]
+    for e, c in h.items():
+        parts[e[1]][e] = c
+    # for n < 0, terms of total degree 0 leave cells of total degree 0 at
+    # every depth in x, so the x floor always cuts something
+    tail = n < 0 and any(_tot(e) == 0 for e in h)
+    if n > 0:
+        kmax = n * top
+    elif tail:
+        # the last y-degree with a cell of total < t_rel above the x floor
+        kmax = max(0, t_rel - 1 - work_floors[0])
+    else:
+        kmax = None  # every factor raises the total degree
+    if parts[0]:
+        # u_0 = 1 + p(x): u^n = u_0^n * (u / u_0)^n, where u_0^n and u_0^-1
+        # come from the same recurrence graded by the x-degree
+        px = [{}] * t_rel
+        for e, c in parts[0].items():
+            if e[0] < t_rel:
+                px[e[0]] = {e: c}
+        inv, u0n = ({e: c for gk in _unit_power(R, px, k, t_rel, kmax=t_rel - 1)
+                     for e, c in gk.items()} for k in (-1, n))
+        parts[1:] = [sparse_mul(R, inv, u, cut=t_rel) for u in parts[1:]]
+    coeffs = {e: c for gk in _unit_power(R, parts, n, t_rel, kmax=kmax)
+              for e, c in gk.items()}
+    if parts[0]:
+        coeffs = sparse_mul(R, u0n, coeffs, cut=t_rel)
+    out_floors = [None, None]
+    for i, f in enumerate(work_floors):
+        if f is None:
+            continue
+        cut = [e for e in coeffs if e[i] < f]
+        for e in cut:
+            del coeffs[e]
+        if cut or (i == 0 and tail):
+            out_floors[i] = f
+    return coeffs, tuple(out_floors)
 
 
 def comb_any(n, k):

@@ -174,6 +174,20 @@ def test_verify_too_small_truncation_exits_2(tmp_path, capsys):
         assert f"truncation {trunc}:" in err, args
 
 
+def test_verify_delta_at_small_truncation_passes(tmp_path):
+    # at trunc 4 the u-dominant expansion of F(x, iota u)^-1 stops at u^-4,
+    # so the Jacobi towers certify out-exponents up to 3 only; reading the
+    # cell [4, 0, -4] beyond that was a false failure (exit 1)
+    code, d = run_json(tmp_path, ["verify", "--suite", "delta", "--kind",
+                                  "multiplicative", "--trunc", "4"])
+    assert code == 0
+    jac = next(r for r in d["reports"] if r["identity"] == "delta/f_jacobi")
+    assert jac["window"]["jacobi"] == [[-4, 3], [-4, 4], [-4, 3]]
+    for trunc in ("5", "6"):
+        assert main(["verify", "--suite", "delta", "--kind", "multiplicative",
+                     "--trunc", trunc, "--out", str(tmp_path / "o.json")]) == 0
+
+
 def test_verify_payload_is_byte_stable(tmp_path):
     args = ["verify", "--suite", "binom", "--kind", "additive", "--seed", "0"]
     _, a = run_text(tmp_path, args)

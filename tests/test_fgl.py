@@ -349,30 +349,36 @@ def test_elliptic_degenerates_to_rescaled_multiplicative(delta):
 TABLE_LAWS = {k: standard_law(k, trunc=t) for k, t in
               [("additive", 12), ("multiplicative", 12),
                ("one_parameter", 10), ("elliptic", 10)]}
+# the vertex suite's law and an integral law, for the table test alone
+REFERENCE_LAWS = dict(TABLE_LAWS, **{
+    "multiplicative@18": standard_law("multiplicative", trunc=18),
+    "p_typical": standard_law("p_typical", trunc=12, p=2, h=1)})
 
 
-@pytest.mark.parametrize("kind", list(TABLE_LAWS))
+@pytest.mark.parametrize("kind", list(REFERENCE_LAWS))
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("dominant", [0, 1])
 def test_power_table_matches_int_power(kind, twisted, dominant):
-    law = TABLE_LAWS[kind]
-    # the reference: int_power on a base built afresh, outside the table
-    fresh = standard_law(kind, trunc=law.trunc)
+    law = REFERENCE_LAWS[kind]
+    t = law.trunc
+    # the reference: the binomial loop on a base built afresh, outside the
+    # table; int_power itself takes the graded recurrence on these laws
+    fresh = standard_law(kind.split("@")[0], trunc=t, **law.params)
     base = fresh.f_z_iota_w() if twisted else fresh.as_laurent()
     # one deep floor, below the default -trunc cut, on the dominant variable
     deep = [None, None]
-    deep[dominant] = -2 * law.trunc
-    for floors in (None, tuple(deep)):
-        for n in range(-5, 9):
+    deep[dominant] = -2 * t
+    for floors in (None, (-3 * t, -3 * t), tuple(deep)):
+        for n in range(-6, 11):
             got = law.power(n, twisted=twisted, dominant=dominant, floors=floors)
             if dominant:
-                want = base.reorder(("w", "z")).int_power(
+                want = base.reorder(("w", "z"))._binomial_power(
                     n, floors=None if floors is None else floors[::-1]
                 ).reorder(("z", "w"))
             else:
-                want = base.int_power(n, floors=floors)
-            assert (got.coeffs, got.trunc, got.floors) == \
-                (want.coeffs, want.trunc, want.floors), (n, floors)
+                want = base._binomial_power(n, floors=floors)
+            assert (got.coeffs, got.trunc, got.floors, got.tag) == \
+                (want.coeffs, want.trunc, want.floors, want.tag), (n, floors)
 
 
 def test_power_table_shares_entries_across_names(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fglcalc import series
 from fglcalc.ring import Ring
 from fglcalc.series import (
     BilateralWindow,
@@ -406,3 +407,86 @@ def test_kernel_mul_complete_lower(data, ring):
             if _inside(e, win.reliable, mt)}
     assert (h.reliable, h.max_total) == (win.reliable, mt)
     assert h.coeffs == want
+
+
+# -- int_power: the graded recurrence against the binomial loop ---------------
+
+_unit_q = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
+GRADED_RINGS = {
+    "QQ": (QQ, _unit_q, _small_q),
+    "QQ[s]": (QS, _unit_q.map(lambda q: {(0,): q}), _poly_s),
+}
+
+
+def _same_power(got, want):
+    assert (got.coeffs, got.trunc, got.floors, got.tag) == \
+        (want.coeffs, want.trunc, want.floors, want.tag)
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(GRADED_RINGS)),
+       n=st.integers(-6, 10))
+@settings(max_examples=150, deadline=None)
+def test_graded_power_matches_binomial_loop(data, ring, n):
+    # an exact base c*x*(1 + h) with leading monomial x: every term of h has
+    # nonnegative total degree, and its y-free terms positive x-degree
+    R, lead, values = GRADED_RINGS[ring]
+    t = data.draw(st.integers(2, 8))
+    coeffs = {(1, 0): data.draw(lead)}
+    for _ in range(data.draw(st.integers(0, 6))):
+        dy = data.draw(st.integers(0, 5))
+        dx = data.draw(st.integers(1 if dy == 0 else -dy, t))
+        coeffs[(1 + dx, dy)] = data.draw(values)
+    f = LaurentElement(R, ("x", "y"), coeffs, t)
+    floors = data.draw(st.sampled_from(
+        [None, (-3 * t, -3 * t), (-t - 3, None), (-2, None),
+         (data.draw(st.integers(-3 * t, 2)), data.draw(st.integers(-2 * t, 0)))]))
+    _same_power(f.int_power(n, floors=floors), f._binomial_power(n, floors=floors))
+
+
+def _geometric(R, trunc, floors=None):
+    return LaurentElement(R, ("z", "w"), {(1, 0): R.one(), (0, 1): R.one()},
+                          trunc, floors=floors)
+
+
+def _no_graded(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the graded recurrence was taken")
+    monkeypatch.setattr(series, "_graded_power", fail)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z6], ids=["ZZ", "Z6"])
+def test_int_power_keeps_binomial_loop_without_rationals(monkeypatch, ring):
+    _no_graded(monkeypatch)
+    f = _geometric(ring, 10)
+    g = f.int_power(-1)
+    # (z + w)^-1 = sum_k (-1)^k w^k z^(-1-k), cut at z >= -trunc
+    assert g.floors == (-10, None) and g.trunc == 8
+    assert g.coeffs == {(-1 - k, k): ring.from_int((-1) ** k) for k in range(10)}
+    for n in (-3, 2, 5):
+        _same_power(f.int_power(n), f._binomial_power(n))
+
+
+def test_int_power_keeps_binomial_loop_for_floored_bases(monkeypatch):
+    _no_graded(monkeypatch)
+    f = _geometric(QQ, 10, floors=(-4, None))
+    g = f.int_power(-1)
+    assert g.coefficient((-1, 0)) == 1 and g.coefficient((-4, 3)) == -1
+    for n in (-2, 3):
+        _same_power(f.int_power(n), f._binomial_power(n))
+
+
+def test_int_power_takes_graded_recurrence_over_rationals(monkeypatch):
+    calls = []
+    real = series._graded_power
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(series, "_graded_power", counting)
+    f = _geometric(QQ, 10)
+    for n in (-2, 3):
+        _same_power(f.int_power(n), f._binomial_power(n))
+    # one-variable bases keep the loop
+    lz({(-1,): 1, (0,): 2}, trunc=10).int_power(-2)
+    assert calls == [-2, 3]
