@@ -58,6 +58,20 @@ class ConfigError(Exception):
     pass
 
 
+# Largest truncation order accepted from --trunc or a law file.  Building a
+# law grows about as the fifth power of the truncation (p_typical(2,1) takes
+# about 8 s at 36 and 32 s at 48 on a 2-core host), so the cap keeps one
+# build to minutes; it sits well above every truncation the test suite, the
+# scripts and the benchmark use.
+MAX_TRUNC = 64
+
+
+def _check_trunc(trunc, source):
+    if trunc > MAX_TRUNC:
+        raise ConfigError(f"{source} {trunc} exceeds the maximum truncation "
+                          f"MAX_TRUNC = {MAX_TRUNC}")
+
+
 @dataclass
 class CliConfig:
     kind: str = "additive"
@@ -74,6 +88,7 @@ class CliConfig:
     def __post_init__(self):
         if self.trunc < 4:
             raise ConfigError("--trunc must be at least 4")
+        _check_trunc(self.trunc, "--trunc")
         if self.window < 2:
             raise ConfigError("--window must be at least 2")
         if self.weight < 1:
@@ -111,7 +126,7 @@ def load_law(cfg):
 
     A law file's trunc and exponents must be JSON integers and its
     coefficients integers or exact "p" / "p/q" strings; floats are refused
-    rather than rounded."""
+    rather than rounded.  Its trunc, like --trunc, is capped at MAX_TRUNC."""
     if cfg.law_file:
         try:
             with open(cfg.law_file) as fh:
@@ -122,6 +137,7 @@ def load_law(cfg):
             if not isinstance(name, str):
                 raise ValueError(f"name {name!r} is not a string")
             trunc = _exact(data.get("trunc", cfg.trunc))
+            _check_trunc(trunc, "law file trunc")
             QQ = Ring.rationals()
             coeffs = {}
             for item in data["coeffs"]:

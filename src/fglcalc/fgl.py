@@ -73,6 +73,14 @@ class FormalGroupLaw:
     # -- validation --------------------------------------------------------
 
     def validate(self):
+        """Check unitality, commutativity and associativity coefficient by
+        coefficient, raising AxiomViolation at the first failing monomial.
+
+        Associativity is checked one-sidedly: only F(z, F(w,v)) is computed;
+        once F is commutative, F(F(z,w), v) is the same series with its
+        exponents permuted, and the two are compared in sorted monomial
+        order as a two-sided check would compare them.
+        """
         F, R = self.F, self.ring
         # unitality F(z,0) = z
         if not R.eq(F.coefficient((1, 0)), R.one()):
@@ -88,14 +96,13 @@ class FormalGroupLaw:
         for (i, j), c in F.coeffs.items():
             if not R.eq(F.coefficient((j, i)), c):
                 raise AxiomViolation("commutativity", (i, j))
-        # associativity F(z, F(w,v)) = F(F(z,w), v)
+        # associativity F(z, F(w,v)) = F(F(z,w), v).  F is commutative, so
+        # the right side is F(v, F(z,w)): the left side with (z,w,v) read as
+        # (v,z,w), i.e. exponents (a,b,c) moved to (b,c,a)
         tvars = (Z, W, V)
-        t = F.trunc
-        Fwv = F.rename((W, V)).extend(tvars)
-        Fzw = F.extend(tvars)
-        lhs = F.substitute({W: Fwv, Z: PowerSeries.var(R, tvars, Z, t)})
-        rhs = F.rename((V, W)).substitute(
-            {V: Fzw, W: PowerSeries.var(R, tvars, V, t)})
+        lhs = F.substitute({W: F.rename((W, V)).extend(tvars)})
+        rhs = PowerSeries(R, tvars, {(b, c, a): x for (a, b, c), x in lhs.coeffs.items()},
+                          lhs.trunc, _clean=True)
         bad = _first_difference(lhs, rhs)
         if bad is not None:
             raise AxiomViolation("associativity", bad)
@@ -103,13 +110,19 @@ class FormalGroupLaw:
     # -- companions --------------------------------------------------------
 
     def _solve_inverse(self):
-        R, F, t = self.ring, self.F, self.trunc
+        """iota with F(z, iota(z)) = 0, found degree by degree.
+
+        With iota correct below degree d, F(z, iota) starts at degree d, and
+        adding c * z^d to iota adds c * z^d there (F_w(0,0) = 1), so iota
+        gains minus that coefficient.  It depends on F and iota below
+        degree d + 1 only and is computed at truncation d + 1.
+        """
+        R, t = self.ring, self.trunc
         iota = -PowerSeries.var(R, (Z,), Z, t)
-        while True:
-            r = self.apply(PowerSeries.var(R, (Z,), Z, t), iota)
-            if r.is_zero():
-                break
-            iota = iota - r
+        for d in range(2, t):
+            r = self.F.truncate(d + 1).substitute({W: iota}).coefficient((d,))
+            if r:
+                iota.coeffs[(d,)] = R.neg(r)
         return iota
 
     def _invariant_differential(self):
@@ -126,7 +139,7 @@ class FormalGroupLaw:
         # F(z, iota(w)) = G(z,w) * (z - w), solved by the coefficient recursion
         R, t = self.ring, self.trunc
         iw = self.iota.rename((W,)).extend((Z, W))
-        a = self.F.substitute({W: iw, Z: PowerSeries.var(R, (Z, W), Z, t)})
+        a = self.F.substitute({W: iw})
         gt = t - 1
         g = {}
         for j in range(0, gt):
@@ -174,11 +187,9 @@ class FormalGroupLaw:
     def f_z_iota_w(self, zname=Z, wname=W, trunc=None):
         """F(z, iota(w)) as an exact LaurentElement in (zname, wname)."""
         t = trunc or self.trunc
-        R = self.ring
         iw = self.iota.truncate(t).rename((wname,)).extend((zname, wname))
         f = self.F.truncate(t).rename((zname, wname))
-        out = f.substitute({wname: iw, zname: PowerSeries.var(R, (zname, wname), zname, t)})
-        return out.as_laurent()
+        return f.substitute({wname: iw}).as_laurent()
 
     def as_laurent(self, zname=Z, wname=W, trunc=None):
         t = trunc or self.trunc

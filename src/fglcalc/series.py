@@ -241,8 +241,16 @@ class PowerSeries:
 
         bindings: {name: PowerSeries over the target variables}. Unbound
         variables must exist in the target variable list and are kept.
+        The result is truncated at t = min(self.trunc, every binding's trunc).
+
+        An image that is one monomial with coefficient one (a variable, or
+        an unbound variable) is an exponent shift and costs no ring
+        operation.  Every other image gets one table of its powers, cut at
+        total degree t.  Each monomial c * x^e then starts as {shift: c},
+        is multiplied by the tabled powers it needs and is accumulated
+        into a single output dict.
         """
-        targets = [g for g in bindings.values()]
+        targets = list(bindings.values())
         if not targets:
             return self
         tvars = targets[0].vars
@@ -252,35 +260,59 @@ class PowerSeries:
                 raise OrderingMismatch("inconsistent substitution targets")
             if g.valuation() < 1:
                 raise IllegalSubstitution("substituted series must have positive valuation")
-        ttrunc = min(g.trunc for g in targets)
-        full = {}
+        t = min(self.trunc, min(g.trunc for g in targets))
+        one = R.one()
+        shifts = []  # per variable: the exponent of a monomial image, else None
+        tables = []  # per variable: [None, g, g^2, ...] for any other image
         for v in self.vars:
-            if v in bindings:
-                full[v] = bindings[v]
-            else:
+            g = bindings.get(v)
+            if g is None:
                 if v not in tvars:
                     raise IllegalSubstitution(f"unbound variable {v!r} missing from target")
-                full[v] = PowerSeries.var(R, tvars, v, ttrunc)
-        t = min(self.trunc, ttrunc)
-        out = PowerSeries.zero(R, tvars, t)
-        pw = {v: {0: PowerSeries.one(R, tvars, t)} for v in self.vars}
+                shifts.append(tuple(int(x == v) for x in tvars))
+                tables.append(None)
+            elif len(g.coeffs) == 1 and R.eq(next(iter(g.coeffs.values())), one):
+                shifts.append(next(iter(g.coeffs)))
+                tables.append(None)
+            else:
+                shifts.append(None)
+                tables.append([None, {e: c for e, c in g.coeffs.items() if _tot(e) < t}])
 
-        def power(v, k):
-            cache = pw[v]
-            if k not in cache:
-                cache[k] = (power(v, k - 1) * full[v]).truncate(t)
-            return cache[k]
-
+        out = {}
         for e, c in self.coeffs.items():
-            term = PowerSeries.const(R, tvars, c, t)
-            for v, k in zip(self.vars, e):
-                if k:
-                    term = (term * power(v, k)).truncate(t)
-            out = out + term
-        return out.truncate(t)
+            shift = [0] * len(tvars)
+            factors = []
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                m = shifts[i]
+                if m is None:
+                    pw = tables[i]
+                    while len(pw) <= k:
+                        pw.append(sparse_mul(R, pw[-1], pw[1], cut=t))
+                    factors.append(pw[k])
+                else:
+                    for j, x in enumerate(m):
+                        shift[j] += k * x
+            if sum(shift) >= t:
+                continue
+            term = {tuple(shift): c}
+            if not factors:
+                sparse_add(R, out, term.items())
+                continue
+            for f in factors[:-1]:
+                term = sparse_mul(R, term, f, cut=t)
+            sparse_mul(R, term, factors[-1], cut=t, out=out)
+        return PowerSeries(R, tvars, out, t, _clean=True)
 
     def comp_inverse(self, name=None):
-        """Compositional inverse g with f(g) = g(f) = id, found degree by degree."""
+        """Compositional inverse g with f(g) = g(f) = id, found degree by degree.
+
+        Step d reads only the degree-d coefficient r of f(g) - z, where g
+        holds the degrees below d; that coefficient depends on f and g
+        below degree d + 1 only, so it is computed at truncation d + 1 and
+        g gains the term -r / f'(0) * z^d.
+        """
         if len(self.vars) != 1:
             raise ValueError("comp_inverse needs a univariate series")
         name = name or self.vars[0]
@@ -294,18 +326,10 @@ class PowerSeries:
             raise NotInvertibleError("f'(0) is not a unit")
         t = self.trunc
         g = PowerSeries(R, self.vars, {e1: c1inv}, t)
-        # Newton-free iteration: correct degree d using the linear term
         for d in range(2, t):
-            r = self.substitute({name: g}) - PowerSeries.var(R, self.vars, name, t)
-            if r.is_zero():
-                break
-            # residual starts at degree d; cancel it
-            corr = {}
-            for e, c in r.coeffs.items():
-                if _tot(e) <= d:
-                    corr[e] = R.neg(R.mul(c, c1inv))
-            if corr:
-                g = g + PowerSeries(R, self.vars, corr, t)
+            r = self.truncate(d + 1).substitute({name: g}).coefficient((d,))
+            if r:
+                g.coeffs[(d,)] = R.neg(R.mul(r, c1inv))
         return g
 
     def sqrt(self):

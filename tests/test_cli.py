@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from fglcalc.cli import CliConfig, ConfigError, main
+from fglcalc.cli import MAX_TRUNC, CliConfig, ConfigError, main
 
 
 def run_json(tmp_path, args):
@@ -36,6 +36,19 @@ def test_config_defaults_and_bounds():
 
 def test_bad_trunc_exits_2(tmp_path, capsys):
     assert main(["fgl", "--kind", "additive", "--trunc", "2"]) == 2
+
+
+def test_trunc_above_cap_exits_2(tmp_path, capsys):
+    # the cap is checked before any law is built, for --trunc and a law file
+    assert CliConfig(trunc=MAX_TRUNC).trunc == MAX_TRUNC
+    too_big = str(MAX_TRUNC + 1)
+    assert main(["fgl", "--kind", "p_typical", "--trunc", too_big]) == 2
+    assert f"MAX_TRUNC = {MAX_TRUNC}" in capsys.readouterr().err
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"trunc": MAX_TRUNC + 1,
+                               "coeffs": [[1, 0, "1"], [0, 1, "1"]]}))
+    assert main(["fgl", "--law-file", str(law)]) == 2
+    assert f"MAX_TRUNC = {MAX_TRUNC}" in capsys.readouterr().err
 
 
 # -- fgl ------------------------------------------------------------------------

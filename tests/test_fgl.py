@@ -86,10 +86,23 @@ def test_commutativity_violation_rejected():
 
 
 def test_associativity_violation_rejected():
-    # commutative and unital but not associative
+    # commutative and unital but not associative; the first failing monomial
+    # of F(z, F(w,v)) - F(F(z,w), v) in (z, w, v), in sorted order
     with pytest.raises(AxiomViolation) as exc:
         fgl_new(qq_series({(1, 0): 1, (0, 1): 1, (2, 2): 1}))
     assert exc.value.axiom == "associativity"
+    assert exc.value.monomial == (1, 1, 2)
+    QS = Ring.parampoly(QQ, ["s"])
+    s = QS.param("s")
+    for ring, coeffs, trunc, monomial in [
+            (ZZ, {(1, 1): 1, (2, 3): 1, (3, 2): 1}, 10, (1, 1, 3)),
+            (Ring.integers_mod(5), {(1, 1): 3, (3, 3): 4}, 10, (1, 2, 3)),
+            (QS, {(1, 1): s, (1, 3): s, (3, 1): s}, 9, (1, 1, 2))]:
+        one = ring.one()
+        F = PowerSeries(ring, ("z", "w"), {(1, 0): one, (0, 1): one, **coeffs}, trunc)
+        with pytest.raises(AxiomViolation) as exc:
+            fgl_new(F)
+        assert (exc.value.axiom, exc.value.monomial) == ("associativity", monomial), ring
 
 
 @pytest.mark.parametrize("trunc", [8, 12])
@@ -121,6 +134,16 @@ def test_multiplicative_inverse_geometric():
     iota = fgl_inverse(L)
     for n in range(1, 12):
         assert iota.coefficient((n,)) == Fraction((-1) ** n)
+
+
+@pytest.mark.parametrize("kind,params", [(k, {}) for k in ALL_KINDS]
+                         + [("p_typical", {"p": 2, "h": 1}),
+                            ("p_typical", {"p": 3, "h": 1})])
+def test_inverse_annihilates_at_trunc_24(kind, params):
+    # F(z, iota z) = 0 through the whole truncation
+    L = standard_law(kind, trunc=24, **params)
+    r = L.apply(PowerSeries.var(L.ring, ("z",), "z", 24), L.iota)
+    assert r.trunc == 24 and r.is_zero()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -1,0 +1,112 @@
+"""Law companions against an independent computation in sympy.
+
+For the four built-in laws over QQ and QQ[params] at trunc 12, sympy
+rebuilds F from its closed form and derives the companions its own way:
+log as the integral of 1 / F_w(z, 0) (series inversion), exp as the series
+reversion of log, iota by solving F(z, y) = 0 for y in closed form, and G
+by exact polynomial division of F(z, iota(w)) by z - w.  sympy is installed
+but not a declared dependency, so the module is skipped without it.
+"""
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+from sympy.polys.domains import QQ as SQQ
+from sympy.polys.ring_series import (
+    rs_integrate,
+    rs_nth_root,
+    rs_series_inversion,
+    rs_series_reversion,
+)
+from sympy.polys.rings import ring
+
+from fglcalc.fgl import standard_law
+
+T = 12
+R, z, w, y, s, d, e = ring("z, w, y, s, d, e", SQQ)
+PARAMS = {"s": s, "d": d, "e": e}
+
+
+def cut(p, n):
+    """The terms of p of total degree below n in (z, w)."""
+    return R({m: c for m, c in p.items() if m[0] + m[1] < n})
+
+
+def closed_form(kind):
+    """F(z, w) to total degree T, and F as a sympy expression for solve."""
+    if kind == "elliptic":
+        # Euler's addition law: (z sqrt(S(w)) + w sqrt(S(z))) / (1 - e z^2 w^2)
+        def root(x):
+            return rs_nth_root(1 - 2 * d * x**2 + e * x**4, 2, x, T)
+
+        geometric = sum((e * z**2 * w**2) ** k for k in range(T // 4 + 1))
+        F = cut(cut(z * root(w) + w * root(z), T) * geometric, T)
+        Z, W, D, E = sp.symbols("z w d e")
+
+        def S(x):
+            return 1 - 2 * D * x**2 + E * x**4
+
+        return F, (Z * sp.sqrt(S(W)) + W * sp.sqrt(S(Z))) / (1 - E * Z**2 * W**2)
+    F = {"additive": z + w, "multiplicative": z + w + z * w,
+         "one_parameter": z + w + s * z * w}[kind]
+    return F, F.as_expr()
+
+
+def as_ring(f):
+    """A fglcalc series in z (and w) as an element of R."""
+    gens = {"z": z, "w": w}
+    out = R(0)
+    for exps, c in f.coeffs.items():
+        if isinstance(c, dict):
+            params = [PARAMS[p] for p in f.ring.params]
+            value = R(0)
+            for pexps, q in c.items():
+                term = R(SQQ(q.numerator, q.denominator))
+                for g, k in zip(params, pexps):
+                    term *= g**k
+                value += term
+        else:
+            value = R(SQQ(c.numerator, c.denominator))
+        for v, k in zip(f.vars, exps):
+            value *= gens[v] ** k
+        out += value
+    return out
+
+
+@pytest.fixture(scope="module", params=["additive", "multiplicative",
+                                        "one_parameter", "elliptic"])
+def case(request):
+    kind = request.param
+    F, expr = closed_form(kind)
+    return standard_law(kind, trunc=T), F, expr
+
+
+def test_law_matches_closed_form(case):
+    L, F, _ = case
+    assert as_ring(L.F) == F
+
+
+def test_log_and_exp(case):
+    L, F, _ = case
+    log = rs_integrate(rs_series_inversion(F.diff(w).subs(w, 0), z, T - 1), z)
+    exp = rs_series_reversion(log, z, T, y).compose(y, z)
+    assert (L.log.trunc, L.exp.trunc) == (T, T)
+    assert as_ring(L.log) == log
+    assert as_ring(L.exp) == exp
+
+
+def test_iota_and_g(case):
+    L, F, expr = case
+    Z, W, Y = sp.symbols("z w y")
+    roots = [r for r in sp.solve(expr.subs(W, Y), Y)
+             if sp.series(r, Z, 0, 2).removeO().coeff(Z, 1) == -1]
+    assert len(roots) == 1
+    iota = R(sp.series(roots[0], Z, 0, T).removeO())
+    assert L.iota.trunc == T
+    assert as_ring(L.iota) == iota
+    # F(z, iota w) vanishes on z = w in every total degree, so its cut at T
+    # is divisible by z - w, and G has truncation T - 1
+    G, rest = cut(F.compose(w, iota.compose(z, w)), T).div(z - w)
+    assert rest == 0
+    assert L.G.trunc == T - 1
+    assert as_ring(L.G) == G

@@ -12,6 +12,7 @@ from fglcalc.series import (
     LaurentElement,
     NonConvergentProduct,
     NotInvertibleError,
+    OrderingMismatch,
     PowerSeries,
     comb_any,
 )
@@ -407,6 +408,132 @@ def test_kernel_mul_complete_lower(data, ring):
             if _inside(e, win.reliable, mt)}
     assert (h.reliable, h.max_total) == (win.reliable, mt)
     assert h.coeffs == want
+
+
+# -- substitute and comp_inverse against the per-monomial product loop --------
+
+
+def _substitute_oracle(f, bindings):
+    """PowerSeries.substitute before the shift path: each monomial is built
+    from full series products, truncated, and added into the result."""
+    targets = list(bindings.values())
+    if not targets:
+        return f
+    tvars = targets[0].vars
+    R = f.ring
+    for g in targets:
+        if g.vars != tvars or g.ring != R:
+            raise OrderingMismatch("inconsistent substitution targets")
+        if g.valuation() < 1:
+            raise IllegalSubstitution("substituted series must have positive valuation")
+    ttrunc = min(g.trunc for g in targets)
+    full = {}
+    for v in f.vars:
+        if v in bindings:
+            full[v] = bindings[v]
+        else:
+            if v not in tvars:
+                raise IllegalSubstitution(f"unbound variable {v!r} missing from target")
+            full[v] = PowerSeries.var(R, tvars, v, ttrunc)
+    t = min(f.trunc, ttrunc)
+    out = PowerSeries.zero(R, tvars, t)
+    pw = {v: {0: PowerSeries.one(R, tvars, t)} for v in f.vars}
+
+    def power(v, k):
+        cache = pw[v]
+        if k not in cache:
+            cache[k] = (power(v, k - 1) * full[v]).truncate(t)
+        return cache[k]
+
+    for e, c in f.coeffs.items():
+        term = PowerSeries.const(R, tvars, c, t)
+        for v, k in zip(f.vars, e):
+            if k:
+                term = (term * power(v, k)).truncate(t)
+        out = out + term
+    return out.truncate(t)
+
+
+def _image(data, R, values):
+    """A substitution image over (z, w): a bare variable, -z or 2z, a
+    coefficient-one monomial of degree up to 4, a general series of positive
+    valuation, or (rarely) one with a constant term or the wrong ordering."""
+    one = R.one()
+    kind = data.draw(st.sampled_from(
+        ["var", "scaled", "monomial", "series", "series", "constant", "swapped"]))
+    trunc = data.draw(st.integers(1, 7))
+    vars = ("z", "w")
+    if kind == "var":
+        coeffs = {data.draw(st.sampled_from([(1, 0), (0, 1)])): one}
+    elif kind == "scaled":
+        coeffs = {(1, 0): data.draw(st.sampled_from([R.neg(one), R.add(one, one)]))}
+    elif kind == "monomial":
+        i = data.draw(st.integers(0, 4))
+        coeffs = {(i, data.draw(st.integers(1 if i == 0 else 0, 4 - i))): one}
+    elif kind == "constant":
+        coeffs = {(0, 0): one, (1, 0): one}
+    elif kind == "swapped":
+        coeffs, vars = {(1, 0): one}, ("w", "z")
+    else:
+        exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+        coeffs = data.draw(st.dictionaries(exps, values, max_size=5))
+    return PowerSeries(R, vars, coeffs, trunc)
+
+
+SUBST_RINGS = ["QQ", "ZZ", "Z6", "QQ[s]"]
+
+
+@given(data=st.data(), ring=st.sampled_from(SUBST_RINGS))
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_product_loop(data, ring):
+    # f(x, y, z) with x bound, y usually bound (unbound it is missing from
+    # the targets) and z bound or left as the target variable z
+    R, left, right = KERNEL_RINGS[ring]
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    f = PowerSeries(R, ("x", "y", "z"),
+                    data.draw(st.dictionaries(exps, left, max_size=8)),
+                    data.draw(st.integers(1, 8)))
+    bindings = {"x": _image(data, R, right)}
+    if data.draw(st.integers(0, 4)):
+        bindings["y"] = _image(data, R, right)
+    if data.draw(st.booleans()):
+        bindings["z"] = _image(data, R, right)
+
+    def outcome(substitute):
+        try:
+            g = substitute(f, bindings)
+        except (IllegalSubstitution, OrderingMismatch) as exc:
+            return type(exc), str(exc)
+        return g.vars, g.coeffs, g.trunc
+
+    assert outcome(PowerSeries.substitute) == outcome(_substitute_oracle)
+
+
+Z7 = Ring.integers_mod(7)
+INVERSE_RINGS = {
+    "QQ": (QQ, st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]),
+           _small_q),
+    "Z7": (Z7, st.integers(1, 6), st.integers(1, 6)),
+    "QQ[s]": (QS, st.sampled_from([{(0,): Fraction(1)}, {(0,): Fraction(-3, 2)}]),
+              _poly_s),
+}
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(INVERSE_RINGS)))
+@settings(max_examples=80, deadline=None)
+def test_comp_inverse_is_two_sided(data, ring):
+    R, unit, values = INVERSE_RINGS[ring]
+    t = data.draw(st.integers(2, 10))
+    coeffs = {(1,): data.draw(unit)}
+    for k in range(2, t):
+        if data.draw(st.booleans()):
+            coeffs[(k,)] = data.draw(values)
+    f = PowerSeries(R, ("z",), coeffs, t)
+    g = f.comp_inverse()
+    z = PowerSeries.var(R, ("z",), "z", t)
+    assert g.trunc == t
+    assert f.substitute({"z": g}) == z
+    assert g.substitute({"z": f}) == z
 
 
 # -- int_power: the graded recurrence against the binomial loop ---------------
