@@ -18,7 +18,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .ring import Ring
 from .series import PowerSeries, comb_any
@@ -37,7 +36,7 @@ from .calculus import (
     residue_inversion_check,
     residue_theorems_check,
 )
-from .series import LaurentElement, WindowMiss
+from .series import EmptyWindow, LaurentElement, WindowMiss
 from .vertex import (
     HeisenbergAlgebra,
     TrivialAlgebra,
@@ -93,6 +92,11 @@ class CliConfig:
             raise ConfigError("--window must be at least 2")
         if self.weight < 1:
             raise ConfigError("--weight must be at least 1")
+        if 3 * self.weight > MAX_TRUNC:
+            # the vertex suite and heisenberg rebuild the law at 3 * weight
+            raise ConfigError(f"--weight {self.weight} needs truncation "
+                              f"{3 * self.weight}, above the maximum "
+                              f"truncation MAX_TRUNC = {MAX_TRUNC}")
         if self.format not in ("json", "csv", "pretty"):
             raise ConfigError(f"unknown format {self.format!r}")
 
@@ -142,7 +146,7 @@ def load_law(cfg):
             coeffs = {}
             for item in data["coeffs"]:
                 i, j, c = item
-                coeffs[(_exact(i), _exact(j))] = Fraction(_exact(c, text=True))
+                coeffs[(_exact(i), _exact(j))] = QQ.from_fraction(_exact(c, text=True))
             F = PowerSeries(QQ, ("z", "w"), coeffs, trunc)
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
                 json.JSONDecodeError) as e:
@@ -239,9 +243,8 @@ def cmd_binom(cfg, nmin, nmax):
                 if n < 0 and not (-B <= i <= B and -B <= j <= B):
                     continue
                 k = i + j - n
-                want = R.mul(R.from_fraction(
-                    Fraction(comb_any(n, j)) * Fraction(comb_any(j, k))),
-                    _rpow(R, s, k))
+                want = R.mul(R.from_int(comb_any(n, j) * comb_any(j, k)),
+                             _rpow(R, s, k))
                 if not R.eq(c, want):
                     match = False
         payload["closed_form_match"] = match
@@ -352,6 +355,10 @@ def cmd_verify(cfg, suite):
             # problem, not a failed identity
             raise ConfigError(f"check {name!r} needs more than truncation "
                               f"{law.trunc}: {e}")
+        except EmptyWindow as e:
+            # likewise a window that nothing certifies at this truncation
+            raise ConfigError(f"check {name!r} certifies no cell at "
+                              f"truncation {law.trunc}: {e}")
     elapsed = time.time() - t0
     print(f"verify suite={suite} law={law.name} "
           f"elapsed={elapsed:.2f}s", file=sys.stderr)
@@ -401,9 +408,9 @@ def cmd_heisenberg(cfg, action):
             for m in range(-K, K + 1):
                 want = n if n == -m else 0
                 good = all(
-                    st_sub(b_apply(n, b_apply(m, {mono: Fraction(1)})),
-                           b_apply(m, b_apply(n, {mono: Fraction(1)})))
-                    == st_scale({mono: Fraction(1)}, want)
+                    st_sub(b_apply(n, b_apply(m, {mono: 1})),
+                           b_apply(m, b_apply(n, {mono: 1})))
+                    == st_scale({mono: 1}, want)
                     for mono in basis)
                 ok = ok and good
                 rows.append({"n": n, "m": m, "bracket": str(want),

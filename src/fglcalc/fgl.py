@@ -10,10 +10,8 @@ F(z, iota w) are computed on demand by ``power`` and kept on the law.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ring import Ring
-from .series import LaurentElement, PowerSeries
+from .series import LaurentElement, PowerSeries, solve_by_degree
 
 
 class AxiomViolation(Exception):
@@ -112,18 +110,14 @@ class FormalGroupLaw:
     def _solve_inverse(self):
         """iota with F(z, iota(z)) = 0, found degree by degree.
 
-        With iota correct below degree d, F(z, iota) starts at degree d, and
-        adding c * z^d to iota adds c * z^d there (F_w(0,0) = 1), so iota
-        gains minus that coefficient.  It depends on F and iota below
-        degree d + 1 only and is computed at truncation d + 1.
+        iota_1 = -1, and in each degree d >= 2 the coefficient sum_{i,j}
+        F_ij [z^(d-i)] iota^j of F(z, iota) must vanish; iota_d enters it
+        only through F_01 = 1 (``solve_by_degree``).
         """
         R, t = self.ring, self.trunc
-        iota = -PowerSeries.var(R, (Z,), Z, t)
-        for d in range(2, t):
-            r = self.F.truncate(d + 1).substitute({W: iota}).coefficient((d,))
-            if r:
-                iota.coeffs[(d,)] = R.neg(r)
-        return iota
+        iota = solve_by_degree(R, [(i, j, c) for (i, j), c in self.F.coeffs.items()],
+                               R.neg(R.one()), R.one(), t)
+        return PowerSeries(R, (Z,), {(d,): c for d, c in iota.items()}, t)
 
     def _invariant_differential(self):
         # p_F(z) = F^{0,1}(z, 0)^{-1}
@@ -265,10 +259,10 @@ def g_factor(law):
 
 def _phi_p(ring, p, h, trunc):
     q = p ** h
-    coeffs = {(1,): Fraction(1)}
+    coeffs = {(1,): ring.one()}
     n = 1
     while q ** n < trunc:
-        coeffs[(q ** n,)] = Fraction(1, p ** n)
+        coeffs[(q ** n,)] = ring.try_invert(ring.from_int(p ** n))
         n += 1
     return PowerSeries(ring, (Z,), coeffs, trunc)
 
@@ -278,12 +272,10 @@ def standard_law(kind, trunc=12, **params):
     p_typical(p, h)."""
     QQ = Ring.rationals()
     if kind == "additive":
-        F = PowerSeries(QQ, (Z, W), {(1, 0): Fraction(1), (0, 1): Fraction(1)}, trunc)
+        F = PowerSeries(QQ, (Z, W), {(1, 0): 1, (0, 1): 1}, trunc)
         return FormalGroupLaw(F, name="additive")
     if kind == "multiplicative":
-        F = PowerSeries(QQ, (Z, W),
-                        {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1)},
-                        trunc)
+        F = PowerSeries(QQ, (Z, W), {(1, 0): 1, (0, 1): 1, (1, 1): 1}, trunc)
         return FormalGroupLaw(F, name="multiplicative")
     if kind == "one_parameter":
         R = Ring.parampoly(QQ, ["s"])

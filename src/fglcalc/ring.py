@@ -3,10 +3,11 @@
 Each kind is its own subclass of Ring (Rationals, Integers, IntegersMod,
 ParamPoly), so every arithmetic decision is made once, by method lookup.
 Every ring value is kept in canonical form so that equality is structural:
-fractions reduced, residues in [0, m), polynomial dicts with zero terms pruned.
-In that form the zero of every kind is falsy (Fraction(0), 0, {}), which is
-what ``is_zero`` and the sparse kernel at the end of this module test.
-No floating point anywhere.
+a rational is an int when integral and a reduced Fraction otherwise (never
+a Fraction with denominator 1), residues lie in [0, m), polynomial dicts
+have zero terms pruned.  In that form the zero of every kind is falsy (0, 0,
+{}), which is what ``is_zero`` and the sparse kernel at the end of this
+module test.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -142,6 +143,11 @@ class Ring:
 class _Numbers(Ring):
     """Arithmetic shared by the rings whose raw values are Python numbers."""
 
+    _ZERO = 0
+
+    def from_int(self, n):
+        return int(n)
+
     def add(self, a, b):
         return a + b
 
@@ -155,32 +161,52 @@ class _Numbers(Ring):
         return str(a)
 
 
+def _canonical(q):
+    """A rational in canonical form: the int itself when q is integral."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
 class Rationals(_Numbers):
-    """QQ; raw values are Fractions."""
+    """QQ; a raw value is an int when it is integral and a Fraction with
+    denominator > 1 otherwise.
+
+    Integral values are the common case (the built-in laws, their powers
+    and the Heisenberg states are almost all integral), and int arithmetic
+    is several times cheaper than Fraction arithmetic.  ``3 == Fraction(3)``
+    and the two hash and print alike, so the form changes no comparison or
+    text.  Every result is canonicalised.  Division goes through Fraction
+    (or ``//`` when an int divides exactly), because ``1 / a`` or ``a / n``
+    on ints would give a float.
+    """
 
     contains_rationals = True
-    _ZERO = Fraction(0)
-
-    def from_int(self, n):
-        return Fraction(n)
 
     def from_fraction(self, q):
-        return Fraction(q)
+        return q if type(q) is int else _canonical(Fraction(q))
+
+    def add(self, a, b):
+        c = a + b
+        if type(c) is Fraction and c.denominator == 1:
+            return c.numerator
+        return c
+
+    def mul(self, a, b):
+        c = a * b
+        if type(c) is Fraction and c.denominator == 1:
+            return c.numerator
+        return c
 
     def try_invert(self, a):
-        return NOT_INVERTIBLE if a == 0 else 1 / a
+        return NOT_INVERTIBLE if a == 0 else _canonical(Fraction(1, a))
 
     def divide_by_int(self, a, n):
-        return a / n
+        if type(a) is int and not a % n:
+            return a // n
+        return _canonical(Fraction(a, n))
 
 
 class Integers(_Numbers):
     """ZZ; raw values are ints."""
-
-    _ZERO = 0
-
-    def from_int(self, n):
-        return int(n)
 
     def try_invert(self, a):
         return a if a in (1, -1) else NOT_INVERTIBLE

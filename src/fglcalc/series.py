@@ -21,7 +21,6 @@ All coefficients are raw ring values owned by a Ring (see ring.py).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import comb
 
 from .ring import NOT_INVERTIBLE, Ring, sparse_add, sparse_mul
@@ -305,32 +304,21 @@ class PowerSeries:
             sparse_mul(R, term, factors[-1], cut=t, out=out)
         return PowerSeries(R, tvars, out, t, _clean=True)
 
-    def comp_inverse(self, name=None):
-        """Compositional inverse g with f(g) = g(f) = id, found degree by degree.
-
-        Step d reads only the degree-d coefficient r of f(g) - z, where g
-        holds the degrees below d; that coefficient depends on f and g
-        below degree d + 1 only, so it is computed at truncation d + 1 and
-        g gains the term -r / f'(0) * z^d.
-        """
+    def comp_inverse(self):
+        """Compositional inverse g with f(g) = g(f) = id, found degree by
+        degree: g_1 = 1 / f'(0), and in each degree d >= 2 the coefficient
+        sum_k f_k [z^d] g^k of f(g) must vanish (``solve_by_degree``)."""
         if len(self.vars) != 1:
             raise ValueError("comp_inverse needs a univariate series")
-        name = name or self.vars[0]
         R = self.ring
         if not R.is_zero(self.constant_term()):
             raise IllegalSubstitution("comp_inverse needs f(0) = 0")
-        e1 = (1,)
-        c1 = self.coefficient(e1)
-        c1inv = R.try_invert(c1)
+        c1inv = R.try_invert(self.coefficient((1,)))
         if c1inv is NOT_INVERTIBLE:
             raise NotInvertibleError("f'(0) is not a unit")
-        t = self.trunc
-        g = PowerSeries(R, self.vars, {e1: c1inv}, t)
-        for d in range(2, t):
-            r = self.truncate(d + 1).substitute({name: g}).coefficient((d,))
-            if r:
-                g.coeffs[(d,)] = R.neg(R.mul(r, c1inv))
-        return g
+        g = solve_by_degree(R, [(0, k, c) for (k,), c in self.coeffs.items()],
+                            c1inv, c1inv, self.trunc)
+        return PowerSeries(R, self.vars, {(d,): c for d, c in g.items()}, self.trunc)
 
     def sqrt(self):
         """Square root with constant term 1; needs 2 invertible."""
@@ -592,6 +580,9 @@ class LaurentElement:
           g = u^n, then gives (J.C.P. Miller's power recurrence; Knuth,
           TAOCP vol. 2, 4.7)
               k * g_k = sum_{i=1..k} ((n+1)*i - k) * u_i * g_{k-i}.
+          The sum is formed first and divided by k last, one division per
+          cell (Knuth's "form the sum, then divide"), so no product of the
+          recurrence meets a denominator that the inputs do not carry.
           Products are cut at total degree t_rel and never at a floor, so
           every g_k is finite and exact.  The recurrence stops at the last
           y-degree with a cell of total degree < t_rel above the x floor
@@ -956,22 +947,25 @@ def _unit_power(R, parts, n, cut, kmax=None):
 
     ``parts[i]`` is u_i, a sparse map over two-variable exponents of grade
     i (``parts[0]`` is ignored); products are cut at total degree ``cut``.
-    g_k follows from the recurrence in ``LaurentElement.int_power``.  Stops
-    after g_kmax, or once as many consecutive g_k vanish as u has grades,
-    since every later g_k then vanishes too.
+    g_k follows from the recurrence in ``LaurentElement.int_power``: the sum
+    k * g_k is formed with integer scalars and divided by k once per cell,
+    so over an integral u every product is integral and only the quotient
+    can have a denominator.  Stops after g_kmax, or once as many consecutive
+    g_k vanish as u has grades, since every later g_k then vanishes too.
     """
     top = len(parts) - 1
     g = [{(0, 0): R.one()}]
     k = empty = 0
     while empty < top and (kmax is None or k < kmax):
         k += 1
-        gk = {}
+        kgk = {}
         for i in range(1, min(k, top) + 1):
             coef = (n + 1) * i - k
             if coef and parts[i] and g[k - i]:
-                s = R.from_fraction(Fraction(coef, k))
+                s = R.from_int(coef)
                 sparse_mul(R, {e: R.mul(c, s) for e, c in parts[i].items()},
-                           g[k - i], cut=cut, out=gk)
+                           g[k - i], cut=cut, out=kgk)
+        gk = {e: R.divide_by_int(c, k) for e, c in kgk.items()}
         g.append(gk)
         empty = 0 if gk else empty + 1
     return g
@@ -1019,6 +1013,43 @@ def _graded_power(R, h, n, t_rel, work_floors):
         if cut or (i == 0 and tail):
             out_floors[i] = f
     return coeffs, tuple(out_floors)
+
+
+def solve_by_degree(R, terms, g1, unit, t):
+    """The coefficients {d: g_d}, d < t, of the series g = g1*z + g2*z^2 + ...
+    for which sum c * z^i * g^j over the (i, j, c) of ``terms`` vanishes in
+    every degree d >= 2, where the (0, 1) term's coefficient is 1 / unit.
+
+    In degree d, g_d enters the sum only through that term, so g_d = -r *
+    unit for the degree-d coefficient r of the sum taken with g_d = 0.  The
+    powers of g are kept as {degree: coefficient} maps and gain their
+    degree-d coefficients as each degree lands: g^k has valuation >= k, so
+    [z^d] g^k = sum_{j=1..d-k+1} g_j [z^(d-j)] g^(k-1) needs nothing of
+    degree d for k >= 2, and a step costs O(d^2) ring operations (Brent and
+    Kung, J. ACM 25, 1978).
+    """
+    g = {1: g1}
+    pows = [{0: R.one()}, g]
+    for d in range(2, t):
+        pows.append({})
+        for k in range(2, d + 1):
+            prev = pows[k - 1]
+            s = R.zero()
+            for j in range(1, d - k + 2):
+                a = g.get(j)
+                b = prev.get(d - j) if a else None
+                if b:
+                    s = R.add(s, R.mul(a, b))
+            if s:
+                pows[k][d] = s
+        r = R.zero()
+        for i, j, c in terms:
+            b = pows[j].get(d - i) if i + j <= d else None
+            if b:
+                r = R.add(r, R.mul(c, b))
+        if r:
+            g[d] = R.neg(R.mul(r, unit))
+    return g
 
 
 def comb_any(n, k):

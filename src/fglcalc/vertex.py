@@ -2,7 +2,8 @@
 maps, axiom checkers, and the Lie bracket on the shift quotient.
 
 States are sparse polynomials in creation generators, stored as dicts mapping
-a sorted tuple of negative mode indices to an exact rational coefficient.
+a sorted tuple of negative mode indices to an exact rational coefficient (a
+raw value of the rationals ring: an int, or a Fraction when not integral).
 The field map Y is deliberately partial: it is declared on the vacuum and on
 the single-generator state only, and everything downstream either works
 inside that domain or raises YUndefined.  See the README for the one place
@@ -14,7 +15,6 @@ accounts for that exactly instead of papering over it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .calculus import Report, _fail, _inverse_expansions, f_residue, hyperderivative
 from .ring import Ring, sparse_add, sparse_mul
@@ -41,9 +41,10 @@ class NotFound(Exception):
 
 # -- states -----------------------------------------------------------------
 #
-# A state is {monomial: Fraction} where a monomial is a sorted tuple of
+# A state is {monomial: QQ raw value} where a monomial is a sorted tuple of
 # negative integers (mode indices of the creation operators applied to the
-# vacuum); () is the vacuum monomial.
+# vacuum); () is the vacuum monomial.  Scalars go through _QQ, so states keep
+# the ring's canonical form (an int whenever the value is integral).
 
 _QQ = Ring.rationals()
 
@@ -53,10 +54,11 @@ def st_add(s1, s2):
 
 
 def st_scale(s, c):
-    c = Fraction(c)
+    c = _QQ.from_fraction(c)
     if not c:
         return {}
-    return {k: v * c for k, v in s.items()}
+    mul = _QQ.mul
+    return {k: mul(v, c) for k, v in s.items()}
 
 
 def st_neg(s):
@@ -89,7 +91,7 @@ def b_apply(n, s):
             if cnt:
                 lst = list(mono)
                 lst.remove(-n)
-                out = st_add(out, {tuple(lst): c * n * cnt})
+                out = st_add(out, {tuple(lst): _QQ.mul(c, n * cnt)})
     return out
 
 
@@ -202,7 +204,7 @@ class VertexFAlgebra:
         self.law = law
         self.ring = law.ring
         self.adapter = StateSpace(law.ring)
-        self.vacuum = {(): Fraction(1)}
+        self.vacuum = {(): 1}
 
     def weight(self, s):
         return state_weight(s)
@@ -245,7 +247,7 @@ class HeisenbergAlgebra(VertexFAlgebra):
         self.K = K
         self.W = W
         self._smono = {}
-        self.generator = {(-1,): Fraction(1)}
+        self.generator = {(-1,): 1}
         # precompute the shift images of the weight basis; these rows are the
         # spanning set for the quotient modulus and the per-weight matrices
         for mono in self.basis_monomials(W):
@@ -293,7 +295,7 @@ class HeisenbergAlgebra(VertexFAlgebra):
         if key in self._smono:
             return self._smono[key]
         if not mono:
-            r = {(): Fraction(1)} if n == 0 else {}
+            r = {(): 1} if n == 0 else {}
             self._smono[key] = r
             return r
         m = mono[0]
@@ -331,7 +333,7 @@ class HeisenbergAlgebra(VertexFAlgebra):
     def _split(self, a):
         if not self.y_defined(a):
             raise YUndefined(f"Y not declared on {state_text(a)}")
-        return a.get((), Fraction(0)), a.get((-1,), Fraction(0))
+        return a.get((), 0), a.get((-1,), 0)
 
     def y_kmin(self, a, c):
         self._split(a)
@@ -369,7 +371,7 @@ class TrivialAlgebra(VertexFAlgebra):
             raise NeedsField("fixture uses exact rational states")
         super().__init__(law)
         self.corrupt = corrupt
-        self.eps = {self.EPS: Fraction(1)}
+        self.eps = {self.EPS: 1}
 
     def weight(self, s):
         return 0
@@ -378,12 +380,13 @@ class TrivialAlgebra(VertexFAlgebra):
         return [(), self.EPS]
 
     def mul(self, a, b):
-        a0, a1 = a.get((), Fraction(0)), a.get(self.EPS, Fraction(0))
-        b0, b1 = b.get((), Fraction(0)), b.get(self.EPS, Fraction(0))
+        a0, a1 = a.get((), 0), a.get(self.EPS, 0)
+        b0, b1 = b.get((), 0), b.get(self.EPS, 0)
         out = {}
-        if a0 * b0:
-            out[()] = a0 * b0
-        s = a0 * b1 + a1 * b0
+        mul = _QQ.mul
+        if a0 and b0:
+            out[()] = mul(a0, b0)
+        s = _QQ.add(mul(a0, b1), mul(a1, b0))
         if s:
             out[self.EPS] = s
         return out
@@ -392,7 +395,7 @@ class TrivialAlgebra(VertexFAlgebra):
         if n == 0:
             return dict(s)
         if self.corrupt:
-            c = s.get(self.EPS, Fraction(0))
+            c = s.get(self.EPS, 0)
             return {self.EPS: c} if c else {}
         return {}
 
@@ -410,7 +413,7 @@ class TrivialAlgebra(VertexFAlgebra):
     def samples(self):
         return [self.vacuum,
                 st_add(self.vacuum, self.eps),
-                {self.EPS: Fraction(2)}]
+                {self.EPS: 2}]
 
 
 # -- quotient and Lie bracket -------------------------------------------------
@@ -431,7 +434,7 @@ class ShiftQuotient:
         self.W = W
         rows = []
         for mono in A.basis_monomials(W):
-            st = {mono: Fraction(1)}
+            st = {mono: 1}
             for n in range(1, W + 1):
                 img = A.shift(n, st)
                 if img:
@@ -448,10 +451,10 @@ class ShiftQuotient:
         if not row:
             return
         lead = self._lead(row)
-        row = st_scale(row, 1 / row[lead])
+        row = st_scale(row, _QQ.try_invert(row[lead]))
         # back-substitute into existing pivot rows to keep the form reduced
         for piv, prow in list(self.pivots.items()):
-            c = prow.get(lead, Fraction(0))
+            c = prow.get(lead, 0)
             if c:
                 self.pivots[piv] = st_sub(prow, st_scale(row, c))
         self.pivots[lead] = row
@@ -876,7 +879,7 @@ def _w_route_grid(A, inner, c, box):
     """
     (zlo, zhi), (wlo, whi) = box
     if all(m == () for m in c):
-        scale = c.get((), Fraction(0))
+        scale = c.get((), 0)
         return shift_grid(A, {e: st_scale(s, scale) for e, s in inner.items()},
                           box)
     coeffs = {}

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from fglcalc import cli
 from fglcalc.cli import MAX_TRUNC, CliConfig, ConfigError, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_json(tmp_path, args):
@@ -49,6 +56,24 @@ def test_trunc_above_cap_exits_2(tmp_path, capsys):
                                "coeffs": [[1, 0, "1"], [0, 1, "1"]]}))
     assert main(["fgl", "--law-file", str(law)]) == 2
     assert f"MAX_TRUNC = {MAX_TRUNC}" in capsys.readouterr().err
+
+
+def test_weight_above_cap_exits_2(monkeypatch, capsys):
+    # the vertex suite and heisenberg build the law at 3 * weight, so the
+    # weight is capped with the truncation, before any law is built
+    assert CliConfig(weight=MAX_TRUNC // 3).weight == MAX_TRUNC // 3
+
+    def no_build(*args, **kw):
+        raise AssertionError("a law was built")
+
+    monkeypatch.setattr(cli, "standard_law", no_build)
+    for args in (["heisenberg", "--kind", "multiplicative", "--weight", "22",
+                  "--action", "bracket_table"],
+                 ["verify", "--kind", "multiplicative", "--weight", "22"]):
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "--weight 22" in err, args
+        assert f"MAX_TRUNC = {MAX_TRUNC}" in err, args
 
 
 # -- fgl ------------------------------------------------------------------------
@@ -185,6 +210,24 @@ def test_verify_too_small_truncation_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "ConfigError" in err and "'hyper'" in err, args
         assert f"truncation {trunc}:" in err, args
+
+
+def test_verify_empty_window_exits_2():
+    # at trunc 15 a delta comparison keeps no cell of the default box: a
+    # configuration error naming the check and the truncation, not a
+    # traceback with exit 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "fglcalc.cli", "verify", "--suite", "delta",
+         "--kind", "multiplicative", "--trunc", "15"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "ConfigError" in done.stderr and "truncation 15:" in done.stderr
+    assert "no surviving window" in done.stderr
+    assert done.stdout == ""
 
 
 def test_verify_delta_at_small_truncation_passes(tmp_path):

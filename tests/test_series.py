@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglcalc import series
-from fglcalc.ring import Ring
+from fglcalc.fgl import standard_law
+from fglcalc.ring import NOT_INVERTIBLE, Ring
 from fglcalc.series import (
     BilateralWindow,
     DiagonalDivergence,
@@ -16,7 +17,7 @@ from fglcalc.series import (
     PowerSeries,
     comb_any,
 )
-from fglcalc.vertex import StateSpace, mul_complete_lower
+from fglcalc.vertex import HeisenbergAlgebra, ShiftQuotient, StateSpace, mul_complete_lower
 
 QQ = Ring.rationals()
 
@@ -617,3 +618,93 @@ def test_int_power_takes_graded_recurrence_over_rationals(monkeypatch):
     # one-variable bases keep the loop
     lz({(-1,): 1, (0,): 2}, trunc=10).int_power(-2)
     assert calls == [-2, 3]
+
+
+# -- canonical form of rational raw values ------------------------------------
+#
+# A QQ raw value is an int when it is integral and a Fraction with
+# denominator > 1 otherwise: never a float, a bool or a Fraction with
+# denominator 1.  The same holds for every coefficient of a QQ[s] value.
+
+def _assert_canonical(R, c):
+    for x in (c.values() if R.kind == "parampoly" else [c]):
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), c
+
+
+def _assert_canonical_series(f):
+    for c in f.coeffs.values():
+        _assert_canonical(f.ring, c)
+
+
+_canon_q = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(QQ.from_fraction)
+CANONICAL_RINGS = {
+    "QQ": (QQ, _canon_q),
+    "QQ[s]": (QS, st.dictionaries(st.tuples(st.integers(0, 2)), _canon_q.filter(bool),
+                                  max_size=3)),
+}
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(CANONICAL_RINGS)),
+       n=st.integers(-6, 6).filter(bool), q=st.fractions(max_denominator=6))
+@settings(max_examples=200, deadline=None)
+def test_rational_ring_ops_keep_canonical_form(data, ring, n, q):
+    R, values = CANONICAL_RINGS[ring]
+    a, b = data.draw(values), data.draw(values)
+    out = [R.add(a, b), R.mul(a, b), R.neg(a), R.sub(a, b), R.divide_by_int(a, n),
+           R.from_fraction(q), R.from_int(n), R.one(), R.zero()]
+    for x in (a, b, R.from_fraction(q)):
+        inv = R.try_invert(x)
+        if inv is not NOT_INVERTIBLE:
+            out.append(inv)
+    if ring == "QQ":
+        # a Fraction with denominator 1 handed in is canonicalised on the way out
+        out += [R.add(Fraction(q), Fraction(q)), R.mul(Fraction(q), Fraction(n))]
+    for c in out:
+        _assert_canonical(R, c)
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(CANONICAL_RINGS)),
+       n=st.integers(-4, 5))
+@settings(max_examples=60, deadline=None)
+def test_series_results_keep_canonical_form(data, ring, n):
+    R, values = CANONICAL_RINGS[ring]
+    nonzero = values.filter(bool)
+    t = data.draw(st.integers(2, 7))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+    def series(exps, size):
+        return PowerSeries(R, ("z", "w"), data.draw(st.dictionaries(exps, nonzero,
+                                                                    max_size=size)), t)
+
+    f, g, img = series(exps, 6), series(exps, 6), series(exps.filter(any), 4)
+    out = [f * g, f + g, f - g, f.substitute({"z": img, "w": img})]
+    # an exact base c*x*(1 + h), as in test_graded_power_matches_binomial_loop,
+    # raised by both routes
+    lead = data.draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+    coeffs = {(1, 0): lead if ring == "QQ" else {(0,): lead}}
+    for _ in range(data.draw(st.integers(0, 5))):
+        dy = data.draw(st.integers(0, 4))
+        dx = data.draw(st.integers(1 if dy == 0 else -dy, t))
+        coeffs[(1 + dx, dy)] = data.draw(nonzero)
+    base = LaurentElement(R, ("x", "y"), coeffs, t)
+    out += [base * base, base.int_power(n), base._binomial_power(n)]
+    for h in out:
+        _assert_canonical_series(h)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("additive", {}), ("multiplicative", {}), ("one_parameter", {}), ("elliptic", {}),
+    ("p_typical", {"p": 2, "h": 1}), ("p_typical", {"p": 3, "h": 1})])
+def test_law_companions_keep_canonical_form(kind, params):
+    law = standard_law(kind, trunc=12, **params)
+    for f in (law.F, law.iota, law.pF, law.log, law.exp, law.G,
+              law.power(-2), law.power(3, dominant=1), law.power(-1, twisted=True)):
+        _assert_canonical_series(f)
+    if law.ring.kind == "rationals":
+        # Heisenberg states: shift images and the reduced rows of the quotient
+        A = HeisenbergAlgebra(law, K=3, W=3)
+        states = [A.shift(n, {mono: 1}) for mono in A.basis_monomials() for n in range(4)]
+        states += ShiftQuotient(A, 3).pivots.values()
+        for s in states:
+            for c in s.values():
+                _assert_canonical(QQ, c)
