@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 from .ring import sparse_add, sparse_mul
@@ -141,9 +142,12 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
                         for j in range(0, s + 1):
                             ell = s - j
                             for i in range(m - j, r - n + ell + 1):
-                                k = r - i
-                                rhs = R.add(rhs, R.mul(table.entry(m, i, j),
-                                                       table.entry(n, k, ell)))
+                                # fetch both entries, so that a miss on either
+                                # skips the cell; canonical zeros are falsy
+                                x = table.entry(m, i, j)
+                                y = table.entry(n, r - i, ell)
+                                if x and y:
+                                    rhs = R.add(rhs, R.mul(x, y))
                     except WindowMiss:
                         continue
                     if not R.eq(lhs, rhs):
@@ -174,13 +178,14 @@ class DeltaWindow:
         return d
 
 
-def _inverse_expansions(law, vars=("z", "w"), classical=False):
+def _inverse_expansions(law, vars=("z", "w"), classical=False, table=None):
     """The two expansions of F(x, iota y)^{-1}, or of (x - y)^{-1} when
     classical, for (x, y) = vars: x dominant, then y dominant.  Both have
-    exponents in vars order; their difference is x^{-1} delta(y/x)."""
+    exponents in vars order; their difference is x^{-1} delta(y/x).  The
+    F powers are memoised as ``law.power`` does, in ``table`` if given."""
     if not classical:
-        return (law.power(-1, vars, twisted=True),
-                law.power(-1, vars, twisted=True, dominant=1))
+        return (law.power(-1, vars, twisted=True, table=table),
+                law.power(-1, vars, twisted=True, dominant=1, table=table))
     R = law.ring
     x, y = vars
     zmw = LaurentElement(R, vars, {(1, 0): R.one(), (0, 1): R.neg(R.one())},
@@ -268,12 +273,14 @@ def delta_phi_relation_check(law, box=(-6, 6)):
                   details={"window_size": lhs.restrict(surv).window_size()})
 
 
-def _delta_tower(law, base, base_vars, out_var, B):
+def _delta_tower(law, delta, power, base_vars, out_var, B):
     """out^{-1} delta_F(u/out) with u^{+-1} replaced by the given expansion
     of base^{+-1}; a window over (z0, z1, z2).
 
-    base is an exact two-variable element of valuation one in base_vars,
-    already in the desired dominance ordering.  The result is
+    delta is the pair ``_inverse_expansions(law)`` gives, read by position
+    as (out, u).  power(n) gives base^n in the desired dominance ordering,
+    with exponents and floors in base_vars order; base is an exact
+    two-variable element of valuation one.  The result is
     sum_n slice_n(out) * base^n where slice_n is the u^n coefficient of the
     two-variable F-delta element.  A substituted cell at out-exponent e0
     receives contributions only from n >= -e0-1 (the delta element has total
@@ -281,7 +288,7 @@ def _delta_tower(law, base, base_vars, out_var, B):
     keeps every certified cell a finite sum.
     """
     R = law.ring
-    a, b = _inverse_expansions(law, (out_var, "u"))
+    a, b = delta
     diff = sparse_add(R, dict(a.coeffs), ((e, R.neg(c)) for e, c in b.coeffs.items()))
     slices = {}
     for (e0, n), c in diff.items():
@@ -304,7 +311,7 @@ def _delta_tower(law, base, base_vars, out_var, B):
         sl = {e0: c for e0, c in sl.items() if lo[oi] <= e0 <= hi[oi]}
         if not sl:
             continue
-        p = base.int_power(n)
+        p = power(n)
         # the lowest out-exponent a slice_n term can certify is max(-B,-n-1);
         # cells of higher total degree than this cap may miss contributions
         # beyond the truncation of base^n
@@ -328,11 +335,23 @@ def f_jacobi_delta_check(law, B=4):
     two: the exchange identity relating the z2-term to the delta of F(z0,z2).
     """
     R = law.ring
-    f12 = law.f_z_iota_w("z1", "z2")
-    t1 = _delta_tower(law, f12, ("z1", "z2"), "z0", B)
-    t2 = _delta_tower(law, f12.reorder(("z2", "z1")), ("z2", "z1"), "z0", B)
-    f10 = law.f_z_iota_w("z1", "z0")
-    t3 = _delta_tower(law, f10, ("z1", "z0"), "z2", B)
+    # Check-local tables keep the law's power table from growing.  The four
+    # towers share one delta element; t3 reuses the twisted powers of t1, and
+    # t2 and t4 reuse none, so each of those two gets a table of its own that
+    # is dropped with it, and at most one tower's powers are held at a time.
+    delta_table = {}
+    delta = _inverse_expansions(law, table=delta_table)
+
+    def tower(base_vars, out_var, table, twisted=True, dominant=0):
+        power = partial(law.power, vars=base_vars, twisted=twisted,
+                        dominant=dominant, table=table)
+        return _delta_tower(law, delta, power, base_vars, out_var, B)
+
+    shared = dict(delta_table)
+    t1 = tower(("z1", "z2"), "z0", shared)
+    t3 = tower(("z1", "z0"), "z2", shared)
+    del shared
+    t2 = tower(("z1", "z2"), "z0", dict(delta_table), dominant=1)
     lhs = t1 - t2
     ok, bad, surv = lhs.agrees_with(t3)
     if not ok:
@@ -343,8 +362,7 @@ def f_jacobi_delta_check(law, B=4):
 
     # exchange: i_{z1,z0} z2^{-1} delta_F(F(z1,iota z0)/z2)
     #         = i_{z2,z0} z1^{-1} delta_F(F(z0,z2)/z1)
-    f02 = law.F.rename(("z0", "z2")).as_laurent().extend(("z2", "z0"))
-    t4 = _delta_tower(law, f02, ("z2", "z0"), "z1", B)
+    t4 = tower(("z2", "z0"), "z1", dict(delta_table), twisted=False)
     ok, bad, surv2 = t3.agrees_with(t4)
     if not ok:
         return Report("delta/exchange", law.name, [list(r) for r in surv2],

@@ -201,12 +201,15 @@ class FormalGroupLaw:
         applied, sharing the stored coefficient dict, which must not be
         mutated.  F is symmetric, so the w-dominant expansion of F(z,w)^n
         is ``power(n, ("w", "z"))``.  A caller that passes its own dict as
-        ``table`` memoises the entry there instead, keeping one-off powers
-        out of the law for the rest of the process.
+        ``table`` still reads the entries already on the law but memoises
+        new ones in ``table``, keeping one-off powers out of the law for the
+        rest of the process.
         """
         memo = self._powers if table is None else table
         key = (twisted, dominant, n, floors)
-        g = memo.get(key)
+        g = self._powers.get(key)
+        if g is None:
+            g = memo.get(key)
         if g is None:
             # the n = 1 entry is the base itself (int_power(1) returns it)
             base = self._powers.get((twisted, 0, 1, None))

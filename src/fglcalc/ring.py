@@ -259,7 +259,16 @@ class IntegersMod(Ring):
 
 class ParamPoly(Ring):
     """base[params]; raw values are dicts {exponent tuple: base raw value}
-    with no zero values, so the zero polynomial is {}."""
+    with no zero values, so the zero polynomial is {}.
+
+    Series coefficients over a parameter ring are small polynomials, most
+    products have a single-term operand, and ``mul`` and ``add`` are the
+    innermost operations of every series kernel, so both work on the dicts
+    directly rather than through ``sparse_mul``/``sparse_add``, with the
+    base arithmetic inlined (the base is QQ or ZZ).  The base is an
+    integral domain and e -> e1 + e is injective, so a single nonzero term
+    times a polynomial needs no pruning.  Every result is a new dict.
+    """
 
     def __repr__(self):
         return f"Ring({self.base!r}[{','.join(self.params)}])"
@@ -286,13 +295,48 @@ class ParamPoly(Ring):
         return self._const(self.base.from_fraction(q))
 
     def add(self, a, b):
-        return sparse_add(self.base, dict(a), b.items())
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        get = out.get
+        for e, c in b.items():
+            s = get(e)
+            if s is None:
+                out[e] = c
+            else:
+                c = s + c
+                if c:
+                    out[e] = _canonical(c)
+                else:
+                    del out[e]
+        return out
 
     def neg(self, a):
         return {e: self.base.neg(c) for e, c in a.items()}
 
     def mul(self, a, b):
-        return sparse_mul(self.base, a, b)
+        if not a or not b:
+            return {}
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            (e1, c1), = a.items()
+            if any(e1):
+                if c1 == 1:
+                    return {tuple(map(_plus, e1, e2)): c2 for e2, c2 in b.items()}
+                return {tuple(map(_plus, e1, e2)): _canonical(c1 * c2)
+                        for e2, c2 in b.items()}
+            if c1 == 1:
+                return dict(b)
+            return {e2: _canonical(c1 * c2) for e2, c2 in b.items()}
+        out = {}
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(_plus, e1, e2))
+                s = get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return {e: _canonical(c) for e, c in out.items() if c}
 
     def try_invert(self, a):
         # units of base[params] are the unit constants of the base

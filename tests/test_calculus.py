@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -226,6 +227,32 @@ def test_f_jacobi_one_parameter():
     law = standard_law("one_parameter", trunc=12)
     rep = f_jacobi_delta_check(law, B=3)
     assert rep.ok, rep.to_json()
+
+
+@pytest.mark.parametrize("kind", ["multiplicative", "elliptic"])
+def test_f_jacobi_computes_each_power_once(kind, monkeypatch):
+    # the towers share the twisted powers they have in common, and the
+    # check's powers stay out of the law's table
+    law = standard_law(kind, trunc=8)
+    R = law.ring
+    before = set(law._powers)
+    calls = Counter()
+    int_power = LaurentElement.int_power
+
+    def counted(self, n, floors=None):
+        # the base by its cells, whatever its variable names
+        base = tuple(sorted((e, R.to_text(c)) for e, c in self.coeffs.items()))
+        calls[base, self.trunc, n, floors] += 1
+        return int_power(self, n, floors)
+
+    monkeypatch.setattr(LaurentElement, "int_power", counted)
+    rep = f_jacobi_delta_check(law, B=2)
+    assert rep.ok, rep.to_json()
+    assert rep.window == {"jacobi": [[-2, 2]] * 3, "exchange": [[-2, 2]] * 3}
+    assert rep.details == {"window_size": 124}
+    assert calls
+    assert [k[2:] for k, v in calls.items() if v > 1] == []
+    assert [k for k in set(law._powers) - before if k[2] != 1] == []
 
 
 # -- residues --------------------------------------------------------------

@@ -1,9 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fglcalc.ring import NOT_INVERTIBLE, Ring, RingElement, RingMismatch, arith
+from fglcalc.ring import (
+    NOT_INVERTIBLE,
+    Ring,
+    RingElement,
+    RingMismatch,
+    arith,
+    sparse_add,
+    sparse_mul,
+)
 
 QQ = Ring.rationals()
 ZZ = Ring.integers()
@@ -87,16 +95,14 @@ def test_ring_axioms(ring, strat, data):
     assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
 
 
-@st.composite
-def parampoly_values(draw):
-    n = draw(st.integers(0, 3))
-    out = {}
-    for _ in range(n):
-        e = (draw(st.integers(0, 3)),)
-        c = draw(st.integers(-5, 5))
-        if c:
-            out[e] = c
-    return out
+def parampoly_values(ring=ZS, coeffs=st.integers(-5, 5)):
+    """Polynomials of ``ring`` with canonical base values drawn from
+    ``coeffs``: zero, a single term, the constant one, or several terms."""
+    exps = st.tuples(*[st.integers(0, 3)] * len(ring.params))
+    nonzero = coeffs.filter(bool)
+    return st.one_of(st.builds(dict), st.builds(ring.one),
+                     st.dictionaries(exps, nonzero, min_size=1, max_size=1),
+                     st.dictionaries(exps, nonzero, min_size=2, max_size=5))
 
 
 @given(a=parampoly_values(), b=parampoly_values(), c=parampoly_values())
@@ -104,6 +110,38 @@ def test_parampoly_axioms(a, b, c):
     assert ZS.add(ZS.add(a, b), c) == ZS.add(a, ZS.add(b, c))
     assert ZS.mul(a, b) == ZS.mul(b, a)
     assert ZS.mul(a, ZS.add(b, c)) == ZS.add(ZS.mul(a, b), ZS.mul(a, c))
+
+
+KERNEL_RINGS = {
+    "QQ[d,e]": (QDE, st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=3).map(QQ.from_fraction)),
+    "ZZ[s]": (ZS, st.integers(-5, 5)),
+}
+
+
+def _assert_canonical(R, a):
+    # the same form tests/test_series.py checks: no Fraction with
+    # denominator 1, and no zero term
+    for c in a.values():
+        assert c and (type(c) is int or (type(c) is Fraction and c.denominator > 1)), a
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)))
+@settings(max_examples=300, deadline=None)
+def test_parampoly_kernel_matches_sparse_loop(data, ring):
+    # ParamPoly.mul/add work on the dicts directly; the generic sparse loop
+    # over the base ring is the reference
+    R, coeffs = KERNEL_RINGS[ring]
+    a, b = data.draw(parampoly_values(R, coeffs)), data.draw(parampoly_values(R, coeffs))
+    a0, b0 = dict(a), dict(b)
+    cases = [(R.mul(a, b), sparse_mul(R.base, a, b)),
+             (R.add(a, b), sparse_add(R.base, dict(a), b.items()))]
+    for got, want in cases:
+        assert got == want
+        _assert_canonical(R, got)
+        # a fresh dict: filling it in leaves both operands as they were
+        got[(7,) * len(R.params)] = R.base.one()
+        assert a == a0 and b == b0
 
 
 @pytest.mark.parametrize("ring,vals", [
