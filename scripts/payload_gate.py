@@ -1,0 +1,92 @@
+"""Compare fglcalc's CLI payloads between this tree and another source tree.
+
+Runs every command of the gate list once with this tree's ``src`` on
+PYTHONPATH and once with the other tree's, and stops at the first command
+whose stdout or exit code differs.  Stderr (timings) is not compared.  The
+gate list: ``verify --suite all`` on the six built-in laws at seeds 0 and 3,
+``fgl --trunc 8|13|24`` on the six, ``binom`` on one_parameter (default and
+``--nmin -3 --nmax 4``) and on elliptic, and ``heisenberg --action
+commutators|shift|bracket_table``.
+
+Usage: python3 scripts/payload_gate.py --against OTHER/src [--select TEXT]
+
+Exit codes: 0 every command agrees, 1 a command differs, 2 usage error.
+"""
+
+import argparse
+import difflib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+KINDS = [["--kind", "additive"], ["--kind", "multiplicative"],
+         ["--kind", "one_parameter"], ["--kind", "elliptic"],
+         ["--kind", "p_typical", "--p", "2", "--h", "1"],
+         ["--kind", "p_typical", "--p", "3", "--h", "1"]]
+
+
+def gate_list():
+    cmds = [["verify", "--suite", "all", *kind, "--seed", seed]
+            for kind in KINDS for seed in ("0", "3")]
+    cmds += [["fgl", *kind, "--trunc", t] for kind in KINDS for t in ("8", "13", "24")]
+    cmds += [["binom", "--kind", "one_parameter"],
+             ["binom", "--kind", "one_parameter", "--nmin", "-3", "--nmax", "4"],
+             ["binom", "--kind", "elliptic"]]
+    cmds += [["heisenberg", "--action", a] for a in ("commutators", "shift", "bracket_table")]
+    return cmds
+
+
+def _start(src, args):
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    return subprocess.Popen([sys.executable, "-m", "fglcalc.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+
+
+def _finish(proc):
+    out, _ = proc.communicate(timeout=900)
+    return proc.returncode, out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", required=True,
+                    help="the other tree's src directory (holding fglcalc/)")
+    ap.add_argument("--select", default="",
+                    help="run only the commands whose text contains this")
+    args = ap.parse_args(argv)
+    other = Path(args.against).resolve()
+    if not (other / "fglcalc" / "cli.py").is_file():
+        print(f"error: {other} holds no fglcalc package", file=sys.stderr)
+        return 2
+    cmds = [c for c in gate_list() if args.select in " ".join(c)]
+    if not cmds:
+        print(f"error: no gate command contains {args.select!r}", file=sys.stderr)
+        return 2
+    for cmd in cmds:
+        text = " ".join(cmd)
+        # the two trees run side by side
+        procs = [_start(SRC, cmd), _start(other, cmd)]
+        try:
+            (code, out), (other_code, other_out) = map(_finish, procs)
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        if (code, out) != (other_code, other_out):
+            print(f"DIFFERS  {text}: exit {code} here, {other_code} in {other}")
+            diff = difflib.unified_diff(other_out.splitlines(), out.splitlines(),
+                                        "against", "here", lineterm="", n=1)
+            for line in list(diff)[:40]:
+                print("  " + line)
+            return 1
+        print(f"same     {text} (exit {code})", flush=True)
+    print(f"{len(cmds)} commands agree")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -402,19 +402,29 @@ def hyperderivative_expansion(law, f):
     Negative powers are expanded three truncation orders deep so that the
     result stays residue-reliable after multiplication by p_F.  The map is
     linear in f, so the expansion of each monomial z^e, a substitution into
-    F(z,w), is kept on the law in ``law._hyperexp_cache``.
+    F(z,w), is kept on the law in ``law._hyperexp_cache``.  For e < 0 it is
+    F(z,w)^e cut at f's truncation; the power itself does not depend on that
+    truncation and is computed once, in the law's power table.
     """
     if f.vars != ("z",):
         raise ValueError("hyperderivative input must be univariate in z")
     R = law.ring
     cache = law._hyperexp_cache
     Fzw = law.as_laurent()
+    deep = (-3 * law.trunc,) * 2
     out = None
     for (e,), c in sorted(f.coeffs.items()):
         g = cache.get((e, f.trunc))
         if g is None:
-            mono = LaurentElement(R, ("z",), {(e,): R.one()}, f.trunc)
-            g = mono.substitute({"z": (Fzw, True)}, neg_depth=3 * law.trunc)
+            if e < 0:
+                # what the substitution below computes: its one term, 1 at
+                # f's truncation times the power, whose negative valuation
+                # keeps the product's truncation under f's
+                one = LaurentElement.const(R, Fzw.vars, R.one(), min(f.trunc, law.trunc))
+                g = one * law.power(e, floors=deep)
+            else:
+                mono = LaurentElement(R, ("z",), {(e,): R.one()}, f.trunc)
+                g = mono.substitute({"z": (Fzw, True)}, neg_depth=3 * law.trunc)
             cache[(e, f.trunc)] = g
         term = g.scale(c)
         out = term if out is None else out + term

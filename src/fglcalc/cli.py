@@ -152,7 +152,10 @@ def load_law(cfg):
                 json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read law file {cfg.law_file}: {e}")
         return fgl_new(F, name=name)
-    return standard_law(cfg.kind, trunc=cfg.trunc, **cfg.params)
+    try:
+        return standard_law(cfg.kind, trunc=cfg.trunc, **cfg.params)
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 # -- output -------------------------------------------------------------------

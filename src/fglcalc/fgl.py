@@ -11,7 +11,8 @@ F(z, iota w) are computed on demand by ``power`` and kept on the law.
 from __future__ import annotations
 
 from .ring import Ring
-from .series import LaurentElement, PowerSeries, solve_by_degree
+from .series import (LaurentElement, PowerSeries, common_denominator, scale_by_degree,
+                     solve_by_degree)
 
 
 class AxiomViolation(Exception):
@@ -78,6 +79,14 @@ class FormalGroupLaw:
         once F is commutative, F(F(z,w), v) is the same series with its
         exponents permuted, and the two are compared in sorted monomial
         order as a two-sided check would compare them.
+
+        Both sides are computed for F~(z,w) = F(Dz, Dw)/D, D the lcm of the
+        denominators of F's cells, whose cell e is D^(tot(e)-1) F_e: an
+        integral law, since every cell has total degree >= 1 and the
+        degree-1 cells are 1.  F~(z, F~(w,v)) = F(Dz, F(Dw, Dv))/D, so its
+        cell e is D^(tot(e)-1) times that of F(z, F(w,v)), and likewise on
+        the permuted side: the two sides differ at exactly the monomials
+        where they differ for F, and the first one reported is the same.
         """
         F, R = self.F, self.ring
         # unitality F(z,0) = z
@@ -98,6 +107,12 @@ class FormalGroupLaw:
         # the right side is F(v, F(z,w)): the left side with (z,w,v) read as
         # (v,z,w), i.e. exponents (a,b,c) moved to (b,c,a)
         tvars = (Z, W, V)
+        D = common_denominator(R, F.coeffs.values())
+        if D > 1:
+            # unitality leaves every cell of total degree >= 1, so the
+            # rescaled law is integral
+            F = PowerSeries(R, F.vars, scale_by_degree(R, F.coeffs, D, -1),
+                            F.trunc, _clean=True)
         lhs = F.substitute({W: F.rename((W, V)).extend(tvars)})
         rhs = PowerSeries(R, tvars, {(b, c, a): x for (a, b, c), x in lhs.coeffs.items()},
                           lhs.trunc, _clean=True)
@@ -272,7 +287,7 @@ def _phi_p(ring, p, h, trunc):
 
 def standard_law(kind, trunc=12, **params):
     """Built-in laws: additive, multiplicative, one_parameter, elliptic,
-    p_typical(p, h)."""
+    p_typical(p, h) for integers p >= 2 and h >= 1 (ValueError otherwise)."""
     QQ = Ring.rationals()
     if kind == "additive":
         F = PowerSeries(QQ, (Z, W), {(1, 0): 1, (0, 1): 1}, trunc)
@@ -305,6 +320,10 @@ def standard_law(kind, trunc=12, **params):
     if kind == "p_typical":
         p = params.get("p", 2)
         h = params.get("h", 1)
+        # _phi_p needs q = p^h > 1 to end
+        if type(p) is not int or type(h) is not int or p < 2 or h < 1:
+            raise ValueError("p_typical needs integers p >= 2 and h >= 1, "
+                             f"got p={p!r}, h={h!r}")
         phi = _phi_p(QQ, p, h, trunc)
         expp = phi.comp_inverse()
         tvars = (Z, W)

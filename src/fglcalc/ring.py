@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 from operator import add as _plus
 
 
@@ -46,8 +46,9 @@ class Ring:
     IntegersMod or ParamPoly.  Each provides zero, from_int, add, neg, mul,
     try_invert (b with a*b = 1, or NOT_INVERTIBLE; never raises for
     non-units), divide_by_int (exact division by a nonzero integer; raises if
-    not divisible) and to_text (canonical decimal-free text, e.g. '5/6',
-    's^2+s', '3 mod 7').
+    not divisible), denominator (the least positive integer D with D*a
+    integral: 1 outside QQ and QQ[params]) and to_text (canonical
+    decimal-free text, e.g. '5/6', 's^2+s', '3 mod 7').
 
     Series code works with raw values directly; RingElement is a thin
     wrapper for the public boundary (parsing, printing, ring-level tests).
@@ -133,6 +134,9 @@ class Ring:
     def is_zero(self, a):
         return not a
 
+    def denominator(self, a):
+        return 1
+
     def eq(self, a, b):
         return a == b
 
@@ -195,6 +199,9 @@ class Rationals(_Numbers):
         if type(c) is Fraction and c.denominator == 1:
             return c.numerator
         return c
+
+    def denominator(self, a):
+        return 1 if type(a) is int else a.denominator
 
     def try_invert(self, a):
         return NOT_INVERTIBLE if a == 0 else _canonical(Fraction(1, a))
@@ -313,6 +320,9 @@ class ParamPoly(Ring):
 
     def neg(self, a):
         return {e: self.base.neg(c) for e, c in a.items()}
+
+    def denominator(self, a):
+        return lcm(*map(self.base.denominator, a.values()))
 
     def mul(self, a, b):
         if not a or not b:

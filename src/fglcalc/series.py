@@ -21,7 +21,7 @@ All coefficients are raw ring values owned by a Ring (see ring.py).
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, lcm
 
 from .ring import NOT_INVERTIBLE, Ring, sparse_add, sparse_mul
 
@@ -583,11 +583,20 @@ class LaurentElement:
           The sum is formed first and divided by k last, one division per
           cell (Knuth's "form the sum, then divide"), so no product of the
           recurrence meets a denominator that the inputs do not carry.
-          Products are cut at total degree t_rel and never at a floor, so
-          every g_k is finite and exact.  The recurrence stops at the last
-          y-degree with a cell of total degree < t_rel above the x floor
-          (n < 0), at n * deg_y(u) (n > 0), or once deg_y(u) consecutive g_k
-          vanish, and the result is clipped once at the floors.  A floor is
+          The inputs are first cleared of theirs (fraction-free, in the
+          spirit of Bareiss): with D the lcm of the denominators of h's
+          cells, x -> D*x, y -> D*y is a ring automorphism over QQ that
+          keeps supports and multiplies cell e by D^tot(e).  When the cells
+          of total degree 0 are integral it makes h integral, hence (1 + h)^n
+          integral for every integer n, every product an integer product
+          and every division by k exact; each result cell is divided by
+          D^tot(e) once at the end, so cells, floors and truncation are
+          those of the unscaled run.  Products are cut at total degree
+          t_rel and never at a floor, so every g_k is finite and exact.
+          The recurrence stops at the last y-degree with a cell of total
+          degree < t_rel above the x floor (n < 0), at n * deg_y(u) (n > 0),
+          or once deg_y(u) consecutive g_k vanish, and the result is clipped
+          once at the floors.  A floor is
           reported where the clip removed a stored cell, and on x for n < 0
           whenever h has terms of total degree 0: (1 + h)^n then has cells
           of total degree 0 below every x floor.
@@ -971,10 +980,38 @@ def _unit_power(R, parts, n, cut, kmax=None):
     return g
 
 
+def common_denominator(R, values):
+    """The lcm of the denominators of ``values``."""
+    return lcm(*map(R.denominator, values))
+
+
+def scale_by_degree(R, coeffs, D, shift=0):
+    """{e: c * D^(tot(e) + shift)}: the cells of D^shift * f(D*x, D*y, ...)
+    for the cells of f; every tot(e) + shift must be >= 0."""
+    s = R.from_int(D)
+    pw = [R.one()]
+    out = {}
+    for e, c in coeffs.items():
+        t = _tot(e) + shift
+        while len(pw) <= t:
+            pw.append(R.mul(pw[-1], s))
+        out[e] = R.mul(c, pw[t])
+    return out
+
+
 def _graded_power(R, h, n, t_rel, work_floors):
     """(1 + h)^n for an exact two-variable h whose terms have total degree
     >= 0, cut at total degree t_rel and clipped at ``work_floors``; returns
     the cells and the floors (see ``LaurentElement.int_power``)."""
+    # clear denominators: with D the lcm of the denominators of h's cells,
+    # x -> D*x, y -> D*y maps h to an integral h~ when the cells of total
+    # degree 0 (which it leaves alone) are integral, so (1 + h~)^n is
+    # integral and the recurrence below runs on integers
+    D = common_denominator(R, h.values())
+    if D > 1 and any(R.denominator(c) > 1 for e, c in h.items() if not _tot(e)):
+        D = 1
+    if D > 1:
+        h = scale_by_degree(R, h, D)
     top = max((e[1] for e in h), default=0)
     parts = [{} for _ in range(top + 1)]
     for e, c in h.items():
@@ -1012,6 +1049,10 @@ def _graded_power(R, h, n, t_rel, work_floors):
             del coeffs[e]
         if cut or (i == 0 and tail):
             out_floors[i] = f
+    if D > 1:
+        # map back, x -> x/D and y -> y/D: one division per cell
+        pw = [D ** t for t in range(t_rel)]
+        coeffs = {e: R.divide_by_int(c, pw[_tot(e)]) for e, c in coeffs.items()}
     return coeffs, tuple(out_floors)
 
 

@@ -255,6 +255,36 @@ def test_f_jacobi_computes_each_power_once(kind, monkeypatch):
     assert [k for k in set(law._powers) - before if k[2] != 1] == []
 
 
+@pytest.mark.parametrize("kind", ["multiplicative", "elliptic"])
+def test_hyperderivative_properties_computes_each_power_once(kind, monkeypatch):
+    # F(z,w)^e, e < 0, is cut three truncation orders deep whatever the
+    # truncation of the series being expanded, so one power serves them all
+    law = standard_law(kind, trunc=10)
+    R = law.ring
+    calls = Counter()
+    int_power = LaurentElement.int_power
+
+    def counted(self, n, floors=None):
+        base = tuple(sorted((e, R.to_text(c)) for e, c in self.coeffs.items()))
+        calls[base, self.trunc, n, floors] += 1
+        return int_power(self, n, floors)
+
+    monkeypatch.setattr(LaurentElement, "int_power", counted)
+    rep = hyperderivative_properties(law)
+    monkeypatch.undo()
+    assert rep.ok, rep.to_json()
+    assert [k[2:] for k, v in calls.items() if v > 1] == []
+    # each cached expansion of z^e is the substitution it stands for
+    truncs = {t for _, t in law._hyperexp_cache}
+    assert min(e for e, _ in law._hyperexp_cache) < 0 and len(truncs) > 1
+    Fzw = law.as_laurent()
+    for (e, t), g in law._hyperexp_cache.items():
+        mono = LaurentElement(R, ("z",), {(e,): R.one()}, t)
+        want = mono.substitute({"z": (Fzw, True)}, neg_depth=3 * law.trunc)
+        assert (g.coeffs, g.trunc, g.floors, g.tag) == \
+            (want.coeffs, want.trunc, want.floors, want.tag), (e, t)
+
+
 # -- residues --------------------------------------------------------------
 
 

@@ -25,6 +25,15 @@ def run_text(tmp_path, args):
     return code, out.read_text()
 
 
+def run_process(args, timeout=300):
+    """fglcalc in a fresh interpreter, so a hang or a traceback shows."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "fglcalc.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
 # -- config --------------------------------------------------------------------
 
 
@@ -97,6 +106,21 @@ def test_fgl_p_typical_integrality(tmp_path):
     assert code == 0
     assert d["integral"] is True
     assert d["law"] == "p_typical(2,1)"
+
+
+@pytest.mark.parametrize("args", [
+    ["--h", "0"], ["--h", "-1"], ["--p", "1"], ["--p", "0"], ["--p", "-2"],
+    ["--param", "p=x"],
+])
+def test_fgl_p_typical_bad_parameters_exit_2(args):
+    # q = p^h <= 1 used to loop forever in _phi_p, and a negative or
+    # non-integer p ended in a traceback
+    done = run_process(["fgl", "--kind", "p_typical", "--trunc", "8", *args],
+                       timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "ConfigError" in done.stderr and "p >= 2 and h >= 1" in done.stderr
+    assert done.stdout == ""
 
 
 def test_fgl_malformed_law_file_exits_2(tmp_path):
@@ -216,13 +240,8 @@ def test_verify_empty_window_exits_2():
     # at trunc 15 a delta comparison keeps no cell of the default box: a
     # configuration error naming the check and the truncation, not a
     # traceback with exit 1
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, "-m", "fglcalc.cli", "verify", "--suite", "delta",
-         "--kind", "multiplicative", "--trunc", "15"],
-        env=env, capture_output=True, text=True, timeout=300)
+    done = run_process(["verify", "--suite", "delta", "--kind", "multiplicative",
+                        "--trunc", "15"])
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert "ConfigError" in done.stderr and "truncation 15:" in done.stderr

@@ -105,6 +105,35 @@ def test_associativity_violation_rejected():
         assert (exc.value.axiom, exc.value.monomial) == ("associativity", monomial), ring
 
 
+def test_rescaled_associativity_check_reports_the_plain_monomial():
+    # validate works on F(Dz, Dw)/D; a perturbed elliptic law must fail at
+    # the monomial where the unscaled sides F(z, F(w,v)), F(F(z,w), v) first
+    # differ
+    law = standard_law("elliptic", trunc=10)
+    R = law.ring
+    bump = R.mul(R.from_fraction(Fraction(1, 3)), R.param("d"))
+    coeffs = dict(law.F.coeffs)
+    for e in [(2, 3), (3, 2)]:
+        coeffs[e] = R.add(coeffs.get(e, R.zero()), bump)
+    F = PowerSeries(R, ("z", "w"), coeffs, 10)
+    assert max(map(R.denominator, F.coeffs.values())) > 1
+    tv = ("z", "w", "v")
+    lhs = F.substitute({"w": F.rename(("w", "v")).extend(tv)})
+    rhs = F.rename(("z", "v")).extend(tv).substitute({"z": F.extend(tv)})
+    plain = min(e for e in set(lhs.coeffs) | set(rhs.coeffs)
+                if lhs.coefficient(e) != rhs.coefficient(e))
+    with pytest.raises(AxiomViolation) as exc:
+        fgl_new(F)
+    assert (exc.value.axiom, exc.value.monomial) == ("associativity", plain)
+
+
+def test_p_typical_rejects_bad_parameters():
+    for params in [{"h": 0}, {"h": -1}, {"p": 1}, {"p": 0}, {"p": -2}, {"p": "x"},
+                   {"p": 2.0}, {"h": True}]:
+        with pytest.raises(ValueError, match="p >= 2 and h >= 1"):
+            standard_law("p_typical", trunc=8, **params)
+
+
 @pytest.mark.parametrize("trunc", [8, 12])
 @pytest.mark.parametrize("kind", ALL_KINDS + ["p_typical"])
 def test_axiom_suite_all_builtins(kind, trunc):

@@ -539,10 +539,18 @@ def test_comp_inverse_is_two_sided(data, ring):
 
 # -- int_power: the graded recurrence against the binomial loop ---------------
 
-_unit_q = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
+_unit_q = st.sampled_from([1, -1, 2, Fraction(-1, 3)])
+QDE = Ring.parampoly(QQ, ["d", "e"])
+# coefficients with the elliptic law's kind of denominators, powers of 2
+_dyadic_q = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                      st.sampled_from([1, 2, 4, 8])).map(QQ.from_fraction)
 GRADED_RINGS = {
-    "QQ": (QQ, _unit_q, _small_q),
-    "QQ[s]": (QS, _unit_q.map(lambda q: {(0,): q}), _poly_s),
+    "QQ": (QQ, _unit_q, _small_q.map(QQ.from_fraction)),
+    "QQ[s]": (QS, _unit_q.map(lambda q: {(0,): q}),
+              _poly_s.map(lambda p: {e: QQ.from_fraction(c) for e, c in p.items()})),
+    "QQ[d,e]": (QDE, _unit_q.map(lambda q: {(0, 0): q}),
+                st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                _dyadic_q, min_size=1, max_size=3)),
 }
 
 
@@ -568,7 +576,59 @@ def test_graded_power_matches_binomial_loop(data, ring, n):
     floors = data.draw(st.sampled_from(
         [None, (-3 * t, -3 * t), (-t - 3, None), (-2, None),
          (data.draw(st.integers(-3 * t, 2)), data.draw(st.integers(-2 * t, 0)))]))
-    _same_power(f.int_power(n, floors=floors), f._binomial_power(n, floors=floors))
+    got = f.int_power(n, floors=floors)
+    _same_power(got, f._binomial_power(n, floors=floors))
+    _assert_canonical_series(got)
+
+
+@pytest.mark.parametrize("coeffs,scaled", [
+    # h = x/2 + 3y/4 + xy/8: D = 8 clears every cell
+    ({(1, 0): 1, (2, 0): Fraction(1, 2), (1, 1): Fraction(3, 4),
+      (2, 1): Fraction(1, 8)}, True),
+    # h has the cell y/(2x) of total degree 0, which x -> Dx, y -> Dy leaves
+    # alone: no D clears it, and the recurrence runs on the fractions
+    ({(1, 0): 1, (0, 1): Fraction(1, 2), (2, 0): Fraction(1, 4)}, False),
+    # integral: D = 1
+    ({(1, 0): 1, (2, 0): 3, (1, 1): -2}, False),
+])
+def test_graded_power_clears_denominators(monkeypatch, coeffs, scaled):
+    seen = []
+    real = series.scale_by_degree
+
+    def spy(R, cells, D, shift=0):
+        seen.append(D)
+        return real(R, cells, D, shift)
+
+    monkeypatch.setattr(series, "scale_by_degree", spy)
+    f = LaurentElement(QQ, ("x", "y"), coeffs, 9)
+    for n, floors in [(-3, None), (-1, (-4, -6)), (2, None), (5, (0, 1))]:
+        got = f.int_power(n, floors=floors)
+        _same_power(got, f._binomial_power(n, floors=floors))
+        _assert_canonical_series(got)
+    assert seen == ([8] * 4 if scaled else [])
+
+
+def test_elliptic_power_recurrence_runs_on_integers(monkeypatch):
+    # the elliptic law's cells carry powers of 2 in their denominators; the
+    # recurrence sees them cleared, so every value it multiplies or returns
+    # is an int
+    law = standard_law("elliptic", trunc=12)
+    assert any(type(x) is Fraction for c in law.F.coeffs.values() for x in c.values())
+    values = []
+    real = series._unit_power
+
+    def spy(R, parts, n, cut, kmax=None):
+        g = real(R, parts, n, cut, kmax)
+        values.extend(x for m in parts + g for c in m.values() for x in c.values())
+        return g
+
+    monkeypatch.setattr(series, "_unit_power", spy)
+    for n in (-3, -1, 2):
+        law.power(n)
+        law.power(n, twisted=True)
+        law.power(n, dominant=1)
+    law.power(-2, floors=(-36, -36))
+    assert values and all(type(x) is int for x in values)
 
 
 def _geometric(R, trunc, floors=None):
