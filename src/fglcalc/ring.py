@@ -47,8 +47,9 @@ class Ring:
     try_invert (b with a*b = 1, or NOT_INVERTIBLE; never raises for
     non-units), divide_by_int (exact division by a nonzero integer; raises if
     not divisible), denominator (the least positive integer D with D*a
-    integral: 1 outside QQ and QQ[params]) and to_text (canonical
-    decimal-free text, e.g. '5/6', 's^2+s', '3 mod 7').
+    integral: 1 outside QQ and QQ[params]), to_text (canonical
+    decimal-free text, e.g. '5/6', 's^2+s', '3 mod 7') and lift (the ring
+    the power recurrence runs in for this one: ZZ for Z/m, else itself).
 
     Series code works with raw values directly; RingElement is a thin
     wrapper for the public boundary (parsing, printing, ring-level tests).
@@ -136,6 +137,10 @@ class Ring:
 
     def denominator(self, a):
         return 1
+
+    @property
+    def lift(self):
+        return self
 
     def eq(self, a, b):
         return a == b
@@ -232,6 +237,12 @@ class IntegersMod(Ring):
 
     def __repr__(self):
         return f"Ring(mod {self.modulus})"
+
+    @property
+    def lift(self):
+        # the power recurrence divides by every k, which Z/m cannot always
+        # do; residues are ints, so it runs over ZZ and from_int reduces
+        return Ring.integers()
 
     def from_int(self, n):
         return n % self.modulus

@@ -566,60 +566,47 @@ class LaurentElement:
         which become the reliability floors of the output.
 
         Write f = c*m*(1 + h) with c*m the leading term and t_rel = trunc -
-        tot(m).  (1 + h)^n is computed at total degree below t_rel by one of
-        two routes:
+        tot(m) >= 1.  For an exact base (no floors) with a unit c and one or
+        two variables, (1 + h)^n is computed at total degree below t_rel by
+        J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7), graded
+        by the last variable y (y = x in one variable).  Split u = 1 + h =
+        sum_k u_k y^k by the y-exponent.  u_0 = 1 + p(x) with p of positive
+        x-degree; u_0^n and u_0^-1 come from the same recurrence graded by
+        the x-degree, and dividing u by u_0 leaves u_0 = 1.  Euler's operator
+        y d/dy applied to u*E(g) = n*g*E(u), g = u^n, then gives
+            k * g_k = sum_{i=1..k} ((n+1)*i - k) * u_i * g_{k-i}.
+        The sum is formed first and divided by k last, one division per
+        cell (Knuth's "form the sum, then divide"), so no product of the
+        recurrence meets a denominator that the inputs do not carry, and
+        over Z every division is exact (``divide_by_int`` raises on a
+        remainder).  Over Z/m, whose residues are ints, the recurrence runs
+        over Z (the ring's ``lift``) and the result is reduced mod m.
+        Over QQ the inputs are first cleared of their denominators
+        (fraction-free, in the spirit of Bareiss): with D the lcm of the
+        denominators of h's cells, x -> D*x, y -> D*y is a ring automorphism
+        over QQ that keeps supports and multiplies cell e by D^tot(e).  When
+        the cells of total degree 0 are integral it makes h integral, hence
+        (1 + h)^n integral for every integer n, every product an integer
+        product and every division by k exact; each result cell is divided
+        by D^tot(e) once at the end, so cells, floors and truncation are
+        those of the unscaled run.  Products are cut at total degree t_rel
+        and never at a floor, so every g_k is finite and exact.  The
+        recurrence stops at the last y-degree with a cell of total degree <
+        t_rel above the x floor (n < 0), at n * deg_y(u) (n > 0), or once
+        deg_y(u) consecutive g_k vanish, and the result is clipped once at
+        the floors.  A floor is reported where the clip removed a stored
+        cell, and on x for n < 0 whenever h has terms of total degree 0:
+        (1 + h)^n then has cells of total degree 0 below every x floor.
+        The result of an exact base is tagged with it so that ``expand``
+        can recompute the power in another ordering.
 
-        * the graded recurrence, when the base is exact (no floors), has two
-          variables (x, y) = self.vars, lies over a ring containing the
-          rationals, every term of h has total degree >= 0, t_rel >= 1, and
-          either n > 0 or x has a floor (it does by default for n < 0).
-          Split u = 1 + h = sum_k u_k y^k by the y-exponent.  u_0 = 1 + p(x)
-          with p of positive x-degree; u_0^n and u_0^-1 come from the same
-          recurrence graded by the x-degree, and dividing u by u_0 leaves
-          u_0 = 1.  Euler's operator y d/dy applied to u*E(g) = n*g*E(u),
-          g = u^n, then gives (J.C.P. Miller's power recurrence; Knuth,
-          TAOCP vol. 2, 4.7)
-              k * g_k = sum_{i=1..k} ((n+1)*i - k) * u_i * g_{k-i}.
-          The sum is formed first and divided by k last, one division per
-          cell (Knuth's "form the sum, then divide"), so no product of the
-          recurrence meets a denominator that the inputs do not carry.
-          The inputs are first cleared of theirs (fraction-free, in the
-          spirit of Bareiss): with D the lcm of the denominators of h's
-          cells, x -> D*x, y -> D*y is a ring automorphism over QQ that
-          keeps supports and multiplies cell e by D^tot(e).  When the cells
-          of total degree 0 are integral it makes h integral, hence (1 + h)^n
-          integral for every integer n, every product an integer product
-          and every division by k exact; each result cell is divided by
-          D^tot(e) once at the end, so cells, floors and truncation are
-          those of the unscaled run.  Products are cut at total degree
-          t_rel and never at a floor, so every g_k is finite and exact.
-          The recurrence stops at the last y-degree with a cell of total
-          degree < t_rel above the x floor (n < 0), at n * deg_y(u) (n > 0),
-          or once deg_y(u) consecutive g_k vanish, and the result is clipped
-          once at the floors.  A floor is
-          reported where the clip removed a stored cell, and on x for n < 0
-          whenever h has terms of total degree 0: (1 + h)^n then has cells
-          of total degree 0 below every x floor.
-        * otherwise the binomial loop ``_binomial_power``, sum_k C(n, k) h^k:
-          over Z and Z/m, for bases with floors, for h with terms of negative
-          total degree, and for one- or three-variable bases.
-
-        Where both apply they give the same cells and truncation, except
-        that the loop loses cells when the floor on y lies more than t_rel
-        above n times the y-exponent of m.  The recurrence reports a floor
-        only where a cell below it is nonzero; the loop also reports one
-        where terms of its sum cancel below the floor, and otherwise the
-        floors agree.  An exact base is recorded in the result's tag so
-        that ``expand`` can recompute the power in another ordering.
+        A base with floors, or with a non-unit c, is raised to n >= 1 by
+        repeated products, which set the floors; n < 0 raises (its leading
+        term is not certified, or not a unit).  ValueError names the exact
+        shapes the recurrence does not cover: three or more variables, h
+        with a term of negative total degree, and n < 0 with a term of total
+        degree 0 in h but no floor on x.
         """
-        return self._power(n, floors, graded=True)
-
-    def _binomial_power(self, n, floors=None):
-        """int_power by the binomial loop alone (the reference for the
-        graded recurrence)."""
-        return self._power(n, floors, graded=False)
-
-    def _power(self, n, floors, graded):
         R = self.ring
         if n == 0:
             return LaurentElement.one_like(self)
@@ -627,8 +614,12 @@ class LaurentElement:
             return self
         m, c = self.leading()
         cinv = R.try_invert(c)
-        if cinv is NOT_INVERTIBLE:
+        exact = all(f is None for f in self.floors)
+        if cinv is NOT_INVERTIBLE or not exact:
             if n < 0:
+                if not exact:
+                    raise ValueError("negative power of a floored base: "
+                                     "its leading term is not certified")
                 raise NotInvertibleError("leading coefficient is not a unit")
             out = self
             for _ in range(n - 1):
@@ -636,36 +627,17 @@ class LaurentElement:
             return out
         v = _tot(m)
         t_rel = self.trunc - v  # relative precision above the valuation
-        if n >= 0:
-            if floors is None:
-                floors = self.floors  # exact support, no cutting needed
-                work_floors = (None,) * len(self.vars)
-            else:
-                work_floors = tuple(
-                    None if f is None else f - n * mi for f, mi in zip(floors, m))
-        else:
-            if floors is None:
-                floors = tuple(-self.trunc for _ in self.vars)
-            work_floors = tuple(
-                None if f is None else f - n * mi for f, mi in zip(floors, m))
+        if floors is None:
+            floors = (None if n >= 0 else -self.trunc,) * len(self.vars)
+        work_floors = tuple(
+            None if f is None else f - n * mi for f, mi in zip(floors, m))
         # h = f / (c * monomial m) - 1, terms of positive revlex order
         h_coeffs = {}
         for e, ce in self.coeffs.items():
             e2 = tuple(x - y for x, y in zip(e, m))
-            if not any(e2):
-                continue
-            h_coeffs[e2] = R.mul(ce, cinv)
-        exact = all(f is None for f in self.floors)
-        graded_ok = (graded and exact and len(self.vars) == 2
-                     and R.contains_rationals and t_rel > 0
-                     and (n > 0 or work_floors[0] is not None)
-                     and all(_tot(e) >= 0 for e in h_coeffs))
-        if graded_ok:
-            coeffs, acc_floors = _graded_power(R, h_coeffs, n, t_rel, work_floors)
-            min_trunc = t_rel
-        else:
-            acc, min_trunc = self._binomial_series(h_coeffs, n, t_rel, work_floors)
-            coeffs, acc_floors = acc.coeffs, acc.floors
+            if any(e2):
+                h_coeffs[e2] = R.mul(ce, cinv)
+        coeffs, acc_floors = _graded_power(R, h_coeffs, n, t_rel, work_floors)
         # shift by n*m and scale by c^n
         cn = c if n >= 0 else cinv
         cpow = R.one()
@@ -675,81 +647,12 @@ class LaurentElement:
         out = {}
         for e, ce in coeffs.items():
             out[tuple(x + y for x, y in zip(e, shift))] = R.mul(ce, cpow)
-        out_trunc = min_trunc + n * v
-        out_floors = tuple(
-            (af + s) if af is not None else (None if sf is None else fl)
-            for af, s, sf, fl in zip(acc_floors, shift, self.floors, floors))
+        out_floors = tuple(None if af is None else af + s
+                           for af, s in zip(acc_floors, shift))
         # an exact base is kept by reference (nothing mutates coefficient
         # dicts in place), so results held in a power table share it
-        tag = ("power", self, n) if exact else None
-        return LaurentElement(R, self.vars, out, out_trunc, floors=out_floors, tag=tag)
-
-    def _binomial_series(self, h_coeffs, n, t_rel, work_floors):
-        """sum_k C(n, k) h^k at relative truncation t_rel, cut at the
-        relative floors; returns the sum and its truncation."""
-        R = self.ring
-        h = LaurentElement(R, self.vars, h_coeffs, t_rel, _clean=True)
-        hv = min(0, h.valuation()) if h.coeffs else 0
-        # Deep-cut mode: when the base is exact and every dominated direction
-        # of h has nonnegative exponent sums, run the loop with floors one
-        # whole truncation order deeper and clip once at the end.  A term
-        # dropped that far down can resurface, within the total-degree cap,
-        # only strictly below the requested floors, so the kept region stays
-        # exact and the per-product pollution rule (which would otherwise
-        # ratchet the floors upward every iteration) can be skipped.
-        deep = all(f is None for f in self.floors) and \
-            all(_tot(e) >= 0 for e in h.coeffs)
-        if deep:
-            for i, f in enumerate(work_floors):
-                if f is None or all(e[i] >= 0 for e in h.coeffs):
-                    continue  # this direction is never cut
-                if any(_tot(e) - e[i] < 0 for e in h.coeffs):
-                    deep = False
-                    break
-        if deep:
-            cut_floors = tuple(
-                None if f is None else f - t_rel for f in work_floors)
-        else:
-            cut_floors = work_floors
-        work_trunc = t_rel
-        acc = LaurentElement.const(R, self.vars, R.one(), work_trunc)
-        term = acc
-        k = 0
-        min_trunc = work_trunc
-        loop_floors = (None,) * len(self.vars)
-        dropped = [False] * len(self.vars)
-        while True:
-            k += 1
-            term = (term * h).truncate(work_trunc, floors=cut_floors)
-            if deep:
-                for i, tf in enumerate(term.floors):
-                    if tf is not None:
-                        dropped[i] = True
-                term = LaurentElement(R, self.vars, term.coeffs, term.trunc,
-                                      _clean=True)
-            else:
-                loop_floors = self._join_floors_add(loop_floors, term.floors)
-            if term.is_zero():
-                break
-            coef = R.from_int(comb_any(n, k))
-            if not R.is_zero(coef):
-                acc = acc + term.scale(coef)
-                min_trunc = min(min_trunc, t_rel + (k - 1) * hv)
-            if n >= 0 and k >= n:
-                break
-        if deep:
-            acc = acc.truncate(acc.trunc, floors=work_floors)
-            final = tuple(
-                wf if wf is not None and (dropped[i] or acc.floors[i] is not None)
-                else None
-                for i, wf in enumerate(work_floors))
-            acc = LaurentElement(R, self.vars, acc.coeffs, acc.trunc,
-                                 floors=final, _clean=True)
-        else:
-            acc = acc.truncate(acc.trunc, floors=loop_floors)
-            acc = LaurentElement(R, self.vars, acc.coeffs, acc.trunc,
-                                 floors=self._join_floors_add(acc.floors, loop_floors))
-        return acc, min_trunc
+        return LaurentElement(R, self.vars, out, t_rel + n * v, floors=out_floors,
+                              tag=("power", self, n))
 
     @staticmethod
     def one_like(f):
@@ -952,18 +855,19 @@ class LaurentElement:
 
 
 def _unit_power(R, parts, n, cut, kmax=None):
-    """The graded pieces g_0, g_1, ... of u^n for u = 1 + sum_{i>=1} u_i.
+    """The graded pieces g_0, g_1, ... of u^n for u = sum_i u_i, u_0 = 1.
 
-    ``parts[i]`` is u_i, a sparse map over two-variable exponents of grade
-    i (``parts[0]`` is ignored); products are cut at total degree ``cut``.
-    g_k follows from the recurrence in ``LaurentElement.int_power``: the sum
-    k * g_k is formed with integer scalars and divided by k once per cell,
-    so over an integral u every product is integral and only the quotient
-    can have a denominator.  Stops after g_kmax, or once as many consecutive
-    g_k vanish as u has grades, since every later g_k then vanishes too.
+    ``parts[i]`` is u_i, a sparse map over exponents of grade i, and
+    ``parts[0]`` is the single cell 1 (so g_0 = 1 too); products are cut
+    at total degree ``cut``.  g_k follows from the recurrence in
+    ``LaurentElement.int_power``: the sum k * g_k is formed with integer
+    scalars and divided by k once per cell, so over an integral u every
+    product is integral and only the quotient can have a denominator.
+    Stops after g_kmax, or once as many consecutive g_k vanish as u has
+    grades, since every later g_k then vanishes too.
     """
     top = len(parts) - 1
-    g = [{(0, 0): R.one()}]
+    g = [parts[0]]
     k = empty = 0
     while empty < top and (kmax is None or k < kmax):
         k += 1
@@ -1000,25 +904,38 @@ def scale_by_degree(R, coeffs, D, shift=0):
 
 
 def _graded_power(R, h, n, t_rel, work_floors):
-    """(1 + h)^n for an exact two-variable h whose terms have total degree
-    >= 0, cut at total degree t_rel and clipped at ``work_floors``; returns
-    the cells and the floors (see ``LaurentElement.int_power``)."""
+    """(1 + h)^n for an exact one- or two-variable h whose terms have total
+    degree >= 0, cut at total degree t_rel and clipped at ``work_floors``;
+    returns the cells and the floors (see ``LaurentElement.int_power``)."""
+    arity = len(work_floors)
+    if arity > 2:
+        raise ValueError(f"no power recurrence in {arity} variables")
+    if any(_tot(e) < 0 for e in h):
+        raise ValueError("the base has a term of lower total degree "
+                         "than its leading term")
+    # for n < 0, terms of total degree 0 leave cells of total degree 0 at
+    # every depth in x, so the x floor always cuts something
+    tail = n < 0 and any(_tot(e) == 0 for e in h)
+    if tail and work_floors[0] is None:
+        raise ValueError("a negative power of a base with a term of "
+                         "its leading term's total degree needs a floor on "
+                         "the dominant variable")
+    W = R.lift
     # clear denominators: with D the lcm of the denominators of h's cells,
     # x -> D*x, y -> D*y maps h to an integral h~ when the cells of total
     # degree 0 (which it leaves alone) are integral, so (1 + h~)^n is
     # integral and the recurrence below runs on integers
-    D = common_denominator(R, h.values())
-    if D > 1 and any(R.denominator(c) > 1 for e, c in h.items() if not _tot(e)):
+    D = common_denominator(W, h.values())
+    if D > 1 and any(W.denominator(c) > 1 for e, c in h.items() if not _tot(e)):
         D = 1
     if D > 1:
-        h = scale_by_degree(R, h, D)
-    top = max((e[1] for e in h), default=0)
+        h = scale_by_degree(W, h, D)
+    one = {(0,) * arity: W.one()}
+    top = max((e[-1] for e in h), default=0)
     parts = [{} for _ in range(top + 1)]
     for e, c in h.items():
-        parts[e[1]][e] = c
-    # for n < 0, terms of total degree 0 leave cells of total degree 0 at
-    # every depth in x, so the x floor always cuts something
-    tail = n < 0 and any(_tot(e) == 0 for e in h)
+        parts[e[-1]][e] = c
+    p0, parts[0] = parts[0], one
     if n > 0:
         kmax = n * top
     elif tail:
@@ -1026,21 +943,23 @@ def _graded_power(R, h, n, t_rel, work_floors):
         kmax = max(0, t_rel - 1 - work_floors[0])
     else:
         kmax = None  # every factor raises the total degree
-    if parts[0]:
+    if p0:
         # u_0 = 1 + p(x): u^n = u_0^n * (u / u_0)^n, where u_0^n and u_0^-1
         # come from the same recurrence graded by the x-degree
-        px = [{}] * t_rel
-        for e, c in parts[0].items():
+        px = [one] + [{}] * (t_rel - 1)
+        for e, c in p0.items():
             if e[0] < t_rel:
                 px[e[0]] = {e: c}
-        inv, u0n = ({e: c for gk in _unit_power(R, px, k, t_rel, kmax=t_rel - 1)
+        inv, u0n = ({e: c for gk in _unit_power(W, px, k, t_rel, kmax=t_rel - 1)
                      for e, c in gk.items()} for k in (-1, n))
-        parts[1:] = [sparse_mul(R, inv, u, cut=t_rel) for u in parts[1:]]
-    coeffs = {e: c for gk in _unit_power(R, parts, n, t_rel, kmax=kmax)
+        parts[1:] = [sparse_mul(W, inv, u, cut=t_rel) for u in parts[1:]]
+    coeffs = {e: c for gk in _unit_power(W, parts, n, t_rel, kmax=kmax)
               for e, c in gk.items()}
-    if parts[0]:
-        coeffs = sparse_mul(R, u0n, coeffs, cut=t_rel)
-    out_floors = [None, None]
+    if p0:
+        coeffs = sparse_mul(W, u0n, coeffs, cut=t_rel)
+    if W is not R:
+        coeffs = sparse_add(R, {}, ((e, R.from_int(c)) for e, c in coeffs.items()))
+    out_floors = [None] * arity
     for i, f in enumerate(work_floors):
         if f is None:
             continue

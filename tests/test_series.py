@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,8 @@ from fglcalc.series import (
     comb_any,
 )
 from fglcalc.vertex import HeisenbergAlgebra, ShiftQuotient, StateSpace, mul_complete_lower
+
+from binomial_oracle import binomial_power
 
 QQ = Ring.rationals()
 
@@ -540,10 +546,14 @@ def test_comp_inverse_is_two_sided(data, ring):
 # -- int_power: the graded recurrence against the binomial loop ---------------
 
 _unit_q = st.sampled_from([1, -1, 2, Fraction(-1, 3)])
+_unit_z = st.sampled_from([1, -1])
+_small_z = st.integers(-3, 3).filter(bool)
 QDE = Ring.parampoly(QQ, ["d", "e"])
+ZS = Ring.parampoly(ZZ, ["s"])
 # coefficients with the elliptic law's kind of denominators, powers of 2
 _dyadic_q = st.builds(Fraction, st.integers(-3, 3).filter(bool),
                       st.sampled_from([1, 2, 4, 8])).map(QQ.from_fraction)
+# (ring, unit leading coefficients, nonzero values)
 GRADED_RINGS = {
     "QQ": (QQ, _unit_q, _small_q.map(QQ.from_fraction)),
     "QQ[s]": (QS, _unit_q.map(lambda q: {(0,): q}),
@@ -551,6 +561,12 @@ GRADED_RINGS = {
     "QQ[d,e]": (QDE, _unit_q.map(lambda q: {(0, 0): q}),
                 st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                                 _dyadic_q, min_size=1, max_size=3)),
+    "ZZ": (ZZ, _unit_z, _small_z),
+    "ZZ[s]": (ZS, _unit_z.map(lambda c: {(0,): c}),
+              st.dictionaries(st.tuples(st.integers(0, 2)), _small_z, min_size=1,
+                              max_size=3)),
+    "Z6": (Z6, st.sampled_from([1, 5]), st.integers(1, 5)),
+    "Z7": (Z7, st.integers(1, 6), st.integers(1, 6)),
 }
 
 
@@ -560,24 +576,27 @@ def _same_power(got, want):
 
 
 @given(data=st.data(), ring=st.sampled_from(sorted(GRADED_RINGS)),
-       n=st.integers(-6, 10))
-@settings(max_examples=150, deadline=None)
-def test_graded_power_matches_binomial_loop(data, ring, n):
+       n=st.integers(-6, 10), arity=st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_graded_power_matches_binomial_loop(data, ring, n, arity):
     # an exact base c*x*(1 + h) with leading monomial x: every term of h has
     # nonnegative total degree, and its y-free terms positive x-degree
     R, lead, values = GRADED_RINGS[ring]
     t = data.draw(st.integers(2, 8))
     coeffs = {(1, 0): data.draw(lead)}
     for _ in range(data.draw(st.integers(0, 6))):
-        dy = data.draw(st.integers(0, 5))
+        dy = data.draw(st.integers(0, 5)) if arity == 2 else 0
         dx = data.draw(st.integers(1 if dy == 0 else -dy, t))
         coeffs[(1 + dx, dy)] = data.draw(values)
-    f = LaurentElement(R, ("x", "y"), coeffs, t)
     floors = data.draw(st.sampled_from(
         [None, (-3 * t, -3 * t), (-t - 3, None), (-2, None),
          (data.draw(st.integers(-3 * t, 2)), data.draw(st.integers(-2 * t, 0)))]))
+    if arity == 1:
+        coeffs = {e[:1]: c for e, c in coeffs.items()}
+        floors = floors and floors[:1]
+    f = LaurentElement(R, ("x", "y")[:arity], coeffs, t)
     got = f.int_power(n, floors=floors)
-    _same_power(got, f._binomial_power(n, floors=floors))
+    _same_power(got, binomial_power(f, n, floors=floors))
     _assert_canonical_series(got)
 
 
@@ -603,7 +622,7 @@ def test_graded_power_clears_denominators(monkeypatch, coeffs, scaled):
     f = LaurentElement(QQ, ("x", "y"), coeffs, 9)
     for n, floors in [(-3, None), (-1, (-4, -6)), (2, None), (5, (0, 1))]:
         got = f.int_power(n, floors=floors)
-        _same_power(got, f._binomial_power(n, floors=floors))
+        _same_power(got, binomial_power(f, n, floors=floors))
         _assert_canonical_series(got)
     assert seen == ([8] * 4 if scaled else [])
 
@@ -631,39 +650,12 @@ def test_elliptic_power_recurrence_runs_on_integers(monkeypatch):
     assert values and all(type(x) is int for x in values)
 
 
-def _geometric(R, trunc, floors=None):
-    return LaurentElement(R, ("z", "w"), {(1, 0): R.one(), (0, 1): R.one()},
-                          trunc, floors=floors)
+def _geometric(R, trunc):
+    return LaurentElement(R, ("z", "w"), {(1, 0): R.one(), (0, 1): R.one()}, trunc)
 
 
-def _no_graded(monkeypatch):
-    def fail(*args):
-        raise AssertionError("the graded recurrence was taken")
-    monkeypatch.setattr(series, "_graded_power", fail)
-
-
-@pytest.mark.parametrize("ring", [ZZ, Z6], ids=["ZZ", "Z6"])
-def test_int_power_keeps_binomial_loop_without_rationals(monkeypatch, ring):
-    _no_graded(monkeypatch)
-    f = _geometric(ring, 10)
-    g = f.int_power(-1)
-    # (z + w)^-1 = sum_k (-1)^k w^k z^(-1-k), cut at z >= -trunc
-    assert g.floors == (-10, None) and g.trunc == 8
-    assert g.coeffs == {(-1 - k, k): ring.from_int((-1) ** k) for k in range(10)}
-    for n in (-3, 2, 5):
-        _same_power(f.int_power(n), f._binomial_power(n))
-
-
-def test_int_power_keeps_binomial_loop_for_floored_bases(monkeypatch):
-    _no_graded(monkeypatch)
-    f = _geometric(QQ, 10, floors=(-4, None))
-    g = f.int_power(-1)
-    assert g.coefficient((-1, 0)) == 1 and g.coefficient((-4, 3)) == -1
-    for n in (-2, 3):
-        _same_power(f.int_power(n), f._binomial_power(n))
-
-
-def test_int_power_takes_graded_recurrence_over_rationals(monkeypatch):
+@pytest.mark.parametrize("ring", [QQ, ZZ, Z6], ids=["QQ", "ZZ", "Z6"])
+def test_int_power_takes_graded_recurrence(monkeypatch, ring):
     calls = []
     real = series._graded_power
 
@@ -672,12 +664,71 @@ def test_int_power_takes_graded_recurrence_over_rationals(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(series, "_graded_power", counting)
-    f = _geometric(QQ, 10)
-    for n in (-2, 3):
-        _same_power(f.int_power(n), f._binomial_power(n))
-    # one-variable bases keep the loop
-    lz({(-1,): 1, (0,): 2}, trunc=10).int_power(-2)
-    assert calls == [-2, 3]
+    f = _geometric(ring, 10)
+    g = f.int_power(-1)
+    # (z + w)^-1 = sum_k (-1)^k w^k z^(-1-k), cut at z >= -trunc
+    assert g.floors == (-10, None) and g.trunc == 8
+    assert g.coeffs == {(-1 - k, k): ring.from_int((-1) ** k) for k in range(10)}
+    for n in (-3, 2, 5):
+        _same_power(f.int_power(n), binomial_power(f, n))
+    # one-variable bases as well
+    lz({(-1,): 1, (0,): 2}, trunc=10, ring=ring).int_power(-2)
+    assert calls == [-1, -3, 2, 5, -2]
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z7], ids=["ZZ", "Z7"])
+def test_int_power_keeps_cells_above_a_high_y_floor(ring):
+    # the y floor 13 lies more than t_rel = 11 above n * 0, where the
+    # binomial loop's deep-cut mode loses every cell (see binomial_oracle)
+    g = _geometric(ring, 12).int_power(-1, floors=(-20, 13))
+    assert g.floors == (-20, 13)
+    assert g.coeffs == {(-1 - j, j): ring.from_int((-1) ** j) for j in range(13, 20)}
+
+
+def test_int_power_of_floored_base_is_a_repeated_product():
+    # z + w + z^-5 clipped at z >= -4: every completion of the clipped term
+    # puts 2*z^-4 into the square, so the square is certified at z >= -3
+    f = lz({(1, 0): 1, (0, 1): 1, (-5, 0): 1}, vars=("z", "w"), trunc=10)
+    f = f.truncate(10, floors=(-4, None))
+    assert f.floors == (-4, None)
+    sq = f.int_power(2)
+    assert sq == f * f and sq.floors == (-3, None)
+    assert f.int_power(3) == f * f * f
+    # the leading term z of the clipped base is not certified
+    with pytest.raises(ValueError, match="floored"):
+        f.int_power(-1)
+
+
+@pytest.mark.parametrize("coeffs,vars,match", [
+    ({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, ("x", "y", "z"), "3 variables"),
+    # z + w/z: the leading term is z, and w/z has total degree 0 < 1
+    ({(1, 0): 1, (-1, 1): 1}, ("z", "w"), "lower total degree"),
+], ids=["three-variables", "negative-total-degree"])
+def test_int_power_rejects_shapes_without_recurrence(coeffs, vars, match):
+    f = lz(coeffs, vars=vars, trunc=8)
+    for n in (-1, 2):
+        with pytest.raises(ValueError, match=match):
+            f.int_power(n)
+
+
+def test_int_power_without_dominant_floor_raises():
+    # (1 + w/z)^-1 has cells of total degree 0 at every depth in z: without
+    # a floor on z the power is infinite (the binomial loop never returns)
+    code = ("from fglcalc.ring import Ring\n"
+            "from fglcalc.series import LaurentElement\n"
+            "f = LaurentElement(Ring.rationals(), ('z', 'w'), {(1, 0): 1, (0, 1): 1}, 8)\n"
+            "try:\n"
+            "    f.int_power(-1, floors=(None, None))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError:") and "floor" in proc.stdout
 
 
 # -- canonical form of rational raw values ------------------------------------
@@ -739,7 +790,7 @@ def test_series_results_keep_canonical_form(data, ring, n):
     f, g, img = series(exps, 6), series(exps, 6), series(exps.filter(any), 4)
     out = [f * g, f + g, f - g, f.substitute({"z": img, "w": img})]
     # an exact base c*x*(1 + h), as in test_graded_power_matches_binomial_loop,
-    # raised by both routes
+    # raised by int_power and by the binomial loop
     lead = data.draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
     coeffs = {(1, 0): lead if ring == "QQ" else {(0,): lead}}
     for _ in range(data.draw(st.integers(0, 5))):
@@ -747,7 +798,7 @@ def test_series_results_keep_canonical_form(data, ring, n):
         dx = data.draw(st.integers(1 if dy == 0 else -dy, t))
         coeffs[(1 + dx, dy)] = data.draw(nonzero)
     base = LaurentElement(R, ("x", "y"), coeffs, t)
-    out += [base * base, base.int_power(n), base._binomial_power(n)]
+    out += [base * base, base.int_power(n), binomial_power(base, n)]
     for h in out:
         _assert_canonical_series(h)
 
