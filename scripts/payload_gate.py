@@ -3,10 +3,13 @@
 Runs every command of the gate list once with this tree's ``src`` on
 PYTHONPATH and once with the other tree's, and stops at the first command
 whose stdout or exit code differs.  Stderr (timings) is not compared.  The
-gate list: ``verify --suite all`` on the six built-in laws at seeds 0 and 3,
-``fgl --trunc 8|13|24`` on the six, ``binom`` on one_parameter (default and
-``--nmin -3 --nmax 4``) and on elliptic, and ``heisenberg --action
-commutators|shift|bracket_table``.
+gate list: ``verify --suite all`` on the six built-in laws at seeds 0 and 3;
+the failure and configuration-error paths, ``verify --suite binom
+--inject-fault`` on additive and on elliptic (exit 1, with a first failure)
+and ``verify --suite delta --kind multiplicative --trunc 15`` (exit 2, no
+cell certified); ``fgl --trunc 8|13|24`` on the six; ``binom`` on
+one_parameter (default and ``--nmin -3 --nmax 4``) and on elliptic; and
+``heisenberg --action commutators|shift|bracket_table``.
 
 Usage: python3 scripts/payload_gate.py --against OTHER/src [--select TEXT]
 
@@ -31,6 +34,9 @@ KINDS = [["--kind", "additive"], ["--kind", "multiplicative"],
 def gate_list():
     cmds = [["verify", "--suite", "all", *kind, "--seed", seed]
             for kind in KINDS for seed in ("0", "3")]
+    cmds += [["verify", "--suite", "binom", "--kind", k, "--inject-fault"]
+             for k in ("additive", "elliptic")]
+    cmds += [["verify", "--suite", "delta", "--kind", "multiplicative", "--trunc", "15"]]
     cmds += [["fgl", *kind, "--trunc", t] for kind in KINDS for t in ("8", "13", "24")]
     cmds += [["binom", "--kind", "one_parameter"],
              ["binom", "--kind", "one_parameter", "--nmin", "-3", "--nmax", "4"],

@@ -60,6 +60,47 @@ def _fail(ring, monomial, lhs, rhs):
     }}
 
 
+def _compare(identity, name, lhs, rhs, window=None, details=None):
+    """The Report of lhs = rhs, compared cell by cell where both certify.
+
+    Two BilateralWindows are compared on the intersection of their boxes
+    (EmptyWindow when it is empty).  A pass reports that surviving box with
+    ``details``, by default its ``window_size`` on lhs; a fail reports
+    ``window``, by default the surviving box.  Two LaurentElements are
+    compared on the cells both certify, and both outcomes report ``window``;
+    a pair whose certified regions do not meet certifies nothing and fails
+    with "no certified cells", and a cell where both sides are certified
+    zero counts as certified.  The fail status names the least differing
+    exponent with both sides' coefficients there.
+    """
+    R = lhs.ring
+    if isinstance(lhs, BilateralWindow):
+        ok, bad, box = lhs.agrees_with(rhs)
+        surv = [list(r) for r in box]
+        if ok:
+            if details is None:
+                details = {"window_size": lhs.restrict(box).window_size()}
+            return Report(identity, name, surv, details=details)
+        if window is None:
+            window = surv
+    else:
+        # both certify e iff e_i >= the higher floor in each variable and
+        # the total degree is below the lower truncation
+        lows = [max((f for f in fs if f is not None), default=None)
+                for fs in zip(lhs.floors, rhs.floors)]
+        if None not in lows and sum(lows) >= min(lhs.trunc, rhs.trunc):
+            return Report(identity, name, window,
+                          {"fail": {"reason": "no certified cells"}})
+        bad = next((e for e in sorted(set(lhs.coeffs) | set(rhs.coeffs))
+                    if lhs.reliable_at(e) and rhs.reliable_at(e)
+                    and not R.eq(lhs.coefficient(e), rhs.coefficient(e))), None)
+        if bad is None:
+            return Report(identity, name, window, details=details or {})
+    zero = R.zero()
+    return Report(identity, name, window,
+                  _fail(R, bad, lhs.coeffs.get(bad, zero), rhs.coeffs.get(bad, zero)))
+
+
 # -- F-binomial coefficients ----------------------------------------------
 
 
@@ -82,10 +123,7 @@ class FBinomialTable:
     def entry(self, n, i, j):
         if (n, i, j) in self.override:
             return self.override[(n, i, j)]
-        s = self.slices[n]
-        if not s.reliable_at((i, j)):
-            raise WindowMiss(f"binomial entry ({n},{i},{j}) is outside the table")
-        return s.coefficient((i, j))
+        return self.slices[n].certified((i, j))
 
 
 def f_binomial(law, n):
@@ -232,45 +270,25 @@ def delta_support_check(law, f, box=(-6, 6)):
                              diag.trunc)
         lhs = D.mul_laurent(f, exact_factor=True)
         rhs = D.mul_laurent(fww, exact_factor=True)
-    ok, bad, surv = lhs.agrees_with(rhs)
-    if not ok:
-        return Report("delta/diagonal_support", law.name, [list(r) for r in surv],
-                      _fail(R, bad, lhs.coeffs.get(bad, R.zero()),
-                            rhs.coeffs.get(bad, R.zero())))
-    return Report("delta/diagonal_support", law.name, [list(r) for r in surv],
-                  details={"window_size": lhs.restrict(surv).window_size()})
+    return _compare("delta/diagonal_support", law.name, lhs, rhs)
 
 
 def delta_g_relation_check(law, box=(-6, 6)):
     """delta_F(w/z) = G(z,w)^{-1} * delta_{F_a}(w/z) on the surviving window."""
-    R = law.ring
     D = delta_F(law, box=box).window
     Da = _delta_window(law, box, box, classical=True)
     Ginv = law.G.invert_unit()
     rhs = Da.mul_laurent(Ginv.as_laurent())
-    ok, bad, surv = D.agrees_with(rhs)
-    if not ok:
-        return Report("delta/g_relation", law.name, [list(r) for r in surv],
-                      _fail(R, bad, D.coeffs.get(bad, R.zero()),
-                            rhs.coeffs.get(bad, R.zero())))
-    return Report("delta/g_relation", law.name, [list(r) for r in surv],
-                  details={"window_size": D.restrict(surv).window_size()})
+    return _compare("delta/g_relation", law.name, D, rhs)
 
 
 def delta_phi_relation_check(law, box=(-6, 6)):
     """delta_F(w/z) * p_F(z) = delta_{F_a}(w/z); valid over any base ring."""
-    R = law.ring
     D = delta_F(law, box=box).window
     pf = law.pF.rename(("z",)).extend(("z", "w"))
     lhs = D.mul_laurent(pf.as_laurent())
     rhs = _delta_window(law, box, box, classical=True)
-    ok, bad, surv = lhs.agrees_with(rhs)
-    if not ok:
-        return Report("delta/invariant_factor", law.name, [list(r) for r in surv],
-                      _fail(R, bad, lhs.coeffs.get(bad, R.zero()),
-                            rhs.coeffs.get(bad, R.zero())))
-    return Report("delta/invariant_factor", law.name, [list(r) for r in surv],
-                  details={"window_size": lhs.restrict(surv).window_size()})
+    return _compare("delta/invariant_factor", law.name, lhs, rhs)
 
 
 def _delta_tower(law, delta, power, base_vars, out_var, B):
@@ -334,7 +352,6 @@ def f_jacobi_delta_check(law, B=4):
     F(z1, iota z2), in its two expansions, against the z2^{-1} term.  Part
     two: the exchange identity relating the z2-term to the delta of F(z0,z2).
     """
-    R = law.ring
     # Check-local tables keep the law's power table from growing.  The four
     # towers share one delta element; t3 reuses the twisted powers of t1, and
     # t2 and t4 reuse none, so each of those two gets a table of its own that
@@ -352,26 +369,19 @@ def f_jacobi_delta_check(law, B=4):
     t3 = tower(("z1", "z0"), "z2", shared)
     del shared
     t2 = tower(("z1", "z2"), "z0", dict(delta_table), dominant=1)
-    lhs = t1 - t2
-    ok, bad, surv = lhs.agrees_with(t3)
-    if not ok:
-        return Report("delta/f_jacobi", law.name, [list(r) for r in surv],
-                      _fail(R, bad, lhs.coeffs.get(bad, R.zero()),
-                            t3.coeffs.get(bad, R.zero())))
-    win1 = lhs.restrict(surv).window_size()
+    jacobi = _compare("delta/f_jacobi", law.name, t1 - t2, t3)
+    if not jacobi.ok:
+        return jacobi
 
     # exchange: i_{z1,z0} z2^{-1} delta_F(F(z1,iota z0)/z2)
     #         = i_{z2,z0} z1^{-1} delta_F(F(z0,z2)/z1)
     t4 = tower(("z2", "z0"), "z1", dict(delta_table), twisted=False)
-    ok, bad, surv2 = t3.agrees_with(t4)
-    if not ok:
-        return Report("delta/exchange", law.name, [list(r) for r in surv2],
-                      _fail(R, bad, t3.coeffs.get(bad, R.zero()),
-                            t4.coeffs.get(bad, R.zero())))
+    exchange = _compare("delta/exchange", law.name, t3, t4)
+    if not exchange.ok:
+        return exchange
     return Report("delta/f_jacobi", law.name,
-                  {"jacobi": [list(r) for r in surv],
-                   "exchange": [list(r) for r in surv2]},
-                  details={"window_size": win1})
+                  {"jacobi": jacobi.window, "exchange": exchange.window},
+                  details=jacobi.details)
 
 
 # -- F-residues ------------------------------------------------------------
@@ -453,29 +463,6 @@ def hyperderivatives(law, f, nmax):
     return [_slice_w(g, n) for n in range(nmax + 1)]
 
 
-def _agree_on_reliable(identity, name, window, a, b):
-    """Compare two capped LaurentElements where both are certified.
-
-    Returns None when they agree there, else the failing Report.  A pair
-    whose certified regions do not meet certifies nothing and fails too; a
-    cell where both sides are certified zero counts as certified.
-    """
-    # both certify e iff e_i >= the higher floor in each variable and the
-    # total degree is below the lower truncation
-    lows = [max((f for f in fs if f is not None), default=None)
-            for fs in zip(a.floors, b.floors)]
-    if None not in lows and sum(lows) >= min(a.trunc, b.trunc):
-        return Report(identity, name, window,
-                      {"fail": {"reason": "no certified cells"}})
-    R = a.ring
-    for e in set(a.coeffs) | set(b.coeffs):
-        if a.reliable_at(e) and b.reliable_at(e) and \
-                not R.eq(a.coefficient(e), b.coefficient(e)):
-            return Report(identity, name, window,
-                          _fail(R, e, a.coefficient(e), b.coefficient(e)))
-    return None
-
-
 def hyperderivative_properties(law, fs=None, nmax=3):
     """Leibniz rule, composition rule, commutation, and the S_1 identities."""
     R = law.ring
@@ -493,15 +480,14 @@ def hyperderivative_properties(law, fs=None, nmax=3):
         cache[id(f)] = hyperderivatives(law, f, 2 * nmax)
         sf = cache[id(f)]
         # S_0 = identity
-        fail = _agree_on_reliable("hyper/identity", name, None, sf[0], f)
-        if fail:
-            return fail
+        rep = _compare("hyper/identity", name, sf[0], f)
+        if not rep.ok:
+            return rep
         # S_1 f * p_F = f'
         lhs = sf[1] * law.pF.rename(("z",)).as_laurent()
-        fail = _agree_on_reliable("hyper/first_derivative", name, None,
-                                  lhs, f.derivative("z"))
-        if fail:
-            return fail
+        rep = _compare("hyper/first_derivative", name, lhs, f.derivative("z"))
+        if not rep.ok:
+            return rep
 
     # Leibniz
     f, g = fs[0], fs[1 % len(fs)]
@@ -513,9 +499,9 @@ def hyperderivative_properties(law, fs=None, nmax=3):
         for i in range(0, n + 1):
             term = sf[i] * sg[n - i]
             rhs = term if rhs is None else rhs + term
-        fail = _agree_on_reliable("hyper/leibniz", name, {"n": n}, sprod[n], rhs)
-        if fail:
-            return fail
+        rep = _compare("hyper/leibniz", name, sprod[n], rhs, {"n": n})
+        if not rep.ok:
+            return rep
 
     # composition and commutation
     nested = {n: hyperderivatives(law, sf[n], nmax) for n in range(nmax + 1)}
@@ -523,19 +509,17 @@ def hyperderivative_properties(law, fs=None, nmax=3):
         for n in range(0, nmax + 1):
             smn = nested[n][m]
             snm = nested[m][n]
-            fail = _agree_on_reliable("hyper/commutation", name,
-                                      {"m": m, "n": n}, smn, snm)
-            if fail:
-                return fail
+            rep = _compare("hyper/commutation", name, smn, snm, {"m": m, "n": n})
+            if not rep.ok:
+                return rep
             rhs = None
             for k in range(0, m + n + 1):
                 coef = table.entry(k, m, n) if k <= table.nmax else R.zero()
                 term = sf[k].scale(coef)
                 rhs = term if rhs is None else rhs + term
-            fail = _agree_on_reliable("hyper/composition", name,
-                                      {"m": m, "n": n}, smn, rhs)
-            if fail:
-                return fail
+            rep = _compare("hyper/composition", name, smn, rhs, {"m": m, "n": n})
+            if not rep.ok:
+                return rep
 
     is_additive = law.F.coeffs == {(1, 0): R.one(), (0, 1): R.one()}
     if is_additive:
@@ -547,21 +531,18 @@ def hyperderivative_properties(law, fs=None, nmax=3):
             cur = hyperderivative(law, cur, 1)
             fact *= n
             rhs = sf[n].scale(R.from_int(fact))
-            fail = _agree_on_reliable("hyper/repeated_s1", name, {"n": n},
-                                      cur, rhs)
-            if fail:
-                return fail
+            rep = _compare("hyper/repeated_s1", name, cur, rhs, {"n": n})
+            if not rep.ok:
+                return rep
         if R.kind == "mod":
             p = R.modulus
             cur = f
             for _ in range(p):
                 cur = hyperderivative(law, cur, 1)
-            if any(not R.is_zero(c) for e, c in cur.coeffs.items()
-                   if cur.reliable_at(e)):
-                bad = next(e for e, c in cur.coeffs.items()
-                           if cur.reliable_at(e) and not R.is_zero(c))
-                return Report("hyper/torsion_s1", name, {"p": p},
-                              _fail(R, bad, cur.coefficient(bad), R.zero()))
+            rep = _compare("hyper/torsion_s1", name, cur,
+                           LaurentElement.zero(R, cur.vars, cur.trunc), {"p": p})
+            if not rep.ok:
+                return rep
             zp = LaurentElement(R, ("z",), {(p,): R.one()}, law.trunc)
             sp = hyperderivative(law, zp, p)
             if not R.eq(sp.coefficient((0,)), R.one()):

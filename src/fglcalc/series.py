@@ -455,7 +455,18 @@ class LaurentElement:
         """Whether the coefficient at exponent vector e is certified."""
         if _tot(e) >= self.trunc:
             return False
-        return all(f is None or x >= f for x, f in zip(e, self.floors))
+        for x, f in zip(e, self.floors):
+            if f is not None and x < f:
+                return False
+        return True
+
+    def certified(self, e):
+        """The coefficient at exponent vector e, which must be certified:
+        WindowMiss names e when ``reliable_at(e)`` is false."""
+        if not self.reliable_at(e):
+            raise WindowMiss(f"cell {tuple(e)} of {self.vars} is not certified "
+                             f"(trunc {self.trunc}, floors {self.floors})")
+        return self.coefficient(e)
 
     def truncate(self, n, floors=None):
         """Truncate to total degree n and, optionally, clip below floors.
@@ -601,8 +612,9 @@ class LaurentElement:
         can recompute the power in another ordering.
 
         A base with floors, or with a non-unit c, is raised to n >= 1 by
-        repeated products, which set the floors; n < 0 raises (its leading
-        term is not certified, or not a unit).  ValueError names the exact
+        repeated products, which set the floors, and clipped at ``floors``
+        when given; n < 0 raises (its leading term is not certified, or not
+        a unit).  ValueError names the exact
         shapes the recurrence does not cover: three or more variables, h
         with a term of negative total degree, and n < 0 with a term of total
         degree 0 in h but no floor on x.
@@ -624,7 +636,7 @@ class LaurentElement:
             out = self
             for _ in range(n - 1):
                 out = out * self
-            return out
+            return out if floors is None else out.truncate(out.trunc, floors=floors)
         v = _tot(m)
         t_rel = self.trunc - v  # relative precision above the valuation
         if floors is None:
@@ -1118,8 +1130,6 @@ class BilateralWindow:
         """
         if isinstance(g, BilateralWindow):
             raise NonConvergentProduct("product of two bilateral series is undefined")
-        if isinstance(g, PowerSeries):
-            g = g.as_laurent()
         if g.ring != self.ring or g.vars != self.vars:
             raise OrderingMismatch("window/factor mismatch")
         if any(f is not None for f in g.floors):

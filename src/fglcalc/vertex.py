@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .calculus import Report, _fail, _inverse_expansions, f_residue, hyperderivative
+from .calculus import (Report, _compare, _fail, _inverse_expansions, f_residue,
+                       hyperderivative)
 from .ring import Ring, sparse_add, sparse_mul
 from .series import BilateralWindow, LaurentElement, WindowMiss
 
@@ -205,6 +206,7 @@ class VertexFAlgebra:
         self.ring = law.ring
         self.adapter = StateSpace(law.ring)
         self.vacuum = {(): 1}
+        self._quotients = {}
 
     def weight(self, s):
         return state_weight(s)
@@ -259,12 +261,7 @@ class HeisenbergAlgebra(VertexFAlgebra):
     def beta(self, j, k, m):
         """z^k w^(-m-1) coefficient of the w-dominant expansion of F^(-j-1),
         read from the law's power table."""
-        g = self.law.power(-j - 1, ("w", "z"))
-        e = (-m - 1, k)
-        if not g.reliable_at(e):
-            raise WindowMiss(
-                f"shift coefficient ({j},{k},{m}) beyond certified truncation")
-        return g.coefficient(e)
+        return self.law.power(-j - 1, ("w", "z")).certified((-m - 1, k))
 
     # -- basis ---------------------------------------------------------------
 
@@ -503,12 +500,9 @@ class LieClass:
 
 
 def _quotient(A, W):
-    cache = getattr(A, "_quotients", None)
-    if cache is None:
-        cache = A._quotients = {}
-    if W not in cache:
-        cache[W] = ShiftQuotient(A, W)
-    return cache[W]
+    if W not in A._quotients:
+        A._quotients[W] = ShiftQuotient(A, W)
+    return A._quotients[W]
 
 
 def quotient_reduce(A, state, W=None):
@@ -557,11 +551,8 @@ def shifted_bracket_series(A, a, b, mmax):
             g = law.power(k)
             r = law.ring.zero()
             for i in range(0, m - k):
-                e = (-1 - i, m)
-                if not g.reliable_at(e):
-                    raise WindowMiss(f"descent cell {e} beyond certified truncation")
                 r = law.ring.add(r, law.ring.mul(_pf_coeff(law, i),
-                                                 g.coefficient(e)))
+                                                 g.certified((-1 - i, m))))
             if r:
                 d = st_add(d, st_scale(yk, r))
         out.append(d)
@@ -594,9 +585,7 @@ def field_skew_defect(A, a, b, emax=None):
         else:
             ip = iota.int_power(k, floors=(-depth,))
         for e in range(max(k, emin), emax + 1):
-            if not ip.reliable_at((e,)):
-                raise WindowMiss(f"iota power cell ({k},{e}) beyond truncation")
-            c = ip.coefficient((e,))
+            c = ip.certified((e,))
             if c:
                 H[e] = st_add(H.get(e, {}), st_scale(yk, c))
     defect = {}
@@ -777,11 +766,7 @@ def y_at_group_law_grid(A, a, series, box, tot_cap=None):
                         continue
                     if tot_cap is not None and i + j > tot_cap:
                         continue
-                    e = (i, j - n)
-                    if not g.reliable_at(e):
-                        raise WindowMiss(
-                            f"group-law power cell {e} of F^{k} beyond truncation")
-                    cf = g.coefficient(e)
+                    cf = g.certified((i, j - n))
                     if cf:
                         coeffs[(i, j)] = st_add(coeffs.get((i, j), {}),
                                                 st_scale(yk, cf))
@@ -1008,13 +993,10 @@ def axiom_check(A, which, samples=None, Nmax=8, kmax=None):
                     lhs = BilateralWindow(A.adapter, ("z", "w"), coeffs, box,
                                           _clean=True)
                     rhs = y_at_group_law_grid(A, a, {0: b}, box)
-                    ok, bad, _ = lhs.agrees_with(rhs)
-                    if not ok:
-                        return Report("axiom/translation_covariance", name,
-                                      {"part": "covariance"},
-                                      _fail(A.adapter, bad,
-                                            lhs.coeffs.get(bad, {}),
-                                            rhs.coeffs.get(bad, {})))
+                    rep = _compare("axiom/translation_covariance", name, lhs, rhs,
+                                   {"part": "covariance"})
+                    if not rep.ok:
+                        return rep
                     full += 1
             else:
                 fld = A.y_field(a, A.vacuum, kmax)
@@ -1196,31 +1178,15 @@ def meromorphicity_pair(A, a, b, c, N=None, top=(3, 3)):
 
     p_up = mul_complete_lower(g, _lifted_f_power(A, N + 1))
     p_mul = mul_complete_lower(p, _lifted_f_power(A, 1))
-    ok, bad, surv = p_up.agrees_with(p_mul)
-    if not ok:
-        checks["n_independence"] = Report(
-            "meromorphicity/n_independence", name, {"N": N},
-            _fail(A.adapter, bad, p_up.coeffs.get(bad, {}),
-                  p_mul.coeffs.get(bad, {})))
-    else:
-        checks["n_independence"] = Report(
-            "meromorphicity/n_independence", name, [list(r) for r in surv],
-            details={"N": N})
+    checks["n_independence"] = _compare("meromorphicity/n_independence", name,
+                                        p_up, p_mul, {"N": N}, {"N": N})
 
     try:
         inner = A.y_field(a, b, box[0][1])
         lhs = _w_route_grid(A, inner, c, box)
         lhsN = lhs if N == 0 else mul_complete_lower(lhs, _lifted_f_power(A, N))
-        ok, bad, surv = lhsN.agrees_with(p)
-        if not ok:
-            checks["w_dominant"] = Report(
-                "meromorphicity/w_dominant", name, {"N": N},
-                _fail(A.adapter, bad, lhsN.coeffs.get(bad, {}),
-                      p.coeffs.get(bad, {})))
-        else:
-            checks["w_dominant"] = Report(
-                "meromorphicity/w_dominant", name, [list(r) for r in surv],
-                details={"N": N})
+        checks["w_dominant"] = _compare("meromorphicity/w_dominant", name,
+                                        lhsN, p, {"N": N}, {"N": N})
     except YUndefined:
         checks["w_dominant"] = None
 
@@ -1255,10 +1221,7 @@ def _substituted_p_check(A, a, b, c, p, N, top):
                 e = (e1, j2 - j)
                 if e1 + (j2 - j) < i:
                     continue
-                if not P.reliable_at(e):
-                    raise WindowMiss(
-                        f"substituted power cell {e} of F^{i} beyond truncation")
-                cf = P.coefficient(e)
+                cf = P.certified(e)
                 if R.is_zero(cf):
                     continue
                 coeffs[(u, j2)] = st_add(coeffs.get((u, j2), {}),
@@ -1267,26 +1230,11 @@ def _substituted_p_check(A, a, b, c, p, N, top):
     # same variable labels as the direct grid (v plays the role of z there)
     sub = BilateralWindow(A.adapter, ("z", "w"), coeffs, cmp_box,
                           max_total=None if mt is None else mt - N)
-    ok, bad, surv = sub.agrees_with(direct)
-    if not ok:
-        return Report("meromorphicity/operator_product", name, {"N": N},
-                      _fail(A.adapter, bad, sub.coeffs.get(bad, {}),
-                            direct.coeffs.get(bad, {})))
-    return Report("meromorphicity/operator_product", name,
-                  [list(r) for r in surv], details={"N": N})
+    return _compare("meromorphicity/operator_product", name, sub, direct,
+                    {"N": N}, {"N": N})
 
 
 # -- the three-term delta Jacobi identity for Y -------------------------------
-
-
-def _delta_coeff(da, db, m, n):
-    """out^m u^n coefficient of out^{-1} delta_F(u/out) from the two
-    expansions (da, db) of F(out, iota u)^{-1}, certified."""
-    e = (m, n)
-    if not (da.reliable_at(e) and db.reliable_at(e)):
-        raise WindowMiss(f"delta cell {e} beyond certified truncation")
-    R = da.ring
-    return R.add(da.coefficient(e), R.neg(db.coefficient(e)))
 
 
 def jacobi_identity_check(A, a, b, c, B=4, N=None):
@@ -1363,61 +1311,34 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
         raise WindowMiss(
             f"kernel certified only to total {p.max_total}, need {cap_p}")
 
+    def add_tower_cell(acc, state, m, cell, dominant=0, add=st_add):
+        # acc + state * sum_n [out^m u^n] out^{-1} delta_F(u/out) * [cell] F^n:
+        # u^n is replaced by a power of F in the given dominance ordering,
+        # and only n <= tot(cell) reach the cell
+        r = R.zero()
+        for n in range(-m - 1, sum(cell) + 1):
+            d = R.sub(da.certified((m, n)), db.certified((m, n)))
+            if d:
+                P = law.power(n, twisted=True, dominant=dominant)
+                r = R.add(r, R.mul(d, P.certified(cell)))
+        return add(acc, st_scale(state, r)) if r else acc
+
     cells = 0
     for e0 in range(-B, B + 1):
         for e1 in range(-B, B + 1):
             for e2 in range(-B, B + 1):
                 rhs = {}
                 for (j1, j2), v in g1.items():
-                    s1, s2 = e1 - j1, e2 - j2
-                    if s2 < 0:
-                        continue
-                    for n in range(-e0 - 1, s1 + s2 + 1):
-                        d = _delta_coeff(da, db, e0, n)
-                        if R.is_zero(d):
-                            continue
-                        P = law.power(n, twisted=True)
-                        if not P.reliable_at((s1, s2)):
-                            raise WindowMiss(
-                                f"power cell ({s1},{s2}) of F^{n} beyond "
-                                "certified truncation")
-                        cf = R.mul(d, P.coefficient((s1, s2)))
-                        if not R.is_zero(cf):
-                            rhs = st_add(rhs, st_scale(v, cf))
+                    if e2 >= j2:
+                        rhs = add_tower_cell(rhs, v, e0, (e1 - j1, e2 - j2))
                 for (j1, j2), v in g2.items():
-                    s1, s2 = e1 - j1, e2 - j2
-                    if s1 < 0:
-                        continue
-                    for n in range(-e0 - 1, s1 + s2 + 1):
-                        d = _delta_coeff(da, db, e0, n)
-                        if R.is_zero(d):
-                            continue
-                        P = law.power(n, twisted=True, dominant=1)
-                        if not P.reliable_at((s1, s2)):
-                            raise WindowMiss(
-                                f"power cell ({s1},{s2}) of F^{n} beyond "
-                                "certified truncation")
-                        cf = R.mul(d, P.coefficient((s1, s2)))
-                        if not R.is_zero(cf):
-                            rhs = st_sub(rhs, st_scale(v, cf))
+                    if e1 >= j1:
+                        rhs = add_tower_cell(rhs, v, e0, (e1 - j1, e2 - j2),
+                                             1, st_sub)
                 lhs = {}
                 for (i, j), pij in p.coeffs.items():
-                    s0 = e0 - i
-                    if s0 < 0 or i + j > cap_p:
-                        continue
-                    m2 = e2 - j
-                    for n in range(-m2 - 1, e1 + N + s0 + 1):
-                        d = _delta_coeff(da, db, m2, n)
-                        if R.is_zero(d):
-                            continue
-                        P = law.power(n, twisted=True)
-                        if not P.reliable_at((e1 + N, s0)):
-                            raise WindowMiss(
-                                f"power cell ({e1 + N},{s0}) of F^{n} beyond "
-                                "certified truncation")
-                        cf = R.mul(d, P.coefficient((e1 + N, s0)))
-                        if not R.is_zero(cf):
-                            lhs = st_add(lhs, st_scale(pij, cf))
+                    if e0 >= i and i + j <= cap_p:
+                        lhs = add_tower_cell(lhs, pij, e2 - j, (e1 + N, e0 - i))
                 if lhs != rhs:
                     return Report("vertex/jacobi", name, [[-B, B]] * 3,
                                   _fail(A.adapter, (e0, e1, e2), lhs, rhs))

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglcalc.ring import Ring
-from fglcalc.series import LaurentElement, PowerSeries, WindowMiss, comb_any
+from fglcalc.series import (BilateralWindow, EmptyWindow, LaurentElement,
+                            PowerSeries, WindowMiss, comb_any)
 from fglcalc.fgl import FormalGroupLaw, standard_law
 from fglcalc.calculus import (
     FBinomialTable,
-    _agree_on_reliable,
+    _compare,
     additive_iterated_oracle,
     delta_F,
     delta_g_relation_check,
@@ -416,18 +417,49 @@ def test_comparison_without_certified_cells_fails():
     a = LaurentElement(QQ, ("z",), {(1,): Fraction(1)}, 3)
     b = LaurentElement(QQ, ("z",), {(1,): Fraction(2), (6,): Fraction(1)}, 10,
                        floors=(5,))
-    rep = _agree_on_reliable("hyper/identity", "x", None, a, b)
+    rep = _compare("hyper/identity", "x", a, b)
     assert not rep.ok
     assert rep.status == {"fail": {"reason": "no certified cells"}}
     # certified zeros count: two zero series on a common region agree
     zero = LaurentElement(QQ, ("z",), {}, 4, floors=(-3,))
-    assert _agree_on_reliable("hyper/identity", "x", None, zero,
-                              LaurentElement(QQ, ("z",), {}, 10)) is None
+    assert _compare("hyper/identity", "x", zero,
+                    LaurentElement(QQ, ("z",), {}, 10)).ok
     # one common certified cell is enough to pass, and a mismatch there fails
     c = LaurentElement(QQ, ("z",), {(1,): Fraction(1)}, 10)
-    assert _agree_on_reliable("hyper/identity", "x", None, a, c) is None
-    rep = _agree_on_reliable("hyper/identity", "x", {"n": 1}, a, c.scale(Fraction(2)))
+    assert _compare("hyper/identity", "x", a, c).ok
+    rep = _compare("hyper/identity", "x", a, c.scale(Fraction(2)), {"n": 1})
     assert rep.status["fail"]["monomial"] == [1]
+
+
+def test_compare_reports_the_least_differing_cell():
+    # window pair: the boxes meet in [-1, 2] x [-2, 2]
+    a = BilateralWindow(QQ, ("z", "w"), {(1, -2): 1, (-1, 2): 4, (0, 0): 5},
+                        [(-2, 2), (-2, 2)])
+    box_b = [(-1, 3), (-3, 2)]
+    same = BilateralWindow(QQ, ("z", "w"), a.coeffs, box_b)
+    rep = _compare("delta/x", "x", a, same)
+    assert rep.ok and rep.window == [[-1, 2], [-2, 2]]
+    assert rep.details == {"window_size": 20}
+    b = BilateralWindow(QQ, ("z", "w"), {(1, -2): 2, (-1, 2): 3, (0, 0): 5}, box_b)
+    rep = _compare("delta/x", "x", a, b)
+    assert rep.window == [[-1, 2], [-2, 2]]
+    assert rep.status == {"fail": {"monomial": [-1, 2], "lhs": "4", "rhs": "3"}}
+    assert _compare("delta/x", "x", a, b, {"N": 0}).window == {"N": 0}
+    far = BilateralWindow(QQ, ("z", "w"), {}, [(3, 4), (-2, 2)])
+    with pytest.raises(EmptyWindow):
+        _compare("delta/x", "x", a, far)
+    # Laurent pair: (1, -2) comes first in set order, (0, 3) in sorted order
+    f = LaurentElement(QQ, ("z", "w"), {(1, -2): 1, (0, 3): 1, (2, 1): 1}, 10)
+    g = LaurentElement(QQ, ("z", "w"), {(1, -2): 2, (0, 3): 2, (2, 1): 1}, 10)
+    rep = _compare("hyper/x", "x", f, f, {"n": 1})
+    assert rep.ok and rep.window == {"n": 1}
+    rep = _compare("hyper/x", "x", f, g, {"n": 1})
+    assert rep.window == {"n": 1}
+    assert rep.status == {"fail": {"monomial": [0, 3], "lhs": "1", "rhs": "2"}}
+    low = LaurentElement(QQ, ("z", "w"), {}, 2, floors=(0, 0))
+    high = LaurentElement(QQ, ("z", "w"), {}, 10, floors=(1, 1))
+    assert _compare("hyper/x", "x", low, high).status == {
+        "fail": {"reason": "no certified cells"}}
 
 
 def test_hyperderivative_repeated_s1_factorials():

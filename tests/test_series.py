@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from fglcalc.series import (
     NotInvertibleError,
     OrderingMismatch,
     PowerSeries,
+    WindowMiss,
     comb_any,
 )
 from fglcalc.vertex import HeisenbergAlgebra, ShiftQuotient, StateSpace, mul_complete_lower
@@ -697,6 +699,31 @@ def test_int_power_of_floored_base_is_a_repeated_product():
     # the leading term z of the clipped base is not certified
     with pytest.raises(ValueError, match="floored"):
         f.int_power(-1)
+
+
+def test_repeated_product_power_is_clipped_at_floors():
+    # a non-unit leading coefficient takes the repeated product:
+    # (2z + w)^2 = 4z^2 + 4zw + w^2, clipped at z >= 2
+    f = LaurentElement(ZZ, ("z", "w"), {(1, 0): 2, (0, 1): 1}, 10)
+    sq = f.int_power(2, floors=(2, None))
+    assert sq.coeffs == {(2, 0): 4} and sq.floors == (2, None)
+    # a clip that removes no cell records no floor
+    assert f.int_power(2, floors=(-3, None)).floors == (None, None)
+    # a floored base at n = 1 is clipped too
+    g = lz({(1, 0): 1, (0, 1): 1, (-5, 0): 1}, vars=("z", "w"), trunc=10)
+    g = g.truncate(10, floors=(-4, None))
+    h = g.int_power(1, floors=(1, None))
+    assert h.coeffs == {(1, 0): 1} and h.floors == (1, None)
+
+
+def test_certified_reads_only_certified_cells():
+    f = LaurentElement(QQ, ("z", "w"), {(1, 0): 1, (0, 1): 3}, 6, floors=(-2, None))
+    assert f.certified((0, 1)) == 3
+    # a certified zero is returned, not raised
+    assert f.certified((3, -1)) == 0
+    for e in ((-3, 0), (4, 2), (0, 6)):
+        with pytest.raises(WindowMiss, match=re.escape(str(e))):
+            f.certified(e)
 
 
 @pytest.mark.parametrize("coeffs,vars,match", [
