@@ -7,7 +7,12 @@ gate list: ``verify --suite all`` on the six built-in laws at seeds 0 and 3;
 the failure and configuration-error paths, ``verify --suite binom
 --inject-fault`` on additive and on elliptic (exit 1, with a first failure)
 and ``verify --suite delta --kind multiplicative --trunc 15`` (exit 2, no
-cell certified); ``fgl --trunc 8|13|24`` on the six; ``binom`` on
+cell certified); the delta towers and vertex grids at B = 2 and on windows
+clipped by floors, ``verify --suite delta --kind elliptic --window 2``,
+``verify --suite delta --kind multiplicative --trunc 5``, ``verify --suite
+vertex --kind multiplicative --window 2`` (exit 0) and ``verify --suite
+vertex --kind additive --weight 4`` (exit 2, a WindowMiss in the vertex
+Jacobi check); ``fgl --trunc 8|13|24`` on the six; ``binom`` on
 one_parameter (default and ``--nmin -3 --nmax 4``) and on elliptic; and
 ``heisenberg --action commutators|shift|bracket_table``.
 
@@ -37,6 +42,10 @@ def gate_list():
     cmds += [["verify", "--suite", "binom", "--kind", k, "--inject-fault"]
              for k in ("additive", "elliptic")]
     cmds += [["verify", "--suite", "delta", "--kind", "multiplicative", "--trunc", "15"]]
+    cmds += [["verify", "--suite", "delta", "--kind", "elliptic", "--window", "2"],
+             ["verify", "--suite", "delta", "--kind", "multiplicative", "--trunc", "5"],
+             ["verify", "--suite", "vertex", "--kind", "multiplicative", "--window", "2"],
+             ["verify", "--suite", "vertex", "--kind", "additive", "--weight", "4"]]
     cmds += [["fgl", *kind, "--trunc", t] for kind in KINDS for t in ("8", "13", "24")]
     cmds += [["binom", "--kind", "one_parameter"],
              ["binom", "--kind", "one_parameter", "--nmin", "-3", "--nmax", "4"],

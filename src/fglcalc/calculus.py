@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 from math import comb
 
-from .ring import sparse_add, sparse_mul
 from .series import (
     BilateralWindow,
     LaurentElement,
@@ -291,58 +291,71 @@ def delta_phi_relation_check(law, box=(-6, 6)):
     return _compare("delta/invariant_factor", law.name, lhs, rhs)
 
 
-def _delta_tower(law, delta, power, base_vars, out_var, B):
-    """out^{-1} delta_F(u/out) with u^{+-1} replaced by the given expansion
-    of base^{+-1}; a window over (z0, z1, z2).
+def _tower_cell(delta, power, m, cell):
+    """The out^m (cell) coefficient of out^{-1} delta_F(u/out) with u^n
+    replaced by power(n): the sum of delta[out^m u^n] * power(n)[cell] over
+    -m-1 <= n <= tot(cell), every read through ``certified``.
 
-    delta is the pair ``_inverse_expansions(law)`` gives, read by position
-    as (out, u).  power(n) gives base^n in the desired dominance ordering,
-    with exponents and floors in base_vars order; base is an exact
-    two-variable element of valuation one.  The result is
-    sum_n slice_n(out) * base^n where slice_n is the u^n coefficient of the
-    two-variable F-delta element.  A substituted cell at out-exponent e0
-    receives contributions only from n >= -e0-1 (the delta element has total
-    degree >= -1 and its out-dominant part bottoms out at out^{-n-1}), which
-    keeps every certified cell a finite sum.
+    delta is the two-variable (out, u) element, the difference of the two
+    ``_inverse_expansions``; power(n) has valuation n and exponents in the
+    order of ``cell``.  No other n reaches the cell: delta has total degree
+    >= -1, and power(n) has no cell of total degree below n.
     """
-    R = law.ring
-    a, b = delta
-    diff = sparse_add(R, dict(a.coeffs), ((e, R.neg(c)) for e, c in b.coeffs.items()))
-    slices = {}
-    for (e0, n), c in diff.items():
-        slices.setdefault(n, {})[e0] = c
+    R = delta.ring
+    r = R.zero()
+    for n in range(-m - 1, sum(cell) + 1):
+        d = delta.certified((m, n))
+        if d:
+            c = power(n).certified(cell)
+            if c:
+                r = R.add(r, R.mul(d, c))
+    return r
 
+
+def _delta_tower(delta, power, base_vars, out_var, B):
+    """out^{-1} delta_F(u/out) with u^n replaced by power(n), the given
+    expansion of base^n; a window over (z0, z1, z2) on the box [-B, B]^3.
+
+    delta is the difference of the two ``_inverse_expansions``, read by
+    position as (out, u), and power(n) is an exact two-variable element of
+    valuation n with exponents and floors in base_vars order.  Each box cell
+    is one ``_tower_cell`` sum, so no power above n = 2B is read.  The box
+    keeps only the cells every read certifies: out-exponents at or above the
+    delta's out floor and below minus its u floor (out-exponent e0 needs
+    every u^n with n >= -e0-1), base exponents at or above the floors of the
+    powers read, and totals up to ``max_total``.
+    """
     allvars = ("z0", "z1", "z2")
     oi = allvars.index(out_var)
+    bi = [allvars.index(v) for v in base_vars]
     lo = [-B, -B, -B]
     hi = [B, B, B]
-    if a.floors[0] is not None:
-        lo[oi] = max(lo[oi], a.floors[0])
-    if b.floors[1] is not None:
-        # slices below the u floor of the u-dominant expansion are not
-        # certified, and out-exponent e0 needs every slice n >= -e0-1
-        hi[oi] = min(hi[oi], -b.floors[1] - 1)
-    coeffs = {}
-    mt = min(a.trunc, b.trunc) - 1
-    for n in range(-(B + 1), law.trunc + B + 1):
-        sl = slices.get(n, {})
-        sl = {e0: c for e0, c in sl.items() if lo[oi] <= e0 <= hi[oi]}
-        if not sl:
+    if delta.floors[0] is not None:
+        lo[oi] = max(lo[oi], delta.floors[0])
+    if delta.floors[1] is not None:
+        hi[oi] = min(hi[oi], -delta.floors[1] - 1)
+    mt = delta.trunc - 1
+    powers = {}
+    for n in range(-(B + 1), 2 * B + 1):
+        if not any((e0, n) in delta.coeffs for e0 in range(lo[oi], hi[oi] + 1)):
             continue
-        p = power(n)
-        # the lowest out-exponent a slice_n term can certify is max(-B,-n-1);
-        # cells of higher total degree than this cap may miss contributions
-        # beyond the truncation of base^n
+        p = powers[n] = power(n)
+        # the lowest out-exponent that reads power(n) is max(-B, -n-1);
+        # cells of higher total degree than this cap would read power(n)
+        # beyond its truncation
         mt = min(mt, p.trunc - 1 + max(-B, -n - 1))
-        for v, f in zip(base_vars, p.floors):
+        for k, f in zip(bi, p.floors):
             if f is not None:
-                k = allvars.index(v)
                 lo[k] = max(lo[k], f)
-        out_terms = {tuple(e0 if k == oi else 0 for k in range(3)): c0
-                     for e0, c0 in sl.items()}
-        sparse_mul(R, out_terms, p.extend(allvars).coeffs, out=coeffs)
-    return BilateralWindow(R, allvars, coeffs,
-                           list(zip(lo, hi)), max_total=mt)
+    coeffs = {}
+    for e in product(*(range(x, y + 1) for x, y in zip(lo, hi))):
+        if sum(e) <= mt:
+            c = _tower_cell(delta, powers.__getitem__, e[oi],
+                            tuple(e[k] for k in bi))
+            if c:
+                coeffs[e] = c
+    return BilateralWindow(delta.ring, allvars, coeffs, list(zip(lo, hi)),
+                           max_total=mt, _clean=True)
 
 
 def f_jacobi_delta_check(law, B=4):
@@ -351,31 +364,27 @@ def f_jacobi_delta_check(law, B=4):
     Part one: the three-term Jacobi identity for z0^{-1} delta_F applied to
     F(z1, iota z2), in its two expansions, against the z2^{-1} term.  Part
     two: the exchange identity relating the z2-term to the delta of F(z0,z2).
+    The four towers contract one delta element against powers with n <= 2B,
+    each computed once in a check-local table, so none lands on the law.
     """
-    # Check-local tables keep the law's power table from growing.  The four
-    # towers share one delta element; t3 reuses the twisted powers of t1, and
-    # t2 and t4 reuse none, so each of those two gets a table of its own that
-    # is dropped with it, and at most one tower's powers are held at a time.
-    delta_table = {}
-    delta = _inverse_expansions(law, table=delta_table)
+    table = {}
+    a, b = _inverse_expansions(law, table=table)
+    delta = a - b
 
-    def tower(base_vars, out_var, table, twisted=True, dominant=0):
-        power = partial(law.power, vars=base_vars, twisted=twisted,
-                        dominant=dominant, table=table)
-        return _delta_tower(law, delta, power, base_vars, out_var, B)
+    def tower(base_vars, out_var, twisted=True, dominant=0):
+        power = partial(law.power, twisted=twisted, dominant=dominant, table=table)
+        return _delta_tower(delta, power, base_vars, out_var, B)
 
-    shared = dict(delta_table)
-    t1 = tower(("z1", "z2"), "z0", shared)
-    t3 = tower(("z1", "z0"), "z2", shared)
-    del shared
-    t2 = tower(("z1", "z2"), "z0", dict(delta_table), dominant=1)
+    t1 = tower(("z1", "z2"), "z0")
+    t2 = tower(("z1", "z2"), "z0", dominant=1)
+    t3 = tower(("z1", "z0"), "z2")
     jacobi = _compare("delta/f_jacobi", law.name, t1 - t2, t3)
     if not jacobi.ok:
         return jacobi
 
     # exchange: i_{z1,z0} z2^{-1} delta_F(F(z1,iota z0)/z2)
     #         = i_{z2,z0} z1^{-1} delta_F(F(z0,z2)/z1)
-    t4 = tower(("z2", "z0"), "z1", dict(delta_table), twisted=False)
+    t4 = tower(("z2", "z0"), "z1", twisted=False)
     exchange = _compare("delta/exchange", law.name, t3, t4)
     if not exchange.ok:
         return exchange

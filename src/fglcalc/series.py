@@ -20,10 +20,9 @@ All coefficients are raw ring values owned by a Ring (see ring.py).
 
 from __future__ import annotations
 
-import json
 from math import comb, lcm
 
-from .ring import NOT_INVERTIBLE, Ring, sparse_add, sparse_mul
+from .ring import NOT_INVERTIBLE, sparse_add, sparse_mul
 
 
 class OrderingMismatch(Exception):
@@ -370,9 +369,6 @@ class PowerSeries:
         body = " + ".join(terms) or "0"
         return f"<{body} + O(deg {self.trunc})>"
 
-    def to_json(self):
-        return _series_json(self)
-
 
 class LaurentElement:
     """An iterated-Laurent element at truncation, with reliability floors.
@@ -385,16 +381,15 @@ class LaurentElement:
     unknown.
     """
 
-    __slots__ = ("ring", "vars", "coeffs", "trunc", "floors", "tag")
+    __slots__ = ("ring", "vars", "coeffs", "trunc", "floors")
 
-    def __init__(self, ring, vars, coeffs, trunc, floors=None, tag=None, _clean=False):
+    def __init__(self, ring, vars, coeffs, trunc, floors=None, _clean=False):
         self.ring = ring
         self.vars = tuple(vars)
         self.trunc = trunc
         if floors is None:
             floors = (None,) * len(self.vars)
         self.floors = tuple(floors)
-        self.tag = tag
         if _clean:
             self.coeffs = coeffs
         else:
@@ -524,8 +519,7 @@ class LaurentElement:
     def __neg__(self):
         R = self.ring
         return LaurentElement(R, self.vars, {e: R.neg(c) for e, c in self.coeffs.items()},
-                              self.trunc, floors=self.floors,
-                              tag=None, _clean=True)
+                              self.trunc, floors=self.floors, _clean=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -608,8 +602,6 @@ class LaurentElement:
         the floors.  A floor is reported where the clip removed a stored
         cell, and on x for n < 0 whenever h has terms of total degree 0:
         (1 + h)^n then has cells of total degree 0 below every x floor.
-        The result of an exact base is tagged with it so that ``expand``
-        can recompute the power in another ordering.
 
         A base with floors, or with a non-unit c, is raised to n >= 1 by
         repeated products, which set the floors, and clipped at ``floors``
@@ -663,32 +655,13 @@ class LaurentElement:
                            for af, s in zip(acc_floors, shift))
         # an exact base is kept by reference (nothing mutates coefficient
         # dicts in place), so results held in a power table share it
-        return LaurentElement(R, self.vars, out, t_rel + n * v, floors=out_floors,
-                              tag=("power", self, n))
+        return LaurentElement(R, self.vars, out, t_rel + n * v, floors=out_floors)
 
     @staticmethod
     def one_like(f):
         return LaurentElement.const(f.ring, f.vars, f.ring.one(), f.trunc)
 
     # -- expansion maps ----------------------------------------------------
-
-    def expand(self, ordering, floors=None):
-        """Re-expand in a different variable ordering.
-
-        Exact elements of the un-iterated ring are reinterpreted directly
-        (the two expansions agree there).  Elements produced by int_power
-        carry a (base, exponent) tag and are recomputed in the target ring.
-        """
-        ordering = tuple(ordering)
-        if set(ordering) != set(self.vars):
-            raise OrderingMismatch(f"{ordering} is not a reordering of {self.vars}")
-        if self.tag is not None and self.tag[0] == "power":
-            _, base, n = self.tag
-            base2 = base.reorder(ordering)
-            return base2.int_power(n, floors=floors)
-        if all(f is None for f in self.floors):
-            return self.reorder(ordering)
-        raise NotLocalizable("no localization data; cannot re-expand a capped element")
 
     def reorder(self, ordering):
         """Permute the variable axes (exact elements only)."""
@@ -861,9 +834,6 @@ class LaurentElement:
         if len(terms) > 12:
             body += f" + [{len(terms) - 12} more]"
         return f"<{body} | trunc {self.trunc}, floors {self.floors}>"
-
-    def to_json(self):
-        return _series_json(self)
 
 
 def _unit_power(R, parts, n, cut, kmax=None):
@@ -1225,45 +1195,17 @@ class BilateralWindow:
                 f"max_total {self.max_total} ({len(self.coeffs)} terms)>")
 
     def to_json(self):
-        d = _series_json(self)
-        d["reliable"] = [list(r) for r in self.reliable]
+        R = self.ring
+        if R.kind == "mod":
+            ring = {"kind": "mod", "m": R.modulus}
+        elif R.kind == "parampoly":
+            ring = {"kind": "parampoly", "base": R.base.kind, "params": list(R.params)}
+        else:
+            ring = {"kind": R.kind}
+        terms = [{"exp": list(e), "coeff": R.to_text(c)}
+                 for e, c in sorted(self.coeffs.items())]
+        d = {"ring": ring, "vars": list(self.vars), "terms": terms,
+             "reliable": [list(r) for r in self.reliable]}
         if self.max_total is not None:
             d["max_total"] = self.max_total
         return d
-
-
-def _ring_json(ring):
-    if ring.kind == "mod":
-        return {"kind": "mod", "m": ring.modulus}
-    if ring.kind == "parampoly":
-        return {"kind": "parampoly", "base": ring.base.kind, "params": list(ring.params)}
-    return {"kind": ring.kind}
-
-
-def ring_from_json(d):
-    kind = d["kind"]
-    if kind == "rationals":
-        return Ring.rationals()
-    if kind == "integers":
-        return Ring.integers()
-    if kind == "mod":
-        return Ring.integers_mod(d["m"])
-    if kind == "parampoly":
-        base = Ring.rationals() if d["base"] == "rationals" else Ring.integers()
-        return Ring.parampoly(base, d["params"])
-    raise ValueError(f"unknown ring kind {kind!r}")
-
-
-def _series_json(f):
-    terms = [
-        {"exp": list(e), "coeff": f.ring.to_text(c)}
-        for e, c in sorted(f.coeffs.items())
-    ]
-    d = {"ring": _ring_json(f.ring), "vars": list(f.vars), "terms": terms}
-    if hasattr(f, "trunc"):
-        d["trunc"] = f.trunc
-    return d
-
-
-def dumps(f, **kw):
-    return json.dumps(f.to_json(), **kw)

@@ -15,9 +15,10 @@ accounts for that exactly instead of papering over it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 
-from .calculus import (Report, _compare, _fail, _inverse_expansions, f_residue,
-                       hyperderivative)
+from .calculus import (Report, _compare, _fail, _inverse_expansions, _tower_cell,
+                       f_residue, hyperderivative)
 from .ring import Ring, sparse_add, sparse_mul
 from .series import BilateralWindow, LaurentElement, WindowMiss
 
@@ -705,19 +706,34 @@ def lie_axiom_check(A, samples=None, W=None, mmax=4):
 # max_total=None and certification comes purely from the requested box.
 
 
-def op_product_grid(A, a, b, c, box):
-    """Y(a,z) Y(b,w) c on the box: cell (i,j) = a_(coeff i) of b_(coeff j) c."""
-    (zlo, zhi), (wlo, whi) = box
-    coeffs = {}
-    for j in range(max(wlo, A.y_kmin(b, c)), whi + 1):
+def _op_products(A, a, b, c, jtop, itop):
+    """The nonzero cells (i, j) of Y(a,z) Y(b,w) c, the z^i coefficient of
+    Y(a,z) applied to the w^j coefficient of Y(b,w)c, for j <= jtop and
+    i <= itop(j); with the least i (capped at 0) and the least j.
+
+    Y(b,z) Y(a,w) c is the call with a and b swapped, its keys transposed.
+    """
+    jlo = A.y_kmin(b, c)
+    ilo = 0
+    cells = {}
+    for j in range(jlo, jtop + 1):
         inner = A.y_coeff(b, c, j)
         if not inner:
             continue
-        for i in range(max(zlo, A.y_kmin(a, inner)), zhi + 1):
+        kmin = A.y_kmin(a, inner)
+        ilo = min(ilo, kmin)
+        for i in range(kmin, itop(j) + 1):
             v = A.y_coeff(a, inner, i)
             if v:
-                coeffs[(i, j)] = v
-    return BilateralWindow(A.adapter, ("z", "w"), coeffs, box, _clean=True)
+                cells[(i, j)] = v
+    return cells, ilo, jlo
+
+
+def op_product_grid(A, a, b, c, box):
+    """Y(a,z) Y(b,w) c on the box: cell (i,j) = a_(coeff i) of b_(coeff j) c."""
+    (_, zhi), (_, whi) = box
+    cells, _, _ = _op_products(A, a, b, c, whi, lambda j: zhi)
+    return BilateralWindow(A.adapter, ("z", "w"), cells, box)
 
 
 def shift_grid(A, fdict, box):
@@ -908,16 +924,19 @@ def weak_associativity_order(A, a, b, c, Nmax=8, top=(4, 4)):
     bad = _escaped_lowest_part(diff, box)
     if bad is not None:
         return None, bad
+    return _annihilation_order(diff, A.law.power, Nmax)
+
+
+def _annihilation_order(diff, power, Nmax):
+    """(N, None) for the least N <= Nmax with power(N) * diff zero on the
+    window, else (None, the least cell of diff).  power(N) is a scalar
+    element, complete with nonnegative exponents (see mul_complete_lower)."""
     for N in range(0, Nmax + 1):
-        if N == 0:
-            prod = diff
-        else:
-            prod = mul_complete_lower(diff, _lifted_f_power(A, N))
+        prod = diff if N == 0 else mul_complete_lower(
+            diff, lift_laurent(diff.ring, power(N)))
         if prod.is_zero_on_window():
             return N, None
-        if bad is None:
-            bad = min(prod.coeffs)
-    return None, bad
+    return None, min(diff.coeffs)
 
 
 def axiom_check(A, which, samples=None, Nmax=8, kmax=None):
@@ -1052,48 +1071,23 @@ def weak_commutativity_order(A, a, b, c, Mmax=8, top=(4, 4), factor="group"):
     Y(a,z)Y(b,w)c on a box with highs ``top``; factor="classical" uses
     (z-w)^M instead (the two differ by a unit and must give the same M)."""
     zhi, whi = top
-    wlo1 = A.y_kmin(b, c)
-    zlo1 = 0
-    g1c = {}
-    for j in range(wlo1, whi + 1):
-        inner = A.y_coeff(b, c, j)
-        if not inner:
-            continue
-        zlo1 = min(zlo1, A.y_kmin(a, inner))
-        for i in range(A.y_kmin(a, inner), zhi + 1):
-            v = A.y_coeff(a, inner, i)
-            if v:
-                g1c[(i, j)] = v
-    zlo2 = A.y_kmin(a, c)
-    wlo2 = 0
-    g2c = {}
-    for i in range(zlo2, zhi + 1):
-        inner = A.y_coeff(a, c, i)
-        if not inner:
-            continue
-        wlo2 = min(wlo2, A.y_kmin(b, inner))
-        for j in range(A.y_kmin(b, inner), whi + 1):
-            v = A.y_coeff(b, inner, j)
-            if v:
-                g2c[(i, j)] = v
+    g1c, zlo1, wlo1 = _op_products(A, a, b, c, whi, lambda j: zhi)
+    g2t, wlo2, zlo2 = _op_products(A, b, a, c, zhi, lambda i: whi)
     box = ((min(zlo1, zlo2), zhi), (min(wlo1, wlo2), whi))
     g1 = BilateralWindow(A.adapter, ("z", "w"), g1c, box, _clean=True)
-    g2 = BilateralWindow(A.adapter, ("z", "w"), g2c, box, _clean=True)
+    g2 = BilateralWindow(A.adapter, ("z", "w"),
+                         {(i, j): v for (j, i), v in g2t.items()}, box, _clean=True)
     diff = g1 - g2
-    if _escaped_lowest_part(diff, box) is not None:
-        raise NotFound(Mmax, what="commutativity order")
-    R = A.ring
-    if factor == "classical":
-        power = LaurentElement(R, ("z", "w"),
-                               {(1, 0): R.one(), (0, 1): R.neg(R.one())},
-                               A.law.trunc).int_power
-    else:
-        def power(M):
-            return A.law.power(M, twisted=True)
-    for M in range(0, Mmax + 1):
-        prod = diff if M == 0 else mul_complete_lower(
-            diff, lift_laurent(A.adapter, power(M)))
-        if prod.is_zero_on_window():
+    if _escaped_lowest_part(diff, box) is None:
+        R = A.ring
+        if factor == "classical":
+            power = LaurentElement(R, ("z", "w"),
+                                   {(1, 0): R.one(), (0, 1): R.neg(R.one())},
+                                   A.law.trunc).int_power
+        else:
+            power = partial(A.law.power, twisted=True)
+        M, _ = _annihilation_order(diff, power, Mmax)
+        if M is not None:
             return M
     raise NotFound(Mmax, what="commutativity order")
 
@@ -1251,36 +1245,21 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
     left side is given its meaning through the meromorphic kernel: with
     phi(z0,z1,z2) = p_{a,b,c}(z0,z2) / z1^N the left term is the delta tower
     applied to phi, which is what the identity's proof reduces it to.  Every
-    output cell is a certified finite sum; the kernel must be componentwise
-    bounded below in z0 for the contraction to terminate, and a violation is
-    reported as a failure of meromorphicity.
+    output cell is a certified finite sum: each Y product or kernel cell is
+    contracted against one delta-tower cell, the ``calculus._tower_cell``
+    sum that the scalar ``f_jacobi_delta_check`` uses too.  The kernel must
+    be componentwise bounded below in z0 for the contraction to terminate,
+    and a violation is reported as a failure of meromorphicity.
     """
     law = A.law
-    R = A.ring
     name = law.name
-    kbc = A.y_kmin(b, c)
-    kac = A.y_kmin(a, c)
     cap = 3 * B + 1
     da, db = _inverse_expansions(law)
+    delta = da - db
 
-    g1 = {}
-    for j2 in range(kbc, B + 1):
-        inner = A.y_coeff(b, c, j2)
-        if not inner:
-            continue
-        for j1 in range(A.y_kmin(a, inner), cap - j2 + 1):
-            v = A.y_coeff(a, inner, j1)
-            if v:
-                g1[(j1, j2)] = v
-    g2 = {}
-    for j1 in range(kac, B + 1):
-        inner = A.y_coeff(a, c, j1)
-        if not inner:
-            continue
-        for j2 in range(A.y_kmin(b, inner), cap - j1 + 1):
-            v = A.y_coeff(b, inner, j2)
-            if v:
-                g2[(j1, j2)] = v
+    g1, _, _ = _op_products(A, a, b, c, B, lambda j: cap - j)
+    g2t, _, _ = _op_products(A, b, a, c, B, lambda j: cap - j)
+    g2 = {(j1, j2): v for (j2, j1), v in g2t.items()}
     if N is None:
         N = weak_commutativity_order(A, a, b, c)
     # kernel cells above this total cannot reach the output box: the delta
@@ -1311,16 +1290,11 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
         raise WindowMiss(
             f"kernel certified only to total {p.max_total}, need {cap_p}")
 
+    # u^n is replaced by a power of F(z, iota w) in either dominance ordering
+    powers = [cache(partial(law.power, twisted=True, dominant=d)) for d in (0, 1)]
+
     def add_tower_cell(acc, state, m, cell, dominant=0, add=st_add):
-        # acc + state * sum_n [out^m u^n] out^{-1} delta_F(u/out) * [cell] F^n:
-        # u^n is replaced by a power of F in the given dominance ordering,
-        # and only n <= tot(cell) reach the cell
-        r = R.zero()
-        for n in range(-m - 1, sum(cell) + 1):
-            d = R.sub(da.certified((m, n)), db.certified((m, n)))
-            if d:
-                P = law.power(n, twisted=True, dominant=dominant)
-                r = R.add(r, R.mul(d, P.certified(cell)))
+        r = _tower_cell(delta, powers[dominant], m, cell)
         return add(acc, st_scale(state, r)) if r else acc
 
     cells = 0

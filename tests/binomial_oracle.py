@@ -4,8 +4,8 @@
 Write f = c*m*(1 + h) with c*m the leading term and t_rel = trunc - tot(m).
 ``binomial_power`` sums the binomial series of (1 + h)^n at relative
 truncation t_rel, term by term, cut at the relative floors, and shifts and
-scales the sum back, giving the same tag as ``int_power``.  It shares no
-arithmetic with the power recurrence beyond the series product.
+scales the sum back.  It shares no arithmetic with the power recurrence
+beyond the series product.
 
 The loop differs from ``int_power`` in known ways, which the comparisons
 stay off: its deep-cut mode loses cells when the floor on y lies more than
@@ -57,7 +57,6 @@ def binomial_power(f, n, floors=None):
         if not any(e2):
             continue
         h_coeffs[e2] = R.mul(ce, cinv)
-    exact = all(fl is None for fl in f.floors)
     acc, min_trunc = _binomial_series(f, h_coeffs, n, t_rel, work_floors)
     coeffs, acc_floors = acc.coeffs, acc.floors
     # shift by n*m and scale by c^n
@@ -73,8 +72,7 @@ def binomial_power(f, n, floors=None):
     out_floors = tuple(
         (af + s) if af is not None else (None if sf is None else fl)
         for af, s, sf, fl in zip(acc_floors, shift, f.floors, floors))
-    tag = ("power", f, n) if exact else None
-    return LaurentElement(R, f.vars, out, out_trunc, floors=out_floors, tag=tag)
+    return LaurentElement(R, f.vars, out, out_trunc, floors=out_floors)
 
 
 def _binomial_series(f, h_coeffs, n, t_rel, work_floors):

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -12,6 +13,8 @@ from fglcalc.fgl import FormalGroupLaw, standard_law
 from fglcalc.calculus import (
     FBinomialTable,
     _compare,
+    _delta_tower,
+    _inverse_expansions,
     additive_iterated_oracle,
     delta_F,
     delta_g_relation_check,
@@ -29,6 +32,7 @@ from fglcalc.calculus import (
     residue_inversion_check,
     residue_theorems_check,
 )
+from delta_tower_oracle import delta_tower
 
 QQ = Ring.rationals()
 
@@ -254,6 +258,40 @@ def test_f_jacobi_computes_each_power_once(kind, monkeypatch):
     assert calls
     assert [k[2:] for k, v in calls.items() if v > 1] == []
     assert [k for k in set(law._powers) - before if k[2] != 1] == []
+    # no box cell of [-2, 2]^3 reads a power above n = 2B
+    assert max(k[2] for k in calls) <= 4
+
+
+# the four towers of f_jacobi_delta_check: base variables, out variable,
+# twisted, dominant
+TOWERS = {"t1": (("z1", "z2"), "z0", True, 0), "t2": (("z1", "z2"), "z0", True, 1),
+          "t3": (("z1", "z0"), "z2", True, 0), "t4": (("z2", "z0"), "z1", False, 0)}
+TOWER_LAWS = [("additive", {}), ("multiplicative", {}), ("one_parameter", {}),
+              ("elliptic", {}), ("p_typical", {"p": 2, "h": 1}),
+              ("p_typical", {"p": 3, "h": 1})]
+
+
+@pytest.mark.parametrize("k", range(len(TOWER_LAWS)),
+                         ids=[kind + "".join(f"-{v}" for v in p.values())
+                              for kind, p in TOWER_LAWS])
+def test_delta_tower_matches_oracle(k):
+    # every truncation on each law, with B cycling so that each law meets
+    # every B; the windows must agree cell by cell, box and max total too
+    kind, params = TOWER_LAWS[k]
+    cells = 0
+    for i, t in enumerate((4, 5, 6, 7, 8, 9, 12)):
+        B = (2, 3, 4)[(i + k) % 3]
+        law = standard_law(kind, trunc=t, **params)
+        a, b = _inverse_expansions(law)
+        for name, (base_vars, out_var, twisted, dominant) in TOWERS.items():
+            power = partial(law.power, twisted=twisted, dominant=dominant)
+            got = _delta_tower(a - b, power, base_vars, out_var, B)
+            want = delta_tower(law, (a, b), partial(power, vars=base_vars),
+                               base_vars, out_var, B)
+            assert (got.coeffs, got.reliable, got.max_total) == \
+                (want.coeffs, want.reliable, want.max_total), (t, B, name)
+            cells += got.window_size()
+    assert cells
 
 
 @pytest.mark.parametrize("kind", ["multiplicative", "elliptic"])
@@ -282,8 +320,8 @@ def test_hyperderivative_properties_computes_each_power_once(kind, monkeypatch):
     for (e, t), g in law._hyperexp_cache.items():
         mono = LaurentElement(R, ("z",), {(e,): R.one()}, t)
         want = mono.substitute({"z": (Fzw, True)}, neg_depth=3 * law.trunc)
-        assert (g.coeffs, g.trunc, g.floors, g.tag) == \
-            (want.coeffs, want.trunc, want.floors, want.tag), (e, t)
+        assert (g.coeffs, g.trunc, g.floors) == \
+            (want.coeffs, want.trunc, want.floors), (e, t)
 
 
 # -- residues --------------------------------------------------------------

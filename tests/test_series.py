@@ -127,17 +127,10 @@ def test_substitute_rejects_constant_term():
         f.as_laurent().substitute({"v": bad})
 
 
-def test_expand_polynomial_is_itself():
-    f = lz({(2, 1): 1}, vars=("z", "w"))
-    g = f.expand(("w", "z"))
-    assert g.coefficient((1, 2)) == 1
-    assert len(g.coeffs) == 1
-
-
 def test_expand_difference_is_classical_delta():
     zmw = lz({(1, 0): 1, (0, 1): -1}, vars=("z", "w"), trunc=14)
     a = zmw.int_power(-1)
-    b = a.expand(("w", "z")).reorder(("z", "w"))
+    b = zmw.reorder(("w", "z")).int_power(-1).reorder(("z", "w"))
     box = [(-6, 6), (-6, 6)]
     wa = BilateralWindow.from_laurent(a, box)
     wb = BilateralWindow.from_laurent(b, box)
@@ -151,7 +144,7 @@ def test_expand_difference_is_classical_delta():
 def test_delta_killed_by_z_minus_w():
     zmw = lz({(1, 0): 1, (0, 1): -1}, vars=("z", "w"), trunc=16)
     a = zmw.int_power(-1)
-    b = a.expand(("w", "z")).reorder(("z", "w"))
+    b = zmw.reorder(("w", "z")).int_power(-1).reorder(("z", "w"))
     box = [(-7, 7), (-7, 7)]
     delta = BilateralWindow.from_laurent(a, box) - BilateralWindow.from_laurent(b, box)
     prod = delta.mul_laurent(zmw, exact_factor=True)
@@ -573,8 +566,8 @@ GRADED_RINGS = {
 
 
 def _same_power(got, want):
-    assert (got.coeffs, got.trunc, got.floors, got.tag) == \
-        (want.coeffs, want.trunc, want.floors, want.tag)
+    assert (got.coeffs, got.trunc, got.floors) == \
+        (want.coeffs, want.trunc, want.floors)
 
 
 @given(data=st.data(), ring=st.sampled_from(sorted(GRADED_RINGS)),
