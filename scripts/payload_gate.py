@@ -13,8 +13,10 @@ clipped by floors, ``verify --suite delta --kind elliptic --window 2``,
 vertex --kind multiplicative --window 2`` (exit 0) and ``verify --suite
 vertex --kind additive --weight 4`` (exit 2, a WindowMiss in the vertex
 Jacobi check); ``fgl --trunc 8|13|24`` on the six; ``binom`` on
-one_parameter (default and ``--nmin -3 --nmax 4``) and on elliptic; and
-``heisenberg --action commutators|shift|bracket_table``.
+one_parameter (default and ``--nmin -3 --nmax 4``) and on elliptic;
+``heisenberg --action commutators|shift|bracket_table`` on the additive law;
+and ``heisenberg --action bracket_table|shift`` on multiplicative and on
+p_typical(2,1), whose brackets carry a p_F correction.
 
 Usage: python3 scripts/payload_gate.py --against OTHER/src [--select TEXT]
 
@@ -51,6 +53,8 @@ def gate_list():
              ["binom", "--kind", "one_parameter", "--nmin", "-3", "--nmax", "4"],
              ["binom", "--kind", "elliptic"]]
     cmds += [["heisenberg", "--action", a] for a in ("commutators", "shift", "bracket_table")]
+    cmds += [["heisenberg", "--action", a, *kind] for kind in (KINDS[1], KINDS[4])
+             for a in ("bracket_table", "shift")]
     return cmds
 
 

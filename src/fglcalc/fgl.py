@@ -67,7 +67,6 @@ class FormalGroupLaw:
             self.exp = None
         self.G = self._g_factor()
         self._powers = {}
-        self._hyperexp_cache = {}
 
     # -- validation --------------------------------------------------------
 

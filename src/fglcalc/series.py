@@ -42,7 +42,8 @@ class IllegalSubstitution(Exception):
 
 
 class NotLocalizable(Exception):
-    pass
+    """Nothing raises this any more; it stays because ``fglcalc.__all__``
+    exports it."""
 
 
 class DiagonalDivergence(Exception):
@@ -538,8 +539,8 @@ class LaurentElement:
     def __mul__(self, other):
         self._check(other)
         R = self.ring
-        if self.is_zero() or other.is_zero():
-            return LaurentElement.zero(R, self.vars, max(self.trunc, other.trunc))
+        # an element with no stored terms has valuation = trunc, so a zero
+        # factor certifies no more than its own truncation allows
         t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
         floors = self._mul_floors(other)
         out = sparse_mul(R, self.coeffs, other.coeffs, cut=t)
@@ -782,13 +783,14 @@ class LaurentElement:
             raise WindowMiss(f"exponent -1 of {name!r} lies below the reliable floor")
         R = self.ring
         rest = self.vars[:i] + self.vars[i + 1:]
+        if not rest:
+            # one variable: the residue is one cell, which must be certified
+            return LaurentElement.const(R, (), self.certified((-1,)), self.trunc + 1)
         out = {}
         for e, c in self.coeffs.items():
             if e[i] == -1:
                 out[e[:i] + e[i + 1:]] = c
         floors = self.floors[:i] + self.floors[i + 1:]
-        if not rest:
-            return LaurentElement(R, (), out, self.trunc + 1, _clean=True)
         return LaurentElement(R, rest, out, self.trunc + 1, floors=floors)
 
     def coefficient_of(self, name, k):

@@ -55,6 +55,13 @@ def st_add(s1, s2):
     return sparse_add(_QQ, dict(s1), s2.items())
 
 
+def st_addmul(acc, s, c):
+    """acc += c * s in place, dropping every sum that becomes zero; returns
+    acc.  c is a raw value of the rationals ring."""
+    mul = _QQ.mul
+    return sparse_add(_QQ, acc, ((k, mul(v, c)) for k, v in s.items()))
+
+
 def st_scale(s, c):
     c = _QQ.from_fraction(c)
     if not c:
@@ -87,13 +94,13 @@ def b_apply(n, s):
     out = {}
     for mono, c in s.items():
         if n < 0:
-            out = st_add(out, {tuple(sorted(mono + (n,))): c})
+            st_addmul(out, {tuple(sorted(mono + (n,))): 1}, c)
         elif n > 0:
             cnt = mono.count(-n)
             if cnt:
                 lst = list(mono)
                 lst.remove(-n)
-                out = st_add(out, {tuple(lst): _QQ.mul(c, n * cnt)})
+                st_addmul(out, {tuple(lst): n * cnt}, c)
     return out
 
 
@@ -114,12 +121,14 @@ def state_text(s):
 
 
 class StateSpace:
-    """Ring-like adapter so the series containers can hold state coefficients.
+    """The module of states as a ring-like adapter, so that BilateralWindow
+    and LaurentElement can hold state coefficients.
 
-    Values are either state dicts or raw scalars of the base ring; products
-    of two state dicts are rejected (the module has no ring structure), while
-    scalar * state scales.  This is what lets BilateralWindow / LaurentElement
-    machinery be reused verbatim for state-valued series.
+    Values are states.  The one product is ``mul(state, c)`` with c a raw
+    scalar of the base ring: it is all that a series of states times a
+    scalar series (a power of the law, say) asks for, and the module has no
+    one and no product of two states.  ``to_text`` also prints a scalar, for
+    failure reports that quote a non-state value.
     """
 
     kind = "state-module"
@@ -139,57 +148,25 @@ class StateSpace:
     def zero(self):
         return {}
 
-    def one(self):
-        return self.base.one()
-
-    def from_int(self, n):
-        return self.base.from_int(n)
-
-    def from_fraction(self, q):
-        return self.base.from_fraction(q)
-
     def is_zero(self, a):
         return not a
 
     def add(self, a, b):
-        if isinstance(a, dict) == isinstance(b, dict):
-            return st_add(a, b) if isinstance(a, dict) else self.base.add(a, b)
-        state, scalar = (a, b) if isinstance(a, dict) else (b, a)
-        if scalar:
-            raise ValueError("cannot add a state and a nonzero scalar")
-        return state
+        return st_add(a, b)
 
     def neg(self, a):
-        if isinstance(a, dict):
-            return st_neg(a)
-        return self.base.neg(a)
+        return st_neg(a)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if isinstance(a, dict) and isinstance(b, dict):
-            raise ValueError("product of two states is undefined")
-        if isinstance(a, dict):
-            return st_scale(a, b)
-        if isinstance(b, dict):
-            return st_scale(b, a)
-        return self.base.mul(a, b)
+    def mul(self, state, c):
+        return st_scale(state, c)
 
     def eq(self, a, b):
-        # a state never equals a scalar, but both kinds of zero are zero
-        return a == b or (not a and not b)
+        return a == b
 
     def to_text(self, a):
         if isinstance(a, dict):
             return state_text(a)
         return self.base.to_text(a)
-
-
-def lift_laurent(adapter, f):
-    """View a scalar-coefficient LaurentElement over the state adapter."""
-    return LaurentElement(adapter, f.vars, dict(f.coeffs), f.trunc,
-                          floors=f.floors, _clean=True)
 
 
 # -- algebras ---------------------------------------------------------------
@@ -308,14 +285,14 @@ class HeisenbergAlgebra(VertexFAlgebra):
                     continue
                 c = self.beta(j, k, m)
                 if c:
-                    out = st_add(out, st_scale(b_apply(j, sub), c))
+                    st_addmul(out, b_apply(j, sub), c)
         self._smono[key] = out
         return out
 
     def shift(self, n, s):
         out = {}
         for mono, c in s.items():
-            out = st_add(out, st_scale(self._shift_mono(n, mono), c))
+            st_addmul(out, self._shift_mono(n, mono), c)
         return out
 
     def shift_matrix(self, n, W=None):
@@ -342,9 +319,9 @@ class HeisenbergAlgebra(VertexFAlgebra):
         alpha, beta = self._split(a)
         out = {}
         if alpha and k == 0:
-            out = st_scale(c, alpha)
+            st_addmul(out, c, alpha)
         if beta:
-            out = st_add(out, st_scale(b_apply(-k - 1, c), beta))
+            st_addmul(out, b_apply(-k - 1, c), beta)
         return out
 
     def samples(self):
@@ -454,7 +431,7 @@ class ShiftQuotient:
         for piv, prow in list(self.pivots.items()):
             c = prow.get(lead, 0)
             if c:
-                self.pivots[piv] = st_sub(prow, st_scale(row, c))
+                st_addmul(prow, row, -c)
         self.pivots[lead] = row
 
     def reduce_raw(self, s):
@@ -467,7 +444,7 @@ class ShiftQuotient:
                     break
             if hit is None:
                 break
-            out = st_sub(out, st_scale(self.pivots[hit], out[hit]))
+            st_addmul(out, self.pivots[hit], -out[hit])
         return out
 
     def reduce(self, s):
@@ -511,22 +488,9 @@ def quotient_reduce(A, state, W=None):
     return _quotient(A, W).reduce(state)
 
 
-def _pf_coeff(law, i):
-    return law.pF.coefficient((i,))
-
-
 def bracket_raw(A, a, b):
     """Res^F Y(a,z)b: the z^(-1) coefficient of Y(a,z)b * p_F(z)."""
-    law = A.law
-    out = {}
-    for k in range(A.y_kmin(a, b), 0):
-        yk = A.y_coeff(a, b, k)
-        if not yk:
-            continue
-        c = _pf_coeff(law, -1 - k)
-        if c:
-            out = st_add(out, st_scale(yk, c))
-    return out
+    return _residue_of_field(A.law, A.y_field(a, b, -1))
 
 
 def lie_bracket(A, a, b, W=None):
@@ -552,10 +516,10 @@ def shifted_bracket_series(A, a, b, mmax):
             g = law.power(k)
             r = law.ring.zero()
             for i in range(0, m - k):
-                r = law.ring.add(r, law.ring.mul(_pf_coeff(law, i),
+                r = law.ring.add(r, law.ring.mul(law.pF.coefficient((i,)),
                                                  g.certified((-1 - i, m))))
             if r:
-                d = st_add(d, st_scale(yk, r))
+                st_addmul(d, yk, r)
         out.append(d)
     return out
 
@@ -588,14 +552,14 @@ def field_skew_defect(A, a, b, emax=None):
         for e in range(max(k, emin), emax + 1):
             c = ip.certified((e,))
             if c:
-                H[e] = st_add(H.get(e, {}), st_scale(yk, c))
+                st_addmul(H.setdefault(e, {}), yk, c)
     defect = {}
     for e in range(emin, emax + 1):
         rhs = {}
         for n in range(0, e - emin + 1):
             hf = H.get(e - n)
             if hf:
-                rhs = st_add(rhs, A.shift(n, hf))
+                st_addmul(rhs, A.shift(n, hf), 1)
         d = st_sub(A.y_coeff(a, b, e), rhs)
         if d:
             defect[e] = d
@@ -608,9 +572,9 @@ def _residue_of_field(law, coeffs):
     for e, s in coeffs.items():
         if e > -1:
             continue
-        c = _pf_coeff(law, -1 - e)
+        c = law.pF.coefficient((-1 - e,))
         if c:
-            out = st_add(out, st_scale(s, c))
+            st_addmul(out, s, c)
     return out
 
 
@@ -641,7 +605,7 @@ def lie_axiom_check(A, samples=None, W=None, mmax=4):
                 return Report("lie/descent_base", name, {"m": 0},
                               _fail(A.adapter, None, series[0],
                                     bracket_raw(A, a, b)))
-            conj_ok, _ = shift_conjugation_defect(A, a, b)
+            conj_ok = shift_conjugation_defect(A, a, b)
             if not conj_ok:
                 conj_skipped.append([i, j])
             for m in range(1, mmax + 1):
@@ -729,13 +693,6 @@ def _op_products(A, a, b, c, jtop, itop):
     return cells, ilo, jlo
 
 
-def op_product_grid(A, a, b, c, box):
-    """Y(a,z) Y(b,w) c on the box: cell (i,j) = a_(coeff i) of b_(coeff j) c."""
-    (_, zhi), (_, whi) = box
-    cells, _, _ = _op_products(A, a, b, c, whi, lambda j: zhi)
-    return BilateralWindow(A.adapter, ("z", "w"), cells, box)
-
-
 def shift_grid(A, fdict, box):
     """S(w) applied to a z-series of states {e: state}: cell (e+0, n)."""
     (zlo, zhi), (wlo, whi) = box
@@ -784,8 +741,7 @@ def y_at_group_law_grid(A, a, series, box, tot_cap=None):
                         continue
                     cf = g.certified((i, j - n))
                     if cf:
-                        coeffs[(i, j)] = st_add(coeffs.get((i, j), {}),
-                                                st_scale(yk, cf))
+                        st_addmul(coeffs.setdefault((i, j), {}), yk, cf)
     coeffs = {e: v for e, v in coeffs.items() if v}
     return BilateralWindow(A.adapter, ("z", "w"), coeffs, box,
                            max_total=tot_cap, _clean=True)
@@ -794,7 +750,7 @@ def y_at_group_law_grid(A, a, series, box, tot_cap=None):
 def shift_conjugation_defect(A, a, b, box=((-8, 4), (0, 4))):
     """Window discrepancy of S(w) Y(a,z)b against i_{z,w} Y(a,F(z,w)) S(w)b.
 
-    Returns (ok, first_bad_cell).  This is the meromorphicity identity that
+    Returns whether the two agree.  This is the meromorphicity identity that
     the bracket's second-argument descent and the c = vacuum associativity
     route rely on; it can genuinely fail for the partial generator field away
     from the additive law, so callers scope their conclusions by it.
@@ -803,12 +759,7 @@ def shift_conjugation_defect(A, a, b, box=((-8, 4), (0, 4))):
     lhs = shift_grid(A, A.y_field(a, b, zhi), box)
     series = {n: A.shift(n, b) for n in range(0, whi + 1)}
     rhs = y_at_group_law_grid(A, a, series, box)
-    ok, bad, _ = lhs.agrees_with(rhs)
-    return ok, bad
-
-
-def _lifted_f_power(A, n):
-    return lift_laurent(A.adapter, A.law.power(n))
+    return lhs.agrees_with(rhs)[0]
 
 
 def mul_complete_lower(win, g):
@@ -820,7 +771,9 @@ def mul_complete_lower(win, g):
     box cell only ever receives contributions from stored cells, so the box
     survives unchanged and only a total-degree cap (low corner + g.trunc)
     appears.  The generic mul_laurent cannot know the lows are real and would
-    shrink the box by the factor's full exponent spread instead.
+    shrink the box by the factor's full exponent spread instead.  g may be a
+    scalar element under a window of states: the product only multiplies a
+    window value by a factor value, through the window's ring.
     """
     if any(f is not None for f in g.floors):
         raise ValueError("factor must be complete")
@@ -907,20 +860,11 @@ def weak_associativity_order(A, a, b, c, Nmax=8, top=(4, 4)):
     can be applied with mul_complete_lower.  Returns (N, None) on success and
     (None, first_bad_cell) when no N <= Nmax works.
     """
-    zhi, whi = top
-    inner = A.y_field(a, b, zhi)
-    series = {}
-    for n in range(A.y_kmin(b, c), whi + 1):
-        v = A.y_coeff(b, c, n)
-        if v:
-            series[n] = v
-    min_tot = min((n + A.y_kmin(a, s) for n, s in series.items()), default=-1)
-    wlo = min(0, min(series, default=0))
-    zlo = min(min_tot - whi, min(inner, default=0), A.y_kmin(a, b))
-    box = ((zlo, zhi), (wlo, whi))
-    lhs = _w_route_grid(A, inner, c, box)
-    rhs = y_at_group_law_grid(A, a, series, box)
-    diff = lhs - rhs
+    inner = A.y_field(a, b, top[0])
+    rhs = _group_route_grid(A, a, b, c, top,
+                            zlo=min(min(inner, default=0), A.y_kmin(a, b)))
+    box = rhs.reliable
+    diff = _w_route_grid(A, inner, c, box) - rhs
     bad = _escaped_lowest_part(diff, box)
     if bad is not None:
         return None, bad
@@ -932,8 +876,7 @@ def _annihilation_order(diff, power, Nmax):
     window, else (None, the least cell of diff).  power(N) is a scalar
     element, complete with nonnegative exponents (see mul_complete_lower)."""
     for N in range(0, Nmax + 1):
-        prod = diff if N == 0 else mul_complete_lower(
-            diff, lift_laurent(diff.ring, power(N)))
+        prod = diff if N == 0 else mul_complete_lower(diff, power(N))
         if prod.is_zero_on_window():
             return N, None
     return None, min(diff.coeffs)
@@ -985,7 +928,7 @@ def axiom_check(A, which, samples=None, Nmax=8, kmax=None):
                     for n in range(0, p + q + 1):
                         cf = law.power(n).coefficient((p, q))
                         if cf:
-                            want = st_add(want, st_scale(A.shift(n, s), cf))
+                            st_addmul(want, A.shift(n, s), cf)
                     if got != want:
                         return Report("axiom/translation_covariance", name,
                                       {"part": "group_law", "exps": [p, q]},
@@ -1008,7 +951,7 @@ def axiom_check(A, which, samples=None, Nmax=8, kmax=None):
                                        box[0][1] + 1):
                             v = A.y_coeff(sa, b, i)
                             if v:
-                                coeffs[(i, n)] = st_add(coeffs.get((i, n), {}), v)
+                                coeffs[(i, n)] = v
                     lhs = BilateralWindow(A.adapter, ("z", "w"), coeffs, box,
                                           _clean=True)
                     rhs = y_at_group_law_grid(A, a, {0: b}, box)
@@ -1123,19 +1066,17 @@ class MeromorphicityPair:
         }
 
 
-def _group_route_grid(A, a, b, c, top, tot_cap=None):
+def _group_route_grid(A, a, b, c, top, tot_cap=None, zlo=None):
     """i_{z,w} Y(a, F(z,w)) Y(b,w)c on a box sized so the lows are true
-    support bounds (total degree min over the series, spread to the w-top)."""
+    support bounds (total degree min over the series, spread to the w-top),
+    its z-low taken down to ``zlo`` when that is lower."""
     zhi, whi = top
-    series = {}
-    for n in range(A.y_kmin(b, c), whi + 1):
-        v = A.y_coeff(b, c, n)
-        if v:
-            series[n] = v
+    series = A.y_field(b, c, whi)
     min_tot = min((n + A.y_kmin(a, s) for n, s in series.items()), default=-1)
     wlo = min(0, min(series, default=0))
-    box = ((min_tot - whi, zhi), (wlo, whi))
-    return y_at_group_law_grid(A, a, series, box, tot_cap=tot_cap), series
+    lo = min_tot - whi if zlo is None else min(min_tot - whi, zlo)
+    return y_at_group_law_grid(A, a, series, ((lo, zhi), (wlo, whi)),
+                               tot_cap=tot_cap)
 
 
 def meromorphicity_pair(A, a, b, c, N=None, top=(3, 3)):
@@ -1165,20 +1106,20 @@ def meromorphicity_pair(A, a, b, c, N=None, top=(3, 3)):
     # substitution cells (u, j2) need p cells with w <= whi and
     # z <= u + N + whi - j, so size the p grid accordingly
     ztop = vhi + N + whi - min(0, kbc)
-    g, series = _group_route_grid(A, a, b, c, (ztop, whi))
+    g = _group_route_grid(A, a, b, c, (ztop, whi))
     box = g.reliable
-    p = g if N == 0 else mul_complete_lower(g, _lifted_f_power(A, N))
+    p = g if N == 0 else mul_complete_lower(g, law.power(N))
     checks = {}
 
-    p_up = mul_complete_lower(g, _lifted_f_power(A, N + 1))
-    p_mul = mul_complete_lower(p, _lifted_f_power(A, 1))
+    p_up = mul_complete_lower(g, law.power(N + 1))
+    p_mul = mul_complete_lower(p, law.power(1))
     checks["n_independence"] = _compare("meromorphicity/n_independence", name,
                                         p_up, p_mul, {"N": N}, {"N": N})
 
     try:
         inner = A.y_field(a, b, box[0][1])
         lhs = _w_route_grid(A, inner, c, box)
-        lhsN = lhs if N == 0 else mul_complete_lower(lhs, _lifted_f_power(A, N))
+        lhsN = lhs if N == 0 else mul_complete_lower(lhs, law.power(N))
         checks["w_dominant"] = _compare("meromorphicity/w_dominant", name,
                                         lhsN, p, {"N": N}, {"N": N})
     except YUndefined:
@@ -1203,7 +1144,8 @@ def _substituted_p_check(A, a, b, c, p, N, top):
     kbc = A.y_kmin(b, c)
     vlo = min(e[0] for e in p.coeffs) - N if p.coeffs else -N
     cmp_box = ((vlo, vhi), (kbc, whi))
-    direct = op_product_grid(A, a, b, c, cmp_box)
+    cells, _, _ = _op_products(A, a, b, c, whi, lambda j: vhi)
+    direct = BilateralWindow(A.adapter, ("z", "w"), cells, cmp_box)
 
     coeffs = {}
     mt = p.max_total
@@ -1218,8 +1160,7 @@ def _substituted_p_check(A, a, b, c, p, N, top):
                 cf = P.certified(e)
                 if R.is_zero(cf):
                     continue
-                coeffs[(u, j2)] = st_add(coeffs.get((u, j2), {}),
-                                         st_scale(pij, cf))
+                st_addmul(coeffs.setdefault((u, j2), {}), pij, cf)
     coeffs = {e: v for e, v in coeffs.items() if v}
     # same variable labels as the direct grid (v plays the role of z there)
     sub = BilateralWindow(A.adapter, ("z", "w"), coeffs, cmp_box,
@@ -1259,7 +1200,8 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
 
     g1, _, _ = _op_products(A, a, b, c, B, lambda j: cap - j)
     g2t, _, _ = _op_products(A, b, a, c, B, lambda j: cap - j)
-    g2 = {(j1, j2): v for (j2, j1), v in g2t.items()}
+    # the right side subtracts the second ordering's cells
+    g2 = {(j1, j2): st_neg(v) for (j2, j1), v in g2t.items()}
     if N is None:
         N = weak_commutativity_order(A, a, b, c)
     # kernel cells above this total cannot reach the output box: the delta
@@ -1272,9 +1214,8 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
     zmin = None
     p = None
     for _ in range(5):
-        g, _series = _group_route_grid(A, a, b, c, (B, wtop),
-                                       tot_cap=cap_p - N)
-        p = g if N == 0 else mul_complete_lower(g, _lifted_f_power(A, N))
+        g = _group_route_grid(A, a, b, c, (B, wtop), tot_cap=cap_p - N)
+        p = g if N == 0 else mul_complete_lower(g, law.power(N))
         low = min((e[0] for e in p.coeffs
                    if sum(e) <= cap_p), default=0)
         if low == zmin and cap_p - min(low, 0) + 2 <= wtop:
@@ -1293,9 +1234,10 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
     # u^n is replaced by a power of F(z, iota w) in either dominance ordering
     powers = [cache(partial(law.power, twisted=True, dominant=d)) for d in (0, 1)]
 
-    def add_tower_cell(acc, state, m, cell, dominant=0, add=st_add):
+    def add_tower_cell(acc, state, m, cell, dominant=0):
         r = _tower_cell(delta, powers[dominant], m, cell)
-        return add(acc, st_scale(state, r)) if r else acc
+        if r:
+            st_addmul(acc, state, r)
 
     cells = 0
     for e0 in range(-B, B + 1):
@@ -1304,15 +1246,14 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
                 rhs = {}
                 for (j1, j2), v in g1.items():
                     if e2 >= j2:
-                        rhs = add_tower_cell(rhs, v, e0, (e1 - j1, e2 - j2))
+                        add_tower_cell(rhs, v, e0, (e1 - j1, e2 - j2))
                 for (j1, j2), v in g2.items():
                     if e1 >= j1:
-                        rhs = add_tower_cell(rhs, v, e0, (e1 - j1, e2 - j2),
-                                             1, st_sub)
+                        add_tower_cell(rhs, v, e0, (e1 - j1, e2 - j2), 1)
                 lhs = {}
                 for (i, j), pij in p.coeffs.items():
                     if e0 >= i and i + j <= cap_p:
-                        lhs = add_tower_cell(lhs, pij, e2 - j, (e1 + N, e0 - i))
+                        add_tower_cell(lhs, pij, e2 - j, (e1 + N, e0 - i))
                 if lhs != rhs:
                     return Report("vertex/jacobi", name, [[-B, B]] * 3,
                                   _fail(A.adapter, (e0, e1, e2), lhs, rhs))

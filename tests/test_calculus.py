@@ -26,6 +26,7 @@ from fglcalc.calculus import (
     f_jacobi_delta_check,
     f_residue,
     hyperderivative,
+    hyperderivative_expansion,
     hyperderivative_properties,
     hyperderivatives,
     iterated_residue_check,
@@ -313,15 +314,15 @@ def test_hyperderivative_properties_computes_each_power_once(kind, monkeypatch):
     monkeypatch.undo()
     assert rep.ok, rep.to_json()
     assert [k[2:] for k, v in calls.items() if v > 1] == []
-    # each cached expansion of z^e is the substitution it stands for
-    truncs = {t for _, t in law._hyperexp_cache}
-    assert min(e for e, _ in law._hyperexp_cache) < 0 and len(truncs) > 1
+    # each monomial's expansion is the substitution it stands for
     Fzw = law.as_laurent()
-    for (e, t), g in law._hyperexp_cache.items():
-        mono = LaurentElement(R, ("z",), {(e,): R.one()}, t)
-        want = mono.substitute({"z": (Fzw, True)}, neg_depth=3 * law.trunc)
-        assert (g.coeffs, g.trunc, g.floors) == \
-            (want.coeffs, want.trunc, want.floors), (e, t)
+    for t in (law.trunc - 3, law.trunc, law.trunc + 2):
+        for e in range(-4, 7):
+            mono = LaurentElement(R, ("z",), {(e,): R.one()}, t)
+            got = hyperderivative_expansion(law, mono)
+            want = mono.substitute({"z": (Fzw, True)}, neg_depth=3 * law.trunc)
+            assert (got.coeffs, got.trunc, got.floors) == \
+                (want.coeffs, want.trunc, want.floors), (e, t)
 
 
 # -- residues --------------------------------------------------------------

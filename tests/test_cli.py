@@ -263,6 +263,15 @@ def test_verify_delta_at_small_truncation_passes(tmp_path):
                      "--trunc", trunc, "--out", str(tmp_path / "o.json")]) == 0
 
 
+@pytest.mark.parametrize("kind", ["multiplicative", "elliptic"])
+def test_verify_residue_at_small_truncation_passes(tmp_path, kind):
+    # the by-parts samples keep to the poles and orders whose residues the
+    # truncation certifies; reading uncertified residues failed (exit 1)
+    for trunc in range(4, 12):
+        assert main(["verify", "--suite", "residue", "--kind", kind, "--trunc",
+                     str(trunc), "--out", str(tmp_path / "o.json")]) == 0, trunc
+
+
 def test_verify_payload_is_byte_stable(tmp_path):
     args = ["verify", "--suite", "binom", "--kind", "additive", "--seed", "0"]
     _, a = run_text(tmp_path, args)

@@ -174,6 +174,24 @@ def test_residue_coeff():
     assert lz({(2,): 3, (-2,): 5}).residue_coeff("z").scalar() == 0
 
 
+def test_residue_coeff_reads_only_a_certified_cell():
+    # below truncation 0 the z^(-1) cell is unknown, not zero
+    with pytest.raises(WindowMiss):
+        lz({(-3,): 1}, trunc=-1).residue_coeff("z")
+    assert lz({(-3,): 1}, trunc=0).residue_coeff("z").scalar() == 0
+
+
+def test_zero_factor_certifies_no_more_than_its_truncation():
+    # an empty element at truncation -1 certifies nothing, and neither does
+    # its product with p_F, whichever side it stands on
+    pF = standard_law("multiplicative", trunc=12).pF.as_laurent()
+    zero = LaurentElement.zero(QQ, ("z",), -1)
+    for prod in (zero * pF, pF * zero):
+        assert (prod.coeffs, prod.trunc) == ({}, -1)
+        with pytest.raises(WindowMiss):
+            prod.residue_coeff("z")
+
+
 def test_derivative():
     assert lz({(3,): 1}).derivative("z") == lz({(2,): 3}, trunc=11)
     assert lz({(-1,): 1}).derivative("z") == lz({(-2,): -1}, trunc=11)
@@ -353,13 +371,12 @@ def test_kernel_laurent_mul_with_floors(data, ring):
     g = LaurentElement(R, ("z", "w"), _terms(data, right, -2, 2),
                        data.draw(st.integers(1, 5)), floors=data.draw(floors))
     h = f * g
-    if not f.coeffs or not g.coeffs:
-        assert (h.coeffs, h.trunc, h.floors) == ({}, max(f.trunc, g.trunc), (None, None))
-        return
+    # a factor with no stored terms follows the same rule, its valuation
+    # being its truncation and its support max 0
     t = min(f.trunc + _val(g), g.trunc + _val(f))
     want_floors = []
     for i in range(2):
-        cands = [fl + max(e[i] for e in other.coeffs)
+        cands = [fl + max((e[i] for e in other.coeffs), default=0)
                  for fl, other in ((f.floors[i], g), (g.floors[i], f)) if fl is not None]
         want_floors.append(max(cands) if cands else None)
     want = {e: c for e, c in _naive_product(R, f.coeffs, g.coeffs, cut=t).items()

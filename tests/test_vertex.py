@@ -21,6 +21,8 @@ from fglcalc.vertex import (
     meromorphicity_pair,
     quotient_reduce,
     st_add,
+    st_addmul,
+    st_neg,
     st_scale,
     st_sub,
     weak_commutativity_order,
@@ -67,6 +69,28 @@ def test_mode_operators_on_vacuum():
     assert b_apply(0, vac()) == {}
     assert b_apply(3, vac()) == {}
     assert b_apply(-2, vac()) == {(-2,): Fraction(1)}
+
+
+# -- state arithmetic -----------------------------------------------------------
+
+_coeff = st.fractions(min_value=-2, max_value=2, max_denominator=3).map(QQ.from_fraction)
+_state = st.dictionaries(st.sampled_from([(), (-1,), (-2,), (-1, -1), (-3, -1)]),
+                         _coeff.filter(bool), max_size=4)
+
+
+@given(acc=_state, s=_state, c=_coeff, cancel=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_st_addmul_is_add_of_scaled(acc, s, c, cancel):
+    if cancel:
+        # acc + c*s cancels to the empty state
+        acc = st_neg(st_scale(s, c))
+    want = st_add(acc, st_scale(s, c))
+    out = dict(acc)
+    assert st_addmul(out, s, c) is out
+    assert out == want
+    assert all(out.values())
+    if cancel:
+        assert out == {}
 
 
 # -- shift operator ------------------------------------------------------------
