@@ -14,6 +14,7 @@ from functools import partial
 from itertools import product
 from math import comb
 
+from .ring import sparse_add
 from .series import (
     BilateralWindow,
     LaurentElement,
@@ -401,12 +402,16 @@ def f_residue(law, f, var="z"):
 
     Accepts a LaurentElement (returns the raw ring value when univariate, a
     LaurentElement in the remaining variables otherwise) or a BilateralWindow
-    (returns a window in the remaining variables).
+    (returns a window in the remaining variables).  A LaurentElement is
+    contracted against p_F by ``residue_coeff(var, p_F)``: the term of f at
+    var^(-1-k) meets p_F's z^k alone, so the product f * p_F is never
+    formed; its truncation, floors and certified cell are still the ones
+    the product would carry.
     """
-    pf = law.pF.rename((var,)).extend(f.vars)
     if isinstance(f, BilateralWindow):
+        pf = law.pF.rename((var,)).extend(f.vars)
         return f.mul_laurent(pf.as_laurent()).residue_coeff(var)
-    res = (f * pf.as_laurent()).residue_coeff(var)
+    res = f.residue_coeff(var, law.pF.rename((var,)).as_laurent())
     if not res.vars:
         return res.scalar()
     return res
@@ -431,11 +436,15 @@ def hyperderivative_expansion(law, f):
     R = law.ring
     t = min(f.trunc, law.trunc)
     deep = (-3 * law.trunc,) * 2
-    out = LaurentElement.zero(R, ("z", "w"), t)
+    # one running sum, cut once at the least truncation and the joined
+    # floors: a cell cut on the way would be cut at the end as well
+    out, out_t, floors = {}, t, (None, None)
     for (e,), c in sorted(f.coeffs.items()):
         g = law.power(e, floors=deep if e < 0 else None).truncate(t + min(e, 0))
-        out = out + g.scale(c)
-    return out
+        out_t = min(out_t, g.trunc)
+        floors = LaurentElement._join_floors_add(floors, g.floors)
+        sparse_add(R, out, ((x, R.mul(v, c)) for x, v in g.coeffs.items()))
+    return LaurentElement(R, ("z", "w"), out, out_t, floors=floors)
 
 
 def _slice_w(g, n):
@@ -629,6 +638,14 @@ def iterated_residue_check(law, triples):
 
     Convergence of the substitutions is automatic for monomials; anything
     else is rejected.
+
+    Each double residue reads F(x, iota y)^a times a monomial shift with
+    exponents at most s = max of the triples, contracted twice against p_F
+    of degree d.  A residue in a variable reads the power's exponent -1 - k
+    - (shift) for k <= d only, never below -1 - d - s, so the powers are
+    expanded to floors -depth with depth = 1 + d + s and no deeper.  Were
+    the depth too small, the product floor -depth + s + d would lie above -1
+    and the residue would raise ``WindowMiss``; it cannot pass silently.
     """
     R = law.ring
     for t in triples:
@@ -636,7 +653,8 @@ def iterated_residue_check(law, triples):
             raise NonConvergentSubstitution("only monomial exponent triples supported")
     name = law.name
 
-    depth = 3 * law.trunc
+    deg_pf = max((k for (k,) in law.pF.coeffs), default=0)
+    depth = 1 + deg_pf + max((max(t) for t in triples), default=0)
     # only this check reads the deep powers: memoise them for this call
     # rather than in the law's table
     deep = {}

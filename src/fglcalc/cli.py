@@ -64,6 +64,9 @@ class ConfigError(Exception):
 # scripts and the benchmark use.
 MAX_TRUNC = 64
 
+# the monomials x0^a x1^b x2^c, a + b + c = -2, of the iterated residue check
+ITERATED_TRIPLES = [(a, b, -2 - a - b) for a in range(-3, 2) for b in range(-2, 1)]
+
 
 def _check_trunc(trunc, source):
     if trunc > MAX_TRUNC:
@@ -322,8 +325,6 @@ def _suite_checks(cfg, law, suite):
             ("delta_jacobi", lambda: f_jacobi_delta_check(law, B=min(B, 4))),
         ]
     if suite in ("all", "residue"):
-        triples = [(a, b, -2 - a - b) for a in range(-3, 2)
-                   for b in range(-2, 1)][:15]
         checks += [
             ("residue_delta_unit", lambda: delta_residue_check(law,
                                                                box=(-B, B))),
@@ -331,7 +332,7 @@ def _suite_checks(cfg, law, suite):
                 law, nmax=5, samples=20, seed=cfg.seed)),
             ("residue_inversion", lambda: residue_inversion_check(
                 law, samples=10, seed=cfg.seed + 1)),
-            ("residue_iterated", lambda: iterated_residue_check(law, triples)),
+            ("residue_iterated", lambda: iterated_residue_check(law, ITERATED_TRIPLES)),
         ]
     if suite in ("all", "hyper"):
         checks.append(("hyper", lambda: hyperderivative_properties(law)))

@@ -776,22 +776,51 @@ class LaurentElement:
         out = sparse_add(R, {}, (((i + j,), c) for (i, j), c in self.coeffs.items()))
         return LaurentElement(R, (name,), out, self.trunc, _clean=True)
 
-    def residue_coeff(self, name):
-        """Coefficient of name^{-1}; a LaurentElement in the remaining vars."""
+    def residue_coeff(self, name, factor=None):
+        """Coefficient of name^{-1} in self * factor; a LaurentElement in the
+        remaining vars.
+
+        ``factor`` is an optional one-variable element p(name).  Exponent
+        -1 - k of self pairs with p_k and nothing else, so each term of self
+        is read once and the product is never formed.  Truncation, floors,
+        cells and ``WindowMiss`` are those of ``(self *
+        factor.extend(self.vars)).residue_coeff(name)``: the truncation is
+        min(t1 + val2, t2 + val1) and the floors are the product's, so the
+        floor on name rises by p's largest exponent.
+        """
         i = self.vars.index(name)
-        if self.floors[i] is not None and self.floors[i] > -1:
-            raise WindowMiss(f"exponent -1 of {name!r} lies below the reliable floor")
         R = self.ring
+        t, floors, pk = self.trunc, self.floors, None
+        if factor is not None:
+            if factor.vars != (name,):
+                raise ValueError(f"factor must be univariate in {name!r}")
+            p = factor.extend(self.vars)
+            self._check(p)
+            t = min(self.trunc + p.valuation(), p.trunc + self.valuation())
+            floors, pk = self._mul_floors(p), factor.coeffs
+        if floors[i] is not None and floors[i] > -1:
+            raise WindowMiss(f"exponent -1 of {name!r} lies below the reliable floor")
         rest = self.vars[:i] + self.vars[i + 1:]
-        if not rest:
+        if not rest and -1 >= t:
             # one variable: the residue is one cell, which must be certified
-            return LaurentElement.const(R, (), self.certified((-1,)), self.trunc + 1)
-        out = {}
+            raise WindowMiss(f"cell (-1,) of {self.vars} is not certified "
+                             f"(trunc {t}, floors {floors})")
+        terms = []
         for e, c in self.coeffs.items():
-            if e[i] == -1:
-                out[e[:i] + e[i + 1:]] = c
-        floors = self.floors[:i] + self.floors[i + 1:]
-        return LaurentElement(R, rest, out, self.trunc + 1, floors=floors)
+            if pk is None:
+                if e[i] != -1:
+                    continue
+            else:
+                pc = pk.get((-1 - e[i],))
+                # the product cell has total degree tot(e) - e[i] - 1
+                if pc is None or _tot(e) - e[i] > t:
+                    continue
+                c = R.mul(c, pc)
+            terms.append((e[:i] + e[i + 1:], c))
+        out = sparse_add(R, {}, terms)
+        if not rest:
+            return LaurentElement.const(R, (), out.get((), R.zero()), t + 1)
+        return LaurentElement(R, rest, out, t + 1, floors=floors[:i] + floors[i + 1:])
 
     def coefficient_of(self, name, k):
         """Coefficient of name^k as an element in the remaining variables."""

@@ -1291,7 +1291,7 @@ def heisenberg_cocycle(law, f, g):
     gz = as_z(g)
     s1 = hyperderivative(law, fz, 1)
     lhs = f_residue(law, s1 * gz)
-    rhs = (fz.derivative("z") * gz).residue_coeff("z").scalar()
+    rhs = fz.derivative("z").residue_coeff("z", gz).scalar()
     if not law.ring.eq(lhs, rhs):
         raise MismatchBug(
             f"cocycle routes disagree: {law.ring.to_text(lhs)} vs "

@@ -33,6 +33,7 @@ from fglcalc.calculus import (
     residue_inversion_check,
     residue_theorems_check,
 )
+from fglcalc.cli import ITERATED_TRIPLES
 from delta_tower_oracle import delta_tower
 
 QQ = Ring.rationals()
@@ -323,6 +324,16 @@ def test_hyperderivative_properties_computes_each_power_once(kind, monkeypatch):
             want = mono.substitute({"z": (Fzw, True)}, neg_depth=3 * law.trunc)
             assert (got.coeffs, got.trunc, got.floors) == \
                 (want.coeffs, want.trunc, want.floors), (e, t)
+    # a sum of monomials expands to the sum of their scaled expansions,
+    # added one by one
+    f = LaurentElement(R, ("z",), {(e,): R.from_int(e - 2) for e in range(-4, 7)},
+                       law.trunc - 1)
+    want = LaurentElement.zero(R, ("z", "w"), f.trunc)
+    for (e,), c in f.coeffs.items():
+        mono = LaurentElement(R, ("z",), {(e,): R.one()}, f.trunc)
+        want = want + hyperderivative_expansion(law, mono).scale(c)
+    got = hyperderivative_expansion(law, f)
+    assert (got.coeffs, got.trunc, got.floors) == (want.coeffs, want.trunc, want.floors)
 
 
 # -- residues --------------------------------------------------------------
@@ -367,6 +378,30 @@ def test_iterated_residue_monomials():
 def test_iterated_residue_elliptic():
     law = standard_law("elliptic")
     assert iterated_residue_check(law, [(-2, 1, -1)]).ok
+
+
+@pytest.mark.parametrize("t", [6, 12, 18])
+def test_iterated_residue_depth_follows_p_F(t, monkeypatch):
+    # the default triples pass on every built-in law with the twisted powers
+    # cut at -(1 + deg p_F + largest shift), and a cut one order shallower
+    # raises WindowMiss in the residue instead of passing
+    shift = max(max(x) for x in ITERATED_TRIPLES)
+    for kind, params in TOWER_LAWS:
+        law = standard_law(kind, trunc=t, **params)
+        depth = 1 + max(k for (k,) in law.pF.coeffs) + shift
+        power, cuts = law.power, set()
+
+        def cut(n, vars, *, floors, lift=0, **kw):
+            cuts.add(floors)
+            return power(n, vars, floors=tuple(f + lift for f in floors), **kw)
+
+        monkeypatch.setattr(law, "power", cut)
+        rep = iterated_residue_check(law, ITERATED_TRIPLES)
+        assert rep.ok, rep.to_json()
+        assert cuts == {(-depth, -depth)}, kind
+        monkeypatch.setattr(law, "power", partial(cut, lift=1))
+        with pytest.raises(WindowMiss):
+            iterated_residue_check(law, ITERATED_TRIPLES)
 
 
 def test_iterated_residue_rejects_non_monomial():

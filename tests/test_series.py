@@ -385,6 +385,37 @@ def test_kernel_laurent_mul_with_floors(data, ring):
     assert h.coeffs == want
 
 
+def _residue_outcome(read):
+    try:
+        r = read()
+    except WindowMiss as exc:
+        return "WindowMiss", str(exc)
+    return r.vars, r.coeffs, r.trunc, r.floors
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)),
+       vars=st.sampled_from([("z",), ("z", "w")]))
+@settings(max_examples=200, deadline=None)
+def test_residue_coeff_with_factor_is_residue_of_product(data, ring, vars):
+    # the contraction never forms f * p, yet it must certify what the
+    # product's residue certifies: cells, truncation, floors and misses
+    R, left, right = KERNEL_RINGS[ring]
+    name = data.draw(st.sampled_from(vars))
+    floor = st.one_of(st.none(), st.integers(-4, 1))
+    exps = st.tuples(*[st.integers(-4, 3)] * len(vars))
+    f = LaurentElement(R, vars, data.draw(st.dictionaries(exps, left, max_size=8)),
+                       data.draw(st.integers(-3, 5)),
+                       floors=data.draw(st.tuples(*[floor] * len(vars))))
+    # zero factors, and factors of positive valuation when lo > 0
+    lo = data.draw(st.integers(-2, 2))
+    p = LaurentElement(R, (name,), data.draw(st.dictionaries(
+                           st.tuples(st.integers(lo, lo + 4)), right, max_size=5)),
+                       data.draw(st.integers(-1, 7)), floors=(data.draw(floor),))
+    got = _residue_outcome(lambda: f.residue_coeff(name, p))
+    want = _residue_outcome(lambda: (f * p.extend(vars)).residue_coeff(name))
+    assert got == want
+
+
 @given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)),
        exact=st.booleans())
 @settings(max_examples=100, deadline=None)
