@@ -13,9 +13,10 @@ clipped by floors, ``verify --suite delta --kind elliptic --window 2``,
 vertex --kind multiplicative --window 2`` (exit 0) and ``verify --suite
 vertex --kind additive --weight 4`` (exit 2, a WindowMiss in the vertex
 Jacobi check); the residue suite at high truncations, ``verify --suite
-residue --trunc 16|24`` on elliptic and on p_typical(2,1); ``fgl --trunc
-8|13|24`` on the six; ``binom`` on one_parameter (default and ``--nmin -3
---nmax 4``) and on elliptic;
+residue --trunc 16|24`` on elliptic and on p_typical(2,1); the
+hyperderivative suite, ``verify --suite hyper`` on elliptic and on
+p_typical(2,1); ``fgl --trunc 8|13|24`` on the six; ``binom`` on
+one_parameter (default and ``--nmin -3 --nmax 4``) and on elliptic;
 ``heisenberg --action commutators|shift|bracket_table`` on the additive law;
 and ``heisenberg --action bracket_table|shift`` on multiplicative and on
 p_typical(2,1), whose brackets carry a p_F correction.
@@ -52,6 +53,7 @@ def gate_list():
              ["verify", "--suite", "vertex", "--kind", "additive", "--weight", "4"]]
     cmds += [["verify", "--suite", "residue", *kind, "--trunc", t]
              for kind in (KINDS[3], KINDS[4]) for t in ("16", "24")]
+    cmds += [["verify", "--suite", "hyper", *kind] for kind in (KINDS[3], KINDS[4])]
     cmds += [["fgl", *kind, "--trunc", t] for kind in KINDS for t in ("8", "13", "24")]
     cmds += [["binom", "--kind", "one_parameter"],
              ["binom", "--kind", "one_parameter", "--nmin", "-3", "--nmax", "4"],

@@ -232,19 +232,16 @@ def _inverse_expansions(law, vars=("z", "w"), classical=False, table=None):
     return zmw.int_power(-1), zmw.reorder((y, x)).int_power(-1).reorder(vars)
 
 
-def _delta_window(law, zbox, wbox, vars=("z", "w"), classical=False):
+def _delta_window(law, box, vars=("z", "w"), classical=False):
     a, b = _inverse_expansions(law, vars, classical)
-    full = [zbox, wbox]
+    full = [box, box]
     return BilateralWindow.from_laurent(a, full) - BilateralWindow.from_laurent(b, full)
 
 
-def delta_F(law, box=(-6, 6), zvar="z", wvar="w", zbox=None):
-    """z^{-1} delta_F(w/z): difference of the two expansions of F(z, iota w)^{-1}.
-
-    zbox widens the certified z-range independently (useful before taking a
-    z-residue against the truncated p_F factor).
-    """
-    win = _delta_window(law, zbox or box, box, (zvar, wvar))
+def delta_F(law, box=(-6, 6), zvar="z", wvar="w"):
+    """z^{-1} delta_F(w/z): difference of the two expansions of F(z, iota w)^{-1},
+    as a window on box x box."""
+    win = _delta_window(law, box, (zvar, wvar))
     return DeltaWindow(law.name, (zvar, wvar), win,
                        ((zvar, wvar), (wvar, zvar)))
 
@@ -277,7 +274,7 @@ def delta_support_check(law, f, box=(-6, 6)):
 def delta_g_relation_check(law, box=(-6, 6)):
     """delta_F(w/z) = G(z,w)^{-1} * delta_{F_a}(w/z) on the surviving window."""
     D = delta_F(law, box=box).window
-    Da = _delta_window(law, box, box, classical=True)
+    Da = _delta_window(law, box, classical=True)
     Ginv = law.G.invert_unit()
     rhs = Da.mul_laurent(Ginv.as_laurent())
     return _compare("delta/g_relation", law.name, D, rhs)
@@ -288,7 +285,7 @@ def delta_phi_relation_check(law, box=(-6, 6)):
     D = delta_F(law, box=box).window
     pf = law.pF.rename(("z",)).extend(("z", "w"))
     lhs = D.mul_laurent(pf.as_laurent())
-    rhs = _delta_window(law, box, box, classical=True)
+    rhs = _delta_window(law, box, classical=True)
     return _compare("delta/invariant_factor", law.name, lhs, rhs)
 
 
@@ -398,19 +395,15 @@ def f_jacobi_delta_check(law, B=4):
 
 
 def f_residue(law, f, var="z"):
-    """Residue of f * p_F(var) d var.
+    """Res^F f: the residue of f * p_F(var) d var, for a LaurentElement f.
 
-    Accepts a LaurentElement (returns the raw ring value when univariate, a
-    LaurentElement in the remaining variables otherwise) or a BilateralWindow
-    (returns a window in the remaining variables).  A LaurentElement is
-    contracted against p_F by ``residue_coeff(var, p_F)``: the term of f at
-    var^(-1-k) meets p_F's z^k alone, so the product f * p_F is never
-    formed; its truncation, floors and certified cell are still the ones
-    the product would carry.
+    Returns the raw ring value when f is univariate, a LaurentElement in
+    the remaining variables otherwise.  This is the package's one F-residue:
+    f is contracted against p_F by ``residue_coeff(var, p_F)``, so the term
+    of f at var^(-1-k) meets p_F's z^k alone and the product f * p_F is
+    never formed; its truncation, floors and certified cells are still the
+    ones the product would carry.
     """
-    if isinstance(f, BilateralWindow):
-        pf = law.pF.rename((var,)).extend(f.vars)
-        return f.mul_laurent(pf.as_laurent()).residue_coeff(var)
     res = f.residue_coeff(var, law.pF.rename((var,)).as_laurent())
     if not res.vars:
         return res.scalar()
@@ -477,12 +470,11 @@ def hyperderivative_properties(law, fs=None, nmax=3):
                            law.trunc),
         ]
     name = law.name
-    table = FBinomialTable(law, nmax=2 * nmax)
 
-    cache = {}
+    cache = []
     for f in fs:
-        cache[id(f)] = hyperderivatives(law, f, 2 * nmax)
-        sf = cache[id(f)]
+        sf = hyperderivatives(law, f, 2 * nmax)
+        cache.append(sf)
         # S_0 = identity
         rep = _compare("hyper/identity", name, sf[0], f)
         if not rep.ok:
@@ -495,7 +487,7 @@ def hyperderivative_properties(law, fs=None, nmax=3):
 
     # Leibniz
     f, g = fs[0], fs[1 % len(fs)]
-    sf, sg = cache[id(f)], cache[id(g)]
+    sf, sg = cache[0], cache[1 % len(fs)]
     prod = f * g
     sprod = hyperderivatives(law, prod, nmax)
     for n in range(0, nmax + 1):
@@ -518,8 +510,7 @@ def hyperderivative_properties(law, fs=None, nmax=3):
                 return rep
             rhs = None
             for k in range(0, m + n + 1):
-                coef = table.entry(k, m, n) if k <= table.nmax else R.zero()
-                term = sf[k].scale(coef)
+                term = sf[k].scale(law.power(k).certified((m, n)))
                 rhs = term if rhs is None else rhs + term
             rep = _compare("hyper/composition", name, smn, rhs, {"m": m, "n": n})
             if not rep.ok:
@@ -597,14 +588,23 @@ def residue_theorems_check(law, nmax=5, samples=20, seed=0, max_pole=3, max_deg=
 
 
 def delta_residue_check(law, box=(-6, 6)):
-    """Res^F z^{-1} delta_F(w/z) dz = 1 on the window (as a series in w)."""
+    """Res^F z^{-1} delta_F(w/z) dz = 1 as a series in w.
+
+    The delta is the difference of the two ``_inverse_expansions``, whose
+    F-residue in z is one ``f_residue``.  The window is the w-exponents k of
+    box that the residue certifies, from the higher of box's low and the
+    residue's w floor up to the lower of box's high and its truncation - 1
+    (trunc - 2 for the law's trunc); each w^k is read through ``certified``.
+    """
     R = law.ring
-    D = delta_F(law, box=box, zbox=(-2 * law.trunc, box[1])).window
-    res = f_residue(law, D, "z")
-    lo, hi = res.reliable[0]
+    a, b = _inverse_expansions(law)
+    res = f_residue(law, a - b, "z")
+    floor = res.floors[0]
+    lo = box[0] if floor is None else max(box[0], floor)
+    hi = min(box[1], res.trunc - 1)
     for k in range(lo, hi + 1):
         want = R.one() if k == 0 else R.zero()
-        got = res.coeffs.get((k,), R.zero())
+        got = res.certified((k,))
         if not R.eq(got, want):
             return Report("residue/delta_unit", law.name, [lo, hi],
                           _fail(R, (k,), got, want))

@@ -229,31 +229,21 @@ def cmd_binom(cfg, nmin, nmax):
     law = load_law(cfg)
     R = law.ring
     B = cfg.window
-    rows = []
-    truncated = []
-    for n in range(nmin, nmax + 1):
-        tab = f_binomial(law, n)
-        if n < 0:
-            truncated.append(n)
-        for (i, j), c in sorted(tab.items()):
-            if n < 0 and not (-B <= i <= B and -B <= j <= B):
-                continue
-            rows.append({"n": n, "exp": f"{i};{j}", "coeff": R.to_text(c)})
+    # a negative power is an infinite expansion: only its box cells are shown
+    shown = [(n, i, j, c) for n in range(nmin, nmax + 1)
+             for (i, j), c in sorted(f_binomial(law, n).items())
+             if n >= 0 or (-B <= i <= B and -B <= j <= B)]
+    rows = [{"n": n, "exp": f"{i};{j}", "coeff": R.to_text(c)}
+            for n, i, j, c in shown]
     payload = {"law": law.name, "trunc": law.trunc, "rows": rows,
-               "truncated_rows": truncated, "box": B}
+               "truncated_rows": [n for n in range(nmin, nmax + 1) if n < 0],
+               "box": B}
     if law.name == "one_parameter":
         s = R.param("s")
-        match = True
-        for n in range(nmin, nmax + 1):
-            for (i, j), c in f_binomial(law, n).items():
-                if n < 0 and not (-B <= i <= B and -B <= j <= B):
-                    continue
-                k = i + j - n
-                want = R.mul(R.from_int(comb_any(n, j) * comb_any(j, k)),
-                             _rpow(R, s, k))
-                if not R.eq(c, want):
-                    match = False
-        payload["closed_form_match"] = match
+        payload["closed_form_match"] = all(
+            R.eq(c, R.mul(R.from_int(comb_any(n, j) * comb_any(j, i + j - n)),
+                          _rpow(R, s, i + j - n)))
+            for n, i, j, c in shown)
     return payload, 0
 
 
@@ -272,13 +262,7 @@ def _vertex_suite(cfg, law):
     every group law under the partial Y (the law-dependent identities,
     field-level skew and the w-dominant route, are reported by the library
     checkers with their defect cells and are exercised in the test suite)."""
-    W = cfg.weight
-    need = max(law.trunc, 3 * W)
-    if law.trunc < need:
-        vlaw = standard_law(cfg.kind, trunc=need, **cfg.params)
-    else:
-        vlaw = law
-    A = HeisenbergAlgebra(vlaw, K=min(6, W), W=W)
+    A = _heisenberg_algebra(cfg, law)
     bg = A.generator
     vac = A.vacuum
     checks = [
@@ -286,9 +270,9 @@ def _vertex_suite(cfg, law):
         ("translation_covariance",
          lambda: axiom_check(A, "translation_covariance")),
         ("commutativity_order", lambda: Report(
-            "vertex/commutativity_order", vlaw.name, {"Mmax": 8},
+            "vertex/commutativity_order", A.law.name, {"Mmax": 8},
             details={"M": weak_commutativity_order(A, bg, bg, vac)})),
-        ("lie_axioms", lambda: lie_axiom_check(A, W=W)),
+        ("lie_axioms", lambda: lie_axiom_check(A, W=A.W)),
         ("jacobi", lambda: jacobi_identity_check(
             A, bg, bg, vac, B=min(cfg.window, 3))),
         ("fixture", lambda: axiom_check(
@@ -387,22 +371,23 @@ def cmd_verify(cfg, suite):
 # -- heisenberg --------------------------------------------------------------------
 
 
-def _heisenberg(cfg):
-    law = load_law(cfg)
-    if law.ring.kind != "rationals":
-        raise ConfigError("heisenberg commands need rational coefficients")
+def _heisenberg_algebra(cfg, law):
+    """The Heisenberg algebra at --weight W over law, rebuilt at truncation
+    3 W when law's is lower; a law file cannot be rebuilt."""
     W = cfg.weight
-    need = max(law.trunc, 3 * W)
-    if law.trunc < need:
+    if law.trunc < 3 * W:
         if cfg.law_file:
             raise ConfigError(
                 f"law file truncation {law.trunc} too small for weight {W}")
-        law = standard_law(cfg.kind, trunc=need, **cfg.params)
+        law = standard_law(cfg.kind, trunc=3 * W, **cfg.params)
     return HeisenbergAlgebra(law, K=min(6, W), W=W)
 
 
 def cmd_heisenberg(cfg, action):
-    A = _heisenberg(cfg)
+    law = load_law(cfg)
+    if law.ring.kind != "rationals":
+        raise ConfigError("heisenberg commands need rational coefficients")
+    A = _heisenberg_algebra(cfg, law)
     K = A.K
     if action == "commutators":
         rows = []
@@ -432,28 +417,18 @@ def cmd_heisenberg(cfg, action):
                                  "coeff": str(c)})
         return {"law": A.law.name, "W": A.W, "rows": rows}, 0
     if action == "bracket_table":
-        names = ["vac", "b"]
-        states = [A.vacuum, A.generator]
-        rows = []
-        ok = True
-        for i, a in enumerate(states):
-            for j, b in enumerate(states):
-                q = lie_bracket(A, a, b)
-                rows.append({"a": names[i], "b": names[j],
-                             "class": state_text(q.rep)})
+        states = {"vac": A.vacuum, "b": A.generator}
+        table = {(a, b): lie_bracket(A, sa, sb)
+                 for a, sa in states.items() for b, sb in states.items()}
         # antisymmetry of the table where the field-level skew holds; the
         # additive law satisfies it on all pairs
-        if A.law.name == "additive":
-            for i, a in enumerate(states):
-                for j, b in enumerate(states):
-                    s = lie_bracket(A, a, b) + lie_bracket(A, b, a)
-                    ok = ok and s.is_zero()
-        payload = {"law": A.law.name, "W": A.W, "ok": ok, "rows": rows,
-                   "classes": [{"a": r["a"], "b": r["b"],
-                                "rep": state_to_json(
-                                    lie_bracket(A, states[names.index(r["a"])],
-                                                states[names.index(r["b"])]).rep)}
-                               for r in rows]}
+        ok = A.law.name != "additive" or all(
+            (q + table[b, a]).is_zero() for (a, b), q in table.items())
+        payload = {"law": A.law.name, "W": A.W, "ok": ok,
+                   "rows": [{"a": a, "b": b, "class": state_text(q.rep)}
+                            for (a, b), q in table.items()],
+                   "classes": [{"a": a, "b": b, "rep": state_to_json(q.rep)}
+                               for (a, b), q in table.items()]}
         return payload, 0 if ok else 1
     raise ConfigError(f"unknown heisenberg action {action!r}")
 

@@ -218,22 +218,15 @@ class PowerSeries:
     # -- inversion, composition --------------------------------------------
 
     def invert_unit(self):
-        """Inverse of a series with invertible constant term."""
-        R = self.ring
-        c0 = self.constant_term()
-        c0inv = R.try_invert(c0)
-        if c0inv is NOT_INVERTIBLE:
+        """Inverse of a series with invertible constant term: the power
+        f^-1 of ``LaurentElement.int_power``, Miller's recurrence, at f's
+        truncation.  Over the zero ring the zero series is its own inverse."""
+        if self.ring.try_invert(self.constant_term()) is NOT_INVERTIBLE:
             raise NotInvertibleError("constant term is not a unit")
-        # f = c0 (1 - h), 1/f = c0^{-1} (1 + h + h^2 + ...)
-        h = PowerSeries.one(R, self.vars, self.trunc) - self.scale(c0inv)
-        acc = PowerSeries.one(R, self.vars, self.trunc)
-        term = PowerSeries.one(R, self.vars, self.trunc)
-        while True:
-            term = (term * h).truncate(self.trunc)
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc.scale(c0inv)
+        if not self.coeffs:
+            return self
+        g = self.as_laurent().int_power(-1)
+        return PowerSeries(self.ring, self.vars, g.coeffs, g.trunc, _clean=True)
 
     def substitute(self, bindings):
         """Substitute power series (each of positive valuation) for variables.
@@ -1160,21 +1153,6 @@ class BilateralWindow:
                     for (a, b), (lo, hi) in zip(self.reliable, box))
         return BilateralWindow(self.ring, self.vars, self.coeffs, rel,
                                max_total=self.max_total)
-
-    def residue_coeff(self, name):
-        i = self.vars.index(name)
-        lo, hi = self.reliable[i]
-        if not (lo <= -1 <= hi):
-            raise WindowMiss(f"exponent -1 of {name!r} outside reliable range [{lo},{hi}]")
-        R = self.ring
-        rest = self.vars[:i] + self.vars[i + 1:]
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i] == -1:
-                out[e[:i] + e[i + 1:]] = c
-        rel = self.reliable[:i] + self.reliable[i + 1:]
-        mt = None if self.max_total is None else self.max_total + 1
-        return BilateralWindow(R, rest, out, rel, max_total=mt)
 
     def agrees_with(self, other):
         """Exact comparison on the intersection of certified regions.

@@ -502,25 +502,22 @@ def shifted_bracket_series(A, a, b, mmax):
 
     The w^m coefficient realizes [S^(m)a, b] through translation covariance;
     the theorem's descent property says these vanish for m >= 1, and the m=0
-    entry is the plain bracket.
+    entry is the plain bracket.  It is the sum over k of the z^k coefficient
+    of Y(a,z)b times [w^m] Res^F_z F(z,w)^k, each residue one ``f_residue``
+    of the law's power.  Only k < 0 contributes: for k >= 0, F(z,w)^k is a
+    power series, whose z-residue is exactly zero at every truncation.
     """
     law = A.law
-    kmin = A.y_kmin(a, b)
-    out = []
-    for m in range(mmax + 1):
-        d = {}
-        for k in range(kmin, m):
-            yk = A.y_coeff(a, b, k)
-            if not yk:
-                continue
-            g = law.power(k)
-            r = law.ring.zero()
-            for i in range(0, m - k):
-                r = law.ring.add(r, law.ring.mul(law.pF.coefficient((i,)),
-                                                 g.certified((-1 - i, m))))
+    out = [{} for _ in range(mmax + 1)]
+    for k in range(A.y_kmin(a, b), 0):
+        yk = A.y_coeff(a, b, k)
+        if not yk:
+            continue
+        res = f_residue(law, law.power(k))
+        for m in range(k + 1, mmax + 1):
+            r = res.certified((m,))
             if r:
-                st_addmul(d, yk, r)
-        out.append(d)
+                st_addmul(out[m], yk, r)
     return out
 
 
@@ -777,8 +774,7 @@ def mul_complete_lower(win, g):
     """
     if any(f is not None for f in g.floors):
         raise ValueError("factor must be complete")
-    if any(min(e[i] for e in g.coeffs) < 0 for i in range(len(g.vars))
-           for _ in [0] if g.coeffs):
+    if any(x < 0 for e in g.coeffs for x in e):
         raise ValueError("factor must have nonnegative exponents")
     R = win.ring
     out = sparse_mul(R, win.coeffs, g.coeffs)

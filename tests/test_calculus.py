@@ -350,6 +350,22 @@ def test_f_residue_delta_unit():
         assert rep.ok, (law.name, rep.to_json())
 
 
+@pytest.mark.parametrize("trunc", [4, 5, 6, 7])
+def test_delta_unit_window_is_what_the_residue_certifies(trunc):
+    # a box reaching past the truncation: the window stops at the last
+    # certified w-exponent, trunc - 2, and every cell in it is certified
+    for kind, params in TOWER_LAWS:
+        law = standard_law(kind, trunc=trunc, **params)
+        rep = delta_residue_check(law, box=(-9, 9))
+        assert rep.ok, (kind, rep.to_json())
+        lo, hi = rep.window
+        assert (lo, hi) == (-trunc, trunc - 2), kind
+        a, b = _inverse_expansions(law)
+        res = f_residue(law, a - b, "z")
+        assert all(res.reliable_at((k,)) for k in range(lo, hi + 1)), kind
+        assert not res.reliable_at((hi + 1,)) and not res.reliable_at((lo - 1,)), kind
+
+
 def test_residue_inversion():
     for law in (ADD, MUL, ONEP):
         rep = residue_inversion_check(law, samples=8, seed=1)

@@ -586,6 +586,41 @@ def test_comp_inverse_is_two_sided(data, ring):
     assert g.substitute({"z": f}) == z
 
 
+_NON_UNITS = {"QQ": st.just(0), "Z7": st.just(0), "QQ[s]": st.sampled_from(
+    [{}, {(1,): Fraction(1)}, {(0,): Fraction(1), (1,): Fraction(1)}])}
+# (ring, unit constant terms, nonzero values, non-unit constant terms)
+INVERT_RINGS = {
+    **{name: (*INVERSE_RINGS[name], non_unit) for name, non_unit in _NON_UNITS.items()},
+    "ZZ": (ZZ, st.sampled_from([1, -1]), st.integers(-3, 3).filter(bool),
+           st.sampled_from([0, 2, -3])),
+    "Z6": (Z6, st.sampled_from([1, 5]), st.integers(1, 5), st.sampled_from([0, 2, 3, 4])),
+}
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(INVERT_RINGS)),
+       arity=st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_invert_unit_is_two_sided(data, ring, arity):
+    R, unit, values, non_unit = INVERT_RINGS[ring]
+    vars = ("z", "w")[:arity]
+    t = data.draw(st.integers(1, 8))
+    exps = st.tuples(*[st.integers(0, t)] * arity).filter(any)
+    coeffs = data.draw(st.dictionaries(exps, values, max_size=6))
+    one = PowerSeries.one(R, vars, t)
+    f = PowerSeries(R, vars, {**coeffs, (0,) * arity: data.draw(unit)}, t)
+    g = f.invert_unit()
+    assert g.trunc == t
+    assert f * g == one
+    assert g * f == one
+    bad = PowerSeries(R, vars, {**coeffs, (0,) * arity: data.draw(non_unit)}, t)
+    with pytest.raises(NotInvertibleError):
+        bad.invert_unit()
+    # over the zero ring every series is zero, and zero is a unit
+    Z1 = Ring.integers_mod(1)
+    zero = PowerSeries.zero(Z1, vars, t)
+    assert zero.invert_unit() == zero
+
+
 # -- int_power: the graded recurrence against the binomial loop ---------------
 
 _unit_q = st.sampled_from([1, -1, 2, Fraction(-1, 3)])

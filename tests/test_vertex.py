@@ -20,6 +20,7 @@ from fglcalc.vertex import (
     lie_bracket,
     meromorphicity_pair,
     quotient_reduce,
+    shifted_bracket_series,
     st_add,
     st_addmul,
     st_neg,
@@ -438,6 +439,14 @@ def test_lie_axiom_check(A):
     else:
         assert r.details["skew_defect_pairs"] == [[1, 1]]
         assert r.details["conjugation_defect_pairs"] == [[1, 1]]
+
+
+def test_descent_series_reads_no_power_series_residue():
+    # Y(vac,z)b = b sits at z^0, and F(z,w)^0 has no z-residue at any w^m:
+    # the series is exactly zero, also for m beyond the law's truncation
+    for b in HM.samples():
+        assert shifted_bracket_series(HM, HM.vacuum, b, MUL.trunc + 3) == \
+            [{}] * (MUL.trunc + 4)
 
 
 def test_lie_axiom_check_trivial():
