@@ -12,7 +12,10 @@ clipped by floors, ``verify --suite delta --kind elliptic --window 2``,
 ``verify --suite delta --kind multiplicative --trunc 5``, ``verify --suite
 vertex --kind multiplicative --window 2`` (exit 0) and ``verify --suite
 vertex --kind additive --weight 4`` (exit 2, a WindowMiss in the vertex
-Jacobi check); the residue suite at high truncations, ``verify --suite
+Jacobi check); the towers on capped powers at other depths, ``verify
+--suite vertex`` on p_typical(2,1), ``verify --suite vertex --kind
+multiplicative --weight 7`` and ``verify --suite delta`` on p_typical(2,1)
+at ``--trunc 14``; the residue suite at high truncations, ``verify --suite
 residue --trunc 16|24`` on elliptic and on p_typical(2,1); the
 hyperderivative suite, ``verify --suite hyper`` on elliptic and on
 p_typical(2,1); ``fgl --trunc 8|13|24`` on the six; ``binom`` on
@@ -51,6 +54,9 @@ def gate_list():
              ["verify", "--suite", "delta", "--kind", "multiplicative", "--trunc", "5"],
              ["verify", "--suite", "vertex", "--kind", "multiplicative", "--window", "2"],
              ["verify", "--suite", "vertex", "--kind", "additive", "--weight", "4"]]
+    cmds += [["verify", "--suite", "vertex", *KINDS[4]],
+             ["verify", "--suite", "vertex", "--kind", "multiplicative", "--weight", "7"],
+             ["verify", "--suite", "delta", *KINDS[4], "--trunc", "14"]]
     cmds += [["verify", "--suite", "residue", *kind, "--trunc", t]
              for kind in (KINDS[3], KINDS[4]) for t in ("16", "24")]
     cmds += [["verify", "--suite", "hyper", *kind] for kind in (KINDS[3], KINDS[4])]

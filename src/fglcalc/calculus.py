@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from math import comb
+from math import comb, inf
 
 from .ring import sparse_add
 from .series import (
@@ -110,20 +110,24 @@ class FBinomialTable:
 
     entry(n, i, j) is the coefficient of z^i w^j in the expansion where z
     dominates; entries outside the certified region raise WindowMiss.
+    ``override`` maps (n, i, j) to a corrupted value for fault testing; it
+    is folded into copies of the slices it touches, never into the law's
+    power table.
     """
 
     def __init__(self, law, nmax=4, override=None):
         self.law = law
         self.nmax = nmax
-        self.override = dict(override or {})
         self.slices = {n: law.power(n) for n in range(-nmax, nmax + 1)}
+        for (n, i, j), v in (override or {}).items():
+            s = self.slices[n]
+            self.slices[n] = LaurentElement(s.ring, s.vars, {**s.coeffs, (i, j): v},
+                                            s.trunc, floors=s.floors, _clean=True)
 
     def reliable(self, n, i, j):
         return self.slices[n].reliable_at((i, j))
 
     def entry(self, n, i, j):
-        if (n, i, j) in self.override:
-            return self.override[(n, i, j)]
         return self.slices[n].certified((i, j))
 
 
@@ -132,12 +136,21 @@ def f_binomial(law, n):
     return dict(law.power(n).coeffs)
 
 
+def _row_certified(s, lo, hi, j):
+    """Whether slice s certifies every cell (i, j), lo <= i <= hi: the total
+    degree rises with i and the z-exponent falls with it, so the two end
+    cells decide."""
+    return s.reliable_at((lo, j)) and s.reliable_at((hi, j))
+
+
 def f_binomial_identities(law, nmax=3, smax=4, override=None):
     """Vanishing, Kronecker j=0 column, symmetry, and convolution checks.
 
     The j=0 column is tested against the Kronecker delta in n (the natural
     reading; see the package docs for the index-naming caveat).  `override`
-    injects corrupted entries for fault testing.
+    injects corrupted entries for fault testing.  A convolution cell is
+    checked when every entry of its sum is certified, which each row of the
+    sum decides by its end cells; the cells are then read directly.
     """
     table = FBinomialTable(law, nmax=2 * nmax, override=override)
     R = law.ring
@@ -146,8 +159,7 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
 
     for n in range(-nmax, nmax + 1):
         s = table.slices[n]
-        for (i, j), c in s.coeffs.items():
-            v = table.override.get((n, i, j), c)
+        for (i, j), v in s.coeffs.items():
             if (j < 0 or i + j < n) and not R.is_zero(v):
                 return Report("f_binomial/vanishing", name, f"|n|<={nmax}",
                               _fail(R, (n, i, j), v, R.zero()))
@@ -162,9 +174,8 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
                               _fail(R, (n, i, 0), got, want))
             checked += 1
         if n >= 0:
-            for (i, j), c in s.coeffs.items():
-                v = table.override.get((n, i, j), c)
-                w = table.override.get((n, j, i), s.coefficient((j, i)))
+            for (i, j), v in s.coeffs.items():
+                w = s.coefficient((j, i))
                 if not R.eq(v, w):
                     return Report("f_binomial/symmetry", name, f"0<=n<={nmax}",
                                   _fail(R, (n, i, j), v, w))
@@ -172,28 +183,37 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
 
     # convolution: entry(m+n, r, s) = sum over i+k=r, j+l=s
     for m in range(-nmax, nmax + 1):
+        xs = table.slices[m]
         for n in range(-nmax, nmax + 1):
+            ys = table.slices[n]
             for s in range(0, smax + 1):
                 for r in range(m + n - s, m + n + smax + 1):
                     try:
                         lhs = table.entry(m + n, r, s)
-                        rhs = R.zero()
-                        for j in range(0, s + 1):
-                            ell = s - j
-                            for i in range(m - j, r - n + ell + 1):
-                                # fetch both entries, so that a miss on either
-                                # skips the cell; canonical zeros are falsy
-                                x = table.entry(m, i, j)
-                                y = table.entry(n, r - i, ell)
-                                if x and y:
-                                    rhs = R.add(rhs, R.mul(x, y))
                     except WindowMiss:
                         continue
-                    if not R.eq(lhs, rhs):
-                        return Report("f_binomial/convolution", name,
-                                      f"|m|,|n|<={nmax}, s<={smax}",
-                                      _fail(R, (m + n, r, s), lhs, rhs))
-                    checked += 1
+                    rhs = R.zero()
+                    for j in range(0, s + 1):
+                        ell = s - j
+                        # x runs over (i, j) and y over (r - i, ell) for
+                        # m - j <= i <= hi; a miss on either skips the cell
+                        hi = r - n + ell
+                        if not (_row_certified(xs, m - j, hi, j)
+                                and _row_certified(ys, r - hi, r - m + j, ell)):
+                            break
+                        for i in range(m - j, hi + 1):
+                            # canonical zeros are falsy, and so is a miss
+                            x = xs.coeffs.get((i, j))
+                            if x:
+                                y = ys.coeffs.get((r - i, ell))
+                                if y:
+                                    rhs = R.add(rhs, R.mul(x, y))
+                    else:
+                        if not R.eq(lhs, rhs):
+                            return Report("f_binomial/convolution", name,
+                                          f"|m|,|n|<={nmax}, s<={smax}",
+                                          _fail(R, (m + n, r, s), lhs, rhs))
+                        checked += 1
     return Report("f_binomial", name, f"|n|<={nmax}, s<={smax}",
                   details={"entries_checked": checked})
 
@@ -315,13 +335,17 @@ def _delta_tower(delta, power, base_vars, out_var, B):
     expansion of base^n; a window over (z0, z1, z2) on the box [-B, B]^3.
 
     delta is the difference of the two ``_inverse_expansions``, read by
-    position as (out, u), and power(n) is an exact two-variable element of
-    valuation n with exponents and floors in base_vars order.  Each box cell
-    is one ``_tower_cell`` sum, so no power above n = 2B is read.  The box
-    keeps only the cells every read certifies: out-exponents at or above the
-    delta's out floor and below minus its u floor (out-exponent e0 needs
-    every u^n with n >= -e0-1), base exponents at or above the floors of the
-    powers read, and totals up to ``max_total``.
+    position as (out, u), and power(n, trunc=t) is an exact two-variable
+    element of valuation n, certified below total degree t at least, with
+    exponents and floors in base_vars order.  Each box cell is one
+    ``_tower_cell`` sum, so no power above n = 2B is read, and every base
+    cell it reads has total degree <= 2B: each power is asked for at
+    trunc = 2B + 1 and no deeper.  The box keeps only the cells every read
+    certifies: out-exponents at or above the delta's out floor and below
+    minus its u floor (out-exponent e0 needs every u^n with n >= -e0-1),
+    base exponents at or above the floors of the powers read, and totals up
+    to ``max_total``, which a power cuts only when it is certified below
+    2B + 1 alone.
     """
     allvars = ("z0", "z1", "z2")
     oi = allvars.index(out_var)
@@ -337,11 +361,12 @@ def _delta_tower(delta, power, base_vars, out_var, B):
     for n in range(-(B + 1), 2 * B + 1):
         if not any((e0, n) in delta.coeffs for e0 in range(lo[oi], hi[oi] + 1)):
             continue
-        p = powers[n] = power(n)
-        # the lowest out-exponent that reads power(n) is max(-B, -n-1);
-        # cells of higher total degree than this cap would read power(n)
-        # beyond its truncation
-        mt = min(mt, p.trunc - 1 + max(-B, -n - 1))
+        p = powers[n] = power(n, trunc=2 * B + 1)
+        if p.trunc <= 2 * B:
+            # the lowest out-exponent that reads power(n) is max(-B, -n-1);
+            # cells of higher total degree than this cap would read power(n)
+            # beyond its truncation
+            mt = min(mt, p.trunc - 1 + max(-B, -n - 1))
         for k, f in zip(bi, p.floors):
             if f is not None:
                 lo[k] = max(lo[k], f)
@@ -413,51 +438,59 @@ def f_residue(law, f, var="z"):
 # -- F-hyperderivatives ----------------------------------------------------
 
 
-def hyperderivative_expansion(law, f):
-    """i_{z,w} f(F(z,w)) for univariate f; the w^n slices are S_n f.
+def _hyper_slices(law, f, nmin, nmax):
+    """[S_nmin f, ..., S_nmax f]: the w^n slices, nmin <= n <= nmax, of the
+    z-dominant expansion i_{z,w} f(F(z,w)) of a univariate f.
 
-    The map is linear in f, and the expansion of a monomial z^e is the power
-    F(z,w)^e from the law's power table, cut at t + min(e, 0) for t the lower
-    of f's and the law's truncation: what substituting F(z,w) into z^e at
-    truncation t certifies, since a negative valuation lowers the truncation
-    of the product.  Negative powers are expanded three truncation orders
-    deep so that the result stays residue-reliable after multiplication by
-    p_F.
+    The expansion is linear in f, and that of a monomial z^e is the power
+    F(z,w)^e from the law's power table, cut at t + min(e, 0) for t the
+    lower of f's and the law's truncation: what substituting F(z,w) into
+    z^e at truncation t certifies, since a negative valuation lowers the
+    truncation of the product.  Negative powers are expanded three
+    truncation orders deep so that the result stays residue-reliable after
+    multiplication by p_F.  The sum is cut once at the least of these
+    truncations and the joined floors, so one pass over each power
+    multiplies only the cells with w-exponent in [nmin, nmax] that survive
+    the cut: slice n has truncation (the cut) - n and the z floor, and a
+    slice below the w floor raises ``WindowMiss``.
     """
     if f.vars != ("z",):
         raise ValueError("hyperderivative input must be univariate in z")
     R = law.ring
     t = min(f.trunc, law.trunc)
     deep = (-3 * law.trunc,) * 2
-    # one running sum, cut once at the least truncation and the joined
-    # floors: a cell cut on the way would be cut at the end as well
-    out, out_t, floors = {}, t, (None, None)
-    for (e,), c in sorted(f.coeffs.items()):
-        g = law.power(e, floors=deep if e < 0 else None).truncate(t + min(e, 0))
-        out_t = min(out_t, g.trunc)
+    terms = [(c, law.power(e, floors=deep if e < 0 else None), t + min(e, 0))
+             for (e,), c in sorted(f.coeffs.items())]
+    out_t, floors = t, (None, None)
+    for _, g, cut in terms:
+        out_t = min(out_t, cut, g.trunc)
         floors = LaurentElement._join_floors_add(floors, g.floors)
-        sparse_add(R, out, ((x, R.mul(v, c)) for x, v in g.coeffs.items()))
-    return LaurentElement(R, ("z", "w"), out, out_t, floors=floors)
-
-
-def _slice_w(g, n):
-    wi = g.vars.index("w")
-    if g.floors[wi] is not None and n < g.floors[wi]:
-        raise WindowMiss(f"w^{n} slice below the reliable floor")
-    return g.coefficient_of("w", n)
+    zlo, wlo = floors
+    if wlo is not None and nmin < wlo:
+        raise WindowMiss(f"w^{nmin} slice below the reliable floor")
+    low = -inf if zlo is None else zlo
+    # one running sum over the cells read, split into slices at the end
+    out = {}
+    for c, g, _ in terms:
+        sparse_add(R, out, (((i, j), R.mul(v, c)) for (i, j), v in g.coeffs.items()
+                            if nmin <= j <= nmax and low <= i < out_t - j))
+    slices = {n: {} for n in range(nmin, nmax + 1)}
+    for (i, j), v in out.items():
+        slices[j][(i,)] = v
+    return [LaurentElement(R, ("z",), sl, out_t - n, floors=(zlo,), _clean=True)
+            for n, sl in slices.items()]
 
 
 def hyperderivative(law, f, n):
     """S_n f: the w^n coefficient of the z-dominant expansion of f(F(z,w))."""
     if n < 0:
         raise ValueError("hyperderivatives need n >= 0")
-    return _slice_w(hyperderivative_expansion(law, f), n)
+    return _hyper_slices(law, f, n, n)[0]
 
 
 def hyperderivatives(law, f, nmax):
-    """[S_0 f, ..., S_nmax f] from a single expansion of f(F(z,w))."""
-    g = hyperderivative_expansion(law, f)
-    return [_slice_w(g, n) for n in range(nmax + 1)]
+    """[S_0 f, ..., S_nmax f] from one pass over the powers of F(z,w)."""
+    return _hyper_slices(law, f, 0, nmax)
 
 
 def hyperderivative_properties(law, fs=None, nmax=3):

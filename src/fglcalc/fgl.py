@@ -204,13 +204,19 @@ class FormalGroupLaw:
         return self.F.truncate(t).rename((zname, wname)).as_laurent()
 
     def power(self, n, vars=(Z, W), *, twisted=False, dominant=0, floors=None,
-              table=None):
+              trunc=None, table=None):
         """F(x, y)^n, or F(x, iota y)^n when twisted, for (x, y) = vars.
 
         The expansion has vars[dominant] dominant; exponents and ``floors``
-        (passed to ``LaurentElement.int_power``) are in vars order.  Each
-        entry is computed once and memoised under the positional key
-        (twisted, dominant, n, floors), so requests that differ only in the
+        (passed to ``LaurentElement.int_power``) are in vars order.  With
+        ``trunc`` below the power's natural truncation N - 1 + n (N the
+        law's), and n not 0 or 1, the power is certified below total degree
+        ``trunc`` only: the base is cut to max(2, trunc - n + 1) first, so
+        the recurrence runs on fewer cells, and the result equals the full
+        power truncated at ``trunc`` (a negative power keeps the floors
+        (-N, -N) of the full one).  Each entry is computed once and memoised
+        under the positional key (twisted, dominant, n, floors, trunc), with
+        trunc None when nothing is cut, so requests that differ only in the
         variable names share one entry: the result is a view with the names
         applied, sharing the stored coefficient dict, which must not be
         mutated.  F is symmetric, so the w-dominant expansion of F(z,w)^n
@@ -219,22 +225,33 @@ class FormalGroupLaw:
         new ones in ``table``, keeping one-off powers out of the law for the
         rest of the process.
         """
+        if n in (0, 1) or trunc is None or trunc >= self.trunc - 1 + n:
+            trunc = None
         memo = self._powers if table is None else table
-        key = (twisted, dominant, n, floors)
+        key = (twisted, dominant, n, floors, trunc)
         g = self._powers.get(key)
         if g is None:
             g = memo.get(key)
         if g is None:
             # the n = 1 entry is the base itself (int_power(1) returns it)
-            base = self._powers.get((twisted, 0, 1, None))
+            base = self._powers.get((twisted, 0, 1, None, None))
             if base is None:
                 base = self.f_z_iota_w() if twisted else self.as_laurent()
-                self._powers[(twisted, 0, 1, None)] = base
+                self._powers[(twisted, 0, 1, None, None)] = base
+            if trunc is not None:
+                # the base has valuation 1, so F^n is certified below its
+                # truncation - 1 + n
+                base = base.truncate(max(2, trunc - n + 1))
+                if n < 0 and floors is None:
+                    floors = (-self.trunc,) * 2
             if dominant:
                 rev = None if floors is None else floors[::-1]
                 g = base.reorder((W, Z)).int_power(n, floors=rev).reorder((Z, W))
             else:
                 g = base.int_power(n, floors=floors)
+            if trunc is not None and g.trunc > trunc:
+                # n >= trunc: F^n has no cell below total degree trunc
+                g = g.truncate(trunc)
             memo[key] = g
         vars = tuple(vars)
         if vars == (Z, W):

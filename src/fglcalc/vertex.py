@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import chain
 
 from .calculus import (Report, _compare, _fail, _inverse_expansions, _tower_cell,
                        f_residue, hyperderivative)
@@ -1184,7 +1185,11 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
     applied to phi, which is what the identity's proof reduces it to.  Every
     output cell is a certified finite sum: each Y product or kernel cell is
     contracted against one delta-tower cell, the ``calculus._tower_cell``
-    sum that the scalar ``f_jacobi_delta_check`` uses too.  The kernel must
+    sum that the scalar ``f_jacobi_delta_check`` uses too; each distinct
+    (out-exponent, cell, ordering) is summed once.  The powers of
+    F(z, iota w) are certified below top + 1 and no deeper, top the largest
+    total degree of a cell the loops read; a bound too low raises
+    ``WindowMiss`` in ``certified`` rather than passing.  The kernel must
     be componentwise bounded below in z0 for the contraction to terminate,
     and a violation is reported as a failure of meromorphicity.
     """
@@ -1227,11 +1232,24 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
         raise WindowMiss(
             f"kernel certified only to total {p.max_total}, need {cap_p}")
 
-    # u^n is replaced by a power of F(z, iota w) in either dominance ordering
-    powers = [cache(partial(law.power, twisted=True, dominant=d)) for d in (0, 1)]
+    # the largest total degree of a power cell the loops below read: every
+    # e_k <= B, the right side reads (e1 - j1, e2 - j2) with e2 >= j2 (g1)
+    # or e1 >= j1 (g2), the left side (e1 + N, e0 - i) with e0 >= i
+    top = 2 * B - min(chain((j1 + j2 for j1, j2 in g1 if j2 <= B),
+                            (j1 + j2 for j1, j2 in g2 if j1 <= B),
+                            (i - N for i, j in p.coeffs if i <= B and i + j <= cap_p)),
+                      default=0)
+    # u^n is replaced by a power of F(z, iota w) in either dominance
+    # ordering, certified below total degree top + 1 and no deeper
+    powers = [cache(partial(law.power, twisted=True, dominant=d, trunc=top + 1))
+              for d in (0, 1)]
+
+    @cache
+    def tower_cell(m, cell, dominant):
+        return _tower_cell(delta, powers[dominant], m, cell)
 
     def add_tower_cell(acc, state, m, cell, dominant=0):
-        r = _tower_cell(delta, powers[dominant], m, cell)
+        r = tower_cell(m, cell, dominant)
         if r:
             st_addmul(acc, state, r)
 

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import comb, factorial
 
 import pytest
@@ -26,7 +26,6 @@ from fglcalc.calculus import (
     f_jacobi_delta_check,
     f_residue,
     hyperderivative,
-    hyperderivative_expansion,
     hyperderivative_properties,
     hyperderivatives,
     iterated_residue_check,
@@ -35,6 +34,7 @@ from fglcalc.calculus import (
 )
 from fglcalc.cli import ITERATED_TRIPLES
 from delta_tower_oracle import delta_tower
+from hyperderivative_oracle import hyperderivative_expansion, slice_w
 
 QQ = Ring.rationals()
 
@@ -117,6 +117,54 @@ def test_f_binomial_fault_injection():
                                 override={(2, 3, 0): R.from_int(7)})
     assert not rep.ok
     assert rep.status["fail"]["monomial"] == [2, 3, 0]
+
+
+def per_cell_entries_checked(law, nmax, smax):
+    # the reference count of f_binomial_identities on a law that passes:
+    # every entry of every convolution sum is read through
+    # FBinomialTable.entry, and a miss on any of them skips the cell
+    table = FBinomialTable(law, nmax=2 * nmax)
+    checked = 0
+    for n in range(-nmax, nmax + 1):
+        s = table.slices[n]
+        low = -6 if s.floors[0] is None else max(-6, s.floors[0])
+        checked += sum(s.reliable_at((i, 0)) for i in range(low, 7))
+        if n >= 0:
+            checked += len(s.coeffs)
+    for m in range(-nmax, nmax + 1):
+        for n in range(-nmax, nmax + 1):
+            for s in range(0, smax + 1):
+                for r in range(m + n - s, m + n + smax + 1):
+                    try:
+                        table.entry(m + n, r, s)
+                        for j in range(0, s + 1):
+                            for i in range(m - j, r - n + s - j + 1):
+                                table.entry(m, i, j)
+                                table.entry(n, r - i, s - j)
+                    except WindowMiss:
+                        continue
+                    checked += 1
+    return checked
+
+
+def test_f_binomial_convolution_rows_decide_by_their_ends(monkeypatch):
+    # truncated slices make whole convolution rows miss, at either end; the
+    # row test by end cells skips exactly the cells a per-cell read skips
+    law = standard_law("multiplicative", trunc=10)
+    full = f_binomial_identities(law, nmax=2, smax=3).details["entries_checked"]
+    assert full == per_cell_entries_checked(law, 2, 3)
+    power = law.power
+
+    def truncated(n, *args, **kw):
+        # three slices cut in total degree, two clipped below in z
+        p = power(n, *args, **kw)
+        return p.truncate({1: 3, -2: 2, 3: 6}.get(n, p.trunc),
+                          floors={-1: (-2, None), -3: (-4, None)}.get(n))
+
+    monkeypatch.setattr(law, "power", truncated)
+    rep = f_binomial_identities(law, nmax=2, smax=3)
+    assert rep.ok, rep.to_json()
+    assert rep.details["entries_checked"] == per_cell_entries_checked(law, 2, 3) < full
 
 
 def test_f_binomial_table_window_miss():
@@ -245,12 +293,15 @@ def test_f_jacobi_computes_each_power_once(kind, monkeypatch):
     before = set(law._powers)
     calls = Counter()
     int_power = LaurentElement.int_power
+    truncs = {}
 
     def counted(self, n, floors=None):
         # the base by its cells, whatever its variable names
         base = tuple(sorted((e, R.to_text(c)) for e, c in self.coeffs.items()))
         calls[base, self.trunc, n, floors] += 1
-        return int_power(self, n, floors)
+        out = int_power(self, n, floors)
+        truncs[base, self.trunc, n, floors] = out.trunc
+        return out
 
     monkeypatch.setattr(LaurentElement, "int_power", counted)
     rep = f_jacobi_delta_check(law, B=2)
@@ -260,8 +311,32 @@ def test_f_jacobi_computes_each_power_once(kind, monkeypatch):
     assert calls
     assert [k[2:] for k, v in calls.items() if v > 1] == []
     assert [k for k in set(law._powers) - before if k[2] != 1] == []
-    # no box cell of [-2, 2]^3 reads a power above n = 2B
+    # no box cell of [-2, 2]^3 reads a power above n = 2B, nor a base cell
+    # of total degree above 2B
     assert max(k[2] for k in calls) <= 4
+    assert [t for k, t in truncs.items() if k[2] >= 2 and t > 5] == []
+
+
+@pytest.mark.parametrize("kind,params", [("multiplicative", {}), ("elliptic", {}),
+                                         ("p_typical", {"p": 2, "h": 1})])
+def test_f_jacobi_power_depth_is_tight(kind, params, monkeypatch):
+    # the towers ask for each power below total degree 2B + 1; one degree
+    # less, and the towers' max total shrinks the certified window instead
+    # of letting an uncertified read pass
+    law = standard_law(kind, trunc=12, **params)
+    power = law.power
+
+    def shallower(n, *args, trunc=None, **kw):
+        return power(n, *args, trunc=None if trunc is None else trunc - 1, **kw)
+
+    def sizes():
+        reps = [f_jacobi_delta_check(law, B=B) for B in (2, 3, 4)]
+        assert all(rep.ok for rep in reps)
+        return [rep.details["window_size"] for rep in reps]
+
+    assert sizes() == [125, 343, 719]
+    monkeypatch.setattr(law, "power", shallower)
+    assert sizes() == [90, 259, 564]
 
 
 # the four towers of f_jacobi_delta_check: base variables, out variable,
@@ -334,6 +409,40 @@ def test_hyperderivative_properties_computes_each_power_once(kind, monkeypatch):
         want = want + hyperderivative_expansion(law, mono).scale(c)
     got = hyperderivative_expansion(law, f)
     assert (got.coeffs, got.trunc, got.floors) == (want.coeffs, want.trunc, want.floors)
+
+
+HYPER_LAWS = [("additive", {}), ("multiplicative", {}), ("one_parameter", {}),
+              ("elliptic", {}), ("p_typical", {"p": 2, "h": 1}),
+              ("p_typical", {"p": 3, "h": 1})]
+
+
+@cache
+def hyper_law(k, t):
+    kind, params = HYPER_LAWS[k]
+    return standard_law(kind, trunc=t, **params)
+
+
+@given(k=st.integers(0, len(HYPER_LAWS) - 1), t=st.sampled_from([6, 12, 16]),
+       nmax=st.sampled_from([0, 3, 10]), ftrunc=st.integers(-3, 3),
+       coeffs=st.dictionaries(st.integers(-6, 8), st.integers(-5, 5), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_hyperderivative_slices_match_the_expansion(k, t, nmax, ftrunc, coeffs):
+    # the slice route equals slicing the full expansion: cells, truncation
+    # and floors of every S_n, for both entry points
+    law = hyper_law(k, t)
+    R = law.ring
+    f = LaurentElement(R, ("z",), {(e,): R.from_int(c) for e, c in coeffs.items()},
+                       t + ftrunc)
+    g = hyperderivative_expansion(law, f)
+    got = hyperderivatives(law, f, nmax)
+    assert len(got) == nmax + 1
+    for n, sn in enumerate(got):
+        want = slice_w(g, n)
+        assert (sn.vars, sn.coeffs, sn.trunc, sn.floors) == \
+            (want.vars, want.coeffs, want.trunc, want.floors), n
+    one = hyperderivative(law, f, nmax)
+    assert (one.coeffs, one.trunc, one.floors) == \
+        (got[nmax].coeffs, got[nmax].trunc, got[nmax].floors)
 
 
 # -- residues --------------------------------------------------------------

@@ -436,6 +436,36 @@ def test_power_table_matches_int_power(kind, twisted, dominant):
                 (want.coeffs, want.trunc, want.floors), (n, floors)
 
 
+CAPPED_LAWS = [("additive", {}), ("multiplicative", {}), ("one_parameter", {}),
+               ("elliptic", {}), ("p_typical", {"p": 2, "h": 1}),
+               ("p_typical", {"p": 3, "h": 1})]
+
+
+@pytest.mark.parametrize("kind,params", CAPPED_LAWS,
+                         ids=[k + "".join(f"-{v}" for v in p.values())
+                              for k, p in CAPPED_LAWS])
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("dominant", [0, 1])
+def test_capped_power_is_the_truncated_power(kind, params, twisted, dominant):
+    # law.power(n, trunc=t) is the full power cut at total degree t, in
+    # cells, truncation and floors, for every t up to the natural
+    # truncation + 1; n = 0 and n = 1 are never cut
+    law = standard_law(kind, trunc=10, **params)
+    kw = {"twisted": twisted, "dominant": dominant}
+    for n in range(-5, 11):
+        full = law.power(n, **kw)
+        natural = law.trunc - 1 + n
+        for t in range(-2, natural + 2):
+            got = law.power(n, trunc=t, table={}, **kw)
+            if n in (0, 1):
+                assert got is full
+                continue
+            want = full.truncate(t)
+            assert (got.coeffs, got.trunc, got.floors) == \
+                (want.coeffs, want.trunc, want.floors), (n, t)
+            assert got.trunc == min(t, natural)
+
+
 def test_power_table_shares_entries_across_names(monkeypatch):
     law = standard_law("multiplicative", trunc=10)
     calls = []

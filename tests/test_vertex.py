@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglcalc.ring import Ring
-from fglcalc.series import LaurentElement
+from fglcalc.series import LaurentElement, WindowMiss
 from fglcalc.fgl import standard_law
 from fglcalc.vertex import (
     HeisenbergAlgebra,
@@ -325,6 +325,26 @@ def test_jacobi_identity_multiplicative_box4():
     r = jacobi_identity_check(HM, bgen(), bgen(), vac(), B=4)
     assert r.ok
     assert r.details == {"cells": 9 ** 3, "N": 2}
+
+
+@pytest.mark.parametrize("kind,params", [("multiplicative", {}), ("additive", {}),
+                                         ("p_typical", {"p": 2, "h": 1})])
+def test_jacobi_identity_power_depth_is_tight(kind, params, monkeypatch):
+    # the check asks for the powers of F(z, iota w) below the largest total
+    # degree its loops read, plus one; one degree less, and a read raises
+    # WindowMiss instead of passing
+    law = standard_law(kind, trunc=18, **params)
+    A = HeisenbergAlgebra(law, K=6, W=6)
+    r = jacobi_identity_check(A, bgen(), bgen(), vac(), B=3)
+    assert r.ok and r.details == {"cells": 7 ** 3, "N": 2}
+    power = law.power
+
+    def shallower(n, *args, trunc=None, **kw):
+        return power(n, *args, trunc=None if trunc is None else trunc - 1, **kw)
+
+    monkeypatch.setattr(law, "power", shallower)
+    with pytest.raises(WindowMiss, match=r"cell \(5, 5\) .*\(trunc 10,"):
+        jacobi_identity_check(A, bgen(), bgen(), vac(), B=3)
 
 
 # -- cocycle ----------------------------------------------------------------------
