@@ -21,8 +21,11 @@ hyperderivative suite, ``verify --suite hyper`` on elliptic and on
 p_typical(2,1); ``fgl --trunc 8|13|24`` on the six; ``binom`` on
 one_parameter (default and ``--nmin -3 --nmax 4``) and on elliptic;
 ``heisenberg --action commutators|shift|bracket_table`` on the additive law;
-and ``heisenberg --action bracket_table|shift`` on multiplicative and on
-p_typical(2,1), whose brackets carry a p_F correction.
+``heisenberg --action bracket_table|shift`` on multiplicative and on
+p_typical(2,1), whose brackets carry a p_F correction; and ``fgl
+--law-file`` on three law files written to a temporary directory: a valid
+law with a "-3/2" coefficient (exit 0), a non-associative one and one with
+a negative exponent (both exit 2).
 
 Usage: python3 scripts/payload_gate.py --against OTHER/src [--select TEXT]
 
@@ -31,9 +34,11 @@ Exit codes: 0 every command agrees, 1 a command differs, 2 usage error.
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -43,8 +48,16 @@ KINDS = [["--kind", "additive"], ["--kind", "multiplicative"],
          ["--kind", "p_typical", "--p", "2", "--h", "1"],
          ["--kind", "p_typical", "--p", "3", "--h", "1"]]
 
+UNIT = [[1, 0, "1"], [0, 1, "1"]]
+LAW_FILES = {
+    "valid": {"name": "mult-file", "trunc": 8, "coeffs": UNIT + [[1, 1, "-3/2"]]},
+    "non_associative": {"trunc": 8, "coeffs": UNIT + [[1, 1, "1"], [2, 1, "1"],
+                                                     [1, 2, "1"]]},
+    "negative_exponent": {"trunc": 8, "coeffs": UNIT + [[-1, 2, "1"]]},
+}
 
-def gate_list():
+
+def gate_list(law_dir):
     cmds = [["verify", "--suite", "all", *kind, "--seed", seed]
             for kind in KINDS for seed in ("0", "3")]
     cmds += [["verify", "--suite", "binom", "--kind", k, "--inject-fault"]
@@ -67,6 +80,8 @@ def gate_list():
     cmds += [["heisenberg", "--action", a] for a in ("commutators", "shift", "bracket_table")]
     cmds += [["heisenberg", "--action", a, *kind] for kind in (KINDS[1], KINDS[4])
              for a in ("bracket_table", "shift")]
+    cmds += [["fgl", "--law-file", str(Path(law_dir) / f"{name}.json")]
+             for name in LAW_FILES]
     return cmds
 
 
@@ -92,10 +107,17 @@ def main(argv=None):
     if not (other / "fglcalc" / "cli.py").is_file():
         print(f"error: {other} holds no fglcalc package", file=sys.stderr)
         return 2
-    cmds = [c for c in gate_list() if args.select in " ".join(c)]
-    if not cmds:
-        print(f"error: no gate command contains {args.select!r}", file=sys.stderr)
-        return 2
+    with tempfile.TemporaryDirectory() as law_dir:
+        for name, law in LAW_FILES.items():
+            (Path(law_dir) / f"{name}.json").write_text(json.dumps(law))
+        cmds = [c for c in gate_list(law_dir) if args.select in " ".join(c)]
+        if not cmds:
+            print(f"error: no gate command contains {args.select!r}", file=sys.stderr)
+            return 2
+        return _compare(cmds, other)
+
+
+def _compare(cmds, other):
     for cmd in cmds:
         text = " ".join(cmd)
         # the two trees run side by side
@@ -117,7 +139,6 @@ def main(argv=None):
         print(f"same     {text} (exit {code})", flush=True)
     print(f"{len(cmds)} commands agree")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -148,7 +148,8 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
 
     The j=0 column is tested against the Kronecker delta in n (the natural
     reading; see the package docs for the index-naming caveat).  `override`
-    injects corrupted entries for fault testing.  A convolution cell is
+    injects corrupted entries for fault testing.  A symmetry pair is checked
+    when its transposed cell is certified too.  A convolution cell is
     checked when every entry of its sum is certified, which each row of the
     sum decides by its end cells; the cells are then read directly.
     """
@@ -175,6 +176,8 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
             checked += 1
         if n >= 0:
             for (i, j), v in s.coeffs.items():
+                if not s.reliable_at((j, i)):
+                    continue
                 w = s.coefficient((j, i))
                 if not R.eq(v, w):
                     return Report("f_binomial/symmetry", name, f"0<=n<={nmax}",
@@ -243,8 +246,8 @@ def _inverse_expansions(law, vars=("z", "w"), classical=False, table=None):
     exponents in vars order; their difference is x^{-1} delta(y/x).  The
     F powers are memoised as ``law.power`` does, in ``table`` if given."""
     if not classical:
-        return (law.power(-1, vars, twisted=True, table=table),
-                law.power(-1, vars, twisted=True, dominant=1, table=table))
+        return (law.power(-1, twisted=True, table=table).rename(vars),
+                law.power(-1, twisted=True, dominant=1, table=table).rename(vars))
     R = law.ring
     x, y = vars
     zmw = LaurentElement(R, vars, {(1, 0): R.one(), (0, 1): R.neg(R.one())},
@@ -657,7 +660,7 @@ def residue_inversion_check(law, samples=10, seed=1, max_pole=3, max_deg=5):
             if c:
                 coeffs[(e,)] = R.from_int(c)
         f = LaurentElement(R, ("z",), coeffs, law.trunc)
-        fi = f.substitute({"z": (iota, True)})
+        fi = f.substitute({"z": iota})
         lhs = f_residue(law, fi)
         rhs = R.neg(f_residue(law, f))
         if not R.eq(lhs, rhs):
@@ -696,8 +699,8 @@ def iterated_residue_check(law, triples):
         # F(x, iota y)^a * (vars monomial) with vars[dominant] dominant,
         # residue in the other variable, then in the dominant one; the power
         # is expanded deep enough to survive both p_F factors
-        a_pow = law.power(a, vars, twisted=True, dominant=dominant,
-                          floors=(-depth, -depth), table=deep)
+        a_pow = law.power(a, twisted=True, dominant=dominant,
+                          floors=(-depth, -depth), table=deep).rename(vars)
         shift = LaurentElement(R, vars,
                                {b_exps: R.one()}, a_pow.trunc + sum(b_exps) + 1)
         el = a_pow * shift

@@ -11,8 +11,7 @@ F(z, iota w) are computed on demand by ``power`` and kept on the law.
 from __future__ import annotations
 
 from .ring import Ring
-from .series import (LaurentElement, PowerSeries, common_denominator, scale_by_degree,
-                     solve_by_degree)
+from .series import PowerSeries, common_denominator, scale_by_degree, solve_by_degree
 
 
 class AxiomViolation(Exception):
@@ -203,27 +202,26 @@ class FormalGroupLaw:
         t = trunc or self.trunc
         return self.F.truncate(t).rename((zname, wname)).as_laurent()
 
-    def power(self, n, vars=(Z, W), *, twisted=False, dominant=0, floors=None,
-              trunc=None, table=None):
-        """F(x, y)^n, or F(x, iota y)^n when twisted, for (x, y) = vars.
+    def power(self, n, *, twisted=False, dominant=0, floors=None, trunc=None,
+              table=None):
+        """F(z, w)^n, or F(z, iota w)^n when twisted.
 
-        The expansion has vars[dominant] dominant; exponents and ``floors``
-        (passed to ``LaurentElement.int_power``) are in vars order.  With
+        The expansion has (z, w)[dominant] dominant; exponents and ``floors``
+        (passed to ``LaurentElement.int_power``) are in (z, w) order.  With
         ``trunc`` below the power's natural truncation N - 1 + n (N the
         law's), and n not 0 or 1, the power is certified below total degree
         ``trunc`` only: the base is cut to max(2, trunc - n + 1) first, so
         the recurrence runs on fewer cells, and the result equals the full
         power truncated at ``trunc`` (a negative power keeps the floors
         (-N, -N) of the full one).  Each entry is computed once and memoised
-        under the positional key (twisted, dominant, n, floors, trunc), with
-        trunc None when nothing is cut, so requests that differ only in the
-        variable names share one entry: the result is a view with the names
-        applied, sharing the stored coefficient dict, which must not be
-        mutated.  F is symmetric, so the w-dominant expansion of F(z,w)^n
-        is ``power(n, ("w", "z"))``.  A caller that passes its own dict as
-        ``table`` still reads the entries already on the law but memoises
-        new ones in ``table``, keeping one-off powers out of the law for the
-        rest of the process.
+        under the key (twisted, dominant, n, floors, trunc), with trunc None
+        when nothing is cut; the stored coefficient dict must not be
+        mutated.  A caller that needs other variable names reads the entry
+        through ``rename``, a view sharing that dict.  F is symmetric, so
+        the w-dominant expansion of F(z,w)^n is ``power(n).rename(("w",
+        "z"))``.  A caller that passes its own dict as ``table`` still reads
+        the entries already on the law but memoises new ones in ``table``,
+        keeping one-off powers out of the law for the rest of the process.
         """
         if n in (0, 1) or trunc is None or trunc >= self.trunc - 1 + n:
             trunc = None
@@ -253,11 +251,7 @@ class FormalGroupLaw:
                 # n >= trunc: F^n has no cell below total degree trunc
                 g = g.truncate(trunc)
             memo[key] = g
-        vars = tuple(vars)
-        if vars == (Z, W):
-            return g
-        return LaurentElement(self.ring, vars, g.coeffs, g.trunc, floors=g.floors,
-                              _clean=True)
+        return g
 
     def __repr__(self):
         return f"<FormalGroupLaw {self.name} over {self.ring!r} at N={self.trunc}>"

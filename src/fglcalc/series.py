@@ -1,17 +1,21 @@
 """Truncated multivariate series arithmetic.
 
-Three computational series kinds:
+Two element kinds, and a window:
 
-  PowerSeries      -- finitely supported map from nonnegative exponent vectors,
-                      truncated by total degree N (terms of total degree >= N
-                      are unknown, not zero).
   LaurentElement   -- integer exponent vectors with a variable *ordering* that
                       records the iterated Laurent ring the element lives in
                       (first variable dominates, i.e. vars (z, w) means the
-                      ring of series meromorphic in z inside series in w).
-                      Besides the total-degree truncation, each variable may
-                      carry a finite reliability floor: coefficients with an
-                      exponent below the floor were cut off and are unknown.
+                      ring of series meromorphic in z inside series in w),
+                      truncated by total degree N (terms of total degree >= N
+                      are unknown, not zero).  Besides the truncation, each
+                      variable may carry a finite reliability floor:
+                      coefficients with an exponent below the floor were cut
+                      off and are unknown.
+  PowerSeries      -- the nonnegative case: a LaurentElement whose exponents
+                      are all >= 0 and whose floors are all None.  It shares
+                      every LaurentElement method and adds what law
+                      construction needs (a floor-free product, substitution
+                      of power series, inverses, square roots, primitives).
   BilateralWindow  -- a finite coefficient box standing for a bilateral series,
                       with a certified-correct interval per variable.
 
@@ -68,302 +72,6 @@ def _revlex_key(e):
     return tuple(reversed(e))
 
 
-class PowerSeries:
-    """Truncated power series over an exact ring."""
-
-    __slots__ = ("ring", "vars", "coeffs", "trunc")
-
-    def __init__(self, ring, vars, coeffs, trunc, _clean=False):
-        self.ring = ring
-        self.vars = tuple(vars)
-        self.trunc = trunc
-        if _clean:
-            self.coeffs = coeffs
-        else:
-            out = {}
-            for e, c in coeffs.items():
-                e = tuple(e)
-                if any(x < 0 for x in e):
-                    raise ValueError(f"negative exponent {e} in PowerSeries")
-                if _tot(e) >= trunc or ring.is_zero(c):
-                    continue
-                out[e] = c
-            self.coeffs = out
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(ring, vars, trunc):
-        return PowerSeries(ring, vars, {}, trunc, _clean=True)
-
-    @staticmethod
-    def const(ring, vars, value, trunc):
-        z = (0,) * len(vars)
-        c = {} if ring.is_zero(value) else {z: value}
-        return PowerSeries(ring, vars, c, trunc, _clean=True)
-
-    @staticmethod
-    def one(ring, vars, trunc):
-        return PowerSeries.const(ring, vars, ring.one(), trunc)
-
-    @staticmethod
-    def var(ring, vars, name, trunc):
-        e = tuple(1 if v == name else 0 for v in vars)
-        if sum(e) != 1:
-            raise ValueError(f"{name!r} not in {vars}")
-        return PowerSeries(ring, vars, {e: ring.one()}, trunc)
-
-    # -- basics ------------------------------------------------------------
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise OrderingMismatch("coefficient rings differ")
-        if self.vars != other.vars:
-            raise OrderingMismatch(f"variable orderings differ: {self.vars} vs {other.vars}")
-
-    def coefficient(self, e):
-        return self.coeffs.get(tuple(e), self.ring.zero())
-
-    def constant_term(self):
-        return self.coefficient((0,) * len(self.vars))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def valuation(self):
-        """Minimal total degree of the support (trunc if zero)."""
-        if not self.coeffs:
-            return self.trunc
-        return min(_tot(e) for e in self.coeffs)
-
-    def truncate(self, n):
-        n = min(n, self.trunc)
-        return PowerSeries(
-            self.ring, self.vars,
-            {e: c for e, c in self.coeffs.items() if _tot(e) < n},
-            n, _clean=True)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PowerSeries)
-            and self.ring == other.ring
-            and self.vars == other.vars
-            and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.vars, self.trunc, len(self.coeffs)))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        self._check(other)
-        t = min(self.trunc, other.trunc)
-        R = self.ring
-        out = {e: c for e, c in self.coeffs.items() if _tot(e) < t}
-        sparse_add(R, out, ((e, c) for e, c in other.coeffs.items() if _tot(e) < t))
-        return PowerSeries(R, self.vars, out, t, _clean=True)
-
-    def __neg__(self):
-        R = self.ring
-        return PowerSeries(R, self.vars, {e: R.neg(c) for e, c in self.coeffs.items()},
-                           self.trunc, _clean=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        R = self.ring
-        t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        out = sparse_mul(R, self.coeffs, other.coeffs, cut=t)
-        return PowerSeries(R, self.vars, out, t, _clean=True)
-
-    def scale(self, raw):
-        R = self.ring
-        out = {}
-        for e, c in self.coeffs.items():
-            s = R.mul(c, raw)
-            if not R.is_zero(s):
-                out[e] = s
-        return PowerSeries(R, self.vars, out, self.trunc, _clean=True)
-
-    # -- calculus ----------------------------------------------------------
-
-    def derivative(self, name):
-        i = self.vars.index(name)
-        R = self.ring
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            d = R.mul(c, R.from_int(e[i]))
-            if R.is_zero(d):
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[e2] = d
-        return PowerSeries(R, self.vars, out, self.trunc - 1, _clean=True)
-
-    def integrate(self, name):
-        """Termwise primitive with zero constant term; needs divisibility by n."""
-        i = self.vars.index(name)
-        R = self.ring
-        out = {}
-        for e, c in self.coeffs.items():
-            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-            out[e2] = R.divide_by_int(c, e[i] + 1)
-        return PowerSeries(R, self.vars, out, self.trunc + 1, _clean=False)
-
-    # -- inversion, composition --------------------------------------------
-
-    def invert_unit(self):
-        """Inverse of a series with invertible constant term: the power
-        f^-1 of ``LaurentElement.int_power``, Miller's recurrence, at f's
-        truncation.  Over the zero ring the zero series is its own inverse."""
-        if self.ring.try_invert(self.constant_term()) is NOT_INVERTIBLE:
-            raise NotInvertibleError("constant term is not a unit")
-        if not self.coeffs:
-            return self
-        g = self.as_laurent().int_power(-1)
-        return PowerSeries(self.ring, self.vars, g.coeffs, g.trunc, _clean=True)
-
-    def substitute(self, bindings):
-        """Substitute power series (each of positive valuation) for variables.
-
-        bindings: {name: PowerSeries over the target variables}. Unbound
-        variables must exist in the target variable list and are kept.
-        The result is truncated at t = min(self.trunc, every binding's trunc).
-
-        An image that is one monomial with coefficient one (a variable, or
-        an unbound variable) is an exponent shift and costs no ring
-        operation.  Every other image gets one table of its powers, cut at
-        total degree t.  Each monomial c * x^e then starts as {shift: c},
-        is multiplied by the tabled powers it needs and is accumulated
-        into a single output dict.
-        """
-        targets = list(bindings.values())
-        if not targets:
-            return self
-        tvars = targets[0].vars
-        R = self.ring
-        for g in targets:
-            if g.vars != tvars or g.ring != R:
-                raise OrderingMismatch("inconsistent substitution targets")
-            if g.valuation() < 1:
-                raise IllegalSubstitution("substituted series must have positive valuation")
-        t = min(self.trunc, min(g.trunc for g in targets))
-        one = R.one()
-        shifts = []  # per variable: the exponent of a monomial image, else None
-        tables = []  # per variable: [None, g, g^2, ...] for any other image
-        for v in self.vars:
-            g = bindings.get(v)
-            if g is None:
-                if v not in tvars:
-                    raise IllegalSubstitution(f"unbound variable {v!r} missing from target")
-                shifts.append(tuple(int(x == v) for x in tvars))
-                tables.append(None)
-            elif len(g.coeffs) == 1 and R.eq(next(iter(g.coeffs.values())), one):
-                shifts.append(next(iter(g.coeffs)))
-                tables.append(None)
-            else:
-                shifts.append(None)
-                tables.append([None, {e: c for e, c in g.coeffs.items() if _tot(e) < t}])
-
-        out = {}
-        for e, c in self.coeffs.items():
-            shift = [0] * len(tvars)
-            factors = []
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                m = shifts[i]
-                if m is None:
-                    pw = tables[i]
-                    while len(pw) <= k:
-                        pw.append(sparse_mul(R, pw[-1], pw[1], cut=t))
-                    factors.append(pw[k])
-                else:
-                    for j, x in enumerate(m):
-                        shift[j] += k * x
-            if sum(shift) >= t:
-                continue
-            term = {tuple(shift): c}
-            if not factors:
-                sparse_add(R, out, term.items())
-                continue
-            for f in factors[:-1]:
-                term = sparse_mul(R, term, f, cut=t)
-            sparse_mul(R, term, factors[-1], cut=t, out=out)
-        return PowerSeries(R, tvars, out, t, _clean=True)
-
-    def comp_inverse(self):
-        """Compositional inverse g with f(g) = g(f) = id, found degree by
-        degree: g_1 = 1 / f'(0), and in each degree d >= 2 the coefficient
-        sum_k f_k [z^d] g^k of f(g) must vanish (``solve_by_degree``)."""
-        if len(self.vars) != 1:
-            raise ValueError("comp_inverse needs a univariate series")
-        R = self.ring
-        if not R.is_zero(self.constant_term()):
-            raise IllegalSubstitution("comp_inverse needs f(0) = 0")
-        c1inv = R.try_invert(self.coefficient((1,)))
-        if c1inv is NOT_INVERTIBLE:
-            raise NotInvertibleError("f'(0) is not a unit")
-        g = solve_by_degree(R, [(0, k, c) for (k,), c in self.coeffs.items()],
-                            c1inv, c1inv, self.trunc)
-        return PowerSeries(R, self.vars, {(d,): c for d, c in g.items()}, self.trunc)
-
-    def sqrt(self):
-        """Square root with constant term 1; needs 2 invertible."""
-        R = self.ring
-        if not R.eq(self.constant_term(), R.one()):
-            raise NotInvertibleError("sqrt needs constant term 1")
-        two_inv = R.try_invert(R.from_int(2))
-        if two_inv is NOT_INVERTIBLE:
-            raise NotInvertibleError("sqrt needs 2 invertible in the ring")
-        t = self.trunc
-        g = PowerSeries.one(R, self.vars, t)
-        # Newton: g <- g - (g^2 - f) / (2g); here 1/(2g) via invert_unit
-        while True:
-            r = (g * g).truncate(t) - self
-            if r.is_zero():
-                break
-            half = (g + g).invert_unit()
-            g = g - (r * half).truncate(t)
-        return g
-
-    # -- conversions -------------------------------------------------------
-
-    def as_laurent(self):
-        return LaurentElement(self.ring, self.vars, dict(self.coeffs), self.trunc,
-                              floors=(None,) * len(self.vars))
-
-    def rename(self, new_vars):
-        if len(new_vars) != len(self.vars):
-            raise ValueError("rename needs the same arity")
-        return PowerSeries(self.ring, tuple(new_vars), self.coeffs, self.trunc, _clean=True)
-
-    def extend(self, new_vars):
-        """View in a larger variable list (new variables get exponent 0)."""
-        new_vars = tuple(new_vars)
-        idx = [new_vars.index(v) for v in self.vars]
-        out = {}
-        for e, c in self.coeffs.items():
-            e2 = [0] * len(new_vars)
-            for j, x in zip(idx, e):
-                e2[j] = x
-            out[tuple(e2)] = c
-        return PowerSeries(self.ring, new_vars, out, self.trunc, _clean=True)
-
-    def __repr__(self):
-        terms = []
-        for e in sorted(self.coeffs, key=lambda e: (_tot(e), e)):
-            mono = "*".join(f"{v}^{k}" for v, k in zip(self.vars, e) if k) or "1"
-            terms.append(f"({self.ring.to_text(self.coeffs[e])})*{mono}")
-        body = " + ".join(terms) or "0"
-        return f"<{body} + O(deg {self.trunc})>"
-
-
 class LaurentElement:
     """An iterated-Laurent element at truncation, with reliability floors.
 
@@ -399,22 +107,26 @@ class LaurentElement:
 
     # -- constructors ------------------------------------------------------
 
-    @staticmethod
-    def zero(ring, vars, trunc):
-        return LaurentElement(ring, vars, {}, trunc, _clean=True)
+    @classmethod
+    def zero(cls, ring, vars, trunc):
+        return cls(ring, vars, {}, trunc, _clean=True)
 
-    @staticmethod
-    def const(ring, vars, value, trunc):
+    @classmethod
+    def const(cls, ring, vars, value, trunc):
         z = (0,) * len(vars)
         c = {} if ring.is_zero(value) else {z: value}
-        return LaurentElement(ring, vars, c, trunc, _clean=True)
+        return cls(ring, vars, c, trunc, _clean=True)
 
-    @staticmethod
-    def var(ring, vars, name, trunc, power=1):
-        e = tuple(power if v == name else 0 for v in vars)
+    @classmethod
+    def one(cls, ring, vars, trunc):
+        return cls.const(ring, vars, ring.one(), trunc)
+
+    @classmethod
+    def var(cls, ring, vars, name, trunc, power=1):
         if name not in vars:
             raise ValueError(f"{name!r} not in {vars}")
-        return LaurentElement(ring, vars, {e: ring.one()}, trunc)
+        e = tuple(power if v == name else 0 for v in vars)
+        return cls(ring, vars, {e: ring.one()}, trunc)
 
     # -- basics ------------------------------------------------------------
 
@@ -427,10 +139,14 @@ class LaurentElement:
     def coefficient(self, e):
         return self.coeffs.get(tuple(e), self.ring.zero())
 
+    def constant_term(self):
+        return self.coefficient((0,) * len(self.vars))
+
     def is_zero(self):
         return not self.coeffs
 
     def valuation(self):
+        """Minimal total degree of the support (trunc if zero)."""
         if not self.coeffs:
             return self.trunc
         return min(_tot(e) for e in self.coeffs)
@@ -478,8 +194,8 @@ class LaurentElement:
                     for e in cut:
                         del coeffs[e]
                     out_floors[i] = f
-        return LaurentElement(self.ring, self.vars, coeffs, n,
-                              floors=tuple(out_floors), _clean=True)
+        return type(self)(self.ring, self.vars, coeffs, n,
+                          floors=tuple(out_floors), _clean=True)
 
     def __eq__(self, other):
         return (
@@ -508,12 +224,12 @@ class LaurentElement:
         t = min(self.trunc, other.trunc)
         floors = self._join_floors_add(self.floors, other.floors)
         out = sparse_add(R, dict(self.coeffs), other.coeffs.items())
-        return LaurentElement(R, self.vars, out, t, floors=floors)
+        return type(self)(R, self.vars, out, t, floors=floors)
 
     def __neg__(self):
         R = self.ring
-        return LaurentElement(R, self.vars, {e: R.neg(c) for e, c in self.coeffs.items()},
-                              self.trunc, floors=self.floors, _clean=True)
+        return type(self)(R, self.vars, {e: R.neg(c) for e, c in self.coeffs.items()},
+                          self.trunc, floors=self.floors, _clean=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -546,7 +262,7 @@ class LaurentElement:
             s = R.mul(c, raw)
             if not R.is_zero(s):
                 out[e] = s
-        return LaurentElement(R, self.vars, out, self.trunc, floors=self.floors, _clean=True)
+        return type(self)(R, self.vars, out, self.trunc, floors=self.floors, _clean=True)
 
     # -- integer powers ----------------------------------------------------
 
@@ -607,7 +323,7 @@ class LaurentElement:
         """
         R = self.ring
         if n == 0:
-            return LaurentElement.one_like(self)
+            return LaurentElement.one(R, self.vars, self.trunc)
         if n == 1 and floors is None:
             return self
         m, c = self.leading()
@@ -651,10 +367,6 @@ class LaurentElement:
         # dicts in place), so results held in a power table share it
         return LaurentElement(R, self.vars, out, t_rel + n * v, floors=out_floors)
 
-    @staticmethod
-    def one_like(f):
-        return LaurentElement.const(f.ring, f.vars, f.ring.one(), f.trunc)
-
     # -- expansion maps ----------------------------------------------------
 
     def reorder(self, ordering):
@@ -668,6 +380,7 @@ class LaurentElement:
         return LaurentElement(self.ring, ordering, out, self.trunc, floors=floors)
 
     def extend(self, new_vars):
+        """View in a larger variable list (new variables get exponent 0)."""
         new_vars = tuple(new_vars)
         idx = [new_vars.index(v) for v in self.vars]
         out = {}
@@ -679,27 +392,29 @@ class LaurentElement:
         floors = [None] * len(new_vars)
         for j, f in zip(idx, self.floors):
             floors[j] = f
-        return LaurentElement(self.ring, new_vars, out, self.trunc, floors=tuple(floors))
+        return type(self)(self.ring, new_vars, out, self.trunc, floors=tuple(floors))
+
+    def rename(self, new_vars):
+        """The same element with its variables renamed position by position,
+        sharing the coefficient dict."""
+        if len(new_vars) != len(self.vars):
+            raise ValueError("rename needs the same arity")
+        return type(self)(self.ring, new_vars, self.coeffs, self.trunc,
+                          floors=self.floors, _clean=True)
 
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings, neg_depth=None):
         """Substitute LaurentElements for variables.
 
-        bindings: {name: (g, also_inverse)} or {name: g}.  Every g must be
-        in positive complete filtration (all monomials of total degree >= 1)
-        over a common target ordering.  Negative powers of a substituted
-        variable require g to be invertible in its iterated ring; their
-        expansions are cut at exponent -neg_depth per variable (default:
-        the truncation order), which becomes the reliability floor.
+        bindings: {name: g}.  Every g must be in positive complete
+        filtration (all monomials of total degree >= 1) over a common target
+        ordering.  Negative powers of a substituted variable require g to be
+        invertible in its iterated ring; their expansions are cut at
+        exponent -neg_depth per variable (default: the truncation order),
+        which becomes the reliability floor.
         """
-        norm = {}
-        for k, v in bindings.items():
-            if isinstance(v, tuple):
-                norm[k] = v
-            else:
-                norm[k] = (v, False)
-        targets = [g for g, _ in norm.values()]
+        targets = list(bindings.values())
         if not targets:
             return self
         R = self.ring
@@ -712,8 +427,8 @@ class LaurentElement:
         ttrunc = min(g.trunc for g in targets)
         full = {}
         for v in self.vars:
-            if v in norm:
-                full[v] = norm[v][0]
+            if v in bindings:
+                full[v] = bindings[v]
             else:
                 if v not in tvars:
                     raise IllegalSubstitution(f"unbound variable {v!r} missing from target")
@@ -847,7 +562,7 @@ class LaurentElement:
         floors = tuple(
             (f - 1 if j == i and f is not None else f)
             for j, f in enumerate(self.floors))
-        return LaurentElement(R, self.vars, out, self.trunc - 1, floors=floors)
+        return type(self)(R, self.vars, out, self.trunc - 1, floors=floors)
 
     def __repr__(self):
         terms = []
@@ -858,6 +573,167 @@ class LaurentElement:
         if len(terms) > 12:
             body += f" + [{len(terms) - 12} more]"
         return f"<{body} | trunc {self.trunc}, floors {self.floors}>"
+
+
+class PowerSeries(LaurentElement):
+    """A LaurentElement with nonnegative exponents and no floors: a
+    truncated power series over an exact ring."""
+
+    __slots__ = ()
+
+    def __init__(self, ring, vars, coeffs, trunc, floors=None, _clean=False):
+        if floors is not None and any(f is not None for f in floors):
+            raise ValueError(f"a PowerSeries has no floors, got {tuple(floors)}")
+        if not _clean:
+            for e in coeffs:
+                if min(e, default=0) < 0:
+                    raise ValueError(f"negative exponent {tuple(e)} in PowerSeries")
+        super().__init__(ring, vars, coeffs, trunc, _clean=_clean)
+
+    def __mul__(self, other):
+        """The floor-free product of two power series; any other operand
+        takes the LaurentElement product, floors and all."""
+        if not isinstance(other, PowerSeries):
+            return LaurentElement.__mul__(self, other)
+        self._check(other)
+        R = self.ring
+        t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
+        out = sparse_mul(R, self.coeffs, other.coeffs, cut=t)
+        return PowerSeries(R, self.vars, out, t, _clean=True)
+
+    def integrate(self, name):
+        """Termwise primitive with zero constant term; needs divisibility by n."""
+        i = self.vars.index(name)
+        R = self.ring
+        out = {}
+        for e, c in self.coeffs.items():
+            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+            out[e2] = R.divide_by_int(c, e[i] + 1)
+        return PowerSeries(R, self.vars, out, self.trunc + 1, _clean=False)
+
+    # -- inversion, composition --------------------------------------------
+
+    def invert_unit(self):
+        """Inverse of a series with invertible constant term: the power
+        f^-1 of ``LaurentElement.int_power``, Miller's recurrence, at f's
+        truncation.  Over the zero ring the zero series is its own inverse."""
+        if self.ring.try_invert(self.constant_term()) is NOT_INVERTIBLE:
+            raise NotInvertibleError("constant term is not a unit")
+        if not self.coeffs:
+            return self
+        g = self.int_power(-1)
+        return PowerSeries(self.ring, self.vars, g.coeffs, g.trunc, _clean=True)
+
+    def substitute(self, bindings):
+        """Substitute power series (each of positive valuation) for variables.
+
+        bindings: {name: PowerSeries over the target variables}. Unbound
+        variables must exist in the target variable list and are kept.
+        The result is truncated at t = min(self.trunc, every binding's trunc).
+
+        An image that is one monomial with coefficient one (a variable, or
+        an unbound variable) is an exponent shift and costs no ring
+        operation.  Every other image gets one table of its powers, cut at
+        total degree t.  Each monomial c * x^e then starts as {shift: c},
+        is multiplied by the tabled powers it needs and is accumulated
+        into a single output dict.
+        """
+        targets = list(bindings.values())
+        if not targets:
+            return self
+        tvars = targets[0].vars
+        R = self.ring
+        for g in targets:
+            if g.vars != tvars or g.ring != R:
+                raise OrderingMismatch("inconsistent substitution targets")
+            if g.valuation() < 1:
+                raise IllegalSubstitution("substituted series must have positive valuation")
+        t = min(self.trunc, min(g.trunc for g in targets))
+        one = R.one()
+        shifts = []  # per variable: the exponent of a monomial image, else None
+        tables = []  # per variable: [None, g, g^2, ...] for any other image
+        for v in self.vars:
+            g = bindings.get(v)
+            if g is None:
+                if v not in tvars:
+                    raise IllegalSubstitution(f"unbound variable {v!r} missing from target")
+                shifts.append(tuple(int(x == v) for x in tvars))
+                tables.append(None)
+            elif len(g.coeffs) == 1 and R.eq(next(iter(g.coeffs.values())), one):
+                shifts.append(next(iter(g.coeffs)))
+                tables.append(None)
+            else:
+                shifts.append(None)
+                tables.append([None, {e: c for e, c in g.coeffs.items() if _tot(e) < t}])
+
+        out = {}
+        for e, c in self.coeffs.items():
+            shift = [0] * len(tvars)
+            factors = []
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                m = shifts[i]
+                if m is None:
+                    pw = tables[i]
+                    while len(pw) <= k:
+                        pw.append(sparse_mul(R, pw[-1], pw[1], cut=t))
+                    factors.append(pw[k])
+                else:
+                    for j, x in enumerate(m):
+                        shift[j] += k * x
+            if sum(shift) >= t:
+                continue
+            term = {tuple(shift): c}
+            if not factors:
+                sparse_add(R, out, term.items())
+                continue
+            for f in factors[:-1]:
+                term = sparse_mul(R, term, f, cut=t)
+            sparse_mul(R, term, factors[-1], cut=t, out=out)
+        return PowerSeries(R, tvars, out, t, _clean=True)
+
+    def comp_inverse(self):
+        """Compositional inverse g with f(g) = g(f) = id, found degree by
+        degree: g_1 = 1 / f'(0), and in each degree d >= 2 the coefficient
+        sum_k f_k [z^d] g^k of f(g) must vanish (``solve_by_degree``)."""
+        if len(self.vars) != 1:
+            raise ValueError("comp_inverse needs a univariate series")
+        R = self.ring
+        if not R.is_zero(self.constant_term()):
+            raise IllegalSubstitution("comp_inverse needs f(0) = 0")
+        c1inv = R.try_invert(self.coefficient((1,)))
+        if c1inv is NOT_INVERTIBLE:
+            raise NotInvertibleError("f'(0) is not a unit")
+        g = solve_by_degree(R, [(0, k, c) for (k,), c in self.coeffs.items()],
+                            c1inv, c1inv, self.trunc)
+        return PowerSeries(R, self.vars, {(d,): c for d, c in g.items()}, self.trunc)
+
+    def sqrt(self):
+        """Square root with constant term 1; needs 2 invertible."""
+        R = self.ring
+        if not R.eq(self.constant_term(), R.one()):
+            raise NotInvertibleError("sqrt needs constant term 1")
+        two_inv = R.try_invert(R.from_int(2))
+        if two_inv is NOT_INVERTIBLE:
+            raise NotInvertibleError("sqrt needs 2 invertible in the ring")
+        t = self.trunc
+        g = PowerSeries.one(R, self.vars, t)
+        # Newton: g <- g - (g^2 - f) / (2g); here 1/(2g) via invert_unit
+        while True:
+            r = (g * g).truncate(t) - self
+            if r.is_zero():
+                break
+            half = (g + g).invert_unit()
+            g = g - (r * half).truncate(t)
+        return g
+
+    # -- conversions -------------------------------------------------------
+
+    def as_laurent(self):
+        """The same element as a plain LaurentElement, sharing the
+        coefficient dict."""
+        return LaurentElement(self.ring, self.vars, self.coeffs, self.trunc, _clean=True)
 
 
 def _unit_power(R, parts, n, cut, kmax=None):

@@ -238,9 +238,11 @@ class HeisenbergAlgebra(VertexFAlgebra):
     # -- shift coefficients --------------------------------------------------
 
     def beta(self, j, k, m):
-        """z^k w^(-m-1) coefficient of the w-dominant expansion of F^(-j-1),
-        read from the law's power table."""
-        return self.law.power(-j - 1, ("w", "z")).certified((-m - 1, k))
+        """z^k w^(-m-1) coefficient of the w-dominant expansion of F^(-j-1).
+
+        F is symmetric, so this is the z^(-m-1) w^k cell of the z-dominant
+        entry in the law's power table."""
+        return self.law.power(-j - 1).certified((-m - 1, k))
 
     # -- basis ---------------------------------------------------------------
 
@@ -1147,7 +1149,7 @@ def _substituted_p_check(A, a, b, c, p, N, top):
     coeffs = {}
     mt = p.max_total
     for (i, j), pij in p.coeffs.items():
-        P = law.power(i, ("v", "w"), twisted=True)
+        P = law.power(i, twisted=True)
         for u in range(vlo, vhi + 1):
             e1 = u + N
             for j2 in range(max(kbc, j), whi + 1):
@@ -1295,14 +1297,8 @@ def heisenberg_cocycle(law, f, g):
     if len(f.vars) != 1 or len(g.vars) != 1:
         raise ValueError("cocycle arguments must be univariate")
 
-    def as_z(h):
-        if h.vars == ("z",):
-            return h
-        return LaurentElement(h.ring, ("z",), dict(h.coeffs), h.trunc,
-                              floors=h.floors, _clean=True)
-
-    fz = as_z(f)
-    gz = as_z(g)
+    fz = f.rename(("z",))
+    gz = g.rename(("z",))
     s1 = hyperderivative(law, fz, 1)
     lhs = f_residue(law, s1 * gz)
     rhs = fz.derivative("z").residue_coeff("z", gz).scalar()

@@ -24,7 +24,7 @@ def binomial_power(f, n, floors=None):
     """f^n by the binomial loop."""
     R = f.ring
     if n == 0:
-        return LaurentElement.one_like(f)
+        return LaurentElement.one(f.ring, f.vars, f.trunc)
     if n == 1 and floors is None:
         return f
     m, c = f.leading()

@@ -139,6 +139,7 @@ def test_fgl_malformed_law_file_exits_2(tmp_path):
                 {"trunc": 8, "coeffs": unit + [[1, 1, True]]},
                 {"trunc": 8, "coeffs": unit + [[1, 1, "0.5"]]},
                 {"trunc": 8, "coeffs": unit + [[1, 1, "1/0"]]},
+                {"trunc": 8, "coeffs": unit + [[-1, 2, "1"]]},
                 {"name": 5, "trunc": 8, "coeffs": unit},
                 [unit]):
         bad.write_text(json.dumps(law))

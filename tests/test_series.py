@@ -101,7 +101,7 @@ def test_substitute_negative_power_matches_int_power():
     # f(z) = z^{-1}, z -> z + w + zw: compare against direct int_power
     f = lz({(-1,): 1}, vars=("z",), trunc=10)
     Fm = lz({(1, 0): 1, (0, 1): 1, (1, 1): 1}, vars=("z", "w"), trunc=10)
-    got = f.substitute({"z": (Fm, True)})
+    got = f.substitute({"z": Fm})
     want = Fm.int_power(-1)
     for e, c in want.coeffs.items():
         if got.reliable_at(e):
@@ -113,8 +113,8 @@ def test_substitute_functoriality():
     f = lz({(1,): 2, (2,): 1, (3,): -1}, vars=("y",), trunc=9)
     g = lz({(1,): 1, (2,): 3}, vars=("u",), trunc=9)
     h = lz({(-2,): 1, (1,): 1}, vars=("v",), trunc=9)
-    staged = h.substitute({"v": (f, True)}).substitute({"y": (g, True)})
-    composite = h.substitute({"v": (f.substitute({"y": g}), True)})
+    staged = h.substitute({"v": f}).substitute({"y": g})
+    composite = h.substitute({"v": f.substitute({"y": g})})
     for e, c in composite.coeffs.items():
         if staged.reliable_at(e):
             assert staged.coefficient(e) == c, e
@@ -359,6 +359,55 @@ def test_kernel_power_series_mul(data, ring):
     t = min(f.trunc + _val(g), g.trunc + _val(f))
     assert h.trunc == t
     assert h.coeffs == _naive_product(R, f.coeffs, g.coeffs, cut=t)
+
+
+SCALAR_RINGS = {k: v for k, v in KERNEL_RINGS.items() if k != "states"}
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(SCALAR_RINGS)))
+@settings(max_examples=100, deadline=None)
+def test_power_series_ops_match_laurent(data, ring):
+    # a PowerSeries is the nonnegative, floor-free LaurentElement: every
+    # operation agrees with the same one on its LaurentElement view, and
+    # keeps the PowerSeries type
+    R, values, _ = SCALAR_RINGS[ring]
+    f = PowerSeries(R, ("z", "w"), _terms(data, values, 0, 3), data.draw(st.integers(1, 6)))
+    g = PowerSeries(R, ("z", "w"), _terms(data, values, 0, 3), data.draw(st.integers(1, 6)))
+    c = data.draw(values)
+    n = data.draw(st.integers(0, 7))
+    fl, gl = f.as_laurent(), g.as_laurent()
+    assert type(fl) is LaurentElement and fl == f and fl.coeffs is f.coeffs
+    pairs = [(f + g, fl + gl), (f - g, fl - gl), (-f, -fl), (f.scale(c), fl.scale(c)),
+             (f.truncate(n), fl.truncate(n)), (f.derivative("w"), fl.derivative("w")),
+             (f.extend(("v", "z", "w")), fl.extend(("v", "z", "w"))),
+             (f.rename(("x", "y")), fl.rename(("x", "y"))), (f * g, fl * gl)]
+    for got, want in pairs:
+        assert type(got) is PowerSeries
+        assert (got.vars, got.coeffs, got.trunc, got.floors) == \
+            (want.vars, want.coeffs, want.trunc, want.floors)
+
+
+def test_power_series_refuses_floors_and_negative_exponents():
+    with pytest.raises(ValueError, match="floors"):
+        PowerSeries(QQ, ("z", "w"), {(1, 0): 1}, 5, floors=(0, None))
+    with pytest.raises(ValueError, match="negative exponent"):
+        PowerSeries(QQ, ("z", "w"), {(1, 0): 1, (-1, 2): 1}, 5)
+    with pytest.raises(ValueError, match="negative exponent"):
+        PowerSeries.var(QQ, ("z",), "z", 5, power=-1)
+    f = ps({(1, 0): 1, (0, 1): 1}, vars=("z", "w"), trunc=6)
+    # an operation whose result is no power series raises, never drops
+    # the floors or the negative exponents
+    with pytest.raises(ValueError, match="floors"):
+        f + lz({(0, 0): 1}, vars=("z", "w"), trunc=6).truncate(6, floors=(1, None))
+    with pytest.raises(ValueError, match="negative exponent"):
+        f + lz({(-1, 2): 1}, vars=("z", "w"), trunc=6)
+    with pytest.raises(ValueError, match="floors"):
+        f.truncate(6, floors=(1, None))
+    # a product with any other element is the LaurentElement product
+    g = lz({(-1, 2): 1, (3, 0): 2}, vars=("z", "w"), trunc=6).truncate(6, floors=(0, None))
+    got, want = f * g, f.as_laurent() * g
+    assert type(got) is LaurentElement
+    assert (got.coeffs, got.trunc, got.floors) == (want.coeffs, want.trunc, want.floors)
 
 
 @given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)))
