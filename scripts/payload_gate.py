@@ -18,8 +18,10 @@ multiplicative --weight 7`` and ``verify --suite delta`` on p_typical(2,1)
 at ``--trunc 14``; the residue suite at high truncations, ``verify --suite
 residue --trunc 16|24`` on elliptic and on p_typical(2,1); the
 hyperderivative suite, ``verify --suite hyper`` on elliptic and on
-p_typical(2,1); ``fgl --trunc 8|13|24`` on the six; ``binom`` on
-one_parameter (default and ``--nmin -3 --nmax 4``) and on elliptic;
+p_typical(2,1), and on elliptic at ``--trunc 5``, where the orders it
+checks are clipped to what the truncation certifies; ``fgl --trunc
+8|13|24`` on the six; ``binom`` on one_parameter (default and ``--nmin -3
+--nmax 4``) and on elliptic;
 ``heisenberg --action commutators|shift|bracket_table`` on the additive law;
 ``heisenberg --action bracket_table|shift`` on multiplicative and on
 p_typical(2,1), whose brackets carry a p_F correction; and ``fgl
@@ -73,6 +75,7 @@ def gate_list(law_dir):
     cmds += [["verify", "--suite", "residue", *kind, "--trunc", t]
              for kind in (KINDS[3], KINDS[4]) for t in ("16", "24")]
     cmds += [["verify", "--suite", "hyper", *kind] for kind in (KINDS[3], KINDS[4])]
+    cmds += [["verify", "--suite", "hyper", *KINDS[3], "--trunc", "5"]]
     cmds += [["fgl", *kind, "--trunc", t] for kind in KINDS for t in ("8", "13", "24")]
     cmds += [["binom", "--kind", "one_parameter"],
              ["binom", "--kind", "one_parameter", "--nmin", "-3", "--nmax", "4"],

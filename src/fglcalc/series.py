@@ -10,12 +10,14 @@ Two element kinds, and a window:
                       are unknown, not zero).  Besides the truncation, each
                       variable may carry a finite reliability floor:
                       coefficients with an exponent below the floor were cut
-                      off and are unknown.
+                      off and are unknown.  Its ``substitute`` serves every
+                      series and refuses a floored self, a floored image,
+                      and, in two or more variables, a negative power of an
+                      image other than a monomial of degree one.
   PowerSeries      -- the nonnegative case: a LaurentElement whose exponents
-                      are all >= 0 and whose floors are all None.  It shares
-                      every LaurentElement method and adds what law
-                      construction needs (a floor-free product, substitution
-                      of power series, inverses, square roots, primitives).
+                      are all >= 0 and whose floors are all None.  It adds
+                      what law construction needs (a floor-free product,
+                      inverses, square roots, primitives).
   BilateralWindow  -- a finite coefficient box standing for a bilateral series,
                       with a certified-correct interval per variable.
 
@@ -404,71 +406,106 @@ class LaurentElement:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, bindings, neg_depth=None):
-        """Substitute LaurentElements for variables.
+    def substitute(self, bindings):
+        """Substitute series for variables.
 
-        bindings: {name: g}.  Every g must be in positive complete
-        filtration (all monomials of total degree >= 1) over a common target
-        ordering.  Negative powers of a substituted variable require g to be
-        invertible in its iterated ring; their expansions are cut at
-        exponent -neg_depth per variable (default: the truncation order),
-        which becomes the reliability floor.
+        bindings: {name: image}, every image over one target variable list
+        and of positive valuation; unbound variables must be target
+        variables and are kept.  The result is cut at t = min(self.trunc,
+        every image's trunc), and is a PowerSeries exactly when self and
+        every image are one.  An image that is one monomial with coefficient
+        one is exact, an exponent shift; under a negative exponent only if
+        of total degree one, else a cell of self's unknown tail could land
+        below t.  Every other image gets one table of its powers, cut at t,
+        and a negative power k is ``image.int_power(k)``: its term is
+        certified below min(t + valuation, trunc) of that power and above
+        its floors, which join the result's.  Each monomial c * x^e starts
+        as {shift: c}, is multiplied by the powers it needs and is
+        accumulated into one dict; with a power and a shift of total degree
+        s < 0 it is certified below t + s only.
+
+        Refused: a self with floors (ValueError); an image with floors, of
+        valuation < 1 or not invertible where a negative power needs it,
+        and an unbound variable missing from the targets
+        (IllegalSubstitution); images over different variables or rings
+        (OrderingMismatch); a negative exponent on an image that is not a
+        monomial of degree one, in two or more variables (ValueError).
         """
         targets = list(bindings.values())
         if not targets:
             return self
-        R = self.ring
+        if any(f is not None for f in self.floors):
+            raise ValueError("cannot substitute into an element with floors")
         tvars = targets[0].vars
+        R = self.ring
         for g in targets:
             if g.vars != tvars or g.ring != R:
                 raise OrderingMismatch("inconsistent substitution targets")
-            if g.coeffs and g.valuation() < 1:
-                raise IllegalSubstitution("substituted element must be in positive filtration")
-        ttrunc = min(g.trunc for g in targets)
-        full = {}
+            if g.valuation() < 1:
+                raise IllegalSubstitution("substituted series must have positive valuation")
+            if any(f is not None for f in g.floors):
+                raise IllegalSubstitution("substituted series must have no floors")
+        t = min(self.trunc, min(g.trunc for g in targets))
+        # per variable: the exponent tuple of a monomial image, or the list
+        # [None, g, g^2, ...] of any other image's powers
+        images = []
         for v in self.vars:
-            if v in bindings:
-                full[v] = bindings[v]
-            else:
+            g = bindings.get(v)
+            if g is None:
                 if v not in tvars:
                     raise IllegalSubstitution(f"unbound variable {v!r} missing from target")
-                full[v] = LaurentElement.var(R, tvars, v, ttrunc)
-        t = min(self.trunc, ttrunc)
-        zero = LaurentElement.zero(R, tvars, t)
-        out = zero
-        pcache = {v: {0: LaurentElement.const(R, tvars, R.one(), t)} for v in self.vars}
-
-        def power(v, k):
-            cache = pcache[v]
-            if k in cache:
-                return cache[k]
-            g = full[v]
-            if k > 0:
-                cache[k] = (power(v, k - 1) * g).truncate(t)
+                images.append(tuple(int(x == v) for x in tvars))
+            elif len(g.coeffs) == 1 and R.eq(next(iter(g.coeffs.values())), R.one()):
+                images.append(next(iter(g.coeffs)))
             else:
-                # int_power directly: chaining multiplications by g^{-1}
-                # inflates the reliability floors at every step
-                fl = None
-                if neg_depth is not None:
-                    fl = (-neg_depth,) * len(tvars)
-                try:
-                    cache[k] = g.int_power(k, floors=fl)
-                except NotInvertibleError as exc:
-                    raise IllegalSubstitution(
-                        f"negative powers of {v!r} need an invertible image") from exc
-            return cache[k]
+                images.append([None, {e: c for e, c in g.coeffs.items() if _tot(e) < t}])
 
-        min_trunc = t
-        floors = (None,) * len(tvars)
+        out, inverses = {}, {}
+        trunc, floors = t, (None,) * len(tvars)
         for e, c in self.coeffs.items():
-            term = LaurentElement.const(R, tvars, c, t)
-            for v, k in zip(self.vars, e):
-                if k:
-                    term = term * power(v, k)
-            min_trunc = min(min_trunc, term.trunc)
-            floors = LaurentElement._join_floors_add(floors, term.floors)
-            out = out + term
-        return out.truncate(min_trunc, floors=floors)
+            shift = [0] * len(tvars)
+            factors = []
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                img = images[i]
+                if type(img) is tuple and (k > 0 or sum(img) == 1):
+                    for j, x in enumerate(img):
+                        shift[j] += k * x
+                elif k > 0:
+                    while len(img) <= k:
+                        img.append(sparse_mul(R, img[-1], img[1], cut=t))
+                    factors.append(img[k])
+                else:
+                    if len(e) > 1:
+                        raise ValueError(f"a negative power of the image of {self.vars[i]!r} "
+                                         "needs a univariate element")
+                    p = inverses.get(k)
+                    if p is None:
+                        try:
+                            p = inverses[k] = bindings[self.vars[i]].int_power(k)
+                        except NotInvertibleError as exc:
+                            raise IllegalSubstitution(
+                                f"negative powers of {self.vars[i]!r} need an "
+                                "invertible image") from exc
+                    trunc = min(trunc, t + p.valuation(), p.trunc)
+                    floors = LaurentElement._join_floors_add(floors, p.floors)
+                    factors.append(p.coeffs)
+            s = sum(shift)
+            if factors and s < 0:
+                trunc = min(trunc, t + s)
+            if s >= t:
+                continue
+            term = {tuple(shift): c}
+            if not factors:
+                sparse_add(R, out, term.items())
+                continue
+            for f in factors[:-1]:
+                term = sparse_mul(R, term, f, cut=t)
+            sparse_mul(R, term, factors[-1], cut=t, out=out)
+        if all(isinstance(g, PowerSeries) for g in (self, *targets)):
+            return PowerSeries(R, tvars, out, t, _clean=True)
+        return LaurentElement(R, tvars, out, trunc, floors=floors)
 
     # -- evaluation and extraction -----------------------------------------
 
@@ -623,75 +660,6 @@ class PowerSeries(LaurentElement):
             return self
         g = self.int_power(-1)
         return PowerSeries(self.ring, self.vars, g.coeffs, g.trunc, _clean=True)
-
-    def substitute(self, bindings):
-        """Substitute power series (each of positive valuation) for variables.
-
-        bindings: {name: PowerSeries over the target variables}. Unbound
-        variables must exist in the target variable list and are kept.
-        The result is truncated at t = min(self.trunc, every binding's trunc).
-
-        An image that is one monomial with coefficient one (a variable, or
-        an unbound variable) is an exponent shift and costs no ring
-        operation.  Every other image gets one table of its powers, cut at
-        total degree t.  Each monomial c * x^e then starts as {shift: c},
-        is multiplied by the tabled powers it needs and is accumulated
-        into a single output dict.
-        """
-        targets = list(bindings.values())
-        if not targets:
-            return self
-        tvars = targets[0].vars
-        R = self.ring
-        for g in targets:
-            if g.vars != tvars or g.ring != R:
-                raise OrderingMismatch("inconsistent substitution targets")
-            if g.valuation() < 1:
-                raise IllegalSubstitution("substituted series must have positive valuation")
-        t = min(self.trunc, min(g.trunc for g in targets))
-        one = R.one()
-        shifts = []  # per variable: the exponent of a monomial image, else None
-        tables = []  # per variable: [None, g, g^2, ...] for any other image
-        for v in self.vars:
-            g = bindings.get(v)
-            if g is None:
-                if v not in tvars:
-                    raise IllegalSubstitution(f"unbound variable {v!r} missing from target")
-                shifts.append(tuple(int(x == v) for x in tvars))
-                tables.append(None)
-            elif len(g.coeffs) == 1 and R.eq(next(iter(g.coeffs.values())), one):
-                shifts.append(next(iter(g.coeffs)))
-                tables.append(None)
-            else:
-                shifts.append(None)
-                tables.append([None, {e: c for e, c in g.coeffs.items() if _tot(e) < t}])
-
-        out = {}
-        for e, c in self.coeffs.items():
-            shift = [0] * len(tvars)
-            factors = []
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                m = shifts[i]
-                if m is None:
-                    pw = tables[i]
-                    while len(pw) <= k:
-                        pw.append(sparse_mul(R, pw[-1], pw[1], cut=t))
-                    factors.append(pw[k])
-                else:
-                    for j, x in enumerate(m):
-                        shift[j] += k * x
-            if sum(shift) >= t:
-                continue
-            term = {tuple(shift): c}
-            if not factors:
-                sparse_add(R, out, term.items())
-                continue
-            for f in factors[:-1]:
-                term = sparse_mul(R, term, f, cut=t)
-            sparse_mul(R, term, factors[-1], cut=t, out=out)
-        return PowerSeries(R, tvars, out, t, _clean=True)
 
     def comp_inverse(self):
         """Compositional inverse g with f(g) = g(f) = id, found degree by

@@ -220,21 +220,33 @@ def test_verify_injected_fault_exits_1(tmp_path):
     assert d["first_failure"]["identity"].startswith("f_binomial")
 
 
-def test_verify_too_small_truncation_exits_2(tmp_path, capsys):
+def test_verify_too_small_truncation_exits_2(capsys):
     # a certified window beyond the truncation is a configuration error that
-    # names the check and the truncation, not a traceback with exit 1
-    runs = [(["--kind", "multiplicative", "--suite", "hyper", "--trunc", "6"], 6),
-            (["--kind", "multiplicative", "--suite", "hyper", "--trunc", "4"], 4)]
+    # names the check and the truncation, not a traceback with exit 1: the
+    # vertex Jacobi check at weight 4 reads past the law's truncation 12
+    args = ["--suite", "vertex", "--kind", "additive", "--weight", "4"]
+    assert main(["verify"] + args) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "'jacobi'" in err
+    assert "truncation 12:" in err
+
+
+def test_verify_hyper_clips_nmax_to_the_truncation(tmp_path):
+    # the composition rule reads cell (nmax, nmax) of F^0, certified below
+    # total degree trunc: nmax is clipped to (trunc - 1) // 2, so small
+    # truncations certify fewer orders instead of exiting 2
+    runs = [(["--kind", "multiplicative", "--suite", "hyper", "--trunc", t], nmax)
+            for t, nmax in (("4", 1), ("5", 2), ("6", 2), ("7", 3))]
     for trunc in (4, 5):
         path = tmp_path / f"law{trunc}.json"
         path.write_text(json.dumps({"trunc": trunc, "coeffs": [
             [1, 0, 1], [0, 1, 1], [1, 1, 1]]}))
-        runs.append((["--suite", "all", "--law-file", str(path)], trunc))
-    for args, trunc in runs:
-        assert main(["verify"] + args) == 2, args
-        err = capsys.readouterr().err
-        assert "ConfigError" in err and "'hyper'" in err, args
-        assert f"truncation {trunc}:" in err, args
+        runs.append((["--suite", "all", "--law-file", str(path)], (trunc - 1) // 2))
+    for args, nmax in runs:
+        code, d = run_json(tmp_path, ["verify"] + args)
+        assert code == 0, args
+        rep = next(r for r in d["reports"] if r["identity"] == "hyperderivative")
+        assert rep["window"] == {"nmax": nmax}, args
 
 
 def test_verify_empty_window_exits_2():

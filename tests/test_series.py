@@ -513,8 +513,12 @@ def test_kernel_mul_complete_lower(data, ring):
 
 
 def _substitute_oracle(f, bindings):
-    """PowerSeries.substitute before the shift path: each monomial is built
-    from full series products, truncated, and added into the result."""
+    """Substitution before the shift path: each monomial is built from full
+    series products, truncated, and added into the result.  A negative
+    power of an image is its ``int_power``, multiplied in by the product
+    rule, except that a coefficient-one monomial image of total degree one
+    is exact: c times its negative power is the cell c at the shifted
+    exponent."""
     targets = list(bindings.values())
     if not targets:
         return f
@@ -535,7 +539,8 @@ def _substitute_oracle(f, bindings):
                 raise IllegalSubstitution(f"unbound variable {v!r} missing from target")
             full[v] = PowerSeries.var(R, tvars, v, ttrunc)
     t = min(f.trunc, ttrunc)
-    out = PowerSeries.zero(R, tvars, t)
+    # the images are PowerSeries, so the result has the type of f
+    out = type(f).zero(R, tvars, t)
     pw = {v: {0: PowerSeries.one(R, tvars, t)} for v in f.vars}
 
     def power(v, k):
@@ -545,22 +550,33 @@ def _substitute_oracle(f, bindings):
         return cache[k]
 
     for e, c in f.coeffs.items():
-        term = PowerSeries.const(R, tvars, c, t)
+        term = type(f).const(R, tvars, c, t)
         for v, k in zip(f.vars, e):
-            if k:
+            g = full[v]
+            if k > 0:
                 term = (term * power(v, k)).truncate(t)
+            elif k < 0 and len(g.coeffs) == 1 and R.eq(*g.coeffs.values(), R.one()) \
+                    and sum(*g.coeffs) == 1:
+                (m,) = g.coeffs
+                term = LaurentElement(R, tvars, {tuple(k * x for x in m): c}, t)
+            elif k < 0:
+                try:
+                    term = term * g.int_power(k)
+                except NotInvertibleError as exc:
+                    raise IllegalSubstitution(
+                        f"negative powers of {v!r} need an invertible image") from exc
         out = out + term
-    return out.truncate(t)
+    return out
 
 
-def _image(data, R, values):
+def _image(data, R, values, min_trunc=1):
     """A substitution image over (z, w): a bare variable, -z or 2z, a
     coefficient-one monomial of degree up to 4, a general series of positive
     valuation, or (rarely) one with a constant term or the wrong ordering."""
     one = R.one()
     kind = data.draw(st.sampled_from(
         ["var", "scaled", "monomial", "series", "series", "constant", "swapped"]))
-    trunc = data.draw(st.integers(1, 7))
+    trunc = data.draw(st.integers(min_trunc, 7))
     vars = ("z", "w")
     if kind == "var":
         coeffs = {data.draw(st.sampled_from([(1, 0), (0, 1)])): one}
@@ -582,30 +598,76 @@ def _image(data, R, values):
 SUBST_RINGS = ["QQ", "ZZ", "Z6", "QQ[s]"]
 
 
-@given(data=st.data(), ring=st.sampled_from(SUBST_RINGS))
-@settings(max_examples=200, deadline=None)
-def test_substitute_matches_product_loop(data, ring):
-    # f(x, y, z) with x bound, y usually bound (unbound it is missing from
-    # the targets) and z bound or left as the target variable z
+@given(data=st.data(), ring=st.sampled_from(SUBST_RINGS), laurent=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_substitute_matches_product_loop(data, ring, laurent):
+    # a power series f(x, y, z) with x bound, y usually bound (unbound it is
+    # missing from the targets) and z bound or left as the target variable
+    # z; or a univariate Laurent f(x) with exponents -3..3
     R, left, right = KERNEL_RINGS[ring]
-    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
-    f = PowerSeries(R, ("x", "y", "z"),
-                    data.draw(st.dictionaries(exps, left, max_size=8)),
-                    data.draw(st.integers(1, 8)))
-    bindings = {"x": _image(data, R, right)}
-    if data.draw(st.integers(0, 4)):
-        bindings["y"] = _image(data, R, right)
-    if data.draw(st.booleans()):
-        bindings["z"] = _image(data, R, right)
+    if laurent:
+        exps = st.tuples(st.integers(-3, 3))
+        f = LaurentElement(R, ("x",), data.draw(st.dictionaries(exps, left, min_size=1,
+                                                                max_size=6)),
+                           data.draw(st.integers(-2, 8)))
+        bindings = {"x": _image(data, R, right, min_trunc=3)}
+    else:
+        exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+        f = PowerSeries(R, ("x", "y", "z"),
+                        data.draw(st.dictionaries(exps, left, max_size=8)),
+                        data.draw(st.integers(1, 8)))
+        bindings = {"x": _image(data, R, right)}
+        if data.draw(st.integers(0, 4)):
+            bindings["y"] = _image(data, R, right)
+        if data.draw(st.booleans()):
+            bindings["z"] = _image(data, R, right)
 
     def outcome(substitute):
         try:
             g = substitute(f, bindings)
-        except (IllegalSubstitution, OrderingMismatch) as exc:
+        except (IllegalSubstitution, OrderingMismatch, ValueError) as exc:
             return type(exc), str(exc)
-        return g.vars, g.coeffs, g.trunc
+        return type(g), g.vars, g.coeffs, g.trunc, g.floors
 
-    assert outcome(PowerSeries.substitute) == outcome(_substitute_oracle)
+    assert outcome(LaurentElement.substitute) == outcome(_substitute_oracle)
+
+
+def test_substitute_refuses_floors_and_mixed_negative_powers():
+    z = lz({(1,): 1}, trunc=10)
+    # the cell z^1 of the result is unknown: it would come from z^1 of f,
+    # which lies below f's floor
+    f = LaurentElement(QQ, ("z",), {(3,): 1, (5,): 1}, 10, floors=(3,))
+    with pytest.raises(ValueError, match="floors"):
+        f.substitute({"z": z + z * z})
+    g = LaurentElement(QQ, ("z",), {(1,): 1, (2,): 1}, 10, floors=(-4,))
+    with pytest.raises(IllegalSubstitution, match="floors"):
+        lz({(1,): 1, (2,): 1}).substitute({"z": g})
+    h = lz({(-1, 1): 1}, vars=("x", "y"), trunc=8)
+    img = lz({(1,): 1, (2,): 1}, trunc=8)
+    with pytest.raises(ValueError, match="univariate"):
+        h.substitute({"x": img, "y": z})
+    # nor on a monomial of degree 2: the unknown cell x^-8 y^16 of h (total
+    # degree 8, its truncation) would land on z^0, below the result's
+    with pytest.raises(ValueError, match="univariate"):
+        h.substitute({"x": z * z, "y": z})
+    # a monomial image of degree one is an exponent shift in any number of
+    # variables; a shift of negative total degree lowers the truncation of
+    # the powers it multiplies, as in the product z^-1 * (z + z^2)
+    assert h.substitute({"x": z, "y": z * z}) == lz({(1,): 1}, trunc=8)
+    assert h.substitute({"x": z, "y": img}) == lz({(0,): 1, (1,): 1}, trunc=7)
+    assert lz({(-1,): 1}, trunc=8) * img == lz({(0,): 1, (1,): 1}, trunc=7)
+
+
+def test_substitute_laurent_image_into_power_series():
+    f = PowerSeries(QQ, ("z",), {(1,): 1, (2,): 1}, 6)
+    g = f.substitute({"z": LaurentElement(QQ, ("x", "y"), {(-1, 2): 1}, 6)})
+    assert type(g) is LaurentElement
+    assert (g.coeffs, g.trunc, g.floors) == ({(-1, 2): 1, (-2, 4): 1}, 6, (None, None))
+
+
+def test_substitute_identity_keeps_laurent_element():
+    f = lz({(-3,): 2, (-1,): 1, (0,): 5, (2,): 1}, trunc=6)
+    assert f.substitute({"z": LaurentElement.var(QQ, ("z",), "z", 6)}) == f
 
 
 Z7 = Ring.integers_mod(7)
