@@ -12,8 +12,7 @@ Two element kinds, and a window:
                       coefficients with an exponent below the floor were cut
                       off and are unknown.  Its ``substitute`` serves every
                       series and refuses a floored self, a floored image,
-                      and, in two or more variables, a negative power of an
-                      image other than a monomial of degree one.
+                      and a negative exponent in two or more variables.
   PowerSeries      -- the nonnegative case: a LaurentElement whose exponents
                       are all >= 0 and whose floors are all None.  It adds
                       what law construction needs (a floor-free product,
@@ -413,23 +412,22 @@ class LaurentElement:
         and of positive valuation; unbound variables must be target
         variables and are kept.  The result is cut at t = min(self.trunc,
         every image's trunc), and is a PowerSeries exactly when self and
-        every image are one.  An image that is one monomial with coefficient
-        one is exact, an exponent shift; under a negative exponent only if
-        of total degree one, else a cell of self's unknown tail could land
-        below t.  Every other image gets one table of its powers, cut at t,
-        and a negative power k is ``image.int_power(k)``: its term is
-        certified below min(t + valuation, trunc) of that power and above
-        its floors, which join the result's.  Each monomial c * x^e starts
-        as {shift: c}, is multiplied by the powers it needs and is
-        accumulated into one dict; with a power and a shift of total degree
-        s < 0 it is certified below t + s only.
+        every image are one.  An unbound variable, and under a positive
+        exponent an image that is one monomial with coefficient one, is an
+        exact exponent shift.  Every other image gets one table of its
+        powers, cut at t.  A negative power k of a bound image, monomial or not, is
+        ``image.int_power(k)``: an image is known only below its trunc, so
+        its term is certified below min(t + valuation, trunc) of that power
+        and above its floors, which join the result's.  Each monomial
+        c * x^e starts as {shift: c}, is multiplied by the powers it needs
+        and is accumulated into one dict.
 
-        Refused: a self with floors (ValueError); an image with floors, of
+        Refused: a self with floors, and a negative exponent in a self of
+        two or more variables (ValueError); an image with floors, of
         valuation < 1 or not invertible where a negative power needs it,
         and an unbound variable missing from the targets
         (IllegalSubstitution); images over different variables or rings
-        (OrderingMismatch); a negative exponent on an image that is not a
-        monomial of degree one, in two or more variables (ValueError).
+        (OrderingMismatch).
         """
         targets = list(bindings.values())
         if not targets:
@@ -468,8 +466,10 @@ class LaurentElement:
             for i, k in enumerate(e):
                 if not k:
                     continue
+                if k < 0 and len(e) > 1:
+                    raise ValueError("negative exponents need a univariate element")
                 img = images[i]
-                if type(img) is tuple and (k > 0 or sum(img) == 1):
+                if type(img) is tuple and (k > 0 or self.vars[i] not in bindings):
                     for j, x in enumerate(img):
                         shift[j] += k * x
                 elif k > 0:
@@ -477,9 +477,6 @@ class LaurentElement:
                         img.append(sparse_mul(R, img[-1], img[1], cut=t))
                     factors.append(img[k])
                 else:
-                    if len(e) > 1:
-                        raise ValueError(f"a negative power of the image of {self.vars[i]!r} "
-                                         "needs a univariate element")
                     p = inverses.get(k)
                     if p is None:
                         try:
@@ -492,8 +489,6 @@ class LaurentElement:
                     floors = LaurentElement._join_floors_add(floors, p.floors)
                     factors.append(p.coeffs)
             s = sum(shift)
-            if factors and s < 0:
-                trunc = min(trunc, t + s)
             if s >= t:
                 continue
             term = {tuple(shift): c}

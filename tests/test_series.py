@@ -515,10 +515,8 @@ def test_kernel_mul_complete_lower(data, ring):
 def _substitute_oracle(f, bindings):
     """Substitution before the shift path: each monomial is built from full
     series products, truncated, and added into the result.  A negative
-    power of an image is its ``int_power``, multiplied in by the product
-    rule, except that a coefficient-one monomial image of total degree one
-    is exact: c times its negative power is the cell c at the shifted
-    exponent."""
+    power of an image, a monomial one included, is its ``int_power``,
+    multiplied in by the product rule."""
     targets = list(bindings.values())
     if not targets:
         return f
@@ -555,10 +553,6 @@ def _substitute_oracle(f, bindings):
             g = full[v]
             if k > 0:
                 term = (term * power(v, k)).truncate(t)
-            elif k < 0 and len(g.coeffs) == 1 and R.eq(*g.coeffs.values(), R.one()) \
-                    and sum(*g.coeffs) == 1:
-                (m,) = g.coeffs
-                term = LaurentElement(R, tvars, {tuple(k * x for x in m): c}, t)
             elif k < 0:
                 try:
                     term = term * g.int_power(k)
@@ -642,20 +636,13 @@ def test_substitute_refuses_floors_and_mixed_negative_powers():
     g = LaurentElement(QQ, ("z",), {(1,): 1, (2,): 1}, 10, floors=(-4,))
     with pytest.raises(IllegalSubstitution, match="floors"):
         lz({(1,): 1, (2,): 1}).substitute({"z": g})
+    # in two or more variables any negative exponent is refused, on a
+    # monomial image too: under x -> z^2 the unknown cell x^-8 y^16 of h
+    # (total degree 8, its truncation) would land on z^0
     h = lz({(-1, 1): 1}, vars=("x", "y"), trunc=8)
-    img = lz({(1,): 1, (2,): 1}, trunc=8)
-    with pytest.raises(ValueError, match="univariate"):
-        h.substitute({"x": img, "y": z})
-    # nor on a monomial of degree 2: the unknown cell x^-8 y^16 of h (total
-    # degree 8, its truncation) would land on z^0, below the result's
-    with pytest.raises(ValueError, match="univariate"):
-        h.substitute({"x": z * z, "y": z})
-    # a monomial image of degree one is an exponent shift in any number of
-    # variables; a shift of negative total degree lowers the truncation of
-    # the powers it multiplies, as in the product z^-1 * (z + z^2)
-    assert h.substitute({"x": z, "y": z * z}) == lz({(1,): 1}, trunc=8)
-    assert h.substitute({"x": z, "y": img}) == lz({(0,): 1, (1,): 1}, trunc=7)
-    assert lz({(-1,): 1}, trunc=8) * img == lz({(0,): 1, (1,): 1}, trunc=7)
+    for img in (lz({(1,): 1, (2,): 1}, trunc=8), z * z, z):
+        with pytest.raises(ValueError, match="univariate"):
+            h.substitute({"x": img, "y": z})
 
 
 def test_substitute_laurent_image_into_power_series():
@@ -665,9 +652,19 @@ def test_substitute_laurent_image_into_power_series():
     assert (g.coeffs, g.trunc, g.floors) == ({(-1, 2): 1, (-2, 4): 1}, 6, (None, None))
 
 
-def test_substitute_identity_keeps_laurent_element():
+def test_substitute_monomial_image_under_negative_powers():
+    # an image z known below 6 is z + O(z^6), so z^-3 goes to
+    # z^-3 (1 + O(z^5))^-3 = z^-3 + O(z^2): f is kept below 2 only, the
+    # truncation of the product rule; a bare z known below 3 under z^-1
+    # leaves z^-1 + O(z)
     f = lz({(-3,): 2, (-1,): 1, (0,): 5, (2,): 1}, trunc=6)
-    assert f.substitute({"z": LaurentElement.var(QQ, ("z",), "z", 6)}) == f
+    assert f.substitute({"z": LaurentElement.var(QQ, ("z",), "z", 6)}) == f.truncate(2)
+    assert lz({(-1,): 1}, trunc=6).substitute(
+        {"z": LaurentElement.var(QQ, ("z",), "z", 3)}) == lz({(-1,): 1}, trunc=1)
+    # an unbound variable is exact: f comes back whole, over the targets
+    w = LaurentElement.var(QQ, ("z", "w"), "w", 6)
+    assert f.substitute({"w": w}) == lz({(-3, 0): 2, (-1, 0): 1, (0, 0): 5, (2, 0): 1},
+                                        vars=("z", "w"), trunc=6)
 
 
 Z7 = Ring.integers_mod(7)
