@@ -19,7 +19,10 @@ at ``--trunc 14``; the residue suite at high truncations, ``verify --suite
 residue --trunc 16|24`` on elliptic and on p_typical(2,1); the
 hyperderivative suite, ``verify --suite hyper`` on elliptic and on
 p_typical(2,1), and on elliptic at ``--trunc 5``, where the orders it
-checks are clipped to what the truncation certifies; ``fgl --trunc
+checks are clipped to what the truncation certifies; the twisted powers
+at other depths and over QQ[s], ``verify --suite residue --kind
+one_parameter --trunc 16`` and ``verify --suite delta --trunc 14`` on
+elliptic and on one_parameter; ``fgl --trunc
 8|13|24`` on the six; ``binom`` on one_parameter (default and ``--nmin -3
 --nmax 4``) and on elliptic;
 ``heisenberg --action commutators|shift|bracket_table`` on the additive law;
@@ -76,6 +79,9 @@ def gate_list(law_dir):
              for kind in (KINDS[3], KINDS[4]) for t in ("16", "24")]
     cmds += [["verify", "--suite", "hyper", *kind] for kind in (KINDS[3], KINDS[4])]
     cmds += [["verify", "--suite", "hyper", *KINDS[3], "--trunc", "5"]]
+    cmds += [["verify", "--suite", "residue", *KINDS[2], "--trunc", "16"]]
+    cmds += [["verify", "--suite", "delta", *kind, "--trunc", "14"]
+             for kind in (KINDS[3], KINDS[2])]
     cmds += [["fgl", *kind, "--trunc", t] for kind in KINDS for t in ("8", "13", "24")]
     cmds += [["binom", "--kind", "one_parameter"],
              ["binom", "--kind", "one_parameter", "--nmin", "-3", "--nmax", "4"],

@@ -14,6 +14,7 @@ from functools import partial
 from itertools import product
 from math import comb, inf
 
+from .fgl import times_line_power
 from .ring import sparse_add
 from .series import (
     BilateralWindow,
@@ -244,15 +245,17 @@ def _inverse_expansions(law, vars=("z", "w"), classical=False, table=None):
     """The two expansions of F(x, iota y)^{-1}, or of (x - y)^{-1} when
     classical, for (x, y) = vars: x dominant, then y dominant.  Both have
     exponents in vars order; their difference is x^{-1} delta(y/x).  The
-    F powers are memoised as ``law.power`` does, in ``table`` if given."""
+    F powers are memoised as ``law.power`` does, in ``table`` if given.
+    (x - y)^{-1} is the binomial line of the twisted powers with G = 1,
+    certified below the law's truncation - 2 and cut at x^-N (y^-N when y
+    dominates), as the twisted powers are."""
     if not classical:
         return (law.power(-1, twisted=True, table=table).rename(vars),
                 law.power(-1, twisted=True, dominant=1, table=table).rename(vars))
-    R = law.ring
-    x, y = vars
-    zmw = LaurentElement(R, vars, {(1, 0): R.one(), (0, 1): R.neg(R.one())},
-                         law.trunc)
-    return zmw.int_power(-1), zmw.reorder((y, x)).int_power(-1).reorder(vars)
+    R, N = law.ring, law.trunc
+    one = {(0, 0): R.one()}
+    return tuple(times_line_power(R, one, N - 1, -1, d, (-N, -N)).rename(vars)
+                 for d in (0, 1))
 
 
 def _delta_window(law, box, vars=("z", "w"), classical=False):
@@ -298,8 +301,7 @@ def delta_g_relation_check(law, box=(-6, 6)):
     """delta_F(w/z) = G(z,w)^{-1} * delta_{F_a}(w/z) on the surviving window."""
     D = delta_F(law, box=box).window
     Da = _delta_window(law, box, classical=True)
-    Ginv = law.G.invert_unit()
-    rhs = Da.mul_laurent(Ginv.as_laurent())
+    rhs = Da.mul_laurent(law.g_power(-1))
     return _compare("delta/g_relation", law.name, D, rhs)
 
 
@@ -446,37 +448,44 @@ def _hyper_slices(law, f, nmin, nmax):
     z-dominant expansion i_{z,w} f(F(z,w)) of a univariate f.
 
     The expansion is linear in f, and that of a monomial z^e is the power
-    F(z,w)^e from the law's power table, cut at t + min(e, 0) for t the
-    lower of f's and the law's truncation: what substituting F(z,w) into
-    z^e at truncation t certifies, since a negative valuation lowers the
-    truncation of the product.  Negative powers are expanded three
-    truncation orders deep so that the result stays residue-reliable after
-    multiplication by p_F.  The sum is cut once at the least of these
-    truncations and the joined floors, so one pass over each power
-    multiplies only the cells with w-exponent in [nmin, nmax] that survive
-    the cut: slice n has truncation (the cut) - n and the z floor, and a
-    slice below the w floor raises ``WindowMiss``.
+    F(z,w)^e, cut at t + min(e, 0) for t the lower of f's and the law's
+    truncation: what substituting F(z,w) into z^e at truncation t
+    certifies, since a negative valuation lowers the truncation of the
+    product.  Negative powers are expanded three truncation orders deep so
+    that the result stays residue-reliable after multiplication by p_F,
+    and are read as their w-slices up to nmax alone (``law.power_slices``),
+    each with the full power's truncation minus its w-degree and its z
+    floor; a nonnegative power is read from the law's power table.  The
+    sum is cut once at the least of these truncations and, when f has a
+    pole, at that z floor, so one pass over each power multiplies only the
+    cells with w-exponent in [nmin, nmax] that survive the cut: slice n
+    has truncation (the cut) - n and the z floor.
     """
     if f.vars != ("z",):
         raise ValueError("hyperderivative input must be univariate in z")
     R = law.ring
     t = min(f.trunc, law.trunc)
-    deep = (-3 * law.trunc,) * 2
-    terms = [(c, law.power(e, floors=deep if e < 0 else None), t + min(e, 0))
-             for (e,), c in sorted(f.coeffs.items())]
-    out_t, floors = t, (None, None)
-    for _, g, cut in terms:
-        out_t = min(out_t, cut, g.trunc)
-        floors = LaurentElement._join_floors_add(floors, g.floors)
-    zlo, wlo = floors
-    if wlo is not None and nmin < wlo:
-        raise WindowMiss(f"w^{nmin} slice below the reliable floor")
+    deep = -3 * law.trunc
+    terms, out_t, zlo = [], t, None
+    for (e,), c in sorted(f.coeffs.items()):
+        if e < 0:
+            sl = law.power_slices(e, nmax, deep)
+            gt, zlo = sl[0].trunc, deep
+            cells = [((i, j), v) for j in range(nmin, nmax + 1)
+                     for (i,), v in sl[j].coeffs.items()]
+        else:
+            # a nonnegative power has no floors
+            g = law.power(e)
+            gt = g.trunc
+            cells = [(x, v) for x, v in g.coeffs.items() if nmin <= x[1] <= nmax]
+        out_t = min(out_t, t + min(e, 0), gt)
+        terms.append((c, cells))
     low = -inf if zlo is None else zlo
     # one running sum over the cells read, split into slices at the end
     out = {}
-    for c, g, _ in terms:
-        sparse_add(R, out, (((i, j), R.mul(v, c)) for (i, j), v in g.coeffs.items()
-                            if nmin <= j <= nmax and low <= i < out_t - j))
+    for c, cells in terms:
+        sparse_add(R, out, (((i, j), R.mul(v, c)) for (i, j), v in cells
+                            if low <= i < out_t - j))
     slices = {n: {} for n in range(nmin, nmax + 1)}
     for (i, j), v in out.items():
         slices[j][(i,)] = v

@@ -5,13 +5,17 @@ that is commutative and associative; the object caches the inverse
 iota, the invariant differential coefficient p_F, the logarithm and
 exponential (over rings containing the rationals), and the unit factor
 G with F(z, iota(w)) = G(z,w) * (z - w).  Laurent powers of F(z,w) and
-F(z, iota w) are computed on demand by ``power`` and kept on the law.
+F(z, iota w) are computed on demand by ``power`` and kept on the law; a
+twisted power is G^n times the closed-form expansion of (z - w)^n, and
+``power_slices`` gives the low w-slices of a negative power of F(z,w)
+without forming the rest of it.
 """
 
 from __future__ import annotations
 
-from .ring import Ring
-from .series import PowerSeries, common_denominator, scale_by_degree, solve_by_degree
+from .ring import Ring, sparse_add
+from .series import (LaurentElement, PowerSeries, comb_any, common_denominator,
+                     scale_by_degree, solve_by_degree)
 
 
 class AxiomViolation(Exception):
@@ -207,21 +211,27 @@ class FormalGroupLaw:
         """F(z, w)^n, or F(z, iota w)^n when twisted.
 
         The expansion has (z, w)[dominant] dominant; exponents and ``floors``
-        (passed to ``LaurentElement.int_power``) are in (z, w) order.  With
-        ``trunc`` below the power's natural truncation N - 1 + n (N the
-        law's), and n not 0 or 1, the power is certified below total degree
-        ``trunc`` only: the base is cut to max(2, trunc - n + 1) first, so
-        the recurrence runs on fewer cells, and the result equals the full
-        power truncated at ``trunc`` (a negative power keeps the floors
-        (-N, -N) of the full one).  Each entry is computed once and memoised
-        under the key (twisted, dominant, n, floors, trunc), with trunc None
-        when nothing is cut; the stored coefficient dict must not be
-        mutated.  A caller that needs other variable names reads the entry
-        through ``rename``, a view sharing that dict.  F is symmetric, so
-        the w-dominant expansion of F(z,w)^n is ``power(n).rename(("w",
-        "z"))``.  A caller that passes its own dict as ``table`` still reads
-        the entries already on the law but memoises new ones in ``table``,
-        keeping one-off powers out of the law for the rest of the process.
+        (as ``LaurentElement.int_power`` takes them, default -N on both
+        variables for n < 0, N the law's truncation) are in (z, w) order.
+        With ``trunc`` below the power's natural truncation N - 1 + n, and n
+        not 0 or 1, the power is certified below total degree ``trunc``
+        only, and equals the full power truncated at ``trunc`` (a negative
+        power keeps the floors (-N, -N) of the full one).  F(z,w)^n is
+        ``int_power`` of F, cut first to max(2, trunc - n + 1) so that the
+        recurrence runs on fewer cells.  A twisted power, n != 0, is G^n *
+        i(z - w)^n (``times_line_power``): G^n is the law's entry
+        ``g_power(n)``, read below trunc - n, and the expansion of (z - w)^n
+        in the dominant variable is a closed-form binomial line.  Each entry
+        is computed once and memoised under the key (twisted, dominant, n,
+        floors, trunc), with trunc None when nothing is cut; the stored
+        coefficient dict must not be mutated.  A caller that needs other
+        variable names reads the entry through ``rename``, a view sharing
+        that dict.  F is symmetric, so the w-dominant expansion of F(z,w)^n
+        is ``power(n).rename(("w", "z"))``.  A caller that passes its own
+        dict as ``table`` still reads the entries already on the law but
+        memoises new ones in ``table``, keeping one-off powers out of the
+        law for the rest of the process; the G^n entries always land on the
+        law.
         """
         if n in (0, 1) or trunc is None or trunc >= self.trunc - 1 + n:
             trunc = None
@@ -230,12 +240,22 @@ class FormalGroupLaw:
         g = self._powers.get(key)
         if g is None:
             g = memo.get(key)
-        if g is None:
+        if g is not None:
+            return g
+        if n == 0:
+            g = LaurentElement.one(self.ring, (Z, W), self.trunc)
+        elif twisted:
+            if floors is None:
+                floors = (-self.trunc,) * 2 if n < 0 else (None, None)
+            # G has valuation 0 and i(z - w)^n total degree n
+            tg = self.G.trunc if trunc is None else max(1, trunc - n)
+            g = times_line_power(self.ring, self.g_power(n, tg).coeffs, tg, n,
+                                 dominant, floors)
+        else:
             # the n = 1 entry is the base itself (int_power(1) returns it)
-            base = self._powers.get((twisted, 0, 1, None, None))
+            base = self._powers.get((False, 0, 1, None, None))
             if base is None:
-                base = self.f_z_iota_w() if twisted else self.as_laurent()
-                self._powers[(twisted, 0, 1, None, None)] = base
+                base = self._powers[(False, 0, 1, None, None)] = self.as_laurent()
             if trunc is not None:
                 # the base has valuation 1, so F^n is certified below its
                 # truncation - 1 + n
@@ -247,14 +267,102 @@ class FormalGroupLaw:
                 g = base.reorder((W, Z)).int_power(n, floors=rev).reorder((Z, W))
             else:
                 g = base.int_power(n, floors=floors)
-            if trunc is not None and g.trunc > trunc:
-                # n >= trunc: F^n has no cell below total degree trunc
-                g = g.truncate(trunc)
-            memo[key] = g
+        if trunc is not None and g.trunc > trunc:
+            # n >= trunc: F^n has no cell below total degree trunc
+            g = g.truncate(trunc)
+        memo[key] = g
         return g
+
+    def g_power(self, n, trunc=None):
+        """G^n, certified below total degree ``trunc`` at least (default,
+        and at most, G's own N - 1).  G is a unit power series, so one
+        entry per n serves both dominants and every floor: it is kept in
+        the law's power table under the key ("G", n), a deeper entry serves
+        a shallower request as it is, and a shallower one is replaced by
+        ``int_power`` of G cut at ``trunc``, never widened."""
+        tg = self.G.trunc if trunc is None else min(trunc, self.G.trunc)
+        gn = self._powers.get(("G", n))
+        if gn is None or gn.trunc < tg:
+            gn = self._powers[("G", n)] = self.G.truncate(tg).int_power(n)
+        return gn
+
+    def power_slices(self, n, cap, floor):
+        """(S_0, ..., S_cap): the w^j slices, j <= cap, of the z-dominant
+        F(z,w)^n, n < 0, cut below z^floor.  S_j is ``power(n,
+        floors=(floor, None)).coefficient_of("w", j)``: one variable z, the
+        power's truncation minus j and its z floor ``floor``.  The
+        recurrence stops at w-degree cap (``LaurentElement.power_slices``),
+        so the cells of higher w-degree are never formed, and reading a
+        slice above cap raises WindowMiss.  The slices are memoised in the
+        law's power table under ("w_slices", n, floor, cap) and never stand
+        for the full power."""
+        key = ("w_slices", n, floor, cap)
+        s = self._powers.get(key)
+        if s is None:
+            s = self._powers[key] = self.power(1).power_slices(n, cap, floor)
+        return s
 
     def __repr__(self):
         return f"<FormalGroupLaw {self.name} over {self.ring!r} at N={self.trunc}>"
+
+
+def times_line_power(R, g, tg, n, dominant, floors):
+    """g * i(z - w)^n over (z, w), n != 0, for the cells g of a power series
+    certified below total degree tg, with (z, w)[dominant] dominant: the
+    element certified below tg + n, clipped at ``floors`` as
+    ``LaurentElement.int_power`` clips F(z, iota w)^n.
+
+    With x the dominant variable and y the other, i(z - w)^n is the
+    binomial line sum_k C(n, k) x^(n-k) (-y)^k, times (-1)^n when w
+    dominates ((z - w)^n = (-1)^n (w - z)^n); it is exact, of total degree
+    n, and finite for n > 0.  Each cell of g meets the terms k with x^(n-k)
+    reaching the x floor (every k <= n when n > 0), so every certified cell
+    is a finite sum.  The product runs fraction-free: with D the lcm of the
+    denominators of g's cells, cell e of g is scaled by D^tot(e), the
+    binomials are integers, and each output cell, whose summands all come
+    from cells of g of total degree tot - n, is divided by D^(tot - n) once.
+    For n < 0 the x floor is required and always reported (the line has
+    cells below every floor); the y floor, and for n > 0 the x floor, is
+    reported where it removes a cell.
+    """
+    d = dominant
+    if n < 0 and floors[d] is None:
+        raise ValueError("a negative power of a base with a term of its "
+                         "leading term's total degree needs a floor on the "
+                         "dominant variable")
+    cells = {e: c for e, c in g.items() if e[0] + e[1] < tg}
+    D = common_denominator(R, cells.values())
+    if D > 1:
+        cells = scale_by_degree(R, cells, D)
+    sign = (-1) ** n if d else 1
+    # term k of the line sits at (n - k, k) when z dominates, (k, n - k)
+    # when w does
+    (i0, j0), (di, dj) = ((n, 0), (-1, 1)) if d == 0 else ((0, n), (1, -1))
+    mul = R.mul
+    line = []
+    out = {}
+    for e, c in cells.items():
+        top = n if n > 0 else e[d] + n - floors[d]
+        while len(line) <= top:
+            k = len(line)
+            line.append(R.from_int(sign * (-1) ** k * comb_any(n, k)))
+        i, j = e[0] + i0, e[1] + j0
+        sparse_add(R, out, (((i + k * di, j + k * dj), mul(c, line[k]))
+                            for k in range(top + 1)))
+    if D > 1:
+        pw = [D ** s for s in range(tg)]
+        out = {e: R.divide_by_int(c, pw[e[0] + e[1] - n]) for e, c in out.items()}
+    out_floors = [None, None]
+    for i in (d, 1 - d):
+        f = floors[i]
+        if f is None:
+            continue
+        cut = [e for e in out if e[i] < f]
+        for e in cut:
+            del out[e]
+        if cut or (i == d and n < 0):
+            out_floors[i] = f
+    return LaurentElement(R, (Z, W), out, tg + n, floors=tuple(out_floors), _clean=True)
 
 
 def fgl_new(F, name="custom", params=None):

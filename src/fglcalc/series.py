@@ -340,6 +340,42 @@ class LaurentElement:
             for _ in range(n - 1):
                 out = out * self
             return out if floors is None else out.truncate(out.trunc, floors=floors)
+        out, t, out_floors = self._exact_power(n, floors, m, c, cinv)
+        return LaurentElement(R, self.vars, out, t, floors=out_floors)
+
+    def power_slices(self, n, kmax, floor):
+        """(s_0, ..., s_kmax): the y^j slices of ``int_power(n, floors=(floor,
+        None))``, n < 0, for an exact two-variable base (x, y) whose leading
+        term is free of y and has a unit coefficient, as ``CappedSlices``.
+        Slice j is that power's ``coefficient_of(y, j)``: a one-variable
+        element in x with the power's truncation minus j and the x floor
+        ``floor``.  The recurrence, graded by y, stops at grade kmax, so the
+        power itself is never formed.  The x floor is the power's whenever
+        the base has a term of its leading term's total degree (then
+        int_power reports it at every depth, as it does for F(z,w), whose
+        w/z term is one); for any other base the slices carry it where the
+        power might not.
+        """
+        R = self.ring
+        m, c = self.leading()
+        cinv = R.try_invert(c)
+        if (n >= 0 or len(m) != 2 or m[1] or cinv is NOT_INVERTIBLE
+                or any(f is not None for f in self.floors)):
+            raise ValueError("power slices need n < 0 and an exact two-variable "
+                             "base with a unit leading term free of y")
+        out, t, _ = self._exact_power(n, (floor, None), m, c, cinv, kmax)
+        rows = [{} for _ in range(kmax + 1)]
+        for (i, j), v in out.items():
+            rows[j][(i,)] = v
+        return CappedSlices(
+            LaurentElement(R, self.vars[:1], row, t - j, floors=(floor,), _clean=True)
+            for j, row in enumerate(rows))
+
+    def _exact_power(self, n, floors, m, c, cinv, kmax=None):
+        """The cells, truncation and floors of ``int_power(n, floors)`` for
+        an exact base with leading term c * x^m, c a unit; with ``kmax``,
+        the cells of the last variable's grades 0 ... kmax above m's only."""
+        R = self.ring
         v = _tot(m)
         t_rel = self.trunc - v  # relative precision above the valuation
         if floors is None:
@@ -352,7 +388,7 @@ class LaurentElement:
             e2 = tuple(x - y for x, y in zip(e, m))
             if any(e2):
                 h_coeffs[e2] = R.mul(ce, cinv)
-        coeffs, acc_floors = _graded_power(R, h_coeffs, n, t_rel, work_floors)
+        coeffs, acc_floors = _graded_power(R, h_coeffs, n, t_rel, work_floors, kmax)
         # shift by n*m and scale by c^n
         cn = c if n >= 0 else cinv
         cpow = R.one()
@@ -364,9 +400,7 @@ class LaurentElement:
             out[tuple(x + y for x, y in zip(e, shift))] = R.mul(ce, cpow)
         out_floors = tuple(None if af is None else af + s
                            for af, s in zip(acc_floors, shift))
-        # an exact base is kept by reference (nothing mutates coefficient
-        # dicts in place), so results held in a power table share it
-        return LaurentElement(R, self.vars, out, t_rel + n * v, floors=out_floors)
+        return out, t_rel + n * v, out_floors
 
     # -- expansion maps ----------------------------------------------------
 
@@ -699,6 +733,20 @@ class PowerSeries(LaurentElement):
         return LaurentElement(self.ring, self.vars, self.coeffs, self.trunc, _clean=True)
 
 
+class CappedSlices(tuple):
+    """The slices s_0, ..., s_cap of a power by its last variable.  Only
+    these grades were computed, so indexing any other grade raises
+    WindowMiss rather than reading a slice that is not there."""
+
+    __slots__ = ()
+
+    def __getitem__(self, j):
+        if type(j) is int and not 0 <= j < len(self):
+            raise WindowMiss(f"slice {j} lies outside the computed grades "
+                             f"0..{len(self) - 1}")
+        return tuple.__getitem__(self, j)
+
+
 def _unit_power(R, parts, n, cut, kmax=None):
     """The graded pieces g_0, g_1, ... of u^n for u = sum_i u_i, u_0 = 1.
 
@@ -748,10 +796,11 @@ def scale_by_degree(R, coeffs, D, shift=0):
     return out
 
 
-def _graded_power(R, h, n, t_rel, work_floors):
+def _graded_power(R, h, n, t_rel, work_floors, kcap=None):
     """(1 + h)^n for an exact one- or two-variable h whose terms have total
     degree >= 0, cut at total degree t_rel and clipped at ``work_floors``;
-    returns the cells and the floors (see ``LaurentElement.int_power``)."""
+    returns the cells and the floors (see ``LaurentElement.int_power``).
+    With ``kcap`` the recurrence stops at the last variable's grade kcap."""
     arity = len(work_floors)
     if arity > 2:
         raise ValueError(f"no power recurrence in {arity} variables")
@@ -788,6 +837,8 @@ def _graded_power(R, h, n, t_rel, work_floors):
         kmax = max(0, t_rel - 1 - work_floors[0])
     else:
         kmax = None  # every factor raises the total degree
+    if kcap is not None:
+        kmax = kcap if kmax is None else min(kmax, kcap)
     if p0:
         # u_0 = 1 + p(x): u^n = u_0^n * (u / u_0)^n, where u_0^n and u_0^-1
         # come from the same recurrence graded by the x-degree

@@ -290,7 +290,11 @@ def test_f_jacobi_one_parameter():
 @pytest.mark.parametrize("kind", ["multiplicative", "elliptic"])
 def test_f_jacobi_computes_each_power_once(kind, monkeypatch):
     # the towers share the twisted powers they have in common, and the
-    # check's powers stay out of the law's table
+    # check's powers stay out of the law's table.  A twisted power is G^n
+    # times a binomial line, and G^n is law-level, shared by every check:
+    # it lands in the law's table even though each twisted entry is
+    # check-local, computed once per n and no deeper than the towers read
+    B = 2
     law = standard_law(kind, trunc=8)
     R = law.ring
     before = set(law._powers)
@@ -307,17 +311,35 @@ def test_f_jacobi_computes_each_power_once(kind, monkeypatch):
         return out
 
     monkeypatch.setattr(LaurentElement, "int_power", counted)
-    rep = f_jacobi_delta_check(law, B=2)
+    rep = f_jacobi_delta_check(law, B=B)
     assert rep.ok, rep.to_json()
     assert rep.window == {"jacobi": [[-2, 2]] * 3, "exchange": [[-2, 2]] * 3}
     assert rep.details == {"window_size": 124}
     assert calls
     assert [k[2:] for k, v in calls.items() if v > 1] == []
-    assert [k for k in set(law._powers) - before if k[2] != 1] == []
+    new = set(law._powers) - before
+    g_keys = {k for k in new if k[0] == "G"}
+    assert [k for k in new - g_keys if k[2] != 1] == []
     # no box cell of [-2, 2]^3 reads a power above n = 2B, nor a base cell
     # of total degree above 2B
-    assert max(k[2] for k in calls) <= 4
-    assert [t for k, t in truncs.items() if k[2] >= 2 and t > 5] == []
+    assert max(k[2] for k in calls) <= 2 * B
+    assert [t for k, t in truncs.items() if k[2] >= 2 and t > 2 * B + 1] == []
+    # each G^n came from one int_power call on G cut at its depth: the full
+    # G for n = 1, for n = -1 (the delta reads F(z, iota w)^-1 whole) and
+    # for the powers the towers read whole, G below 2B + 1 - n (at least 1)
+    # where they read F(z, iota w)^n below 2B + 1
+    G = law.G
+
+    def g_cells(t):
+        return tuple(sorted((e, R.to_text(c)) for e, c in G.truncate(t).coeffs.items()))
+
+    g_calls = Counter(n for (base, t, n, _) in calls.elements() if base == g_cells(t))
+    assert sorted(g_calls) == sorted(n for _, n in g_keys)
+    assert set(g_calls.values()) == {1}
+    for _, n in g_keys:
+        uncut = n in (-1, 1) or 2 * B + 1 >= law.trunc - 1 + n
+        want = G.trunc if uncut else max(1, 2 * B + 1 - n)
+        assert law._powers["G", n].trunc == want, n
 
 
 @pytest.mark.parametrize("kind,params", [("multiplicative", {}), ("elliptic", {}),
@@ -453,6 +475,26 @@ def test_hyperderivative_slices_match_the_expansion(k, t, nmax, ftrunc, coeffs):
     one = hyperderivative(law, f, nmax)
     assert (one.coeffs, one.trunc, one.floors) == \
         (got[nmax].coeffs, got[nmax].trunc, got[nmax].floors)
+
+
+def test_hyper_slices_one_grade_short_raise_window_miss(monkeypatch):
+    # were the negative powers capped one w-degree below the slices read,
+    # the top slice would be missing: that is a WindowMiss, never a slice
+    # read as zero
+    law = standard_law("elliptic", trunc=12)
+    f = laurent(law, {-2: 1, -1: 3, 2: 1})
+    want = hyperderivatives(law, f, 3)
+    real = law.power_slices
+    monkeypatch.setattr(law, "power_slices",
+                        lambda n, cap, floor: real(n, cap - 1, floor))
+    for nmax in (1, 3, 6):
+        with pytest.raises(WindowMiss):
+            hyperderivatives(law, f, nmax)
+    with pytest.raises(WindowMiss):
+        hyperderivative(law, f, 2)
+    monkeypatch.undo()
+    assert [(s.coeffs, s.trunc, s.floors) for s in hyperderivatives(law, f, 3)] == \
+        [(s.coeffs, s.trunc, s.floors) for s in want]
 
 
 # -- residues --------------------------------------------------------------

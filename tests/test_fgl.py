@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fglcalc.fgl import (
     AxiomViolation,
+    FormalGroupLaw,
     NeedsRationals,
     fgl_inverse,
     fgl_new,
@@ -15,7 +16,7 @@ from fglcalc.fgl import (
     standard_law,
 )
 from fglcalc.ring import Ring
-from fglcalc.series import LaurentElement, PowerSeries
+from fglcalc.series import LaurentElement, PowerSeries, WindowMiss
 
 from binomial_oracle import binomial_power
 
@@ -403,10 +404,47 @@ def test_elliptic_degenerates_to_rescaled_multiplicative(delta):
 TABLE_LAWS = {k: standard_law(k, trunc=t) for k, t in
               [("additive", 12), ("multiplicative", 12),
                ("one_parameter", 10), ("elliptic", 10)]}
-# the vertex suite's law and an integral law, for the table test alone
-REFERENCE_LAWS = dict(TABLE_LAWS, **{
-    "multiplicative@18": standard_law("multiplicative", trunc=18),
-    "p_typical": standard_law("p_typical", trunc=12, p=2, h=1)})
+
+
+def linear_law(R, c, trunc=10):
+    """F = z + w + c*zw over R, built here rather than by standard_law."""
+    F = PowerSeries(R, ("z", "w"), {(1, 0): R.one(), (0, 1): R.one(), (1, 1): c}, trunc)
+    return FormalGroupLaw(F, name=f"z+w+({R.to_text(c)})zw")
+
+
+ZS = Ring.parampoly(ZZ, ["s"])
+# builders of the laws of the table test: the vertex suite's law, an
+# integral law, and laws over ZZ, Z/4 and ZZ[s], whose coefficient rings no
+# built-in law has
+REFERENCE_BUILDERS = {
+    **{k: (lambda k=k: standard_law(k, trunc=TABLE_LAWS[k].trunc)) for k in TABLE_LAWS},
+    "multiplicative@18": lambda: standard_law("multiplicative", trunc=18),
+    "p_typical": lambda: standard_law("p_typical", trunc=12, p=2, h=1),
+    "ZZ": lambda: linear_law(ZZ, 3),
+    "Z/4": lambda: linear_law(Ring.integers_mod(4), 3),
+    "ZZ[s]": lambda: linear_law(ZS, ZS.param("s")),
+}
+REFERENCE_LAWS = dict(TABLE_LAWS, **{k: b() for k, b in REFERENCE_BUILDERS.items()
+                                     if k not in TABLE_LAWS})
+
+
+def twisted_by_int_power(base, n, dominant, floors=None, trunc=None):
+    """F(z, iota w)^n as ``law.power(n, twisted=True, ...)`` specifies it,
+    computed by int_power on base = F(z, iota w) itself: the base cut to
+    max(2, trunc - n + 1) under a cut, floors (-N, -N) for a cut n < 0."""
+    N = base.trunc
+    if n in (0, 1) or trunc is None or trunc >= N - 1 + n:
+        trunc = None
+    if trunc is not None:
+        base = base.truncate(max(2, trunc - n + 1))
+        if n < 0 and floors is None:
+            floors = (-N, -N)
+    if dominant:
+        g = base.reorder(("w", "z")).int_power(
+            n, floors=None if floors is None else floors[::-1]).reorder(("z", "w"))
+    else:
+        g = base.int_power(n, floors=floors)
+    return g.truncate(trunc) if trunc is not None and g.trunc > trunc else g
 
 
 @pytest.mark.parametrize("kind", list(REFERENCE_LAWS))
@@ -417,7 +455,7 @@ def test_power_table_matches_int_power(kind, twisted, dominant):
     t = law.trunc
     # the reference: the binomial loop on a base built afresh, outside the
     # table
-    fresh = standard_law(kind.split("@")[0], trunc=t, **law.params)
+    fresh = REFERENCE_BUILDERS[kind]()
     base = fresh.f_z_iota_w() if twisted else fresh.as_laurent()
     # one deep floor, below the default -trunc cut, on the dominant variable
     deep = [None, None]
@@ -434,6 +472,28 @@ def test_power_table_matches_int_power(kind, twisted, dominant):
                 want = binomial_power(base, n, floors=floors)
             assert (got.coeffs, got.trunc, got.floors) == \
                 (want.coeffs, want.trunc, want.floors), (n, floors)
+    if not twisted:
+        return
+    # G^n * i(z - w)^n against int_power on F(z, iota w): cut at every trunc
+    # from -2 to the natural truncation + 1, and at each floor, memoised in
+    # a check-local table that keeps the entry off the law
+    kw = {"twisted": True, "dominant": dominant}
+    cases = [(n, None, cut) for n in (-4, -2, -1, 2, 3, 5) for cut in range(-2, t + n + 1)]
+    cases += [(n, floors, None) for n in range(-6, 11)
+              for floors in (None, (-3 * t, -3 * t), tuple(deep))]
+    on_law = {k for k in law._powers if k[0] is True}
+    for n, floors, cut in cases:
+        table = {}
+        got = law.power(n, floors=floors, trunc=cut, table=table, **kw)
+        want = twisted_by_int_power(base, n, dominant, floors=floors, trunc=cut)
+        assert (got.coeffs, got.trunc, got.floors) == \
+            (want.coeffs, want.trunc, want.floors), (n, floors, cut)
+        # a new entry lands in the table; one already on the law is served
+        if table:
+            assert list(table.values()) == [got]
+        else:
+            assert any(v is got for v in law._powers.values())
+    assert {k for k in law._powers if k[0] is True} == on_law
 
 
 CAPPED_LAWS = [("additive", {}), ("multiplicative", {}), ("one_parameter", {}),
@@ -487,6 +547,28 @@ def test_power_table_shares_entries_across_names(monkeypatch):
     assert calls == [-2, 3]
     assert wz.coeffs is zw.coeffs
     assert wz.coeffs == real(law.as_laurent().reorder(("w", "z")), 3).coeffs
+
+
+@given(kind=st.sampled_from(list(REFERENCE_LAWS)), n=st.integers(-6, -1),
+       cap=st.integers(0, 8), depth=st.integers(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_power_slices_match_the_full_power(kind, n, cap, depth):
+    # the capped slices are the full power's w-slices in cells, truncation
+    # and z floor, for floors from -3 trunc (the hyperderivatives') to 3;
+    # a grade above the cap is a WindowMiss, never an empty slice
+    law = REFERENCE_LAWS[kind]
+    floor = depth * law.trunc if depth < 0 else depth
+    slices = law.power_slices(n, cap, floor)
+    full = law.power(n, floors=(floor, None), table={})
+    assert len(slices) == cap + 1
+    for j, sj in enumerate(slices):
+        want = full.coefficient_of("w", j)
+        assert (sj.vars, sj.coeffs, sj.trunc, sj.floors) == \
+            (want.vars, want.coeffs, want.trunc, want.floors), j
+    assert law.power_slices(n, cap, floor) is slices
+    for j in (-1, cap + 1):
+        with pytest.raises(WindowMiss):
+            slices[j]
 
 
 @given(kind=st.sampled_from(["multiplicative", "one_parameter"]),
