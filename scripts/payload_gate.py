@@ -3,7 +3,9 @@
 Runs every command of the gate list once with this tree's ``src`` on
 PYTHONPATH and once with the other tree's, and stops at the first command
 whose stdout or exit code differs.  Stderr (timings) is not compared.  The
-gate list: ``verify --suite all`` on the six built-in laws at seeds 0 and 3;
+gate list: ``verify --suite all`` on the six built-in laws at seeds 0 and 3,
+and at ``--trunc 14`` on elliptic and on one_parameter, where every check
+reads one shared power table at a depth no other command reaches;
 the failure and configuration-error paths, ``verify --suite binom
 --inject-fault`` on additive and on elliptic (exit 1, with a first failure)
 and ``verify --suite delta --kind multiplicative --trunc 15`` (exit 2, no
@@ -65,6 +67,8 @@ LAW_FILES = {
 def gate_list(law_dir):
     cmds = [["verify", "--suite", "all", *kind, "--seed", seed]
             for kind in KINDS for seed in ("0", "3")]
+    cmds += [["verify", "--suite", "all", *kind, "--trunc", "14"]
+             for kind in (KINDS[3], KINDS[2])]
     cmds += [["verify", "--suite", "binom", "--kind", k, "--inject-fault"]
              for k in ("additive", "elliptic")]
     cmds += [["verify", "--suite", "delta", "--kind", "multiplicative", "--trunc", "15"]]

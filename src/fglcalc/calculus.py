@@ -241,21 +241,20 @@ class DeltaWindow:
         return d
 
 
-def _inverse_expansions(law, vars=("z", "w"), classical=False, table=None):
+def _inverse_expansions(law, vars=("z", "w"), classical=False):
     """The two expansions of F(x, iota y)^{-1}, or of (x - y)^{-1} when
     classical, for (x, y) = vars: x dominant, then y dominant.  Both have
     exponents in vars order; their difference is x^{-1} delta(y/x).  The
-    F powers are memoised as ``law.power`` does, in ``table`` if given.
+    F powers are entries of the law's power table (``law.power``).
     (x - y)^{-1} is the binomial line of the twisted powers with G = 1,
     certified below the law's truncation - 2 and cut at x^-N (y^-N when y
     dominates), as the twisted powers are."""
     if not classical:
-        return (law.power(-1, twisted=True, table=table).rename(vars),
-                law.power(-1, twisted=True, dominant=1, table=table).rename(vars))
-    R, N = law.ring, law.trunc
-    one = {(0, 0): R.one()}
-    return tuple(times_line_power(R, one, N - 1, -1, d, (-N, -N)).rename(vars)
-                 for d in (0, 1))
+        return (law.power(-1, twisted=True).rename(vars),
+                law.power(-1, twisted=True, dominant=1).rename(vars))
+    N = law.trunc
+    one = LaurentElement.one(law.ring, ("z", "w"), N - 1)
+    return tuple(times_line_power(one, -1, d, (-N, -N)).rename(vars) for d in (0, 1))
 
 
 def _delta_window(law, box, vars=("z", "w"), classical=False):
@@ -393,14 +392,13 @@ def f_jacobi_delta_check(law, B=4):
     F(z1, iota z2), in its two expansions, against the z2^{-1} term.  Part
     two: the exchange identity relating the z2-term to the delta of F(z0,z2).
     The four towers contract one delta element against powers with n <= 2B,
-    each computed once in a check-local table, so none lands on the law.
+    each read from the law's power table no deeper than 2B + 1.
     """
-    table = {}
-    a, b = _inverse_expansions(law, table=table)
+    a, b = _inverse_expansions(law)
     delta = a - b
 
     def tower(base_vars, out_var, twisted=True, dominant=0):
-        power = partial(law.power, twisted=twisted, dominant=dominant, table=table)
+        power = partial(law.power, twisted=twisted, dominant=dominant)
         return _delta_tower(delta, power, base_vars, out_var, B)
 
     t1 = tower(("z1", "z2"), "z0")
@@ -702,16 +700,13 @@ def iterated_residue_check(law, triples):
 
     deg_pf = max((k for (k,) in law.pF.coeffs), default=0)
     depth = 1 + deg_pf + max((max(t) for t in triples), default=0)
-    # only this check reads the deep powers: memoise them for this call
-    # rather than in the law's table
-    deep = {}
 
     def double_res(vars, dominant, a, b_exps):
         # F(x, iota y)^a * (vars monomial) with vars[dominant] dominant,
         # residue in the other variable, then in the dominant one; the power
         # is expanded deep enough to survive both p_F factors
         a_pow = law.power(a, twisted=True, dominant=dominant,
-                          floors=(-depth, -depth), table=deep).rename(vars)
+                          floors=(-depth, -depth)).rename(vars)
         shift = LaurentElement(R, vars,
                                {b_exps: R.one()}, a_pow.trunc + sum(b_exps) + 1)
         el = a_pow * shift

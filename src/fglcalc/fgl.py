@@ -5,17 +5,19 @@ that is commutative and associative; the object caches the inverse
 iota, the invariant differential coefficient p_F, the logarithm and
 exponential (over rings containing the rationals), and the unit factor
 G with F(z, iota(w)) = G(z,w) * (z - w).  Laurent powers of F(z,w) and
-F(z, iota w) are computed on demand by ``power`` and kept on the law; a
-twisted power is G^n times the closed-form expansion of (z - w)^n, and
-``power_slices`` gives the low w-slices of a negative power of F(z,w)
-without forming the rest of it.
+F(z, iota w) are computed on demand by ``power`` and kept in the law's
+power table; a twisted power is G^n times the closed-form expansion of
+(z - w)^n, and ``power_slices`` gives the low w-slices of a negative power
+of F(z,w) without forming the rest of it.  The table has one depth rule
+(``FormalGroupLaw._served``): an entry serves every request it covers, cut
+to it, and a deeper request replaces it.
 """
 
 from __future__ import annotations
 
 from .ring import Ring, sparse_add
-from .series import (LaurentElement, PowerSeries, comb_any, common_denominator,
-                     scale_by_degree, solve_by_degree)
+from .series import (CappedSlices, LaurentElement, PowerSeries, comb_any,
+                     common_denominator, scale_by_degree, solve_by_degree)
 
 
 class AxiomViolation(Exception):
@@ -206,8 +208,7 @@ class FormalGroupLaw:
         t = trunc or self.trunc
         return self.F.truncate(t).rename((zname, wname)).as_laurent()
 
-    def power(self, n, *, twisted=False, dominant=0, floors=None, trunc=None,
-              table=None):
+    def power(self, n, *, twisted=False, dominant=0, floors=None, trunc=None):
         """F(z, w)^n, or F(z, iota w)^n when twisted.
 
         The expansion has (z, w)[dominant] dominant; exponents and ``floors``
@@ -221,70 +222,49 @@ class FormalGroupLaw:
         recurrence runs on fewer cells.  A twisted power, n != 0, is G^n *
         i(z - w)^n (``times_line_power``): G^n is the law's entry
         ``g_power(n)``, read below trunc - n, and the expansion of (z - w)^n
-        in the dominant variable is a closed-form binomial line.  Each entry
-        is computed once and memoised under the key (twisted, dominant, n,
-        floors, trunc), with trunc None when nothing is cut; the stored
-        coefficient dict must not be mutated.  A caller that needs other
-        variable names reads the entry through ``rename``, a view sharing
-        that dict.  F is symmetric, so the w-dominant expansion of F(z,w)^n
-        is ``power(n).rename(("w", "z"))``.  A caller that passes its own
-        dict as ``table`` still reads the entries already on the law but
-        memoises new ones in ``table``, keeping one-off powers out of the
-        law for the rest of the process; the G^n entries always land on the
-        law.
+        in the dominant variable is a closed-form binomial line.  The entry
+        is kept in the law's power table under (twisted, dominant, n, floors)
+        by the table's one depth rule (``_served``); the stored coefficient
+        dict must not be mutated.  A caller that needs other variable names
+        reads the entry through ``rename``, a view sharing that dict.  F is
+        symmetric, so the w-dominant expansion of F(z,w)^n is
+        ``power(n).rename(("w", "z"))``.
         """
-        if n in (0, 1) or trunc is None or trunc >= self.trunc - 1 + n:
-            trunc = None
-        memo = self._powers if table is None else table
-        key = (twisted, dominant, n, floors, trunc)
-        g = self._powers.get(key)
-        if g is None:
-            g = memo.get(key)
-        if g is not None:
-            return g
+        natural = self.trunc if n == 0 else self.trunc - 1 + n
+        t = natural if n in (0, 1) or trunc is None else min(trunc, natural)
+        return self._served((twisted, dominant, n, floors), t,
+                            lambda: self._build_power(n, twisted, dominant, floors, t))
+
+    def _build_power(self, n, twisted, dominant, floors, t):
+        """``power(n, ...)`` computed afresh, certified below total degree t."""
+        N = self.trunc
         if n == 0:
-            g = LaurentElement.one(self.ring, (Z, W), self.trunc)
-        elif twisted:
-            if floors is None:
-                floors = (-self.trunc,) * 2 if n < 0 else (None, None)
+            return LaurentElement.one(self.ring, (Z, W), N)
+        if floors is None:
+            floors = (-N, -N) if n < 0 else (None, None)
+        if twisted:
             # G has valuation 0 and i(z - w)^n total degree n
-            tg = self.G.trunc if trunc is None else max(1, trunc - n)
-            g = times_line_power(self.ring, self.g_power(n, tg).coeffs, tg, n,
-                                 dominant, floors)
+            g = times_line_power(self.g_power(n, max(1, t - n)), n, dominant, floors)
+        elif n == 1:
+            return self.as_laurent()
         else:
-            # the n = 1 entry is the base itself (int_power(1) returns it)
-            base = self._powers.get((False, 0, 1, None, None))
-            if base is None:
-                base = self._powers[(False, 0, 1, None, None)] = self.as_laurent()
-            if trunc is not None:
-                # the base has valuation 1, so F^n is certified below its
-                # truncation - 1 + n
-                base = base.truncate(max(2, trunc - n + 1))
-                if n < 0 and floors is None:
-                    floors = (-self.trunc,) * 2
+            # the base has valuation 1, so F^n is certified below its
+            # truncation - 1 + n
+            base = self.power(1).truncate(max(2, t - n + 1))
             if dominant:
-                rev = None if floors is None else floors[::-1]
-                g = base.reorder((W, Z)).int_power(n, floors=rev).reorder((Z, W))
+                g = base.reorder((W, Z)).int_power(n, floors=floors[::-1]).reorder((Z, W))
             else:
                 g = base.int_power(n, floors=floors)
-        if trunc is not None and g.trunc > trunc:
-            # n >= trunc: F^n has no cell below total degree trunc
-            g = g.truncate(trunc)
-        memo[key] = g
-        return g
+        # n >= t: the power has no cell below total degree t
+        return g.truncate(t) if g.trunc > t else g
 
     def g_power(self, n, trunc=None):
-        """G^n, certified below total degree ``trunc`` at least (default,
-        and at most, G's own N - 1).  G is a unit power series, so one
-        entry per n serves both dominants and every floor: it is kept in
-        the law's power table under the key ("G", n), a deeper entry serves
-        a shallower request as it is, and a shallower one is replaced by
-        ``int_power`` of G cut at ``trunc``, never widened."""
+        """G^n, certified below total degree ``trunc`` (default, and at
+        most, G's own N - 1).  G is a unit power series, so one entry per n,
+        kept in the law's power table under ("G", n), serves both dominants
+        and every floor; it is ``int_power`` of G cut at ``trunc``."""
         tg = self.G.trunc if trunc is None else min(trunc, self.G.trunc)
-        gn = self._powers.get(("G", n))
-        if gn is None or gn.trunc < tg:
-            gn = self._powers[("G", n)] = self.G.truncate(tg).int_power(n)
-        return gn
+        return self._served(("G", n), tg, lambda: self.G.truncate(tg).int_power(n))
 
     def power_slices(self, n, cap, floor):
         """(S_0, ..., S_cap): the w^j slices, j <= cap, of the z-dominant
@@ -293,24 +273,45 @@ class FormalGroupLaw:
         power's truncation minus j and its z floor ``floor``.  The
         recurrence stops at w-degree cap (``LaurentElement.power_slices``),
         so the cells of higher w-degree are never formed, and reading a
-        slice above cap raises WindowMiss.  The slices are memoised in the
-        law's power table under ("w_slices", n, floor, cap) and never stand
-        for the full power."""
-        key = ("w_slices", n, floor, cap)
-        s = self._powers.get(key)
-        if s is None:
-            s = self._powers[key] = self.power(1).power_slices(n, cap, floor)
-        return s
+        slice above cap raises WindowMiss.  The slices are one entry per
+        (n, floor) in the law's power table, ("w_slices", n, floor), served
+        as its first cap + 1 slices; they never stand for the full power."""
+        return self._served(("w_slices", n, floor), cap + 1,
+                            lambda: self.power(1).power_slices(n, cap, floor))
+
+    def _served(self, key, depth, build):
+        """The power table's one rule, for powers, G's powers and slices.
+
+        An entry is certified to a depth: a power's truncation, or its
+        number of slices.  A request to ``depth`` that the entry under
+        ``key`` covers is served from it, cut to exactly that depth, so a
+        request reads the same whatever the table held before; a deeper
+        request is computed afresh by ``build`` and replaces the entry,
+        which is never widened.
+        """
+        entry = self._powers.get(key)
+        if entry is None or _depth(entry) < depth:
+            entry = self._powers[key] = build()
+        if _depth(entry) == depth:
+            return entry
+        if type(entry) is CappedSlices:
+            return CappedSlices(entry[:depth])
+        return entry.truncate(depth)
 
     def __repr__(self):
         return f"<FormalGroupLaw {self.name} over {self.ring!r} at N={self.trunc}>"
 
 
-def times_line_power(R, g, tg, n, dominant, floors):
-    """g * i(z - w)^n over (z, w), n != 0, for the cells g of a power series
-    certified below total degree tg, with (z, w)[dominant] dominant: the
-    element certified below tg + n, clipped at ``floors`` as
-    ``LaurentElement.int_power`` clips F(z, iota w)^n.
+def _depth(entry):
+    # a power is certified below its truncation, slices to their count
+    return len(entry) if type(entry) is CappedSlices else entry.trunc
+
+
+def times_line_power(g, n, dominant, floors):
+    """g * i(z - w)^n over (z, w), n != 0, for an exact power series g in
+    (z, w), with (z, w)[dominant] dominant: the element certified below
+    g's truncation + n, clipped at ``floors`` as ``LaurentElement.int_power``
+    clips F(z, iota w)^n.
 
     With x the dominant variable and y the other, i(z - w)^n is the
     binomial line sum_k C(n, k) x^(n-k) (-y)^k, times (-1)^n when w
@@ -330,7 +331,7 @@ def times_line_power(R, g, tg, n, dominant, floors):
         raise ValueError("a negative power of a base with a term of its "
                          "leading term's total degree needs a floor on the "
                          "dominant variable")
-    cells = {e: c for e, c in g.items() if e[0] + e[1] < tg}
+    R, tg, cells = g.ring, g.trunc, g.coeffs
     D = common_denominator(R, cells.values())
     if D > 1:
         cells = scale_by_degree(R, cells, D)

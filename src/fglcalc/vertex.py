@@ -20,6 +20,7 @@ from itertools import chain
 
 from .calculus import (Report, _compare, _fail, _inverse_expansions, _tower_cell,
                        f_residue, hyperderivative)
+from .fgl import times_line_power
 from .ring import Ring, sparse_add, sparse_mul
 from .series import BilateralWindow, LaurentElement, WindowMiss
 
@@ -1021,11 +1022,10 @@ def weak_commutativity_order(A, a, b, c, Mmax=8, top=(4, 4), factor="group"):
                          {(i, j): v for (j, i), v in g2t.items()}, box, _clean=True)
     diff = g1 - g2
     if _escaped_lowest_part(diff, box) is None:
-        R = A.ring
         if factor == "classical":
-            power = LaurentElement(R, ("z", "w"),
-                                   {(1, 0): R.one(), (0, 1): R.neg(R.one())},
-                                   A.law.trunc).int_power
+            # (z - w)^M is the binomial line of the twisted powers with G = 1
+            one = LaurentElement.one(A.ring, ("z", "w"), A.law.trunc - 1)
+            power = partial(times_line_power, one, dominant=0, floors=(None, None))
         else:
             power = partial(A.law.power, twisted=True)
         M, _ = _annihilation_order(diff, power, Mmax)

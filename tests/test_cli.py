@@ -306,6 +306,51 @@ def test_verify_vertex_multiplicative(tmp_path):
     assert "lie_axioms" in names and "jacobi" in names
 
 
+def test_verify_all_computes_no_power_an_entry_covers(monkeypatch):
+    # one law's power table serves the whole suite: no request for a power,
+    # a power of G or power slices that an entry already on the law covers
+    # runs int_power, times_line_power or the slice recurrence again
+    from fglcalc import fgl
+    from fglcalc.series import LaurentElement
+
+    law = fgl.standard_law("elliptic")
+    kernel = []
+
+    def counted(real):
+        def run(*args, **kwargs):
+            kernel.append(1)
+            return real(*args, **kwargs)
+        return run
+
+    for owner, name in ((LaurentElement, "int_power"), (fgl, "times_line_power"),
+                        (LaurentElement, "power_slices")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    deepest, recomputed = {}, []
+
+    def watch(name, family, depth):
+        real = getattr(law, name)
+
+        def run(*args, **kwargs):
+            before = len(kernel)
+            out = real(*args, **kwargs)
+            if len(kernel) > before:
+                key, d = family(*args, **kwargs), depth(out)
+                if deepest.get(key, d - 1) >= d:
+                    recomputed.append((key, d, deepest[key]))
+                deepest[key] = max(d, deepest.get(key, d))
+            return out
+        monkeypatch.setattr(law, name, run)
+
+    watch("power", lambda n, twisted=False, dominant=0, floors=None, **_:
+          (twisted, dominant, n, floors), lambda p: p.trunc)
+    watch("g_power", lambda n, trunc=None: ("G", n), lambda p: p.trunc)
+    watch("power_slices", lambda n, cap, floor: ("w_slices", n, floor), len)
+    checks = cli._suite_checks(CliConfig(kind="elliptic", seed=1), law, "all")
+    assert all(check().ok for _, check in checks)
+    assert deepest
+    assert recomputed == []
+
+
 # -- heisenberg --------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from fglcalc.fgl import (
     partial_derivative,
     standard_law,
 )
+from fglcalc import fgl as fgl_module, series as series_module
 from fglcalc.ring import Ring
 from fglcalc.series import LaurentElement, PowerSeries, WindowMiss
 
@@ -475,25 +477,22 @@ def test_power_table_matches_int_power(kind, twisted, dominant):
     if not twisted:
         return
     # G^n * i(z - w)^n against int_power on F(z, iota w): cut at every trunc
-    # from -2 to the natural truncation + 1, and at each floor, memoised in
-    # a check-local table that keeps the entry off the law
+    # from -2 to the natural truncation + 1, and at each floor, on the fresh
+    # law in ascending cut order, so that each cut is built, not served
     kw = {"twisted": True, "dominant": dominant}
     cases = [(n, None, cut) for n in (-4, -2, -1, 2, 3, 5) for cut in range(-2, t + n + 1)]
     cases += [(n, floors, None) for n in range(-6, 11)
               for floors in (None, (-3 * t, -3 * t), tuple(deep))]
-    on_law = {k for k in law._powers if k[0] is True}
     for n, floors, cut in cases:
-        table = {}
-        got = law.power(n, floors=floors, trunc=cut, table=table, **kw)
+        got = fresh.power(n, floors=floors, trunc=cut, **kw)
         want = twisted_by_int_power(base, n, dominant, floors=floors, trunc=cut)
         assert (got.coeffs, got.trunc, got.floors) == \
             (want.coeffs, want.trunc, want.floors), (n, floors, cut)
-        # a new entry lands in the table; one already on the law is served
-        if table:
-            assert list(table.values()) == [got]
-        else:
-            assert any(v is got for v in law._powers.values())
-    assert {k for k in law._powers if k[0] is True} == on_law
+        # the request replaced the entry of its key
+        assert fresh._powers[True, dominant, n, floors] is got
+    # each key holds one entry, whatever the cut
+    assert {k for k in fresh._powers if k[0] is True} == \
+        {(True, dominant, n, floors) for n, floors, _ in cases}
 
 
 CAPPED_LAWS = [("additive", {}), ("multiplicative", {}), ("one_parameter", {}),
@@ -506,24 +505,64 @@ CAPPED_LAWS = [("additive", {}), ("multiplicative", {}), ("one_parameter", {}),
                               for k, p in CAPPED_LAWS])
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("dominant", [0, 1])
-def test_capped_power_is_the_truncated_power(kind, params, twisted, dominant):
+def test_capped_power_is_the_truncated_power(kind, params, twisted, dominant,
+                                             monkeypatch):
     # law.power(n, trunc=t) is the full power cut at total degree t, in
     # cells, truncation and floors, for every t up to the natural
-    # truncation + 1; n = 0 and n = 1 are never cut
+    # truncation + 1, whether it is built (t ascending: each request is
+    # deeper than the entry and replaces it) or served from a deeper entry
+    # (t descending after the full power); n = 0 and n = 1 are never cut
     law = standard_law(kind, trunc=10, **params)
     kw = {"twisted": twisted, "dominant": dominant}
+    builds = []
+    int_power = LaurentElement.int_power
+    line_power = fgl_module.times_line_power
+
+    def counting(real):
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(LaurentElement, "int_power", counting(int_power))
+    monkeypatch.setattr(fgl_module, "times_line_power", counting(line_power))
     for n in range(-5, 11):
-        full = law.power(n, **kw)
         natural = law.trunc - 1 + n
-        for t in range(-2, natural + 2):
-            got = law.power(n, trunc=t, table={}, **kw)
+        cuts = range(-2, natural + 2)
+        built = []
+        for t in cuts:
+            del builds[:]
+            built.append((law.power(n, trunc=t, **kw), bool(builds)))
+        del builds[:]
+        full = law.power(n, **kw)
+        served = [law.power(n, trunc=t, **kw) for t in reversed(cuts)][::-1]
+        assert builds == []
+        for t, (got, ran), again in zip(cuts, built, served):
             if n in (0, 1):
-                assert got is full
+                assert got is full and again is full
                 continue
+            # each cut up to the natural truncation ran the construction
+            assert ran == (t <= natural), (n, t)
             want = full.truncate(t)
-            assert (got.coeffs, got.trunc, got.floors) == \
-                (want.coeffs, want.trunc, want.floors), (n, t)
-            assert got.trunc == min(t, natural)
+            for g in (got, again):
+                assert (g.coeffs, g.trunc, g.floors) == \
+                    (want.coeffs, want.trunc, want.floors), (n, t)
+                assert g.trunc == min(t, natural)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "elliptic"])
+def test_classical_line_power_is_int_power(kind):
+    # (z - w)^M as the classical factors read it, the binomial line with
+    # G = 1, is int_power on z - w itself in cells, truncation and floors
+    law = standard_law(kind, trunc=12)
+    R = law.ring
+    zmw = LaurentElement(R, ("z", "w"), {(1, 0): R.one(), (0, 1): R.neg(R.one())}, 12)
+    one = LaurentElement.one(R, ("z", "w"), 11)
+    for M in range(1, 9):
+        got = fgl_module.times_line_power(one, M, 0, (None, None))
+        want = zmw.int_power(M)
+        assert (got.coeffs, got.trunc, got.floors) == \
+            (want.coeffs, want.trunc, want.floors), M
 
 
 def test_power_table_shares_entries_across_names(monkeypatch):
@@ -559,16 +598,88 @@ def test_power_slices_match_the_full_power(kind, n, cap, depth):
     law = REFERENCE_LAWS[kind]
     floor = depth * law.trunc if depth < 0 else depth
     slices = law.power_slices(n, cap, floor)
-    full = law.power(n, floors=(floor, None), table={})
+    full = REFERENCE_BUILDERS[kind]().power(n, floors=(floor, None))
     assert len(slices) == cap + 1
     for j, sj in enumerate(slices):
         want = full.coefficient_of("w", j)
         assert (sj.vars, sj.coeffs, sj.trunc, sj.floors) == \
             (want.vars, want.coeffs, want.trunc, want.floors), j
-    assert law.power_slices(n, cap, floor) is slices
+    # a repeated or shallower request runs no recurrence and is the
+    # deeper entry's prefix
+    graded = []
+    real = series_module._graded_power
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_graded_power",
+                   lambda *a, **kw: graded.append(1) or real(*a, **kw))
+        for k in range(cap, -1, -1):
+            again = law.power_slices(n, k, floor)
+            assert len(again) == k + 1
+            assert all(a is b for a, b in zip(again, slices))
+    assert graded == []
     for j in (-1, cap + 1):
         with pytest.raises(WindowMiss):
             slices[j]
+
+
+SEQUENCE_LAWS = {k: REFERENCE_LAWS[k] for k in ("multiplicative", "elliptic", "ZZ")}
+# a request is a key of the table and a depth: the trunc of a power or of
+# a power of G (None for the full one), the cap of slices
+POWER_KEYS = st.tuples(st.just("power"), st.integers(-4, 6), st.booleans(),
+                       st.integers(0, 1), st.sampled_from([None, -2]))
+G_KEYS = st.tuples(st.just("G"), st.integers(-3, 3))
+SLICE_KEYS = st.tuples(st.just("slices"), st.integers(-4, -1), st.sampled_from([-3, -1, 0]))
+
+
+@st.composite
+def table_requests(draw):
+    """Up to eight requests on at most three keys, so that one key is asked
+    for at several depths, shallow and deep, in any order."""
+    keys = draw(st.lists(st.one_of(POWER_KEYS, G_KEYS, SLICE_KEYS), min_size=1, max_size=3))
+    reqs = []
+    for _ in range(draw(st.integers(1, 8))):
+        key = draw(st.sampled_from(keys))
+        if key[0] == "slices":
+            depth = draw(st.integers(0, 6))
+        else:
+            depth = draw(st.one_of(st.none(), st.integers(-2 if key[0] == "power" else 1, 16)))
+        reqs.append(key + (depth,))
+    return reqs
+
+
+def table_request(law, req):
+    """Serve one request of the power table: a power, a power of G or power
+    slices; floors and slice floors are given in multiples of the law's
+    truncation."""
+    N = law.trunc
+    if req[0] == "power":
+        _, n, twisted, dominant, deep, trunc = req
+        floors = None if deep is None else (deep * N, deep * N)
+        return law.power(n, twisted=twisted, dominant=dominant, floors=floors,
+                         trunc=trunc)
+    if req[0] == "G":
+        return law.g_power(req[1], req[2])
+    _, n, depth, cap = req
+    return law.power_slices(n, cap, depth * N)
+
+
+@given(kind=st.sampled_from(list(SEQUENCE_LAWS)), reqs=table_requests())
+@settings(max_examples=60, deadline=None)
+def test_power_table_serves_each_request_as_a_fresh_law(kind, reqs):
+    # whatever the table holds, shallower or deeper entries of the same
+    # key, a request reads exactly what it reads on a law with an empty
+    # table: the same cells, truncation and floors, and as many slices
+    law = copy.copy(SEQUENCE_LAWS[kind])
+    law._powers = {}
+    for req in reqs:
+        fresh = copy.copy(law)
+        fresh._powers = {}
+        got, want = table_request(law, req), table_request(fresh, req)
+        if req[0] == "slices":
+            assert len(got) == len(want), req
+        else:
+            got, want = [got], [want]
+        for g, w in zip(got, want):
+            assert (g.coeffs, g.trunc, g.floors) == (w.coeffs, w.trunc, w.floors), req
 
 
 @given(kind=st.sampled_from(["multiplicative", "one_parameter"]),
