@@ -30,9 +30,12 @@ elliptic and on one_parameter; ``fgl --trunc
 ``heisenberg --action commutators|shift|bracket_table`` on the additive law;
 ``heisenberg --action bracket_table|shift`` on multiplicative and on
 p_typical(2,1), whose brackets carry a p_F correction; and ``fgl
---law-file`` on three law files written to a temporary directory: a valid
-law with a "-3/2" coefficient (exit 0), a non-associative one and one with
-a negative exponent (both exit 2).
+--law-file`` on four law files written to a temporary directory, two
+valid ones (exit 0) and two rejected ones (exit 2): a law with a "-3/2"
+coefficient; p_typical(2,1)'s cells at trunc 10, a dense law whose
+associativity is certified as F = E(L(z) + L(w)); a non-associative law of
+w-degree 2, whose failing monomial the one-sided substitution locates; and
+a law with a negative exponent.  66 commands in all.
 
 Usage: python3 scripts/payload_gate.py --against OTHER/src [--select TEXT]
 
@@ -56,8 +59,17 @@ KINDS = [["--kind", "additive"], ["--kind", "multiplicative"],
          ["--kind", "p_typical", "--p", "3", "--h", "1"]]
 
 UNIT = [[1, 0, "1"], [0, 1, "1"]]
+# the cells of p_typical(2,1) at trunc 10 with z-degree <= w-degree, as
+# (i, j, F_ij); F is symmetric
+P_TYPICAL = [(1, 1, -1), (1, 2, 1), (1, 3, -2), (1, 4, 3), (1, 5, -4), (1, 6, 6),
+             (1, 7, -10), (1, 8, 15), (2, 2, -4), (2, 3, 10), (2, 4, -21),
+             (2, 5, 43), (2, 6, -88), (2, 7, 169), (3, 3, -34), (3, 4, 101),
+             (3, 5, -275), (3, 6, 680), (4, 4, -394), (4, 5, 1303)]
 LAW_FILES = {
     "valid": {"name": "mult-file", "trunc": 8, "coeffs": UNIT + [[1, 1, "-3/2"]]},
+    "dense": {"name": "p-typical-file", "trunc": 10,
+              "coeffs": UNIT + [[a, b, str(c)] for i, j, c in P_TYPICAL
+                                for a, b in dict.fromkeys([(i, j), (j, i)])]},
     "non_associative": {"trunc": 8, "coeffs": UNIT + [[1, 1, "1"], [2, 1, "1"],
                                                      [1, 2, "1"]]},
     "negative_exponent": {"trunc": 8, "coeffs": UNIT + [[-1, 2, "1"]]},

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from math import comb, inf
+from math import inf
 
 from .fgl import times_line_power
 from .ring import sparse_add

@@ -4,7 +4,13 @@ A law is a two-variable truncated power series F(z,w) = z + w + O(zw)
 that is commutative and associative; the object caches the inverse
 iota, the invariant differential coefficient p_F, the logarithm and
 exponential (over rings containing the rationals), and the unit factor
-G with F(z, iota(w)) = G(z,w) * (z - w).  Laurent powers of F(z,w) and
+G with F(z, iota(w)) = G(z,w) * (z - w).  Over a ring containing the
+rationals, associativity of F of w-degree >= 2 is certified as
+F = exp(log(z) + log(w)) from one-variable powers (``separable_sum``),
+and the p_typical laws are built the same way; the one-sided
+substitution F(z, F(w,v)) is the check over other rings and for
+w-degree <= 1, and locates the first failing monomial of a rejected law
+(``FormalGroupLaw.validate``).  Laurent powers of F(z,w) and
 F(z, iota w) are computed on demand by ``power`` and kept in the law's
 power table; a twisted power is G^n times the closed-form expansion of
 (z - w)^n, and ``power_slices`` gives the low w-slices of a negative power
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 from .ring import Ring, sparse_add
 from .series import (CappedSlices, LaurentElement, PowerSeries, comb_any,
-                     common_denominator, scale_by_degree, solve_by_degree)
+                     common_denominator, scale_by_degree, separable_sum,
+                     solve_by_degree)
 
 
 class AxiomViolation(Exception):
@@ -62,14 +69,9 @@ class FormalGroupLaw:
         self.params = dict(params or {})
         if validate:
             self.validate()
-        self.iota = self._solve_inverse()
-        self.pF = self._invariant_differential()
-        if self.ring.contains_rationals:
-            self.log = self.pF.integrate(Z)
-            self.exp = self.log.comp_inverse()
         else:
-            self.log = None
-            self.exp = None
+            self._log_companions()
+        self.iota = self._solve_inverse()
         self.G = self._g_factor()
         self._powers = {}
 
@@ -77,20 +79,28 @@ class FormalGroupLaw:
 
     def validate(self):
         """Check unitality, commutativity and associativity coefficient by
-        coefficient, raising AxiomViolation at the first failing monomial.
+        coefficient below the truncation t, raising AxiomViolation at the
+        first failing monomial; builds p_F, ``log`` and ``exp`` on the way.
 
-        Associativity is checked one-sidedly: only F(z, F(w,v)) is computed;
-        once F is commutative, F(F(z,w), v) is the same series with its
-        exponents permuted, and the two are compared in sorted monomial
-        order as a two-sided check would compare them.
+        Over a ring containing the rationals, and for F of w-degree >= 2,
+        associativity is certified as F = E(L(z) + L(w)) with L = ``log``
+        and E = ``exp`` (``separable_sum``, from one-variable powers of L).
+        The certificate is exact on every cell below t.  Write q = 1/p_F =
+        F_w(., 0).  If F = E(Lz + Lw) mod t, both sides of associativity
+        are E(Lz + Lw + Lv) mod t.  Conversely, d/dv at v = 0 of
+        associativity gives q(F(z,w)) = F_w(z,w) q(w) mod t - 1, so
+        d/dw [L(F) - L(z) - L(w)] = 0 mod t - 1; the w^0 cells of that
+        difference vanish by unitality, and a Q-algebra has no torsion, so
+        L(F) = L(z) + L(w) mod t and F = E(Lz + Lw) mod t (Hazewinkel,
+        Formal Groups and Applications, 1978).
 
-        Both sides are computed for F~(z,w) = F(Dz, Dw)/D, D the lcm of the
-        denominators of F's cells, whose cell e is D^(tot(e)-1) F_e: an
-        integral law, since every cell has total degree >= 1 and the
-        degree-1 cells are 1.  F~(z, F~(w,v)) = F(Dz, F(Dw, Dv))/D, so its
-        cell e is D^(tot(e)-1) times that of F(z, F(w,v)), and likewise on
-        the permuted side: the two sides differ at exactly the monomials
-        where they differ for F, and the first one reported is the same.
+        The one-sided substitution (``_first_associativity_failure``) keeps
+        three roles: it is the check over rings without the rationals; it is
+        the check for F of w-degree <= 1, where F(z, F(w,v)) needs only the
+        first image power and costs less than the separable sum; and it
+        locates the first failing monomial whenever the certificate fails.
+        A failed certificate never ends in acceptance: where the
+        substitution finds no monomial, AxiomViolation names none.
         """
         F, R = self.F, self.ring
         # unitality F(z,0) = z
@@ -107,9 +117,36 @@ class FormalGroupLaw:
         for (i, j), c in F.coeffs.items():
             if not R.eq(F.coefficient((j, i)), c):
                 raise AxiomViolation("commutativity", (i, j))
-        # associativity F(z, F(w,v)) = F(F(z,w), v).  F is commutative, so
-        # the right side is F(v, F(z,w)): the left side with (z,w,v) read as
-        # (v,z,w), i.e. exponents (a,b,c) moved to (b,c,a)
+        self._log_companions()
+        if R.contains_rationals and max((j for _, j in F.coeffs), default=0) >= 2:
+            if separable_sum(self.exp, self.log, self.trunc) == F.coeffs:
+                return
+            raise AxiomViolation("associativity", self._first_associativity_failure())
+        bad = self._first_associativity_failure()
+        if bad is not None:
+            raise AxiomViolation("associativity", bad)
+
+    def _first_associativity_failure(self):
+        """The first monomial, in sorted order, where F(z, F(w,v)) and
+        F(F(z,w), v) differ below the truncation, or None.
+
+        Associativity is checked one-sidedly: only F(z, F(w,v)) is computed;
+        once F is commutative, F(F(z,w), v) is the same series with its
+        exponents permuted, and the two are compared in sorted monomial
+        order as a two-sided check would compare them.
+
+        Both sides are computed for F~(z,w) = F(Dz, Dw)/D, D the lcm of the
+        denominators of F's cells, whose cell e is D^(tot(e)-1) F_e: an
+        integral law, since every cell has total degree >= 1 and the
+        degree-1 cells are 1.  F~(z, F~(w,v)) = F(Dz, F(Dw, Dv))/D, so its
+        cell e is D^(tot(e)-1) times that of F(z, F(w,v)), and likewise on
+        the permuted side: the two sides differ at exactly the monomials
+        where they differ for F, and the first one reported is the same.
+        """
+        F, R = self.F, self.ring
+        # F is commutative, so the right side is F(v, F(z,w)): the left
+        # side with (z,w,v) read as (v,z,w), i.e. exponents (a,b,c) moved
+        # to (b,c,a)
         tvars = (Z, W, V)
         D = common_denominator(R, F.coeffs.values())
         if D > 1:
@@ -120,9 +157,7 @@ class FormalGroupLaw:
         lhs = F.substitute({W: F.rename((W, V)).extend(tvars)})
         rhs = PowerSeries(R, tvars, {(b, c, a): x for (a, b, c), x in lhs.coeffs.items()},
                           lhs.trunc, _clean=True)
-        bad = _first_difference(lhs, rhs)
-        if bad is not None:
-            raise AxiomViolation("associativity", bad)
+        return _first_difference(lhs, rhs)
 
     # -- companions --------------------------------------------------------
 
@@ -137,6 +172,17 @@ class FormalGroupLaw:
         iota = solve_by_degree(R, [(i, j, c) for (i, j), c in self.F.coeffs.items()],
                                R.neg(R.one()), R.one(), t)
         return PowerSeries(R, (Z,), {(d,): c for d, c in iota.items()}, t)
+
+    def _log_companions(self):
+        """p_F, and over a ring containing the rationals the logarithm
+        L = integral of p_F and the exponential E = L^-1."""
+        self.pF = self._invariant_differential()
+        if self.ring.contains_rationals:
+            self.log = self.pF.integrate(Z)
+            self.exp = self.log.comp_inverse()
+        else:
+            self.log = None
+            self.exp = None
 
     def _invariant_differential(self):
         # p_F(z) = F^{0,1}(z, 0)^{-1}
@@ -443,12 +489,10 @@ def standard_law(kind, trunc=12, **params):
         if type(p) is not int or type(h) is not int or p < 2 or h < 1:
             raise ValueError("p_typical needs integers p >= 2 and h >= 1, "
                              f"got p={p!r}, h={h!r}")
+        # F = expp(phi(z) + phi(w)), from one-variable powers of phi
         phi = _phi_p(QQ, p, h, trunc)
-        expp = phi.comp_inverse()
-        tvars = (Z, W)
-        phisum = (phi.extend(tvars)
-                  + phi.rename((W,)).extend(tvars))
-        F = expp.substitute({Z: phisum})
+        F = PowerSeries(QQ, (Z, W), separable_sum(phi.comp_inverse(), phi, trunc),
+                        trunc, _clean=True)
         law = FormalGroupLaw(F, name=f"p_typical({p},{h})", params={"p": p, "h": h})
         for e, c in F.coeffs.items():
             if c.denominator != 1:

@@ -908,6 +908,46 @@ def solve_by_degree(R, terms, g1, unit, t):
     return g
 
 
+def separable_sum(E, L, t):
+    """The cells {(a, b): c}, a + b < t, of E(L(z) + L(w)) for univariate
+    power series E and L with L(0) = 0, both known below t, formed from the
+    one-variable powers L^i alone.
+
+    With S = L(z) + L(w), S^k = sum_i C(k, i) L(z)^i L(w)^(k-i), so
+        F_ab = sum_i [L^i]_a * B_i[b],  B_i = sum_j C(i+j, i) E_(i+j) L^j.
+    L^i has valuation >= i, so a cell needs only i <= a and j <= b, and
+    the sum is symmetric in (z, w): the cells with a <= b are formed, from
+    i <= (t - 1) // 2 and B_i cut below t - i, and mirrored.  Each product
+    is of two one-variable coefficients; no series in two or three
+    variables is formed.  Zero sums are dropped (``sparse_add``).
+    """
+    if t > min(E.trunc, L.trunc):
+        raise ValueError(f"E and L are not known below {t}")
+    R = L.ring
+    if not R.is_zero(L.constant_term()):
+        raise ValueError("separable_sum needs L(0) = 0")
+    mul = R.mul
+    lc = [(k, c) for (k,), c in L.coeffs.items()]
+    ec = {k: c for (k,), c in E.coeffs.items()}
+    # pows[i] = {a: [L^i]_a}, a < t; L^i vanishes below a = i
+    pows = [{0: R.one()}]
+    while len(pows) < t and pows[-1]:
+        pows.append(sparse_add(R, {}, ((a + k, mul(x, c)) for a, x in pows[-1].items()
+                                       for k, c in lc if a + k < t)))
+    out = {}
+    for i in range(min(len(pows), (t + 1) // 2)):
+        bi = {}
+        for j in range(min(len(pows), t - i)):
+            e = ec.get(i + j)
+            if e:
+                e = mul(e, R.from_int(comb(i + j, i)))
+                sparse_add(R, bi, ((b, mul(e, y)) for b, y in pows[j].items() if b < t - i))
+        sparse_add(R, out, (((a, b), mul(x, y)) for a, x in pows[i].items()
+                            for b, y in bi.items() if a <= b and a + b < t))
+    out.update({(b, a): c for (a, b), c in out.items()})
+    return out
+
+
 def comb_any(n, k):
     """Binomial coefficient C(n, k) for any integer n and k >= 0."""
     if k < 0:

@@ -926,7 +926,7 @@ def axiom_check(A, which, samples=None, Nmax=8, kmax=None):
                     got = A.shift(p, A.shift(q, s))
                     want = {}
                     for n in range(0, p + q + 1):
-                        cf = law.power(n).coefficient((p, q))
+                        cf = law.power(n).certified((p, q))
                         if cf:
                             st_addmul(want, A.shift(n, s), cf)
                     if got != want:

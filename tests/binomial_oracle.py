@@ -16,7 +16,7 @@ floor of -4, not -3); and it never returns for n < 0 when h has a term of
 total degree 0 and x has no floor.
 """
 
-from fglcalc.ring import NOT_INVERTIBLE
+from fglcalc.ring import NOT_INVERTIBLE, sparse_add, sparse_mul
 from fglcalc.series import LaurentElement, NotInvertibleError, _tot, comb_any
 
 
@@ -109,25 +109,47 @@ def _binomial_series(f, h_coeffs, n, t_rel, work_floors):
     min_trunc = work_trunc
     loop_floors = (None,) * len(f.vars)
     dropped = [False] * len(f.vars)
+    # deep mode, per variable: the share of h^k that was cut at that
+    # variable's floor (the cut cells and their descendants), kept while
+    # the floor is unmarked.  A floor is marked only where a cell of it
+    # survives its binomial coefficient: over Z/m, C(n, k) times a cut cell
+    # can vanish, and int_power then has no cell there to clip.
+    lost = [{} for _ in f.vars]
+
+    def mark(cut, coef):
+        for i in range(len(f.vars)):
+            if dropped[i]:
+                continue
+            chain = sparse_mul(R, lost[i], h.coeffs, cut=work_trunc)
+            sparse_add(R, chain, ((e, c) for e, c in cut.items()
+                                  if _first_cut(e, cut_floors) == i))
+            lost[i] = chain
+            dropped[i] = any(not R.is_zero(R.mul(c, coef)) for c in chain.values())
+
     while True:
         k += 1
-        term = (term * h).truncate(work_trunc, floors=cut_floors)
+        coef = R.from_int(comb_any(n, k))
+        full = term * h
+        term = full.truncate(work_trunc, floors=cut_floors)
         if deep:
-            for i, tf in enumerate(term.floors):
-                if tf is not None:
-                    dropped[i] = True
+            mark({e: c for e, c in full.coeffs.items()
+                  if _tot(e) < work_trunc and e not in term.coeffs}, coef)
             term = LaurentElement(R, f.vars, term.coeffs, term.trunc,
                                   _clean=True)
         else:
             loop_floors = LaurentElement._join_floors_add(loop_floors, term.floors)
         if term.is_zero():
             break
-        coef = R.from_int(comb_any(n, k))
         if not R.is_zero(coef):
             acc = acc + term.scale(coef)
             min_trunc = min(min_trunc, t_rel + (k - 1) * hv)
         if n >= 0 and k >= n:
             break
+    # the cut shares run on while a cell of them can still count
+    while any(lost[i] and not dropped[i] for i in range(len(f.vars))) \
+            and (n < 0 or k < n):
+        k += 1
+        mark({}, R.from_int(comb_any(n, k)))
     if deep:
         acc = acc.truncate(acc.trunc, floors=work_floors)
         final = tuple(
@@ -141,3 +163,8 @@ def _binomial_series(f, h_coeffs, n, t_rel, work_floors):
         acc = LaurentElement(R, f.vars, acc.coeffs, acc.trunc,
                              floors=LaurentElement._join_floors_add(acc.floors, loop_floors))
     return acc, min_trunc
+
+
+def _first_cut(e, floors):
+    # the variable whose floor ``LaurentElement.truncate`` cuts e at
+    return next(i for i, fl in enumerate(floors) if fl is not None and e[i] < fl)

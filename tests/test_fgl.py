@@ -2,7 +2,7 @@ import copy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fglcalc.fgl import (
     AxiomViolation,
@@ -18,7 +18,7 @@ from fglcalc.fgl import (
 )
 from fglcalc import fgl as fgl_module, series as series_module
 from fglcalc.ring import Ring
-from fglcalc.series import LaurentElement, PowerSeries, WindowMiss
+from fglcalc.series import LaurentElement, PowerSeries, WindowMiss, separable_sum
 
 from binomial_oracle import binomial_power
 
@@ -152,6 +152,142 @@ def test_p_typical_integrality():
         L = standard_law("p_typical", trunc=12, p=p, h=h)
         for c in L.F.coeffs.values():
             assert c.denominator == 1
+
+
+# -- associativity: the separable certificate F = E(L(z) + L(w)) -------------
+
+SIX_LAWS = [(k, {}) for k in ALL_KINDS] + [("p_typical", {"p": 2, "h": 1}),
+                                          ("p_typical", {"p": 3, "h": 1})]
+QS = Ring.parampoly(QQ, ["s"])
+
+
+def two_sided_failure(F):
+    """The first monomial, in sorted order, where F(z, F(w,v)) and
+    F(F(z,w), v) differ, both sides substituted in full; or None."""
+    tv = ("z", "w", "v")
+    lhs = F.substitute({"w": F.rename(("w", "v")).extend(tv)})
+    rhs = F.rename(("z", "v")).extend(tv).substitute({"z": F.extend(tv)})
+    bad = [e for e in set(lhs.coeffs) | set(rhs.coeffs)
+           if lhs.coefficient(e) != rhs.coefficient(e)]
+    return min(bad, default=None)
+
+
+def substituted_sum(E, L):
+    """E(L(z) + L(w)) by two-variable substitution."""
+    tv = ("z", "w")
+    return E.substitute({"z": L.extend(tv) + L.rename(("w",)).extend(tv)})
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _ring_value(draw, ring):
+    if ring == QQ:
+        return QQ.from_fraction(draw(_small.filter(bool)))
+    poly = draw(st.dictionaries(st.tuples(st.integers(0, 2)), _small.filter(bool),
+                                min_size=1, max_size=2))
+    return {e: QQ.from_fraction(c) for e, c in poly.items()}
+
+
+@st.composite
+def candidate_laws(draw):
+    """A commutative unital F of w-degree >= 2 over QQ or QQ[s]: random
+    symmetric cells, E(L(z) + L(w)) for a random L, or a built-in law;
+    with one symmetric pair of cells bumped or not."""
+    t = draw(st.integers(4, 12))
+    source = draw(st.sampled_from(["random", "logarithm", "builtin"]))
+    if source == "builtin":
+        kind, params = draw(st.sampled_from(SIX_LAWS))
+        F = standard_law(kind, trunc=t, **params).F
+        ring = F.ring
+        cells = dict(F.coeffs)
+    else:
+        ring = draw(st.sampled_from([QQ, QS]))
+        one = ring.one()
+        if source == "random":
+            cells = {(1, 0): one, (0, 1): one}
+            for _ in range(draw(st.integers(1, 4))):
+                i = draw(st.integers(1, t - 3))
+                j = draw(st.integers(2, t - 1 - i))
+                cells[(i, j)] = cells[(j, i)] = _ring_value(draw, ring)
+        else:
+            L = {(1,): one}
+            for _ in range(draw(st.integers(1, 3))):
+                L[(draw(st.integers(2, t - 1)),)] = _ring_value(draw, ring)
+            L = PowerSeries(ring, ("z",), L, t)
+            cells = dict(substituted_sum(L.comp_inverse(), L).coeffs)
+    if draw(st.booleans()):
+        i = draw(st.integers(1, t - 2))
+        j = draw(st.integers(1, t - 1 - i))
+        bump = _ring_value(draw, ring)
+        for e in {(i, j), (j, i)}:
+            cells[e] = ring.add(cells.get(e, ring.zero()), bump)
+    F = PowerSeries(ring, ("z", "w"), cells, t)
+    assume(max(j for _, j in F.coeffs) >= 2)
+    return F
+
+
+@given(F=candidate_laws())
+@settings(max_examples=60, deadline=None)
+def test_separable_certificate_agrees_with_the_substitution(F):
+    # the certificate accepts exactly the laws that the full substitution
+    # finds associative, and every rejection names its first failing monomial
+    want = two_sided_failure(F)
+    if want is None:
+        law = fgl_new(F)
+        assert separable_sum(law.exp, law.log, F.trunc) == F.coeffs
+    else:
+        with pytest.raises(AxiomViolation) as exc:
+            fgl_new(F)
+        assert (exc.value.axiom, exc.value.monomial) == ("associativity", want)
+
+
+@pytest.mark.parametrize("trunc", [8, 12, 16, 24])
+@pytest.mark.parametrize("kind,params", SIX_LAWS)
+def test_separable_sum_rebuilds_the_law(kind, params, trunc):
+    law = standard_law(kind, trunc=trunc, **params)
+    assert separable_sum(law.exp, law.log, trunc) == law.F.coeffs
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)])
+def test_p_typical_is_the_substituted_sum(p, h):
+    for trunc in range(4, 25):
+        phi = fgl_module._phi_p(QQ, p, h, trunc)
+        want = substituted_sum(phi.comp_inverse(), phi)
+        F = standard_law("p_typical", trunc=trunc, p=p, h=h).F
+        assert (F.coeffs, F.trunc) == (want.coeffs, want.trunc)
+
+
+def test_separable_sum_needs_its_inputs_below_t():
+    law = standard_law("elliptic", trunc=8)
+    with pytest.raises(ValueError, match="not known below 9"):
+        separable_sum(law.exp, law.log, 9)
+    with pytest.raises(ValueError, match="L\\(0\\) = 0"):
+        separable_sum(law.exp, law.pF, law.pF.trunc)
+
+
+def test_associativity_route_follows_ring_and_w_degree(monkeypatch):
+    calls = []
+    real = fgl_module.separable_sum
+    monkeypatch.setattr(fgl_module, "separable_sum",
+                        lambda *a: calls.append(1) or real(*a))
+    for kind in ["additive", "multiplicative", "one_parameter"]:
+        standard_law(kind, trunc=10)
+    one = ZZ.one()
+    fgl_new(PowerSeries(ZZ, ("z", "w"), {(1, 0): one, (0, 1): one, (1, 1): 2}, 10))
+    assert not calls
+    standard_law("elliptic", trunc=10)
+    assert len(calls) == 1
+
+
+def test_failed_certificate_never_accepts(monkeypatch):
+    # a certificate that fails on a valid law goes to the locator, which
+    # finds no monomial: the law is still rejected
+    monkeypatch.setattr(fgl_module, "separable_sum", lambda *a: {})
+    with pytest.raises(AxiomViolation) as exc:
+        standard_law("elliptic", trunc=10)
+    assert (exc.value.axiom, exc.value.monomial) == ("associativity", None)
+    assert str(exc.value) == "group-law axiom 'associativity' fails"
 
 
 # -- inverse ---------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fglcalc import series
 from fglcalc.fgl import standard_law
@@ -761,8 +761,23 @@ def _same_power(got, want):
         (want.coeffs, want.trunc, want.floors)
 
 
+class _Scripted:
+    """A stand-in for ``st.data()`` in an explicit example: each draw
+    returns the next scripted value."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 @given(data=st.data(), ring=st.sampled_from(sorted(GRADED_RINGS)),
        n=st.integers(-6, 10), arity=st.sampled_from([1, 2]))
+# x + 3x^-1 y^3 at t = 4 over Z/6, n = -4: every cell below x = -4 is
+# C(-4, k) 3^k = 0, so no floor is reported (draws: t, lead, one term, its
+# dy, dx and value, the two inner floor draws, floors None)
+@example(data=_Scripted(4, 1, 1, 3, -2, 3, 0, 0, None), ring="Z6", n=-4, arity=2)
 @settings(max_examples=300, deadline=None)
 def test_graded_power_matches_binomial_loop(data, ring, n, arity):
     # an exact base c*x*(1 + h) with leading monomial x: every term of h has
