@@ -16,12 +16,7 @@ from math import inf
 
 from .fgl import times_line_power
 from .ring import sparse_add
-from .series import (
-    BilateralWindow,
-    LaurentElement,
-    WindowMiss,
-    comb_any,
-)
+from .series import BilateralWindow, LaurentElement, WindowMiss
 
 
 class NonConvergentSubstitution(Exception):
@@ -426,7 +421,8 @@ def f_residue(law, f, var="z"):
     """Res^F f: the residue of f * p_F(var) d var, for a LaurentElement f.
 
     Returns the raw ring value when f is univariate, a LaurentElement in
-    the remaining variables otherwise.  This is the package's one F-residue:
+    the remaining variables otherwise.  This is the package's F-residue of
+    series (``vertex._residue_of_field`` is the one of state-valued fields):
     f is contracted against p_F by ``residue_coeff(var, p_F)``, so the term
     of f at var^(-1-k) meets p_F's z^k alone and the product f * p_F is
     never formed; its truncation, floors and certified cells are still the
@@ -723,19 +719,3 @@ def iterated_residue_check(law, triples):
                           _fail(R, (a, b, c), lhs, term3))
     return Report("residue/iterated", name, {"triples": len(triples)})
 
-
-def additive_iterated_oracle(a, b, c):
-    """Closed form of the iterated identity for the classical case.
-
-    Both double residues of x0^a x1^b x2^c pick out a single binomial term;
-    the identity collapses to
-    (-1)^(c-1) C(a,-1-c) - (-1)^(a+b-1) C(a,-1-b) = (-1)^(a-1) C(c,-1-a)
-    for a+b+c = -2 (the lower binomial indices are often misprinted with the
-    opposite sign; see the package docs).
-    """
-    if a + b + c + 2 != 0:
-        raise ValueError("need a+b+c = -2")
-    lhs = (-1) ** ((c - 1) % 2) * comb_any(a, -1 - c) \
-        - (-1) ** ((a + b - 1) % 2) * comb_any(a, -1 - b)
-    rhs = (-1) ** ((a - 1) % 2) * comb_any(c, -1 - a)
-    return lhs, rhs

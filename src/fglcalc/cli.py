@@ -272,7 +272,7 @@ def _vertex_suite(cfg, law):
         ("commutativity_order", lambda: Report(
             "vertex/commutativity_order", A.law.name, {"Mmax": 8},
             details={"M": weak_commutativity_order(A, bg, bg, vac)})),
-        ("lie_axioms", lambda: lie_axiom_check(A, W=A.W)),
+        ("lie_axioms", lambda: lie_axiom_check(A)),
         ("jacobi", lambda: jacobi_identity_check(
             A, bg, bg, vac, B=min(cfg.window, 3))),
         ("fixture", lambda: axiom_check(

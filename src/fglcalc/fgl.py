@@ -59,7 +59,7 @@ def _first_difference(a, b):
 class FormalGroupLaw:
     """A validated formal group law with eagerly computed companions."""
 
-    def __init__(self, F, name="custom", params=None, validate=True):
+    def __init__(self, F, name="custom", params=None):
         if F.vars != (Z, W):
             F = F.rename((Z, W))
         self.ring = F.ring
@@ -67,10 +67,7 @@ class FormalGroupLaw:
         self.trunc = F.trunc
         self.name = name
         self.params = dict(params or {})
-        if validate:
-            self.validate()
-        else:
-            self._log_companions()
+        self.validate()
         self.iota = self._solve_inverse()
         self.G = self._g_factor()
         self._powers = {}
@@ -117,7 +114,13 @@ class FormalGroupLaw:
         for (i, j), c in F.coeffs.items():
             if not R.eq(F.coefficient((j, i)), c):
                 raise AxiomViolation("commutativity", (i, j))
-        self._log_companions()
+        # p_F, and over a ring containing the rationals the logarithm
+        # L = integral of p_F and the exponential E = L^-1
+        self.pF = self._invariant_differential()
+        self.log = self.exp = None
+        if R.contains_rationals:
+            self.log = self.pF.integrate(Z)
+            self.exp = self.log.comp_inverse()
         if R.contains_rationals and max((j for _, j in F.coeffs), default=0) >= 2:
             if separable_sum(self.exp, self.log, self.trunc) == F.coeffs:
                 return
@@ -172,17 +175,6 @@ class FormalGroupLaw:
         iota = solve_by_degree(R, [(i, j, c) for (i, j), c in self.F.coeffs.items()],
                                R.neg(R.one()), R.one(), t)
         return PowerSeries(R, (Z,), {(d,): c for d, c in iota.items()}, t)
-
-    def _log_companions(self):
-        """p_F, and over a ring containing the rationals the logarithm
-        L = integral of p_F and the exponential E = L^-1."""
-        self.pF = self._invariant_differential()
-        if self.ring.contains_rationals:
-            self.log = self.pF.integrate(Z)
-            self.exp = self.log.comp_inverse()
-        else:
-            self.log = None
-            self.exp = None
 
     def _invariant_differential(self):
         # p_F(z) = F^{0,1}(z, 0)^{-1}

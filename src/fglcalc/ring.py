@@ -12,14 +12,9 @@ module test.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import add as _plus
-
-
-class RingMismatch(Exception):
-    """Raised when combining elements of different rings."""
 
 
 class _NotInvertible:
@@ -51,8 +46,8 @@ class Ring:
     decimal-free text, e.g. '5/6', 's^2+s', '3 mod 7') and lift (the ring
     the power recurrence runs in for this one: ZZ for Z/m, else itself).
 
-    Series code works with raw values directly; RingElement is a thin
-    wrapper for the public boundary (parsing, printing, ring-level tests).
+    Values are raw (an int, a Fraction or a dict), never wrapped: series
+    code, parsing and printing all call these methods on them directly.
     """
 
     KINDS = ("rationals", "integers", "mod", "parampoly")
@@ -443,65 +438,3 @@ def sparse_mul(R, a, b, cut=None, out=None):
                             for e2, c2, t2 in bt if t2 < room))
     return out
 
-
-@dataclass(frozen=True)
-class RingElement:
-    """A raw ring value tagged with its owning ring."""
-
-    owner: Ring
-    data: object
-
-    def _check(self, other):
-        if not isinstance(other, RingElement) or other.owner != self.owner:
-            raise RingMismatch(f"cannot combine {self!r} with {other!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElement(self.owner, self.owner.add(self.data, other.data))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElement(self.owner, self.owner.sub(self.data, other.data))
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElement(self.owner, self.owner.mul(self.data, other.data))
-
-    def __neg__(self):
-        return RingElement(self.owner, self.owner.neg(self.data))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and other.owner == self.owner
-            and self.owner.eq(self.data, other.data)
-        )
-
-    def __hash__(self):
-        return hash((self.owner, self.owner.to_text(self.data)))
-
-    def is_zero(self):
-        return self.owner.is_zero(self.data)
-
-    def try_invert(self):
-        inv = self.owner.try_invert(self.data)
-        if inv is NOT_INVERTIBLE:
-            return NOT_INVERTIBLE
-        return RingElement(self.owner, inv)
-
-    def __repr__(self):
-        return f"<{self.owner.to_text(self.data)}>"
-
-
-def arith(op, a, b=None):
-    """Named-operation arithmetic entry point on RingElements."""
-    if op == "neg":
-        return -a
-    a._check(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")

@@ -46,11 +46,6 @@ class IllegalSubstitution(Exception):
     pass
 
 
-class NotLocalizable(Exception):
-    """Nothing raises this any more; it stays because ``fglcalc.__all__``
-    exports it."""
-
-
 class DiagonalDivergence(Exception):
     pass
 
@@ -277,9 +272,9 @@ class LaurentElement:
     def int_power(self, n, floors=None):
         """f^n in the iterated ring given by the ordering self.vars.
 
-        For n < 0 the leading coefficient must be invertible in the base
-        ring; the result is cut at ``floors`` (default: -trunc per variable)
-        which become the reliability floors of the output.
+        The result is cut at ``floors`` (default: -trunc per variable for
+        n < 0, none for n > 0), which become the reliability floors of the
+        output.
 
         Write f = c*m*(1 + h) with c*m the leading term and t_rel = trunc -
         tot(m) >= 1.  For an exact base (no floors) with a unit c and one or
@@ -314,13 +309,13 @@ class LaurentElement:
         cell, and on x for n < 0 whenever h has terms of total degree 0:
         (1 + h)^n then has cells of total degree 0 below every x floor.
 
-        A base with floors, or with a non-unit c, is raised to n >= 1 by
-        repeated products, which set the floors, and clipped at ``floors``
-        when given; n < 0 raises (its leading term is not certified, or not
-        a unit).  ValueError names the exact
-        shapes the recurrence does not cover: three or more variables, h
-        with a term of negative total degree, and n < 0 with a term of total
-        degree 0 in h but no floor on x.
+        Every power other than n = 0, and n = 1 without ``floors``, takes
+        the recurrence, so the base must fit it: a base with floors raises
+        ValueError (its leading term is not certified), and one whose c is
+        not a unit raises NotInvertibleError.  ValueError also names the
+        other shapes the recurrence does not cover: three or more
+        variables, h with a term of negative total degree, and n < 0 with a
+        term of total degree 0 in h but no floor on x.
         """
         R = self.ring
         if n == 0:
@@ -328,18 +323,13 @@ class LaurentElement:
         if n == 1 and floors is None:
             return self
         m, c = self.leading()
+        if any(f is not None for f in self.floors):
+            raise ValueError(f"power {n} of a floored base (floors {self.floors}): "
+                             "its leading term is not certified")
         cinv = R.try_invert(c)
-        exact = all(f is None for f in self.floors)
-        if cinv is NOT_INVERTIBLE or not exact:
-            if n < 0:
-                if not exact:
-                    raise ValueError("negative power of a floored base: "
-                                     "its leading term is not certified")
-                raise NotInvertibleError("leading coefficient is not a unit")
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out if floors is None else out.truncate(out.trunc, floors=floors)
+        if cinv is NOT_INVERTIBLE:
+            raise NotInvertibleError(f"power {n} of a base whose leading coefficient "
+                                     f"{R.to_text(c)} is not a unit")
         out, t, out_floors = self._exact_power(n, floors, m, c, cinv)
         return LaurentElement(R, self.vars, out, t, floors=out_floors)
 

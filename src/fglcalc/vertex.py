@@ -177,8 +177,9 @@ class StateSpace:
 class VertexFAlgebra:
     """Common interface: a law, a vacuum, a shift operator, a partial Y.
 
-    Subclasses provide shift(n, state), y_defined(a), y_coeff(a, c, k) and a
-    finite monomial basis per weight.
+    Subclasses provide shift(n, state), y_defined(a), y_coeff(a, c, k), a
+    finite monomial basis per weight and W, the weight cap that the
+    quotient, the bracket and the axiom windows default to.
     """
 
     def __init__(self, law):
@@ -299,10 +300,9 @@ class HeisenbergAlgebra(VertexFAlgebra):
             st_addmul(out, self._shift_mono(n, mono), c)
         return out
 
-    def shift_matrix(self, n, W=None):
+    def shift_matrix(self, n):
         """Rows {input monomial: output state} of S^(n) on the weight basis."""
-        W = self.W if W is None else W
-        return {mono: self._shift_mono(n, mono) for mono in self.basis_monomials(W)}
+        return {mono: self._shift_mono(n, mono) for mono in self.basis_monomials()}
 
     # -- the partial field map ----------------------------------------------
 
@@ -344,6 +344,7 @@ class TrivialAlgebra(VertexFAlgebra):
     """
 
     EPS = ("e",)
+    W = 4
 
     def __init__(self, law, corrupt=False):
         if law.ring.kind != "rationals":
@@ -488,7 +489,7 @@ def _quotient(A, W):
 
 
 def quotient_reduce(A, state, W=None):
-    W = getattr(A, "W", 6) if W is None else W
+    W = A.W if W is None else W
     return _quotient(A, W).reduce(state)
 
 
@@ -535,7 +536,7 @@ def field_skew_defect(A, a, b, emax=None):
     """
     law = A.law
     if emax is None:
-        emax = getattr(A, "W", 4) + 1
+        emax = A.W + 1
     kmin_ab = A.y_kmin(a, b)
     kmin_ba = A.y_kmin(b, a)
     emin = min(kmin_ab, kmin_ba)
@@ -568,18 +569,21 @@ def field_skew_defect(A, a, b, emax=None):
 
 
 def _residue_of_field(law, coeffs):
-    """Res^F of a z-series given as {exponent: state} (certified below -1)."""
+    """Res^F of a z-series given as {exponent: state} (certified below -1):
+    the state-valued F-residue, beside ``calculus.f_residue`` for series.
+    The term at z^e meets p_F's z^(-1-e) cell, read through ``certified``,
+    so a term past p_F's truncation raises WindowMiss."""
     out = {}
     for e, s in coeffs.items():
         if e > -1:
             continue
-        c = law.pF.coefficient((-1 - e,))
+        c = law.pF.certified((-1 - e,))
         if c:
             st_addmul(out, s, c)
     return out
 
 
-def lie_axiom_check(A, samples=None, W=None, mmax=4):
+def lie_axiom_check(A, W=None, mmax=4):
     """Descent, the proof's Jacobi variant, and antisymmetry of the bracket.
 
     Antisymmetry [a,b] + [b,a] = 0 is asserted on pairs whose field-level
@@ -588,9 +592,8 @@ def lie_axiom_check(A, samples=None, W=None, mmax=4):
     which is what the skew axiom actually contributes to the theorem.  The
     defective pairs are listed in the report.
     """
-    if samples is None:
-        samples = A.samples()
-    W = getattr(A, "W", 6) if W is None else W
+    samples = A.samples()
+    W = A.W if W is None else W
     law = A.law
     name = law.name
     Q = _quotient(A, W)
@@ -882,13 +885,13 @@ def _annihilation_order(diff, power, Nmax):
     return None, min(diff.coeffs)
 
 
-def axiom_check(A, which, samples=None, Nmax=8, kmax=None):
-    """One of the four defining axioms, certified on finite windows."""
-    if samples is None:
-        samples = A.samples()
+def axiom_check(A, which):
+    """One of the four defining axioms, certified on finite windows of the
+    algebra's samples, up to z^(W + 1) and F^8 for weak associativity."""
+    samples = A.samples()
     law = A.law
     name = law.name
-    kmax = (getattr(A, "W", 4) + 1) if kmax is None else kmax
+    kmax, Nmax = A.W + 1, 8
 
     if which == "vacuum_creation":
         for a in samples:
@@ -1278,12 +1281,7 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
                   details={"cells": cells, "N": N})
 
 
-# -- named constructors and the cocycle ---------------------------------------
-
-
-def heisenberg_build(law, K=6, W=6):
-    """Fock space on K creation modes with weight cap W over the given law."""
-    return HeisenbergAlgebra(law, K=K, W=W)
+# -- the cocycle ---------------------------------------------------------------
 
 
 def heisenberg_cocycle(law, f, g):

@@ -10,9 +10,9 @@ beyond the series product.
 The loop differs from ``int_power`` in known ways, which the comparisons
 stay off: its deep-cut mode loses cells when the floor on y lies more than
 t_rel above n times the y-exponent of m; it can report a floor where terms
-of its sum cancel below it; on a floored base it can certify a cell that
-the clipped terms reach (z + w + z^-5 clipped at z >= -4 squares to a
-floor of -4, not -3); and it never returns for n < 0 when h has a term of
+of its sum cancel below it; it accepts a floored base, and for n >= 1 a
+non-unit leading coefficient (by repeated products), both of which
+``int_power`` refuses; and it never returns for n < 0 when h has a term of
 total degree 0 and x has no floor.
 """
 

@@ -15,7 +15,6 @@ from fglcalc.calculus import (
     _compare,
     _delta_tower,
     _inverse_expansions,
-    additive_iterated_oracle,
     delta_F,
     delta_g_relation_check,
     delta_phi_relation_check,
@@ -581,6 +580,23 @@ def test_iterated_residue_depth_follows_p_F(t, monkeypatch):
 def test_iterated_residue_rejects_non_monomial():
     with pytest.raises(Exception):
         iterated_residue_check(ADD, [(1, 2)])
+
+
+def additive_iterated_oracle(a, b, c):
+    """Closed form of the iterated identity for the classical case.
+
+    Both double residues of x0^a x1^b x2^c pick out a single binomial term;
+    the identity collapses to
+    (-1)^(c-1) C(a,-1-c) - (-1)^(a+b-1) C(a,-1-b) = (-1)^(a-1) C(c,-1-a)
+    for a+b+c = -2 (the lower binomial indices are often misprinted with the
+    opposite sign; see the package docs).
+    """
+    if a + b + c + 2 != 0:
+        raise ValueError("need a+b+c = -2")
+    lhs = (-1) ** ((c - 1) % 2) * comb_any(a, -1 - c) \
+        - (-1) ** ((a + b - 1) % 2) * comb_any(a, -1 - b)
+    rhs = (-1) ** ((a - 1) % 2) * comb_any(c, -1 - a)
+    return lhs, rhs
 
 
 @given(a=st.integers(-5, 3), b=st.integers(-5, 3))

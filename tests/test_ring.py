@@ -3,15 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fglcalc.ring import (
-    NOT_INVERTIBLE,
-    Ring,
-    RingElement,
-    RingMismatch,
-    arith,
-    sparse_add,
-    sparse_mul,
-)
+from fglcalc.ring import NOT_INVERTIBLE, Ring, sparse_add, sparse_mul
 
 QQ = Ring.rationals()
 ZZ = Ring.integers()
@@ -21,43 +13,31 @@ ZS = Ring.parampoly(ZZ, ["s"])
 QDE = Ring.parampoly(QQ, ["d", "e"])
 
 
-def q(a, b=1):
-    return RingElement(QQ, Fraction(a, b))
-
-
 def test_add_rationals():
-    assert arith("add", q(1, 2), q(1, 3)) == q(5, 6)
+    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 
 
 def test_mul_parampoly():
-    s = RingElement(ZS, ZS.param("s"))
-    one = RingElement(ZS, ZS.one())
-    assert arith("mul", s, s + one) == RingElement(ZS, {(2,): 1, (1,): 1})
+    s = ZS.param("s")
+    assert ZS.mul(s, ZS.add(s, ZS.one())) == {(2,): 1, (1,): 1}
 
 
 def test_mul_mod():
-    a = RingElement(Z7, 3)
-    b = RingElement(Z7, 5)
-    assert arith("mul", a, b) == RingElement(Z7, 1)
-
-
-def test_cross_ring_is_error():
-    with pytest.raises(RingMismatch):
-        arith("add", q(1), RingElement(ZZ, 1))
+    assert Z7.mul(3, 5) == 1
 
 
 def test_try_invert_rational():
-    assert q(2, 3).try_invert() == q(3, 2)
+    assert QQ.try_invert(Fraction(2, 3)) == Fraction(3, 2)
 
 
 def test_try_invert_integer_nonunit():
-    assert RingElement(ZZ, 2).try_invert() is NOT_INVERTIBLE
-    assert RingElement(ZZ, -1).try_invert() == RingElement(ZZ, -1)
+    assert ZZ.try_invert(2) is NOT_INVERTIBLE
+    assert ZZ.try_invert(-1) == -1
 
 
 def test_try_invert_mod_nonunit():
-    assert RingElement(Z6, 3).try_invert() is NOT_INVERTIBLE
-    assert RingElement(Z6, 5).try_invert() == RingElement(Z6, 5)
+    assert Z6.try_invert(3) is NOT_INVERTIBLE
+    assert Z6.try_invert(5) == 5
 
 
 def test_try_invert_parampoly():

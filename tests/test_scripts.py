@@ -1,5 +1,7 @@
-"""Smoke runs of the helper scripts, so an API change cannot leave them broken."""
+"""Smoke runs of the helper scripts and the benchmark's traced pass, and the
+package's exports, so an API change cannot leave them broken."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import fglcalc
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +52,34 @@ def test_payload_gate_reports_a_difference(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "DIFFERS  fgl --kind additive --trunc 8" in done.stdout
     assert _run_gate(["--against", str(tmp_path / "nowhere")]).returncode == 2
+
+
+def test_every_export_resolves():
+    assert len(set(fglcalc.__all__)) == len(fglcalc.__all__)
+    missing = [name for name in fglcalc.__all__ if not hasattr(fglcalc, name)]
+    assert missing == []
+    ns = {}
+    exec("from fglcalc import *", ns)
+    assert set(fglcalc.__all__) <= set(ns)
+
+
+def test_bench_reads_every_traced_name():
+    # one ring-mode operation through bench/launch.py, its trace fed to
+    # bench/run.py's merge and layer_metrics as the traced benchmark does:
+    # a span that left the package is a KeyError here.  -B and exec keep
+    # bench/ unwritten.
+    bench = ROOT / "bench"
+    done = subprocess.run([sys.executable, "-B", str(bench / "launch.py"), "ring",
+                           "fgl", "--kind", "additive", "--trunc", "8"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    path = bench / "run.py"
+    run = {"__name__": "bench_run", "__file__": str(path)}
+    exec(compile(path.read_text(), str(path), "exec"), run)
+    mark = run["MARK"]
+    info = json.loads([line for line in done.stderr.splitlines()
+                       if line.startswith(mark)][-1][len(mark):])
+    trace = run["merge"]([info["trace"]])
+    metrics = run["layer_metrics"](trace, trace, 1.0, 1.0, 1.0)
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(metrics) == sorted(m["name"] for m in per_layer)

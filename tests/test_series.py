@@ -886,33 +886,20 @@ def test_int_power_keeps_cells_above_a_high_y_floor(ring):
     assert g.coeffs == {(-1 - j, j): ring.from_int((-1) ** j) for j in range(13, 20)}
 
 
-def test_int_power_of_floored_base_is_a_repeated_product():
-    # z + w + z^-5 clipped at z >= -4: every completion of the clipped term
-    # puts 2*z^-4 into the square, so the square is certified at z >= -3
-    f = lz({(1, 0): 1, (0, 1): 1, (-5, 0): 1}, vars=("z", "w"), trunc=10)
-    f = f.truncate(10, floors=(-4, None))
-    assert f.floors == (-4, None)
-    sq = f.int_power(2)
-    assert sq == f * f and sq.floors == (-3, None)
-    assert f.int_power(3) == f * f * f
-    # the leading term z of the clipped base is not certified
-    with pytest.raises(ValueError, match="floored"):
-        f.int_power(-1)
-
-
-def test_repeated_product_power_is_clipped_at_floors():
-    # a non-unit leading coefficient takes the repeated product:
-    # (2z + w)^2 = 4z^2 + 4zw + w^2, clipped at z >= 2
-    f = LaurentElement(ZZ, ("z", "w"), {(1, 0): 2, (0, 1): 1}, 10)
-    sq = f.int_power(2, floors=(2, None))
-    assert sq.coeffs == {(2, 0): 4} and sq.floors == (2, None)
-    # a clip that removes no cell records no floor
-    assert f.int_power(2, floors=(-3, None)).floors == (None, None)
-    # a floored base at n = 1 is clipped too
-    g = lz({(1, 0): 1, (0, 1): 1, (-5, 0): 1}, vars=("z", "w"), trunc=10)
-    g = g.truncate(10, floors=(-4, None))
-    h = g.int_power(1, floors=(1, None))
-    assert h.coeffs == {(1, 0): 1} and h.floors == (1, None)
+def test_int_power_refuses_a_base_the_recurrence_does_not_cover():
+    # every power but n = 0, and n = 1 without floors, is Miller's
+    # recurrence: a floored base and a non-unit leading coefficient raise
+    # for every other n, and the error names the shape
+    floored = lz({(1, 0): 1, (0, 1): 1, (-5, 0): 1}, vars=("z", "w"), trunc=10)
+    floored = floored.truncate(10, floors=(-4, None))
+    non_unit = LaurentElement(ZZ, ("z", "w"), {(1, 0): 2, (0, 1): 1}, 10)
+    for f, exc, match in ((floored, ValueError, r"floored base \(floors \(-4, None\)\)"),
+                          (non_unit, NotInvertibleError, "leading coefficient 2 is not a unit")):
+        assert f.int_power(0) == LaurentElement.one(f.ring, f.vars, f.trunc)
+        assert f.int_power(1) is f
+        for n, floors in ((-1, None), (1, (2, None)), (2, None), (3, None)):
+            with pytest.raises(exc, match=match):
+                f.int_power(n, floors=floors)
 
 
 def test_certified_reads_only_certified_cells():

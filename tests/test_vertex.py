@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,10 @@ from fglcalc.vertex import (
     HeisenbergAlgebra,
     ShiftQuotient,
     TrivialAlgebra,
+    _residue_of_field,
     axiom_check,
     b_apply,
     field_skew_defect,
-    heisenberg_build,
     heisenberg_cocycle,
     jacobi_identity_check,
     lie_axiom_check,
@@ -491,14 +492,19 @@ def test_bracket_is_bilinear_additive(a0, a1, b0, b1):
     assert lhs == rhs
 
 
+def test_residue_of_field_reads_only_certified_p_F_cells():
+    # the term at z^e meets p_F's cell -1 - e; p_F = 1/(1 + z) is certified
+    # below t = trunc - 1, so e = -t reads its last cell and every deeper
+    # term raises instead of meeting a silent 0
+    t = MUL.pF.trunc
+    assert _residue_of_field(MUL, {-t: bgen(), 0: vac()}) == \
+        {(-1,): Fraction((-1) ** (t - 1))}
+    for e in (-1 - t, -1 - MUL.trunc):
+        with pytest.raises(WindowMiss, match=re.escape(str((-1 - e,)))):
+            _residue_of_field(MUL, {e: bgen()})
+
+
 # -- construction and serialization ------------------------------------------------
-
-
-def test_heisenberg_build_wrapper():
-    A = heisenberg_build(ADD, K=4, W=4)
-    assert isinstance(A, HeisenbergAlgebra)
-    assert (A.K, A.W) == (4, 4)
-    assert A.shift(1, vac()) == {}
 
 
 def test_reports_serialize():
