@@ -886,20 +886,32 @@ def test_int_power_keeps_cells_above_a_high_y_floor(ring):
     assert g.coeffs == {(-1 - j, j): ring.from_int((-1) ** j) for j in range(13, 20)}
 
 
-def test_int_power_refuses_a_base_the_recurrence_does_not_cover():
-    # every power but n = 0, and n = 1 without floors, is Miller's
-    # recurrence: a floored base and a non-unit leading coefficient raise
-    # for every other n, and the error names the shape
-    floored = lz({(1, 0): 1, (0, 1): 1, (-5, 0): 1}, vars=("z", "w"), trunc=10)
-    floored = floored.truncate(10, floors=(-4, None))
-    non_unit = LaurentElement(ZZ, ("z", "w"), {(1, 0): 2, (0, 1): 1}, 10)
-    for f, exc, match in ((floored, ValueError, r"floored base \(floors \(-4, None\)\)"),
-                          (non_unit, NotInvertibleError, "leading coefficient 2 is not a unit")):
-        assert f.int_power(0) == LaurentElement.one(f.ring, f.vars, f.trunc)
-        assert f.int_power(1) is f
-        for n, floors in ((-1, None), (1, (2, None)), (2, None), (3, None)):
-            with pytest.raises(exc, match=match):
-                f.int_power(n, floors=floors)
+def _assert_power_refused(f, exc, match, cases):
+    # n = 0, and n = 1 without floors, return at once; every other power
+    # is Miller's recurrence, which refuses f and names its shape
+    assert f.int_power(0) == LaurentElement.one(f.ring, f.vars, f.trunc)
+    assert f.int_power(1) is f
+    for n, floors in cases:
+        with pytest.raises(exc, match=match):
+            f.int_power(n, floors=floors)
+
+
+def test_int_power_refuses_a_floored_base():
+    # z + w + z^-5 clipped at z >= -4: its leading term z is not certified
+    f = lz({(1, 0): 1, (0, 1): 1, (-5, 0): 1}, vars=("z", "w"), trunc=10)
+    f = f.truncate(10, floors=(-4, None))
+    assert f.floors == (-4, None)
+    _assert_power_refused(f, ValueError, r"floored base \(floors \(-4, None\)\)",
+                          ((-1, None), (1, (1, None)), (1, (2, None)),
+                           (2, None), (3, None)))
+
+
+def test_int_power_refuses_a_non_unit_leading_coefficient():
+    # 2z + w over ZZ: the leading coefficient 2 has no inverse
+    f = LaurentElement(ZZ, ("z", "w"), {(1, 0): 2, (0, 1): 1}, 10)
+    _assert_power_refused(f, NotInvertibleError, "leading coefficient 2 is not a unit",
+                          ((-1, None), (1, (2, None)), (2, None), (2, (2, None)),
+                           (2, (-3, None)), (3, None)))
 
 
 def test_certified_reads_only_certified_cells():
