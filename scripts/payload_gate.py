@@ -12,9 +12,11 @@ and ``verify --suite delta --kind multiplicative --trunc 15`` (exit 2, no
 cell certified); the delta towers and vertex grids at B = 2 and on windows
 clipped by floors, ``verify --suite delta --kind elliptic --window 2``,
 ``verify --suite delta --kind multiplicative --trunc 5``, ``verify --suite
-vertex --kind multiplicative --window 2`` (exit 0) and ``verify --suite
+vertex --kind multiplicative --window 2`` (exit 0), ``verify --suite
 vertex --kind additive --weight 4`` (exit 2, a WindowMiss in the vertex
-Jacobi check); the towers on capped powers at other depths, ``verify
+Jacobi check) and ``verify --suite vertex --kind additive --weight 5
+--trunc 8`` (exit 0, the fixture law built as deep as its box reads); the
+towers on capped powers at other depths, ``verify
 --suite vertex`` on p_typical(2,1), ``verify --suite vertex --kind
 multiplicative --weight 7`` and ``verify --suite delta`` on p_typical(2,1)
 at ``--trunc 14``; the residue suite at high truncations, ``verify --suite
@@ -35,7 +37,7 @@ valid ones (exit 0) and two rejected ones (exit 2): a law with a "-3/2"
 coefficient; p_typical(2,1)'s cells at trunc 10, a dense law whose
 associativity is certified as F = E(L(z) + L(w)); a non-associative law of
 w-degree 2, whose failing monomial the one-sided substitution locates; and
-a law with a negative exponent.  66 commands in all.
+a law with a negative exponent.  67 commands in all.
 
 Usage: python3 scripts/payload_gate.py --against OTHER/src [--select TEXT]
 
@@ -87,7 +89,9 @@ def gate_list(law_dir):
     cmds += [["verify", "--suite", "delta", "--kind", "elliptic", "--window", "2"],
              ["verify", "--suite", "delta", "--kind", "multiplicative", "--trunc", "5"],
              ["verify", "--suite", "vertex", "--kind", "multiplicative", "--window", "2"],
-             ["verify", "--suite", "vertex", "--kind", "additive", "--weight", "4"]]
+             ["verify", "--suite", "vertex", "--kind", "additive", "--weight", "4"],
+             ["verify", "--suite", "vertex", "--kind", "additive", "--weight", "5",
+              "--trunc", "8"]]
     cmds += [["verify", "--suite", "vertex", *KINDS[4]],
              ["verify", "--suite", "vertex", "--kind", "multiplicative", "--weight", "7"],
              ["verify", "--suite", "delta", *KINDS[4], "--trunc", "14"]]

@@ -583,7 +583,11 @@ def _residue_of_field(law, coeffs):
     return out
 
 
-def lie_axiom_check(A, W=None, mmax=4):
+# descent is checked on the w^m coefficients 1 <= m <= LIE_MMAX
+LIE_MMAX = 4
+
+
+def lie_axiom_check(A, W=None):
     """Descent, the proof's Jacobi variant, and antisymmetry of the bracket.
 
     Antisymmetry [a,b] + [b,a] = 0 is asserted on pairs whose field-level
@@ -604,7 +608,7 @@ def lie_axiom_check(A, W=None, mmax=4):
     conj_skipped = []
     for i, a in enumerate(samples):
         for j, b in enumerate(samples):
-            series = shifted_bracket_series(A, a, b, mmax)
+            series = shifted_bracket_series(A, a, b, LIE_MMAX)
             if series[0] != bracket_raw(A, a, b):
                 return Report("lie/descent_base", name, {"m": 0},
                               _fail(A.adapter, None, series[0],
@@ -612,7 +616,7 @@ def lie_axiom_check(A, W=None, mmax=4):
             conj_ok = shift_conjugation_defect(A, a, b)
             if not conj_ok:
                 conj_skipped.append([i, j])
-            for m in range(1, mmax + 1):
+            for m in range(1, LIE_MMAX + 1):
                 if series[m]:
                     return Report("lie/descent", name, {"m": m},
                                   _fail(A.adapter, None, series[m], {}))
@@ -659,7 +663,7 @@ def lie_axiom_check(A, W=None, mmax=4):
                     return Report("lie/jacobi_variant", name, None,
                                   _fail(A.adapter, None, lhs, rhs))
                 triples += 1
-    return Report("lie_axioms", name, {"W": W, "mmax": mmax},
+    return Report("lie_axioms", name, {"W": W, "mmax": LIE_MMAX},
                   details={"triples": triples,
                            "antisymmetry_pairs": clean_pairs,
                            "skew_defect_pairs": defect_pairs,
@@ -852,17 +856,23 @@ def _w_route_grid(A, inner, c, box):
     return BilateralWindow(A.adapter, ("z", "w"), coeffs, box, _clean=True)
 
 
-def weak_associativity_order(A, a, b, c, Nmax=8, top=(4, 4)):
+# highs of the weak-associativity comparison box; its cells reach total
+# degree sum(top), so the law must be certified below sum(top) + 1
+WEAK_ASSOCIATIVITY_TOP = (4, 4)
+
+
+def weak_associativity_order(A, a, b, c, Nmax=8):
     """Minimal N with F(z,w)^N (Y(Y(a,z)b,w)c) = F^N i_{z,w}Y(a,F(z,w))Y(b,w)c.
 
     The left side needs Y on the coefficients of Y(a,z)b; when c is a
     multiple of the vacuum the creation consequence Y(x,w)vac = S(w)x is used
     instead, which stays inside the partial domain.  The comparison box has
-    highs from ``top`` and its lows are derived from the true support bounds
-    of both routes (total degree for the group-law route), so the F^N factor
-    can be applied with mul_complete_lower.  Returns (N, None) on success and
-    (None, first_bad_cell) when no N <= Nmax works.
+    highs WEAK_ASSOCIATIVITY_TOP and its lows are derived from the true
+    support bounds of both routes (total degree for the group-law route), so
+    the F^N factor can be applied with mul_complete_lower.  Returns (N, None)
+    on success and (None, first_bad_cell) when no N <= Nmax works.
     """
+    top = WEAK_ASSOCIATIVITY_TOP
     inner = A.y_field(a, b, top[0])
     rhs = _group_route_grid(A, a, b, c, top,
                             zlo=min(min(inner, default=0), A.y_kmin(a, b)))

@@ -25,13 +25,18 @@ def run_text(tmp_path, args):
     return code, out.read_text()
 
 
-def run_process(args, timeout=300):
-    """fglcalc in a fresh interpreter, so a hang or a traceback shows."""
+def run_python(argv, timeout=300):
+    """A fresh interpreter with this tree's src on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "fglcalc.cli", *args],
-                          env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def run_process(args, timeout=300):
+    """fglcalc in a fresh interpreter, so a hang or a traceback shows."""
+    return run_python(["-m", "fglcalc.cli", *args], timeout)
 
 
 # -- config --------------------------------------------------------------------
@@ -231,6 +236,23 @@ def test_verify_too_small_truncation_exits_2(capsys):
     assert "truncation 12:" in err
 
 
+def test_verify_fixture_law_reaches_the_box_top(tmp_path):
+    # the weak-associativity box reads cell (4, 4): the fixture law is built
+    # certified below total degree 9 whatever --trunc is; at trunc 8 the
+    # check read past it (exit 2)
+    code, d = run_json(tmp_path, ["verify", "--suite", "vertex", "--kind",
+                                  "additive", "--weight", "5", "--trunc", "8"])
+    assert code == 0
+    assert d["ok"] is True
+    fixture = next(r for r in d["reports"]
+                   if r["identity"] == "axiom/weak_associativity")
+    assert fixture == {"details": {"minimal_N": 0},
+                       "identity": "axiom/weak_associativity", "law": "additive",
+                       "status": "pass", "window": {"Nmax": 8}}
+    lie = next(r for r in d["reports"] if r["identity"] == "lie_axioms")
+    assert lie["window"] == {"W": 5, "mmax": 4}
+
+
 def test_verify_hyper_clips_nmax_to_the_truncation(tmp_path):
     # the composition rule reads cell (nmax, nmax) of F^0, certified below
     # total degree trunc: nmax is clipped to (trunc - 1) // 2, so small
@@ -408,3 +430,41 @@ def test_pretty_format_smoke(tmp_path):
                                      "--trunc", "6", "--format", "pretty"])
     assert code == 0
     assert "law" in text and "series=F" in text
+
+
+# -- imports -----------------------------------------------------------------------
+
+
+def run_fresh(code):
+    """The stderr of code run in a fresh interpreter that writes no bytecode."""
+    done = run_python(["-B", "-c", code])
+    assert done.returncode == 0, done.stderr
+    return done.stderr
+
+
+def test_fgl_loads_neither_calculus_nor_vertex():
+    err = run_fresh(
+        "import sys\n"
+        "import fglcalc\n"
+        "from fglcalc import cli\n"
+        "assert set(fglcalc.__all__) <= set(dir(fglcalc))\n"
+        "assert cli.main(['fgl', '--kind', 'elliptic', '--trunc', '8']) == 0\n"
+        "print(sorted({'fglcalc.calculus', 'fglcalc.vertex', 'dataclasses'}\n"
+        "             & set(sys.modules)), file=sys.stderr)\n")
+    assert err.splitlines()[-1] == "[]"
+
+
+def test_suite_helpers_run_on_a_fresh_import():
+    # the commands import calculus and vertex where they run them, so the
+    # helpers work when called directly, with neither module loaded yet
+    err = run_fresh(
+        "import sys\n"
+        "from fglcalc import cli\n"
+        "cfg = cli.CliConfig(kind='additive', trunc=8, weight=5)\n"
+        "law = cli.load_law(cfg)\n"
+        "A = cli._heisenberg_algebra(cfg, law)\n"
+        "assert (A.K, A.W, A.law.trunc) == (5, 5, 15)\n"
+        "checks = cli._suite_checks(cfg, law, 'all')\n"
+        "print([name for name, check in checks if not check().ok],\n"
+        "      len(checks), file=sys.stderr)\n")
+    assert err.splitlines()[-1] == "[] 16"
