@@ -1,8 +1,8 @@
 """Compare fglcalc's CLI payloads between this tree and another source tree.
 
 Runs every command of the gate list once with this tree's ``src`` on
-PYTHONPATH and once with the other tree's, and stops at the first command
-whose stdout or exit code differs.  Stderr (timings) is not compared.  The
+PYTHONPATH and once with the other tree's, and reports every command whose
+stdout or exit code differs.  Stderr (timings) is not compared.  The
 gate list: ``verify --suite all`` on the six built-in laws at seeds 0 and 3,
 and at ``--trunc 14`` on elliptic and on one_parameter, where every check
 reads one shared power table at a depth no other command reaches;
@@ -147,6 +147,7 @@ def main(argv=None):
 
 
 def _compare(cmds, other):
+    differ = 0
     for cmd in cmds:
         text = " ".join(cmd)
         # the two trees run side by side
@@ -164,8 +165,12 @@ def _compare(cmds, other):
                                         "against", "here", lineterm="", n=1)
             for line in list(diff)[:40]:
                 print("  " + line)
-            return 1
-        print(f"same     {text} (exit {code})", flush=True)
+            differ += 1
+        else:
+            print(f"same     {text} (exit {code})", flush=True)
+    if differ:
+        print(f"{differ} of {len(cmds)} commands differ")
+        return 1
     print(f"{len(cmds)} commands agree")
     return 0
 

@@ -236,59 +236,51 @@ class DeltaWindow:
         return d
 
 
-def _inverse_expansions(law, vars=("z", "w"), classical=False):
-    """The two expansions of F(x, iota y)^{-1}, or of (x - y)^{-1} when
-    classical, for (x, y) = vars: x dominant, then y dominant.  Both have
-    exponents in vars order; their difference is x^{-1} delta(y/x).  The
-    F powers are entries of the law's power table (``law.power``).
+def _inverse_expansions(law, classical=False):
+    """The two expansions of F(z, iota w)^{-1}, or of (z - w)^{-1} when
+    classical: z dominant, then w dominant.  Both have exponents in (z, w)
+    order; their difference is z^{-1} delta(w/z).  The F powers are
+    entries of the law's power table (``law.power``).
     (x - y)^{-1} is the binomial line of the twisted powers with G = 1,
-    certified below the law's truncation - 2 and cut at x^-N (y^-N when y
+    certified below the law's truncation - 2 and cut at z^-N (w^-N when w
     dominates), as the twisted powers are."""
     if not classical:
-        return (law.power(-1, twisted=True).rename(vars),
-                law.power(-1, twisted=True, dominant=1).rename(vars))
+        return law.power(-1, twisted=True), law.power(-1, twisted=True, dominant=1)
     N = law.trunc
     one = LaurentElement.one(law.ring, ("z", "w"), N - 1)
-    return tuple(times_line_power(one, -1, d, (-N, -N)).rename(vars) for d in (0, 1))
+    return tuple(times_line_power(one, -1, d, (-N, -N)) for d in (0, 1))
 
 
-def _delta_window(law, box, vars=("z", "w"), classical=False):
-    a, b = _inverse_expansions(law, vars, classical)
+def _delta_window(law, box, classical=False):
+    a, b = _inverse_expansions(law, classical)
     full = [box, box]
     return BilateralWindow.from_laurent(a, full) - BilateralWindow.from_laurent(b, full)
 
 
-def delta_F(law, box=(-6, 6), zvar="z", wvar="w"):
+def delta_F(law, box=(-6, 6)):
     """z^{-1} delta_F(w/z): difference of the two expansions of F(z, iota w)^{-1},
     as a window on box x box."""
-    win = _delta_window(law, box, (zvar, wvar))
-    return DeltaWindow(law.name, (zvar, wvar), win,
-                       ((zvar, wvar), (wvar, zvar)))
+    return DeltaWindow(law.name, ("z", "w"), _delta_window(law, box),
+                       (("z", "w"), ("w", "z")))
 
 
 def delta_support_check(law, f, box=(-6, 6)):
     """Diagonal support: delta * f(z) = delta * f(w), and the two-variable form.
 
     f is a finite-support LaurentElement in one variable z, or in (z, w) with
-    a convergent diagonal.
+    a convergent diagonal.  Its stored terms are all of it, so each factor
+    is exact: its truncation is ``math.inf``.
     """
     D = delta_F(law, box=box).window
-    R = law.ring
     if len(f.vars) == 1:
-        fz = f.extend(("z", "w"))
-        fw = LaurentElement(R, ("z", "w"),
-                            {(0, e[0]): c for e, c in f.coeffs.items()},
-                            f.trunc)
-        lhs = D.mul_laurent(fz, exact_factor=True)
-        rhs = D.mul_laurent(fw, exact_factor=True)
+        fz, diag = f.extend(("z", "w")), f
     else:
-        diag = f.diagonal_eval("w")
-        fww = LaurentElement(R, ("z", "w"),
-                             {(0, e[0]): c for e, c in diag.coeffs.items()},
-                             diag.trunc)
-        lhs = D.mul_laurent(f, exact_factor=True)
-        rhs = D.mul_laurent(fww, exact_factor=True)
-    return _compare("delta/diagonal_support", law.name, lhs, rhs)
+        fz, diag = f, f.diagonal_eval("w")
+    fz = LaurentElement(f.ring, fz.vars, fz.coeffs, inf, fz.floors)
+    fw = LaurentElement(f.ring, ("z", "w"),
+                        {(0, e[0]): c for e, c in diag.coeffs.items()}, inf)
+    return _compare("delta/diagonal_support", law.name, D.mul_laurent(fz),
+                    D.mul_laurent(fw))
 
 
 def delta_g_relation_check(law, box=(-6, 6)):
@@ -588,7 +580,13 @@ def hyperderivative_properties(law, fs=None, nmax=3):
     return Report("hyperderivative", name, {"nmax": nmax})
 
 
-def residue_theorems_check(law, nmax=5, samples=20, seed=0, max_pole=3, max_deg=5):
+# the Laurent samples of the residue checks: exponents from -RESIDUE_MAX_POLE
+# to RESIDUE_MAX_DEG
+RESIDUE_MAX_POLE = 3
+RESIDUE_MAX_DEG = 5
+
+
+def residue_theorems_check(law, nmax=5, samples=20, seed=0):
     """Res^F S_n f = 0 and the hyperderivative by-parts rule on seeded samples."""
     R = law.ring
     rng = random.Random(seed)
@@ -596,13 +594,13 @@ def residue_theorems_check(law, nmax=5, samples=20, seed=0, max_pole=3, max_deg=
     # F^e has truncation trunc - 1 + e, so S_(n-j) f * S_j g is certified
     # below trunc - 1 - (pole of f) - (pole of g) - n: sample only poles and
     # orders whose residues that certifies
-    max_pole = max(0, min(max_pole, (law.trunc - 1 - nmax) // 2))
+    max_pole = max(0, min(RESIDUE_MAX_POLE, (law.trunc - 1 - nmax) // 2))
     nmax = min(nmax, law.trunc - 1 - 2 * max_pole)
 
     def sample():
         coeffs = {}
         for _ in range(rng.randint(1, 5)):
-            e = rng.randint(-max_pole, max_deg)
+            e = rng.randint(-max_pole, RESIDUE_MAX_DEG)
             c = rng.randint(-5, 5)
             if c:
                 coeffs[(e,)] = R.from_int(c)
@@ -653,14 +651,14 @@ def delta_residue_check(law, box=(-6, 6)):
     return Report("residue/delta_unit", law.name, [lo, hi])
 
 
-def residue_inversion_check(law, samples=10, seed=1, max_pole=3, max_deg=5):
+def residue_inversion_check(law, samples=10, seed=1):
     """Res^F f(iota(z)) dz = -Res^F f(z) dz on seeded Laurent samples."""
     R = law.ring
     rng = random.Random(seed)
     for idx in range(samples):
         coeffs = {}
         for _ in range(rng.randint(1, 5)):
-            e = rng.randint(-max_pole, max_deg)
+            e = rng.randint(-RESIDUE_MAX_POLE, RESIDUE_MAX_DEG)
             c = rng.randint(-5, 5)
             if c:
                 coeffs[(e,)] = R.from_int(c)

@@ -240,8 +240,8 @@ def _vertex_suite(cfg, law):
     field-level skew and the w-dominant route, are reported by the library
     checkers with their defect cells and are exercised in the test suite)."""
     from .calculus import Report
-    from .vertex import (WEAK_ASSOCIATIVITY_TOP, TrivialAlgebra, axiom_check,
-                         jacobi_identity_check, lie_axiom_check,
+    from .vertex import (MAX_ORDER, WEAK_ASSOCIATIVITY_TOP, TrivialAlgebra,
+                         axiom_check, jacobi_identity_check, lie_axiom_check,
                          weak_commutativity_order)
 
     A = _heisenberg_algebra(cfg, law)
@@ -252,7 +252,7 @@ def _vertex_suite(cfg, law):
         ("translation_covariance",
          lambda: axiom_check(A, "translation_covariance")),
         ("commutativity_order", lambda: Report(
-            "vertex/commutativity_order", A.law.name, {"Mmax": 8},
+            "vertex/commutativity_order", A.law.name, {"Mmax": MAX_ORDER},
             details={"M": weak_commutativity_order(A, bg, bg, vac)})),
         ("lie_axioms", lambda: lie_axiom_check(A)),
         ("jacobi", lambda: jacobi_identity_check(

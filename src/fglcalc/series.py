@@ -25,7 +25,7 @@ All coefficients are raw ring values owned by a Ring (see ring.py).
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb, inf, lcm
 
 from .ring import NOT_INVERTIBLE, sparse_add, sparse_mul
 
@@ -955,16 +955,21 @@ class BilateralWindow:
     variable i inside which coefficients are certified correct.  When the
     window descends from a truncated element, ``max_total`` additionally
     bounds the certified total degree (None means no bound); coefficients
-    are only stored inside the certified region.
+    are only stored inside the certified region.  ``supported`` states that
+    every cell below the box lows is zero: the lows then bound the series'
+    support, as a floor of None does for a ``LaurentElement``, instead of
+    merely cutting the view.
     """
 
-    __slots__ = ("ring", "vars", "coeffs", "reliable", "max_total")
+    __slots__ = ("ring", "vars", "coeffs", "reliable", "max_total", "supported")
 
-    def __init__(self, ring, vars, coeffs, reliable, max_total=None, _clean=False):
+    def __init__(self, ring, vars, coeffs, reliable, max_total=None, supported=False,
+                 _clean=False):
         self.ring = ring
         self.vars = tuple(vars)
         self.reliable = tuple((lo, hi) for lo, hi in reliable)
         self.max_total = max_total
+        self.supported = supported
         if _clean:
             self.coeffs = coeffs
         else:
@@ -1022,57 +1027,66 @@ class BilateralWindow:
                     for (a, b), (c, d) in zip(self.reliable, other.reliable))
         mt = self._merge_total(self.max_total, other.max_total)
         out = sparse_add(R, dict(self.coeffs), other.coeffs.items())
-        return BilateralWindow(R, self.vars, out, rel, max_total=mt)
+        supported = self.supported and other.supported and all(
+            a == c for (a, _), (c, _) in zip(self.reliable, other.reliable))
+        return BilateralWindow(R, self.vars, out, rel, mt, supported)
 
     def __neg__(self):
         R = self.ring
         return BilateralWindow(R, self.vars,
                                {e: R.neg(c) for e, c in self.coeffs.items()},
-                               self.reliable, max_total=self.max_total, _clean=True)
+                               self.reliable, self.max_total, self.supported,
+                               _clean=True)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def mul_laurent(self, g, exact_factor=False):
-        """Product with a formal Laurent factor of finite known support.
+    def mul_laurent(self, g):
+        """The one product of a window and a series: g has no floors and is
+        known below total degree ``g.trunc`` (``math.inf`` when exact), over
+        the window's ring or the scalars of a window of states.
 
-        The reliable interval shrinks on each side by the exponent spread of
-        the factor.  Unless ``exact_factor`` asserts that the factor has no
-        unknown tail beyond its truncation, the certified total degree drops
-        to ``g.trunc + (window lows) - 1``.  A second bilateral factor is
-        rejected outright.
+        Each high moves by g's least exponent; each low rises by g's largest
+        one, or stays where the support is stated.  Totals are certified up
+        to max_total + val(g) (val of a g that stores nothing: g.trunc), and
+        below least + g.trunc, where g's unknown tail meets the least total
+        of a true window cell: the least stored one or, with stated support,
+        of a cell above a high.  The product states its support when the
+        window does and g has no negative exponent.
         """
         if isinstance(g, BilateralWindow):
             raise NonConvergentProduct("product of two bilateral series is undefined")
-        if g.ring != self.ring or g.vars != self.vars:
+        R = self.ring
+        scalars = R.base if R.kind == "state-module" else R
+        if g.ring not in (R, scalars) or g.vars != self.vars:
             raise OrderingMismatch("window/factor mismatch")
         if any(f is not None for f in g.floors):
             raise NonConvergentProduct("factor must have certain finite support")
-        R = self.ring
-        if not g.coeffs:
-            return BilateralWindow(R, self.vars, {}, self.reliable,
-                                   max_total=self.max_total, _clean=True)
-        rel = []
-        for i, (lo, hi) in enumerate(self.reliable):
-            gmax = max(e[i] for e in g.coeffs)
-            gmin = min(e[i] for e in g.coeffs)
-            rel.append((lo + gmax, hi + gmin))
-        gval = min(_tot(e) for e in g.coeffs)
+        rel = self.reliable
+        if g.coeffs:
+            rel = tuple((lo if self.supported else lo + max(e[i] for e in g.coeffs),
+                         hi + min(e[i] for e in g.coeffs))
+                        for i, (lo, hi) in enumerate(rel))
+        gval = min((_tot(e) for e in g.coeffs), default=g.trunc)
         mt = None if self.max_total is None else self.max_total + gval
-        if not exact_factor and self.coeffs:
-            # the unknown part of g beyond its truncation meets the stored
-            # window coefficients, polluting total degrees from
-            # g.trunc + (lowest stored total degree) upward
-            self_min = min(_tot(e) for e in self.coeffs)
-            mt = self._merge_total(mt, g.trunc + self_min - 1)
-        out = sparse_mul(R, self.coeffs, g.coeffs)
-        return BilateralWindow(R, self.vars, out, rel, max_total=mt)
+        least = min((_tot(e) for e in self.coeffs), default=None)
+        if self.supported:
+            lo_tot = sum(lo for lo, _ in self.reliable)
+            least = self._merge_total(
+                least, min(hi + 1 + lo_tot - lo for lo, hi in self.reliable))
+        if least is not None and g.trunc != inf:
+            mt = self._merge_total(mt, least + g.trunc - 1)
+        supported = self.supported and all(x >= 0 for e in g.coeffs for x in e)
+        return BilateralWindow(R, self.vars, sparse_mul(R, self.coeffs, g.coeffs),
+                               rel, mt, supported)
 
     def restrict(self, box):
         rel = tuple((max(a, lo), min(b, hi))
                     for (a, b), (lo, hi) in zip(self.reliable, box))
+        supported = self.supported and all(
+            lo <= a for (a, _), (lo, _) in zip(self.reliable, box))
         return BilateralWindow(self.ring, self.vars, self.coeffs, rel,
-                               max_total=self.max_total)
+                               self.max_total, supported)
 
     def agrees_with(self, other):
         """Exact comparison on the intersection of certified regions.

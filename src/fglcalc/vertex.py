@@ -21,7 +21,7 @@ from itertools import chain
 from .calculus import (Report, _compare, _fail, _inverse_expansions, _tower_cell,
                        f_residue, hyperderivative)
 from .fgl import times_line_power
-from .ring import Ring, sparse_add, sparse_mul
+from .ring import Ring, sparse_add
 from .series import BilateralWindow, LaurentElement, WindowMiss
 
 
@@ -701,8 +701,9 @@ def _op_products(A, a, b, c, jtop, itop):
     return cells, ilo, jlo
 
 
-def shift_grid(A, fdict, box):
-    """S(w) applied to a z-series of states {e: state}: cell (e+0, n)."""
+def shift_grid(A, fdict, box, supported=False):
+    """S(w) applied to a z-series of states {e: state}: cell (e+0, n).
+    ``supported`` states that fdict has no cell below the box's z-low."""
     (zlo, zhi), (wlo, whi) = box
     coeffs = {}
     for e, s in fdict.items():
@@ -713,10 +714,11 @@ def shift_grid(A, fdict, box):
             if v:
                 coeffs[(e, n)] = v
     return BilateralWindow(A.adapter, ("z", "w"), coeffs,
-                           [(zlo, zhi), (max(0, wlo), whi)], _clean=True)
+                           [(zlo, zhi), (max(0, wlo), whi)], supported=supported,
+                           _clean=True)
 
 
-def y_at_group_law_grid(A, a, series, box, tot_cap=None):
+def y_at_group_law_grid(A, a, series, box, tot_cap=None, supported=False):
     """i_{z,w} Y(a, F(z,w)) applied to a w-series of states {n: state}.
 
     series must hold every w-coefficient with index <= box w-top.  Cell
@@ -725,6 +727,7 @@ def y_at_group_law_grid(A, a, series, box, tot_cap=None):
     lookup or raises WindowMiss.  tot_cap skips box cells above that total
     degree and records the cap as the window's max_total, which keeps deep
     box corners from demanding power cells beyond the truncation.
+    ``supported`` states that the box lows bound the support.
     """
     (zlo, zhi), (wlo, whi) = box
     coeffs = {}
@@ -751,60 +754,27 @@ def y_at_group_law_grid(A, a, series, box, tot_cap=None):
                     if cf:
                         st_addmul(coeffs.setdefault((i, j), {}), yk, cf)
     coeffs = {e: v for e, v in coeffs.items() if v}
-    return BilateralWindow(A.adapter, ("z", "w"), coeffs, box,
-                           max_total=tot_cap, _clean=True)
+    return BilateralWindow(A.adapter, ("z", "w"), coeffs, box, tot_cap, supported,
+                           _clean=True)
 
 
-def shift_conjugation_defect(A, a, b, box=((-8, 4), (0, 4))):
-    """Window discrepancy of S(w) Y(a,z)b against i_{z,w} Y(a,F(z,w)) S(w)b.
+SHIFT_CONJUGATION_BOX = ((-8, 4), (0, 4))
+
+
+def shift_conjugation_defect(A, a, b):
+    """Window discrepancy of S(w) Y(a,z)b against i_{z,w} Y(a,F(z,w)) S(w)b
+    on SHIFT_CONJUGATION_BOX.
 
     Returns whether the two agree.  This is the meromorphicity identity that
     the bracket's second-argument descent and the c = vacuum associativity
     route rely on; it can genuinely fail for the partial generator field away
     from the additive law, so callers scope their conclusions by it.
     """
-    (zlo, zhi), (wlo, whi) = box
-    lhs = shift_grid(A, A.y_field(a, b, zhi), box)
-    series = {n: A.shift(n, b) for n in range(0, whi + 1)}
+    box = SHIFT_CONJUGATION_BOX
+    lhs = shift_grid(A, A.y_field(a, b, box[0][1]), box)
+    series = {n: A.shift(n, b) for n in range(0, box[1][1] + 1)}
     rhs = y_at_group_law_grid(A, a, series, box)
     return lhs.agrees_with(rhs)[0]
-
-
-def mul_complete_lower(win, g):
-    """Product of a window with true lower support bounds by a tame factor.
-
-    Assumes the window's box lows are genuine support bounds of the bilateral
-    series it represents (not mere view cutoffs) and that g has componentwise
-    nonnegative exponents and is complete below its truncation.  Then every
-    box cell only ever receives contributions from stored cells, so the box
-    survives unchanged and only a total-degree cap (low corner + g.trunc)
-    appears.  The generic mul_laurent cannot know the lows are real and would
-    shrink the box by the factor's full exponent spread instead.  g may be a
-    scalar element under a window of states: the product only multiplies a
-    window value by a factor value, through the window's ring.
-    """
-    if any(f is not None for f in g.floors):
-        raise ValueError("factor must be complete")
-    if any(x < 0 for e in g.coeffs for x in e):
-        raise ValueError("factor must have nonnegative exponents")
-    R = win.ring
-    out = sparse_mul(R, win.coeffs, g.coeffs)
-    # cells can only miss contributions pairing a factor term beyond g.trunc
-    # with a window cell below total (cell - g.trunc); the least possible
-    # total of a true window cell is bounded by the stored support (complete
-    # inside the box) and by the box geometry outside it
-    lows = [lo for lo, hi in win.reliable]
-    lo_tot = sum(lows)
-    stored_min = min((sum(e) for e in win.coeffs), default=None)
-    outside_min = min(hi + 1 + lo_tot - lo for lo, hi in win.reliable)
-    min_true = outside_min if stored_min is None else min(stored_min, outside_min)
-    # uncertified window cells sit above win.max_total and the complete
-    # factor only raises totals, so the product ceiling shifts up by the
-    # factor's least total degree
-    g_min = min((sum(e) for e in g.coeffs), default=0)
-    ceil = None if win.max_total is None else win.max_total + g_min
-    mt = BilateralWindow._merge_total(ceil, min_true + g.trunc - 1)
-    return BilateralWindow(R, win.vars, out, win.reliable, max_total=mt)
 
 
 def _escaped_lowest_part(diff, box):
@@ -836,13 +806,15 @@ def _w_route_grid(A, inner, c, box):
 
     Uses the creation consequence Y(x,w)vac = S(w)x when c is a vacuum
     multiple; otherwise applies Y directly and raises YUndefined if an inner
-    coefficient leaves the partial domain.
+    coefficient leaves the partial domain.  The box lows must bound the
+    support: the z-low lies at or below every inner exponent, and the w-low
+    at or below every nonzero cell of each Y(s, w)c; the window states it.
     """
     (zlo, zhi), (wlo, whi) = box
     if all(m == () for m in c):
         scale = c.get((), 0)
         return shift_grid(A, {e: st_scale(s, scale) for e, s in inner.items()},
-                          box)
+                          box, supported=True)
     coeffs = {}
     for e, s in inner.items():
         if not A.y_defined(s):
@@ -853,24 +825,30 @@ def _w_route_grid(A, inner, c, box):
             v = A.y_coeff(s, c, j)
             if v:
                 coeffs[(e, j)] = v
-    return BilateralWindow(A.adapter, ("z", "w"), coeffs, box, _clean=True)
+    return BilateralWindow(A.adapter, ("z", "w"), coeffs, box, supported=True,
+                           _clean=True)
 
 
-# highs of the weak-associativity comparison box; its cells reach total
-# degree sum(top), so the law must be certified below sum(top) + 1
+# highs of the weak-associativity comparison box, whose cells reach total
+# degree sum(top), so the law must be certified below sum(top) + 1; highs of
+# the weak-commutativity box; and the largest power of F(z, w) or of
+# F(z, iota w) that their annihilation order searches try
 WEAK_ASSOCIATIVITY_TOP = (4, 4)
+WEAK_COMMUTATIVITY_TOP = (4, 4)
+MAX_ORDER = 8
 
 
-def weak_associativity_order(A, a, b, c, Nmax=8):
+def weak_associativity_order(A, a, b, c):
     """Minimal N with F(z,w)^N (Y(Y(a,z)b,w)c) = F^N i_{z,w}Y(a,F(z,w))Y(b,w)c.
 
     The left side needs Y on the coefficients of Y(a,z)b; when c is a
     multiple of the vacuum the creation consequence Y(x,w)vac = S(w)x is used
     instead, which stays inside the partial domain.  The comparison box has
     highs WEAK_ASSOCIATIVITY_TOP and its lows are derived from the true
-    support bounds of both routes (total degree for the group-law route), so
-    the F^N factor can be applied with mul_complete_lower.  Returns (N, None)
-    on success and (None, first_bad_cell) when no N <= Nmax works.
+    support bounds of both routes (total degree for the group-law route),
+    which both windows state, so the F^N factor keeps the box whole.
+    Returns (N, None) on success and (None, first_bad_cell) when no
+    N <= MAX_ORDER works.
     """
     top = WEAK_ASSOCIATIVITY_TOP
     inner = A.y_field(a, b, top[0])
@@ -881,15 +859,15 @@ def weak_associativity_order(A, a, b, c, Nmax=8):
     bad = _escaped_lowest_part(diff, box)
     if bad is not None:
         return None, bad
-    return _annihilation_order(diff, A.law.power, Nmax)
+    return _annihilation_order(diff, A.law.power)
 
 
-def _annihilation_order(diff, power, Nmax):
-    """(N, None) for the least N <= Nmax with power(N) * diff zero on the
-    window, else (None, the least cell of diff).  power(N) is a scalar
-    element, complete with nonnegative exponents (see mul_complete_lower)."""
-    for N in range(0, Nmax + 1):
-        prod = diff if N == 0 else mul_complete_lower(diff, power(N))
+def _annihilation_order(diff, power):
+    """(N, None) for the least N <= MAX_ORDER with power(N) * diff zero on
+    the window, else (None, the least cell of diff).  power(N) is a scalar
+    element with no floors."""
+    for N in range(0, MAX_ORDER + 1):
+        prod = diff if N == 0 else diff.mul_laurent(power(N))
         if prod.is_zero_on_window():
             return N, None
     return None, min(diff.coeffs)
@@ -897,11 +875,12 @@ def _annihilation_order(diff, power, Nmax):
 
 def axiom_check(A, which):
     """One of the four defining axioms, certified on finite windows of the
-    algebra's samples, up to z^(W + 1) and F^8 for weak associativity."""
+    algebra's samples, up to z^(W + 1) and F^MAX_ORDER for weak
+    associativity."""
     samples = A.samples()
     law = A.law
     name = law.name
-    kmax, Nmax = A.W + 1, 8
+    kmax = A.W + 1
 
     if which == "vacuum_creation":
         for a in samples:
@@ -994,15 +973,15 @@ def axiom_check(A, which):
             for b in samples:
                 for c in samples:
                     try:
-                        N, bad = weak_associativity_order(A, a, b, c, Nmax=Nmax)
+                        N, bad = weak_associativity_order(A, a, b, c)
                     except YUndefined:
                         continue
                     if N is None:
                         return Report("axiom/weak_associativity", name,
-                                      {"Nmax": Nmax},
+                                      {"Nmax": MAX_ORDER},
                                       _fail(A.adapter, bad, "nonzero", {}))
                     worst = max(worst, N)
-        return Report("axiom/weak_associativity", name, {"Nmax": Nmax},
+        return Report("axiom/weak_associativity", name, {"Nmax": MAX_ORDER},
                       details={"minimal_N": worst})
 
     if which == "skew_symmetry":
@@ -1022,17 +1001,19 @@ def axiom_check(A, which):
     raise ValueError(f"unknown axiom {which!r}")
 
 
-def weak_commutativity_order(A, a, b, c, Mmax=8, top=(4, 4), factor="group"):
-    """Minimal M such that F(z, iota w)^M kills the ordering discrepancy of
-    Y(a,z)Y(b,w)c on a box with highs ``top``; factor="classical" uses
-    (z-w)^M instead (the two differ by a unit and must give the same M)."""
-    zhi, whi = top
+def weak_commutativity_order(A, a, b, c, factor="group"):
+    """Minimal M <= MAX_ORDER such that F(z, iota w)^M kills the ordering
+    discrepancy of Y(a,z)Y(b,w)c on a box with highs WEAK_COMMUTATIVITY_TOP;
+    factor="classical" uses (z-w)^M instead (the two differ by a unit and
+    must give the same M).  Both grids are complete down to the box lows,
+    and state it."""
+    zhi, whi = WEAK_COMMUTATIVITY_TOP
     g1c, zlo1, wlo1 = _op_products(A, a, b, c, whi, lambda j: zhi)
     g2t, wlo2, zlo2 = _op_products(A, b, a, c, zhi, lambda i: whi)
     box = ((min(zlo1, zlo2), zhi), (min(wlo1, wlo2), whi))
-    g1 = BilateralWindow(A.adapter, ("z", "w"), g1c, box, _clean=True)
-    g2 = BilateralWindow(A.adapter, ("z", "w"),
-                         {(i, j): v for (j, i), v in g2t.items()}, box, _clean=True)
+    g1 = BilateralWindow(A.adapter, ("z", "w"), g1c, box, supported=True, _clean=True)
+    g2 = BilateralWindow(A.adapter, ("z", "w"), {(i, j): v for (j, i), v in g2t.items()},
+                         box, supported=True, _clean=True)
     diff = g1 - g2
     if _escaped_lowest_part(diff, box) is None:
         if factor == "classical":
@@ -1041,10 +1022,10 @@ def weak_commutativity_order(A, a, b, c, Mmax=8, top=(4, 4), factor="group"):
             power = partial(times_line_power, one, dominant=0, floors=(None, None))
         else:
             power = partial(A.law.power, twisted=True)
-        M, _ = _annihilation_order(diff, power, Mmax)
+        M, _ = _annihilation_order(diff, power)
         if M is not None:
             return M
-    raise NotFound(Mmax, what="commutativity order")
+    raise NotFound(MAX_ORDER, what="commutativity order")
 
 
 # -- meromorphicity -----------------------------------------------------------
@@ -1081,21 +1062,26 @@ class MeromorphicityPair:
 def _group_route_grid(A, a, b, c, top, tot_cap=None, zlo=None):
     """i_{z,w} Y(a, F(z,w)) Y(b,w)c on a box sized so the lows are true
     support bounds (total degree min over the series, spread to the w-top),
-    its z-low taken down to ``zlo`` when that is lower."""
+    its z-low taken down to ``zlo`` when that is lower; the window states
+    them."""
     zhi, whi = top
     series = A.y_field(b, c, whi)
     min_tot = min((n + A.y_kmin(a, s) for n, s in series.items()), default=-1)
     wlo = min(0, min(series, default=0))
     lo = min_tot - whi if zlo is None else min(min_tot - whi, zlo)
     return y_at_group_law_grid(A, a, series, ((lo, zhi), (wlo, whi)),
-                               tot_cap=tot_cap)
+                               tot_cap=tot_cap, supported=True)
 
 
-def meromorphicity_pair(A, a, b, c, N=None, top=(3, 3)):
+# highs of the operator_product comparison box of meromorphicity_pair
+MEROMORPHICITY_TOP = (3, 3)
+
+
+def meromorphicity_pair(A, a, b, c):
     """p_{a,b,c} = F^N times the group-law route, with its coherence checks.
 
-    N defaults to the weak commutativity order (the annihilation order of
-    the ordering discrepancy, which is what makes the fraction p / F^N well
+    N is the weak commutativity order (the annihilation order of the
+    ordering discrepancy, which is what makes the fraction p / F^N well
     defined).  Three checks are run:
 
       n_independence     p_{N+1} agrees with p_N * F on the box;
@@ -1105,43 +1091,42 @@ def meromorphicity_pair(A, a, b, c, N=None, top=(3, 3)):
       operator_product   the substitution z -> F(v, iota w) divided by v^N
                          reproduces Y(a,v)Y(b,w)c cell by cell.
 
-    ``top`` bounds the comparison box of the operator_product check; the p
-    grid itself is computed on a wider box so every substitution cell is a
-    certified finite sum.
+    MEROMORPHICITY_TOP bounds the comparison box of the operator_product
+    check; the p grid itself is computed on a wider box so every
+    substitution cell is a certified finite sum.
     """
-    if N is None:
-        N = weak_commutativity_order(A, a, b, c)
+    N = weak_commutativity_order(A, a, b, c)
     law = A.law
     name = law.name
-    vhi, whi = top
+    vhi, whi = MEROMORPHICITY_TOP
     kbc = A.y_kmin(b, c)
     # substitution cells (u, j2) need p cells with w <= whi and
     # z <= u + N + whi - j, so size the p grid accordingly
     ztop = vhi + N + whi - min(0, kbc)
     g = _group_route_grid(A, a, b, c, (ztop, whi))
     box = g.reliable
-    p = g if N == 0 else mul_complete_lower(g, law.power(N))
+    p = g if N == 0 else g.mul_laurent(law.power(N))
     checks = {}
 
-    p_up = mul_complete_lower(g, law.power(N + 1))
-    p_mul = mul_complete_lower(p, law.power(1))
+    p_up = g.mul_laurent(law.power(N + 1))
+    p_mul = p.mul_laurent(law.power(1))
     checks["n_independence"] = _compare("meromorphicity/n_independence", name,
                                         p_up, p_mul, {"N": N}, {"N": N})
 
     try:
         inner = A.y_field(a, b, box[0][1])
         lhs = _w_route_grid(A, inner, c, box)
-        lhsN = lhs if N == 0 else mul_complete_lower(lhs, law.power(N))
+        lhsN = lhs if N == 0 else lhs.mul_laurent(law.power(N))
         checks["w_dominant"] = _compare("meromorphicity/w_dominant", name,
                                         lhsN, p, {"N": N}, {"N": N})
     except YUndefined:
         checks["w_dominant"] = None
 
-    checks["operator_product"] = _substituted_p_check(A, a, b, c, p, N, top)
+    checks["operator_product"] = _substituted_p_check(A, a, b, c, p, N)
     return MeromorphicityPair(p, N, name, checks)
 
 
-def _substituted_p_check(A, a, b, c, p, N, top):
+def _substituted_p_check(A, a, b, c, p, N):
     """i_{v,w} p(F(v, iota w), w) * v^{-N} against Y(a,v)Y(b,w)c.
 
     Since F(F(v, iota w), w) = v, this is the statement that the fraction
@@ -1152,7 +1137,7 @@ def _substituted_p_check(A, a, b, c, p, N, top):
     law = A.law
     R = A.ring
     name = law.name
-    vhi, whi = top
+    vhi, whi = MEROMORPHICITY_TOP
     kbc = A.y_kmin(b, c)
     vlo = min(e[0] for e in p.coeffs) - N if p.coeffs else -N
     cmp_box = ((vlo, vhi), (kbc, whi))
@@ -1184,7 +1169,7 @@ def _substituted_p_check(A, a, b, c, p, N, top):
 # -- the three-term delta Jacobi identity for Y -------------------------------
 
 
-def jacobi_identity_check(A, a, b, c, B=4, N=None):
+def jacobi_identity_check(A, a, b, c, B=4):
     """The three-term F-delta Jacobi identity for Y on the box [-B, B]^3.
 
     In variables (z0, z1, z2):
@@ -1218,8 +1203,7 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
     g2t, _, _ = _op_products(A, b, a, c, B, lambda j: cap - j)
     # the right side subtracts the second ordering's cells
     g2 = {(j1, j2): st_neg(v) for (j2, j1), v in g2t.items()}
-    if N is None:
-        N = weak_commutativity_order(A, a, b, c)
+    N = weak_commutativity_order(A, a, b, c)
     # kernel cells above this total cannot reach the output box: the delta
     # tower only holds cells of total degree -1 and up
     cap_p = 3 * B + N + 1
@@ -1231,7 +1215,7 @@ def jacobi_identity_check(A, a, b, c, B=4, N=None):
     p = None
     for _ in range(5):
         g = _group_route_grid(A, a, b, c, (B, wtop), tot_cap=cap_p - N)
-        p = g if N == 0 else mul_complete_lower(g, law.power(N))
+        p = g if N == 0 else g.mul_laurent(law.power(N))
         low = min((e[0] for e in p.coeffs
                    if sum(e) <= cap_p), default=0)
         if low == zmin and cap_p - min(low, 0) + 2 <= wtop:

@@ -48,9 +48,12 @@ def test_payload_gate_reports_a_difference(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = pkg / "cli.py"
     cli.write_text(cli.read_text().replace("indent=2", "indent=3"))
-    done = _run_gate(["--against", str(tmp_path), "--select", "fgl --kind additive --trunc 8"])
+    # every differing command is reported, not only the first
+    done = _run_gate(["--against", str(tmp_path), "--select", "fgl --kind additive"])
     assert done.returncode == 1, done.stdout + done.stderr
-    assert "DIFFERS  fgl --kind additive --trunc 8" in done.stdout
+    for trunc in ("8", "13", "24"):
+        assert f"DIFFERS  fgl --kind additive --trunc {trunc}:" in done.stdout
+    assert "3 of 3 commands differ" in done.stdout
     assert _run_gate(["--against", str(tmp_path / "nowhere")]).returncode == 2
 
 

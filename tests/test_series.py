@@ -3,6 +3,8 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from fglcalc.series import (
     WindowMiss,
     comb_any,
 )
-from fglcalc.vertex import HeisenbergAlgebra, ShiftQuotient, StateSpace, mul_complete_lower
+from fglcalc.vertex import HeisenbergAlgebra, ShiftQuotient, StateSpace
 
 from binomial_oracle import binomial_power
 
@@ -147,7 +149,7 @@ def test_delta_killed_by_z_minus_w():
     b = zmw.reorder(("w", "z")).int_power(-1).reorder(("z", "w"))
     box = [(-7, 7), (-7, 7)]
     delta = BilateralWindow.from_laurent(a, box) - BilateralWindow.from_laurent(b, box)
-    prod = delta.mul_laurent(zmw, exact_factor=True)
+    prod = delta.mul_laurent(LaurentElement(QQ, zmw.vars, zmw.coeffs, inf))
     assert prod.is_zero_on_window()
     assert not prod.is_empty_window()
 
@@ -304,9 +306,9 @@ KERNEL_RINGS = {
 }
 
 
-def _terms(data, values, lo, hi):
+def _terms(data, values, lo, hi, size=8):
     exps = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
-    return data.draw(st.dictionaries(exps, values, max_size=8))
+    return data.draw(st.dictionaries(exps, values, max_size=size))
 
 
 def _naive_product(R, a, b, cut=None):
@@ -337,14 +339,14 @@ def _min_or(a, b):
     return b if a is None else a if b is None else min(a, b)
 
 
-def _window(data, R, values):
+def _window(data, R, values, supported=False):
     reliable = []
     for _ in range(2):
         lo = data.draw(st.integers(-2, 0))
         reliable.append((lo, lo + data.draw(st.integers(1, 3))))
     mt = data.draw(st.one_of(st.none(), st.integers(-1, 4)))
     return BilateralWindow(R, ("z", "w"), _terms(data, values, -2, 2), reliable,
-                           max_total=mt)
+                           max_total=mt, supported=supported)
 
 
 @given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)))
@@ -465,48 +467,92 @@ def test_residue_coeff_with_factor_is_residue_of_product(data, ring, vars):
     assert got == want
 
 
+def _scalars(R):
+    return R.base if isinstance(R, StateSpace) else R
+
+
 @given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)),
-       exact=st.booleans())
+       supported=st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_kernel_window_mul_laurent(data, ring, exact):
+def test_kernel_window_mul_laurent(data, ring, supported):
+    # the one product of a window and a series, by its rule: the box, the
+    # certified total degree and the stated support of the product
     R, left, right = KERNEL_RINGS[ring]
-    win = _window(data, R, left)
-    g = LaurentElement(R, ("z", "w"), _terms(data, right, -2, 2),
-                       data.draw(st.integers(1, 6)))
-    h = win.mul_laurent(g, exact_factor=exact)
-    if not g.coeffs:
-        assert (h.coeffs, h.reliable, h.max_total) == ({}, win.reliable, win.max_total)
-        return
-    rel = tuple((lo + max(e[i] for e in g.coeffs), hi + min(e[i] for e in g.coeffs))
-                for i, (lo, hi) in enumerate(win.reliable))
+    win = _window(data, R, left, supported)
+    g = LaurentElement(_scalars(R), ("z", "w"), _terms(data, right, -2, 2),
+                       data.draw(st.one_of(st.integers(1, 6), st.just(inf))))
+    h = win.mul_laurent(g)
+    rel = win.reliable
+    if g.coeffs:
+        rel = tuple((lo if supported else lo + max(e[i] for e in g.coeffs),
+                     hi + min(e[i] for e in g.coeffs))
+                    for i, (lo, hi) in enumerate(rel))
     mt = None if win.max_total is None else win.max_total + _val(g)
-    if not exact and win.coeffs:
-        mt = _min_or(mt, g.trunc + min(sum(e) for e in win.coeffs) - 1)
+    least = min((sum(e) for e in win.coeffs), default=None)
+    if supported:
+        lo_tot = sum(lo for lo, _ in win.reliable)
+        least = _min_or(least, min(hi + 1 + lo_tot - lo for lo, hi in win.reliable))
+    if least is not None and g.trunc != inf:
+        mt = _min_or(mt, least + g.trunc - 1)
     want = {e: c for e, c in _naive_product(R, win.coeffs, g.coeffs).items()
             if _inside(e, rel, mt)}
     assert (h.reliable, h.max_total) == (rel, mt)
     assert h.coeffs == want
+    assert h.supported == (supported and all(x >= 0 for e in g.coeffs for x in e))
 
 
 @given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)))
-@settings(max_examples=100, deadline=None)
-def test_kernel_mul_complete_lower(data, ring):
+@settings(max_examples=200, deadline=None)
+def test_stated_support_certifies_the_full_product(data, ring):
+    # s has no cell below the box lows, and its window says so; g is known
+    # below g.trunc, and tail stands for its unknown cells from there on.
+    # Every cell the product certifies is that cell of s * (g + tail),
+    # whatever s holds outside the window and g beyond its truncation
     R, left, right = KERNEL_RINGS[ring]
-    win = _window(data, R, left)
-    g = LaurentElement(R, ("z", "w"), _terms(data, right, 0, 2),
-                       data.draw(st.integers(1, 6)))
-    h = mul_complete_lower(win, g)
-    lo_tot = sum(lo for lo, _ in win.reliable)
-    min_true = min(hi + 1 + lo_tot - lo for lo, hi in win.reliable)
-    if win.coeffs:
-        min_true = min(min_true, min(sum(e) for e in win.coeffs))
-    ceil = None if win.max_total is None else \
-        win.max_total + min((sum(e) for e in g.coeffs), default=0)
-    mt = _min_or(ceil, min_true + g.trunc - 1)
-    want = {e: c for e, c in _naive_product(R, win.coeffs, g.coeffs).items()
-            if _inside(e, win.reliable, mt)}
-    assert (h.reliable, h.max_total) == (win.reliable, mt)
-    assert h.coeffs == want
+    lows = [data.draw(st.integers(-1, 1)) for _ in range(2)]
+    reliable = [(lo, lo + data.draw(st.integers(0, 2))) for lo in lows]
+    s = {(i + lows[0], j + lows[1]): c
+         for (i, j), c in _terms(data, left, 0, 4, size=12).items()}
+    win = BilateralWindow(R, ("z", "w"), s, reliable,
+                          data.draw(st.one_of(st.none(), st.integers(-2, 5))),
+                          supported=True)
+    g = LaurentElement(_scalars(R), ("z", "w"), _terms(data, right, -2, 3),
+                       data.draw(st.one_of(st.integers(1, 4), st.just(inf))))
+    # one value on every cell of a wide band, so that the tail meets every
+    # true cell of s that it can reach
+    c = data.draw(right)
+    tail = {e: c for e in product(range(-4, 9), repeat=2) if g.trunc <= sum(e) <= 9}
+    h = win.mul_laurent(g)
+    full = _naive_product(R, s, {**g.coeffs, **tail})
+    for e in product(*(range(lo, hi + 1) for lo, hi in h.reliable)):
+        if h._inside(e):
+            assert R.eq(h.coeffs.get(e, R.zero()), full.get(e, R.zero())), e
+
+
+def test_window_times_empty_factor_certifies_only_below_its_truncation():
+    # g stores no term below total degree 2 but may hold z^2, so 1 * g is
+    # certified up to total degree 1 and no further
+    win = BilateralWindow(QQ, ("z", "w"), {(0, 0): 1}, [(-3, 3), (-3, 3)])
+    h = win.mul_laurent(LaurentElement(QQ, ("z", "w"), {}, 2))
+    assert (h.coeffs, h.reliable, h.max_total) == ({}, win.reliable, 1)
+    assert h._inside((1, 0)) and not h._inside((2, 0))
+
+
+def test_window_factor_rings():
+    # a window of states takes a factor over its scalars; any other pair of
+    # rings, or of variable orders, is refused
+    states = BilateralWindow(STATES, ("z", "w"), {(0, 0): {(-1,): 1}}, [(0, 2), (0, 2)])
+    h = states.mul_laurent(LaurentElement(QQ, ("z", "w"), {(1, 0): 2}, 3))
+    assert (h.coeffs, h.reliable, h.max_total) == ({(1, 0): {(-1,): 2}},
+                                                   ((1, 3), (0, 2)), 2)
+    scalar = BilateralWindow(QQ, ("z", "w"), {(0, 0): 1}, [(0, 2), (0, 2)])
+    refused = [(states, ZZ, ("z", "w")), (states, StateSpace(ZZ), ("z", "w")),
+               (states, QQ, ("w", "z")), (scalar, ZZ, ("z", "w")),
+               (scalar, STATES, ("z", "w")),
+               (BilateralWindow(QS, ("z", "w"), {}, [(0, 2), (0, 2)]), QQ, ("z", "w"))]
+    for win, ring, vars in refused:
+        with pytest.raises(OrderingMismatch):
+            win.mul_laurent(LaurentElement(ring, vars, {(1, 0): 1}, 3))
 
 
 # -- substitute and comp_inverse against the per-monomial product loop --------
