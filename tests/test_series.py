@@ -502,6 +502,35 @@ def test_kernel_window_mul_laurent(data, ring, supported):
 
 
 @given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)))
+@settings(max_examples=100, deadline=None)
+def test_kernel_mul_complete_lower(data, ring):
+    # a window whose box lows bound its support, times a truncated power
+    # series: the lows stay, the certified total degree is capped by the
+    # least true cell plus the factor's truncation, and the product still
+    # states its support
+    R, left, right = KERNEL_RINGS[ring]
+    win = _window(data, R, left, supported=True)
+    g = LaurentElement(_scalars(R), ("z", "w"), _terms(data, right, 0, 2),
+                       data.draw(st.integers(1, 6)))
+    h = win.mul_laurent(g)
+    rel = win.reliable
+    if g.coeffs:
+        rel = tuple((lo, hi + min(e[i] for e in g.coeffs))
+                    for i, (lo, hi) in enumerate(rel))
+    lo_tot = sum(lo for lo, _ in win.reliable)
+    least = min(hi + 1 + lo_tot - lo for lo, hi in win.reliable)
+    if win.coeffs:
+        least = min(least, min(sum(e) for e in win.coeffs))
+    ceil = None if win.max_total is None else win.max_total + _val(g)
+    mt = _min_or(ceil, least + g.trunc - 1)
+    want = {e: c for e, c in _naive_product(R, win.coeffs, g.coeffs).items()
+            if _inside(e, rel, mt)}
+    assert (h.reliable, h.max_total) == (rel, mt)
+    assert h.coeffs == want
+    assert h.supported
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(KERNEL_RINGS)))
 @settings(max_examples=200, deadline=None)
 def test_stated_support_certifies_the_full_product(data, ring):
     # s has no cell below the box lows, and its window says so; g is known
