@@ -60,36 +60,33 @@ def _fail(ring, monomial, lhs, rhs):
 def _compare(identity, name, lhs, rhs, window=None, details=None):
     """The Report of lhs = rhs, compared cell by cell where both certify.
 
-    Two BilateralWindows are compared on the intersection of their boxes
-    (EmptyWindow when it is empty).  A pass reports that surviving box with
-    ``details``, by default its ``window_size`` on lhs; a fail reports
-    ``window``, by default the surviving box.  Two LaurentElements are
-    compared on the cells both certify, and both outcomes report ``window``;
+    Both sides are compared on the meet of their certified regions.  For
+    two BilateralWindows (EmptyWindow when the meet is empty) a pass reports
+    the surviving box with ``details``, by default the number of cells
+    compared (``window_size``); a fail reports ``window``, by default the
+    surviving box.  For two LaurentElements both outcomes report ``window``;
     a pair whose certified regions do not meet certifies nothing and fails
     with "no certified cells", and a cell where both sides are certified
     zero counts as certified.  The fail status names the least differing
     exponent with both sides' coefficients there.
     """
     R = lhs.ring
+    meet = lhs._region()._meet(rhs._region())
     if isinstance(lhs, BilateralWindow):
         ok, bad, box = lhs.agrees_with(rhs)
         surv = [list(r) for r in box]
         if ok:
             if details is None:
-                details = {"window_size": lhs.restrict(box).window_size()}
+                details = {"window_size": meet._size()}
             return Report(identity, name, surv, details=details)
         if window is None:
             window = surv
     else:
-        # both certify e iff e_i >= the higher floor in each variable and
-        # the total degree is below the lower truncation
-        lows = [max((f for f in fs if f is not None), default=None)
-                for fs in zip(lhs.floors, rhs.floors)]
-        if None not in lows and sum(lows) >= min(lhs.trunc, rhs.trunc):
+        if meet._empty():
             return Report(identity, name, window,
                           {"fail": {"reason": "no certified cells"}})
         bad = next((e for e in sorted(set(lhs.coeffs) | set(rhs.coeffs))
-                    if lhs.reliable_at(e) and rhs.reliable_at(e)
+                    if meet._contains(e)
                     and not R.eq(lhs.coefficient(e), rhs.coefficient(e))), None)
         if bad is None:
             return Report(identity, name, window, details=details or {})
@@ -220,22 +217,6 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
 # -- F-delta distributions -------------------------------------------------
 
 
-@dataclass
-class DeltaWindow:
-    """The distribution z^{-1} delta_F(w/z) restricted to a finite box."""
-
-    law_name: str
-    vars: tuple
-    window: BilateralWindow
-    orderings: tuple
-
-    def to_json(self):
-        d = self.window.to_json()
-        d["law"] = self.law_name
-        d["orderings"] = [list(o) for o in self.orderings]
-        return d
-
-
 def _inverse_expansions(law, classical=False):
     """The two expansions of F(z, iota w)^{-1}, or of (z - w)^{-1} when
     classical: z dominant, then w dominant.  Both have exponents in (z, w)
@@ -259,9 +240,8 @@ def _delta_window(law, box, classical=False):
 
 def delta_F(law, box=(-6, 6)):
     """z^{-1} delta_F(w/z): difference of the two expansions of F(z, iota w)^{-1},
-    as a window on box x box."""
-    return DeltaWindow(law.name, ("z", "w"), _delta_window(law, box),
-                       (("z", "w"), ("w", "z")))
+    as a BilateralWindow over (z, w) on box x box."""
+    return _delta_window(law, box)
 
 
 def delta_support_check(law, f, box=(-6, 6)):
@@ -271,7 +251,7 @@ def delta_support_check(law, f, box=(-6, 6)):
     a convergent diagonal.  Its stored terms are all of it, so each factor
     is exact: its truncation is ``math.inf``.
     """
-    D = delta_F(law, box=box).window
+    D = delta_F(law, box=box)
     if len(f.vars) == 1:
         fz, diag = f.extend(("z", "w")), f
     else:
@@ -285,7 +265,7 @@ def delta_support_check(law, f, box=(-6, 6)):
 
 def delta_g_relation_check(law, box=(-6, 6)):
     """delta_F(w/z) = G(z,w)^{-1} * delta_{F_a}(w/z) on the surviving window."""
-    D = delta_F(law, box=box).window
+    D = delta_F(law, box=box)
     Da = _delta_window(law, box, classical=True)
     rhs = Da.mul_laurent(law.g_power(-1))
     return _compare("delta/g_relation", law.name, D, rhs)
@@ -293,7 +273,7 @@ def delta_g_relation_check(law, box=(-6, 6)):
 
 def delta_phi_relation_check(law, box=(-6, 6)):
     """delta_F(w/z) * p_F(z) = delta_{F_a}(w/z); valid over any base ring."""
-    D = delta_F(law, box=box).window
+    D = delta_F(law, box=box)
     pf = law.pF.rename(("z",)).extend(("z", "w"))
     lhs = D.mul_laurent(pf.as_laurent())
     rhs = _delta_window(law, box, classical=True)

@@ -20,6 +20,13 @@ Two element kinds, and a window:
   BilateralWindow  -- a finite coefficient box standing for a bilateral series,
                       with a certified-correct interval per variable.
 
+Both say where they are certified with one region (``_Region``): per-variable
+lows and highs and a greatest certified total degree.  A series is the region
+of its floors and truncation, a window the region of its box.  Every sum,
+comparison and window view certifies the meet of its operands' regions, and
+every product, the residue contraction included, the region of one product
+rule (``_Region._product``).
+
 All coefficients are raw ring values owned by a Ring (see ring.py).
 """
 
@@ -66,6 +73,87 @@ def _revlex_key(e):
     # leading-term order of the iterated ring: last variable is most
     # significant (series variable at the outermost level)
     return tuple(reversed(e))
+
+
+class _Region:
+    """Where a series or a window is certified: the cells e with lows[i] <=
+    e[i] <= highs[i] in every variable i and total degree at most ``top``.
+
+    A series is the region with highs +inf, its floors as lows (-inf where
+    it has none) and top trunc - 1.  A window is the region of its box, with
+    its max_total as top (+inf where it has none).  A finite low is a cut:
+    the cells below it are unknown.  When ``stated``, every low is instead a
+    support bound: no cell below it is nonzero (a series without floors
+    states its support, as nothing lies below -inf).
+    """
+
+    __slots__ = ("lows", "highs", "top", "stated")
+
+    def __init__(self, lows, highs, top, stated):
+        self.lows, self.highs, self.top, self.stated = lows, highs, top, stated
+
+    def _contains(self, e):
+        return _tot(e) <= self.top and all(
+            lo <= x <= hi for x, lo, hi in zip(e, self.lows, self.highs))
+
+    def _empty(self):
+        return (any(lo > hi for lo, hi in zip(self.lows, self.highs))
+                or sum(self.lows) > self.top)
+
+    def _size(self):
+        """The number of cells in a region with finite lows and highs."""
+        if self._empty():
+            return 0
+        from itertools import product as iproduct
+        ranges = [range(lo, hi + 1) for lo, hi in zip(self.lows, self.highs)]
+        return sum(1 for e in iproduct(*ranges) if _tot(e) <= self.top)
+
+    def _floors(self):
+        return tuple(None if lo == -inf else lo for lo in self.lows)
+
+    def _meet(self, other):
+        """The cells both regions certify.  A low there still bounds the
+        support when both regions state theirs at the same lows."""
+        return _Region(tuple(map(max, self.lows, other.lows)),
+                       tuple(map(min, self.highs, other.highs)), min(self.top, other.top),
+                       self.stated and other.stated and self.lows == other.lows)
+
+    def _least(self, cells):
+        """The least total degree of a true cell of a series certified here
+        with stored cells ``cells``: a stored cell, a cell above top, or,
+        with stated support, a cell above a high."""
+        least = min(min(map(sum, cells), default=inf), self.top + 1)
+        if self.stated:
+            s = sum(self.lows)
+            least = min([least] + [hi + 1 + s - lo for lo, hi in zip(self.lows, self.highs)
+                                   if hi < inf])
+        return least
+
+    def _product(self, other, a, b):
+        """The region of x * y, for x certified here with stored cells a and
+        y certified on ``other`` with stored cells b: the one product rule.
+
+        A product cell is certified when no unknown cell of one factor meets
+        a stored cell of the other there, taking every unknown cell of a
+        factor to have total degree at least its least true total
+        (``_least``).  So a cut low rises by the other factor's largest
+        exponent and a high moves by its least one (a factor with no stored
+        cells counts as 0), while a stated low stays; the top is min(top_x +
+        least_y, top_y + least_x).  The product states its support when both
+        factors do and no finite low meets a negative exponent of the other.
+        """
+        lows, highs = [-inf] * len(self.lows), [inf] * len(self.lows)
+        stated = self.stated and other.stated
+        for r, cells in ((self, b), (other, a)):
+            for i, (lo, hi) in enumerate(zip(r.lows, r.highs)):
+                if lo > -inf:
+                    rise = 0 if r.stated else max((e[i] for e in cells), default=0)
+                    lows[i] = max(lows[i], lo + rise)
+                    stated = stated and min((e[i] for e in cells), default=0) >= 0
+                if hi < inf:
+                    highs[i] = min(highs[i], hi + min((e[i] for e in cells), default=0))
+        return _Region(tuple(lows), tuple(highs),
+                       min(self.top + other._least(b), other.top + self._least(a)), stated)
 
 
 class LaurentElement:
@@ -147,11 +235,6 @@ class LaurentElement:
             return self.trunc
         return min(_tot(e) for e in self.coeffs)
 
-    def support_max(self, i):
-        if not self.coeffs:
-            return 0
-        return max(e[i] for e in self.coeffs)
-
     def reliable_at(self, e):
         """Whether the coefficient at exponent vector e is certified."""
         if _tot(e) >= self.trunc:
@@ -160,6 +243,13 @@ class LaurentElement:
             if f is not None and x < f:
                 return False
         return True
+
+    def _region(self):
+        n = len(self.floors)
+        if self.floors.count(None) == n:
+            return _Region((-inf,) * n, (inf,) * n, self.trunc - 1, True)
+        return _Region(tuple(-inf if f is None else f for f in self.floors), (inf,) * n,
+                       self.trunc - 1, False)
 
     def certified(self, e):
         """The coefficient at exponent vector e, which must be certified:
@@ -208,19 +298,12 @@ class LaurentElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _join_floors_add(f1, f2):
-        return tuple(
-            a if b is None else (b if a is None else max(a, b))
-            for a, b in zip(f1, f2))
-
     def __add__(self, other):
         self._check(other)
         R = self.ring
-        t = min(self.trunc, other.trunc)
-        floors = self._join_floors_add(self.floors, other.floors)
+        r = self._region()._meet(other._region())
         out = sparse_add(R, dict(self.coeffs), other.coeffs.items())
-        return type(self)(R, self.vars, out, t, floors=floors)
+        return type(self)(R, self.vars, out, r.top + 1, floors=r._floors())
 
     def __neg__(self):
         R = self.ring
@@ -230,26 +313,12 @@ class LaurentElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def _mul_floors(self, other):
-        floors = []
-        for i in range(len(self.vars)):
-            cands = []
-            if self.floors[i] is not None:
-                cands.append(self.floors[i] + other.support_max(i))
-            if other.floors[i] is not None:
-                cands.append(other.floors[i] + self.support_max(i))
-            floors.append(max(cands) if cands else None)
-        return tuple(floors)
-
     def __mul__(self, other):
         self._check(other)
         R = self.ring
-        # an element with no stored terms has valuation = trunc, so a zero
-        # factor certifies no more than its own truncation allows
-        t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        floors = self._mul_floors(other)
-        out = sparse_mul(R, self.coeffs, other.coeffs, cut=t)
-        return LaurentElement(R, self.vars, out, t, floors=floors)
+        r = self._region()._product(other._region(), self.coeffs, other.coeffs)
+        out = sparse_mul(R, self.coeffs, other.coeffs, cut=r.top + 1)
+        return LaurentElement(R, self.vars, out, r.top + 1, floors=r._floors())
 
     def scale(self, raw):
         R = self.ring
@@ -483,7 +552,7 @@ class LaurentElement:
                 images.append([None, {e: c for e, c in g.coeffs.items() if _tot(e) < t}])
 
         out, inverses = {}, {}
-        trunc, floors = t, (None,) * len(tvars)
+        trunc, known = t, _Region((-inf,) * len(tvars), (inf,) * len(tvars), inf, True)
         for e, c in self.coeffs.items():
             shift = [0] * len(tvars)
             factors = []
@@ -509,8 +578,8 @@ class LaurentElement:
                             raise IllegalSubstitution(
                                 f"negative powers of {self.vars[i]!r} need an "
                                 "invertible image") from exc
-                    trunc = min(trunc, t + p.valuation(), p.trunc)
-                    floors = LaurentElement._join_floors_add(floors, p.floors)
+                    trunc = min(trunc, t + p.valuation())
+                    known = known._meet(p._region())
                     factors.append(p.coeffs)
             s = sum(shift)
             if s >= t:
@@ -524,7 +593,7 @@ class LaurentElement:
             sparse_mul(R, term, factors[-1], cut=t, out=out)
         if all(isinstance(g, PowerSeries) for g in (self, *targets)):
             return PowerSeries(R, tvars, out, t, _clean=True)
-        return LaurentElement(R, tvars, out, trunc, floors=floors)
+        return LaurentElement(R, tvars, out, min(trunc, known.top + 1), floors=known._floors())
 
     # -- evaluation and extraction -----------------------------------------
 
@@ -548,9 +617,9 @@ class LaurentElement:
         -1 - k of self pairs with p_k and nothing else, so each term of self
         is read once and the product is never formed.  Truncation, floors,
         cells and ``WindowMiss`` are those of ``(self *
-        factor.extend(self.vars)).residue_coeff(name)``: the truncation is
-        min(t1 + val2, t2 + val1) and the floors are the product's, so the
-        floor on name rises by p's largest exponent.
+        factor.extend(self.vars)).residue_coeff(name)``: both take the
+        region of the one product rule, so the floor on name rises by p's
+        largest exponent.
         """
         i = self.vars.index(name)
         R = self.ring
@@ -560,8 +629,8 @@ class LaurentElement:
                 raise ValueError(f"factor must be univariate in {name!r}")
             p = factor.extend(self.vars)
             self._check(p)
-            t = min(self.trunc + p.valuation(), p.trunc + self.valuation())
-            floors, pk = self._mul_floors(p), factor.coeffs
+            r = self._region()._product(p._region(), self.coeffs, p.coeffs)
+            t, floors, pk = r.top + 1, r._floors(), factor.coeffs
         if floors[i] is not None and floors[i] > -1:
             raise WindowMiss(f"exponent -1 of {name!r} lies below the reliable floor")
         rest = self.vars[:i] + self.vars[i + 1:]
@@ -576,8 +645,9 @@ class LaurentElement:
                     continue
             else:
                 pc = pk.get((-1 - e[i],))
-                # the product cell has total degree tot(e) - e[i] - 1
-                if pc is None or _tot(e) - e[i] > t:
+                # a product cell of total degree >= t is dropped by the
+                # result's truncation t + 1 in the remaining variables
+                if pc is None:
                     continue
                 c = R.mul(c, pc)
             terms.append((e[:i] + e[i + 1:], c))
@@ -653,7 +723,7 @@ class PowerSeries(LaurentElement):
             return LaurentElement.__mul__(self, other)
         self._check(other)
         R = self.ring
-        t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
+        t = self._region()._product(other._region(), self.coeffs, other.coeffs).top + 1
         out = sparse_mul(R, self.coeffs, other.coeffs, cut=t)
         return PowerSeries(R, self.vars, out, t, _clean=True)
 
@@ -948,6 +1018,12 @@ def comb_any(n, k):
     return (-1) ** k * comb(k - n - 1, k)
 
 
+def _max_total(r, bounded):
+    """A window's max_total for region r: its top, or None where that is
+    +inf and ``bounded`` (an operand had a max_total) is false."""
+    return r.top if bounded or r.top < inf else None
+
+
 class BilateralWindow:
     """A finite coefficient box for a bilateral series.
 
@@ -958,7 +1034,7 @@ class BilateralWindow:
     are only stored inside the certified region.  ``supported`` states that
     every cell below the box lows is zero: the lows then bound the series'
     support, as a floor of None does for a ``LaurentElement``, instead of
-    merely cutting the view.
+    merely cutting the view.  The three are the window's ``_Region``.
     """
 
     __slots__ = ("ring", "vars", "coeffs", "reliable", "max_total", "supported")
@@ -973,48 +1049,33 @@ class BilateralWindow:
         if _clean:
             self.coeffs = coeffs
         else:
-            out = {}
-            for e, c in coeffs.items():
-                e = tuple(e)
-                if ring.is_zero(c) or not self._inside(e):
-                    continue
-                out[e] = c
-            self.coeffs = out
+            inside = self._region()._contains
+            self.coeffs = {tuple(e): c for e, c in coeffs.items()
+                           if not ring.is_zero(c) and inside(e)}
+
+    def _region(self):
+        lows, highs = zip(*self.reliable)
+        return _Region(lows, highs, inf if self.max_total is None else self.max_total,
+                       self.supported)
+
+    def _with(self, coeffs, r, bounded):
+        """A window over this one's vars with ``coeffs`` on region r."""
+        return BilateralWindow(self.ring, self.vars, coeffs, zip(r.lows, r.highs),
+                               _max_total(r, bounded), r.stated)
 
     def _inside(self, e):
-        if self.max_total is not None and _tot(e) > self.max_total:
-            return False
-        return all(lo <= x <= hi for x, (lo, hi) in zip(e, self.reliable))
+        return self._region()._contains(e)
 
     def is_empty_window(self):
-        if any(lo > hi for lo, hi in self.reliable):
-            return True
-        if self.max_total is not None:
-            return sum(lo for lo, hi in self.reliable) > self.max_total
-        return False
-
-    @staticmethod
-    def _merge_total(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
+        return self._region()._empty()
 
     @staticmethod
     def from_laurent(f, box):
-        """Window view of a LaurentElement on a requested box.
-
-        The certified region is the intersection of the request with the
-        element's floors; the truncation bound survives as max_total.
-        """
-        boxes = []
-        for i, (lo, hi) in enumerate(box):
-            if f.floors[i] is not None:
-                lo = max(lo, f.floors[i])
-            boxes.append((lo, hi))
-        return BilateralWindow(f.ring, f.vars, dict(f.coeffs), boxes,
-                               max_total=f.trunc - 1)
+        """Window view of a LaurentElement on a requested box: the meet of
+        the box with f's region, so the floors clip the box and no cell of
+        total degree f.trunc or more is certified."""
+        view = BilateralWindow(f.ring, f.vars, {}, box)
+        return view._with(f.coeffs, view._region()._meet(f._region()), True)
 
     def _check(self, other):
         if self.ring != other.ring or self.vars != other.vars:
@@ -1022,14 +1083,9 @@ class BilateralWindow:
 
     def __add__(self, other):
         self._check(other)
-        R = self.ring
-        rel = tuple((max(a, c), min(b, d))
-                    for (a, b), (c, d) in zip(self.reliable, other.reliable))
-        mt = self._merge_total(self.max_total, other.max_total)
-        out = sparse_add(R, dict(self.coeffs), other.coeffs.items())
-        supported = self.supported and other.supported and all(
-            a == c for (a, _), (c, _) in zip(self.reliable, other.reliable))
-        return BilateralWindow(R, self.vars, out, rel, mt, supported)
+        out = sparse_add(self.ring, dict(self.coeffs), other.coeffs.items())
+        return self._with(out, self._region()._meet(other._region()),
+                          self.max_total is not None or other.max_total is not None)
 
     def __neg__(self):
         R = self.ring
@@ -1046,13 +1102,10 @@ class BilateralWindow:
         known below total degree ``g.trunc`` (``math.inf`` when exact), over
         the window's ring or the scalars of a window of states.
 
-        Each high moves by g's least exponent; each low rises by g's largest
-        one, or stays where the support is stated.  Totals are certified up
-        to max_total + val(g) (val of a g that stores nothing: g.trunc), and
-        below least + g.trunc, where g's unknown tail meets the least total
-        of a true window cell: the least stored one or, with stated support,
-        of a cell above a high.  The product states its support when the
-        window does and g has no negative exponent.
+        Its region is ``_Region._product``'s: each high moves by g's least
+        exponent, each low rises by g's largest one unless the support is
+        stated, and the product states its support when the window does and
+        g has no negative exponent.
         """
         if isinstance(g, BilateralWindow):
             raise NonConvergentProduct("product of two bilateral series is undefined")
@@ -1062,31 +1115,8 @@ class BilateralWindow:
             raise OrderingMismatch("window/factor mismatch")
         if any(f is not None for f in g.floors):
             raise NonConvergentProduct("factor must have certain finite support")
-        rel = self.reliable
-        if g.coeffs:
-            rel = tuple((lo if self.supported else lo + max(e[i] for e in g.coeffs),
-                         hi + min(e[i] for e in g.coeffs))
-                        for i, (lo, hi) in enumerate(rel))
-        gval = min((_tot(e) for e in g.coeffs), default=g.trunc)
-        mt = None if self.max_total is None else self.max_total + gval
-        least = min((_tot(e) for e in self.coeffs), default=None)
-        if self.supported:
-            lo_tot = sum(lo for lo, _ in self.reliable)
-            least = self._merge_total(
-                least, min(hi + 1 + lo_tot - lo for lo, hi in self.reliable))
-        if least is not None and g.trunc != inf:
-            mt = self._merge_total(mt, least + g.trunc - 1)
-        supported = self.supported and all(x >= 0 for e in g.coeffs for x in e)
-        return BilateralWindow(R, self.vars, sparse_mul(R, self.coeffs, g.coeffs),
-                               rel, mt, supported)
-
-    def restrict(self, box):
-        rel = tuple((max(a, lo), min(b, hi))
-                    for (a, b), (lo, hi) in zip(self.reliable, box))
-        supported = self.supported and all(
-            lo <= a for (a, _), (lo, _) in zip(self.reliable, box))
-        return BilateralWindow(self.ring, self.vars, self.coeffs, rel,
-                               self.max_total, supported)
+        r = self._region()._product(g._region(), self.coeffs, g.coeffs)
+        return self._with(sparse_mul(R, self.coeffs, g.coeffs), r, self.max_total is not None)
 
     def agrees_with(self, other):
         """Exact comparison on the intersection of certified regions.
@@ -1095,21 +1125,13 @@ class BilateralWindow:
         if the intersection is empty.
         """
         self._check(other)
-        box = tuple((max(a, c), min(b, d))
-                    for (a, b), (c, d) in zip(self.reliable, other.reliable))
-        mt = self._merge_total(self.max_total, other.max_total)
-        if any(lo > hi for lo, hi in box) or (
-                mt is not None and sum(lo for lo, hi in box) > mt):
+        r = self._region()._meet(other._region())
+        box = tuple(zip(r.lows, r.highs))
+        if r._empty():
+            mt = _max_total(r, self.max_total is not None or other.max_total is not None)
             raise EmptyWindow(f"no surviving window: {box} (max total {mt})")
         R = self.ring
-
-        def inside(e):
-            if mt is not None and _tot(e) > mt:
-                return False
-            return all(lo <= x <= hi for x, (lo, hi) in zip(e, box))
-
-        keys = {e for e in self.coeffs if inside(e)}
-        keys |= {e for e in other.coeffs if inside(e)}
+        keys = {e for w in (self, other) for e in w.coeffs if r._contains(e)}
         zero = R.zero()
         for e in sorted(keys):
             if not R.eq(self.coeffs.get(e, zero), other.coeffs.get(e, zero)):
@@ -1123,32 +1145,8 @@ class BilateralWindow:
 
     def window_size(self):
         """Number of certified exponent vectors (for check reports)."""
-        if self.is_empty_window():
-            return 0
-        count = 0
-        from itertools import product as iproduct
-        ranges = [range(lo, hi + 1) for lo, hi in self.reliable]
-        for e in iproduct(*ranges):
-            if self.max_total is None or _tot(e) <= self.max_total:
-                count += 1
-        return count
+        return self._region()._size()
 
     def __repr__(self):
         return (f"<window {self.vars} reliable {self.reliable} "
                 f"max_total {self.max_total} ({len(self.coeffs)} terms)>")
-
-    def to_json(self):
-        R = self.ring
-        if R.kind == "mod":
-            ring = {"kind": "mod", "m": R.modulus}
-        elif R.kind == "parampoly":
-            ring = {"kind": "parampoly", "base": R.base.kind, "params": list(R.params)}
-        else:
-            ring = {"kind": R.kind}
-        terms = [{"exp": list(e), "coeff": R.to_text(c)}
-                 for e, c in sorted(self.coeffs.items())]
-        d = {"ring": ring, "vars": list(self.vars), "terms": terms,
-             "reliable": [list(r) for r in self.reliable]}
-        if self.max_total is not None:
-            d["max_total"] = self.max_total
-        return d

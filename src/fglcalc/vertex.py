@@ -1050,10 +1050,10 @@ class MeromorphicityPair:
         return all(r is None or r.ok for r in self.checks.values())
 
     def to_json(self):
+        """The law, N and the check reports; the window p is not serialized."""
         return {
             "law": self.law,
             "N": self.N,
-            "p": self.p.to_json(),
             "checks": {k: (None if r is None else r.to_json())
                        for k, r in self.checks.items()},
         }

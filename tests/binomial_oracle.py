@@ -137,7 +137,7 @@ def _binomial_series(f, h_coeffs, n, t_rel, work_floors):
             term = LaurentElement(R, f.vars, term.coeffs, term.trunc,
                                   _clean=True)
         else:
-            loop_floors = LaurentElement._join_floors_add(loop_floors, term.floors)
+            loop_floors = _join_floors(loop_floors, term.floors)
         if term.is_zero():
             break
         if not R.is_zero(coef):
@@ -161,10 +161,15 @@ def _binomial_series(f, h_coeffs, n, t_rel, work_floors):
     else:
         acc = acc.truncate(acc.trunc, floors=loop_floors)
         acc = LaurentElement(R, f.vars, acc.coeffs, acc.trunc,
-                             floors=LaurentElement._join_floors_add(acc.floors, loop_floors))
+                             floors=_join_floors(acc.floors, loop_floors))
     return acc, min_trunc
 
 
 def _first_cut(e, floors):
     # the variable whose floor ``LaurentElement.truncate`` cuts e at
     return next(i for i, fl in enumerate(floors) if fl is not None and e[i] < fl)
+
+
+def _join_floors(f1, f2):
+    # the higher floor per variable, None where neither element has one
+    return tuple(b if a is None else a if b is None else max(a, b) for a, b in zip(f1, f2))

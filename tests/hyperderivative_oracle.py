@@ -29,9 +29,14 @@ def hyperderivative_expansion(law, f):
     for (e,), c in sorted(f.coeffs.items()):
         g = law.power(e, floors=deep if e < 0 else None).truncate(t + min(e, 0))
         out_t = min(out_t, g.trunc)
-        floors = LaurentElement._join_floors_add(floors, g.floors)
+        floors = _join_floors(floors, g.floors)
         sparse_add(R, out, ((x, R.mul(v, c)) for x, v in g.coeffs.items()))
     return LaurentElement(R, ("z", "w"), out, out_t, floors=floors)
+
+
+def _join_floors(f1, f2):
+    # the higher floor per variable, None where neither element has one
+    return tuple(b if a is None else a if b is None else max(a, b) for a, b in zip(f1, f2))
 
 
 def slice_w(g, n):

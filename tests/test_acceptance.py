@@ -174,7 +174,7 @@ def test_criterion_04_f_binomial_tables():
 def test_criterion_05_delta_suite():
     with _budget(5, "delta suite", 60):
         # displayed series on the box [-6,6]
-        D = delta_F(_law("additive", 12), box=(-6, 6)).window
+        D = delta_F(_law("additive", 12), box=(-6, 6))
         for e0 in range(-6, 7):
             for e1 in range(-6, 7):
                 if not D._inside((e0, e1)):
@@ -184,7 +184,7 @@ def test_criterion_05_delta_suite():
         L = _law("one_parameter", 12)
         R = L.ring
         s = R.param("s")
-        D = delta_F(L, box=(-6, 6)).window
+        D = delta_F(L, box=(-6, 6))
         for e0 in range(-6, 7):
             for e1 in range(-6, 7):
                 if not D._inside((e0, e1)):
@@ -329,8 +329,8 @@ def test_criterion_10_cross_truncation_stability():
                 L8, [(-1, 0, -1), (-2, 1, -1), (0, -2, 0)]).ok, kind
             assert hyperderivative_properties(L8, nmax=2).ok, kind
             # windows at B = 4 agree with the B = 6 run restricted
-            D4 = delta_F(L12, box=(-4, 4)).window
-            D6 = delta_F(L12, box=(-6, 6)).window
+            D4 = delta_F(L12, box=(-4, 4))
+            D6 = delta_F(L12, box=(-6, 6))
             for e in set(D4.coeffs) | set(D6.coeffs):
                 if D4._inside(e) and D6._inside(e):
                     assert R.eq(D4.coeffs.get(e, R.zero()),

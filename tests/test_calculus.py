@@ -197,8 +197,7 @@ def test_double_composition_identity():
 
 
 def test_delta_additive_displayed_series():
-    D = delta_F(ADD, box=(-6, 6))
-    win = D.window
+    win = delta_F(ADD, box=(-6, 6))
     R = ADD.ring
     for e0 in range(-6, 7):
         for e1 in range(-6, 7):
@@ -211,8 +210,7 @@ def test_delta_additive_displayed_series():
 
 def test_delta_one_parameter_displayed_series():
     # z^{-1} delta_{F_s}(w/z) = (1 + s w) sum_n w^n z^{-n-1}
-    D = delta_F(ONEP, box=(-6, 6))
-    win = D.window
+    win = delta_F(ONEP, box=(-6, 6))
     R = ONEP.ring
     s = R.param("s")
     for e0 in range(-6, 7):
@@ -227,14 +225,6 @@ def test_delta_one_parameter_displayed_series():
             else:
                 want = R.zero()
             assert R.eq(win.coeffs.get(e, R.zero()), want), e
-
-
-def test_delta_window_json_shape():
-    D = delta_F(MUL)
-    d = D.to_json()
-    assert d["law"] == "multiplicative"
-    assert d["orderings"] == [["z", "w"], ["w", "z"]]
-    assert "max_total" in d
 
 
 def test_delta_support_univariate():
@@ -252,7 +242,7 @@ def test_delta_support_two_variable():
     # the truncation of f is a polynomial, exact with truncation inf, that
     # vanishes on the diagonal too: each total degree of F(w, iota w) = 0
     # vanishes by itself
-    D = delta_F(MUL).window
+    D = delta_F(MUL)
     prod = D.mul_laurent(LaurentElement(f.ring, f.vars, f.coeffs, inf))
     assert prod.is_zero_on_window()
 

@@ -3,6 +3,7 @@ package's exports, so an API change cannot leave them broken."""
 
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -55,6 +56,16 @@ def test_payload_gate_reports_a_difference(tmp_path):
         assert f"DIFFERS  fgl --kind additive --trunc {trunc}:" in done.stdout
     assert "3 of 3 commands differ" in done.stdout
     assert _run_gate(["--against", str(tmp_path / "nowhere")]).returncode == 2
+
+
+def test_every_mutant_text_occurs_once():
+    # the mutation gate's list cannot rot silently: each mutant's text is
+    # still in its file exactly once (no mutant is run here)
+    mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))["MUTANTS"]
+    for name, text, replacement, label, expected in mutants:
+        assert (ROOT / "src" / "fglcalc" / name).read_text().count(text) == 1, label
+        assert replacement != text, label
+        assert expected == "killed" or expected.startswith("equivalent: "), label
 
 
 def test_every_export_resolves():

@@ -584,6 +584,64 @@ def test_window_factor_rings():
             win.mul_laurent(LaurentElement(ring, vars, {(1, 0): 1}, 3))
 
 
+def test_window_view_certifies_below_the_truncation_and_above_the_floors():
+    # from_laurent certifies exactly the box cells f certifies: none at total
+    # degree f.trunc or more, and every one below it at or above f's floors
+    box = [(-4, 4), (-4, 4)]
+    for trunc, floors in ((-1, (None, None)), (0, (-2, None)), (3, (None, -1)),
+                          (6, (1, -3))):
+        f = lz({(1, 0): 1, (-1, 1): 2, (2, 2): 3}, vars=("z", "w"),
+               trunc=trunc).truncate(trunc, floors=floors)
+        win = BilateralWindow.from_laurent(f, box)
+        for e in product(range(-4, 5), repeat=2):
+            assert win._inside(e) == f.reliable_at(e), (trunc, floors, e)
+        assert win.coeffs == f.coeffs
+
+
+@given(data=st.data(), ring=st.sampled_from(sorted(SCALAR_RINGS)),
+       window=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_certified_product_cells_are_cells_of_the_full_product(data, ring, window):
+    # x is a series with floors on z, or a window that states no support; g
+    # is a series (with floors on z unless x is a window).  Each stands for
+    # a full element: its stored cells plus a dense tail on every cell of a
+    # grid that its region leaves unknown and whose total degree is at least
+    # its least true total (the least stored one, or the first uncertified
+    # total).  Every cell the product certifies is that cell of the product
+    # of the full elements.
+    R, left, right = SCALAR_RINGS[ring]
+    grid = list(product(range(-4, 6), repeat=2))
+
+    def full(stored, certified, least, values):
+        c = data.draw(values)
+        tail = {e: c for e in grid if not certified(e) and sum(e) >= least}
+        return {**tail, **stored}
+
+    def series(values, floored):
+        floor = st.one_of(st.none(), st.integers(-2, 0)) if floored else st.none()
+        return LaurentElement(R, ("z", "w"), _terms(data, values, -2, 2),
+                              data.draw(st.integers(1, 5)),
+                              floors=(data.draw(floor), None))
+
+    g = series(right, not window)
+    if window:
+        x = _window(data, R, left)
+        h = x.mul_laurent(g)
+        top = inf if x.max_total is None else x.max_total
+        xs = full(x.coeffs, x._inside, min([top + 1] + [sum(e) for e in x.coeffs]), left)
+        certified = h._inside
+    else:
+        x = series(left, True)
+        h = x * g
+        xs = full(x.coeffs, x.reliable_at, _val(x), left)
+        certified = h.reliable_at
+    gs = full(g.coeffs, g.reliable_at, _val(g), right)
+    want = _naive_product(R, xs, gs)
+    for e in set(want) | set(h.coeffs):
+        if certified(e):
+            assert R.eq(h.coeffs.get(e, R.zero()), want.get(e, R.zero())), e
+
+
 # -- substitute and comp_inverse against the per-monomial product loop --------
 
 
