@@ -102,8 +102,6 @@ class _Region:
 
     def _size(self):
         """The number of cells in a region with finite lows and highs."""
-        if self._empty():
-            return 0
         from itertools import product as iproduct
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.lows, self.highs)]
         return sum(1 for e in iproduct(*ranges) if _tot(e) <= self.top)
@@ -141,6 +139,12 @@ class _Region:
         cells counts as 0), while a stated low stays; the top is min(top_x +
         least_y, top_y + least_x).  The product states its support when both
         factors do and no finite low meets a negative exponent of the other.
+        An unknown cell of one factor meeting one of the other is not
+        counted, which is sound only when a factor is a series without
+        floors (a PowerSeries, ``mul_laurent``'s g) or the floors of both
+        lie in one variable: 1 with floors (0, None) times 1 with floors
+        (None, 0), at truncation 1, certifies (0, 0) = 1, where z^-1 w times
+        z w^-1 adds 1.  fglcalc's checks never form such a product.
         """
         lows, highs = [-inf] * len(self.lows), [inf] * len(self.lows)
         stated = self.stated and other.stated
@@ -1100,12 +1104,8 @@ class BilateralWindow:
     def mul_laurent(self, g):
         """The one product of a window and a series: g has no floors and is
         known below total degree ``g.trunc`` (``math.inf`` when exact), over
-        the window's ring or the scalars of a window of states.
-
-        Its region is ``_Region._product``'s: each high moves by g's least
-        exponent, each low rises by g's largest one unless the support is
-        stated, and the product states its support when the window does and
-        g has no negative exponent.
+        the window's ring or the scalars of a window of states, on the
+        region of ``_Region._product``.
         """
         if isinstance(g, BilateralWindow):
             raise NonConvergentProduct("product of two bilateral series is undefined")

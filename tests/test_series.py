@@ -642,6 +642,22 @@ def test_certified_product_cells_are_cells_of_the_full_product(data, ring, windo
             assert R.eq(h.coeffs.get(e, R.zero()), want.get(e, R.zero())), e
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the product rule does not count an unknown cell of one "
+                   "factor meeting an unknown cell of the other")
+def test_product_of_series_floored_in_different_variables_is_sound():
+    # x is cut below z^0 and g below w^0, so x's z^-1 w and g's z w^-1 are
+    # unknown; both have total degree 0, the least true total of each
+    one = Fraction(1)
+    x = LaurentElement(QQ, ("z", "w"), {(0, 0): one}, 1, floors=(0, None))
+    g = LaurentElement(QQ, ("z", "w"), {(0, 0): one}, 1, floors=(None, 0))
+    h = x * g
+    want = _naive_product(QQ, {**x.coeffs, (-1, 1): one}, {**g.coeffs, (1, -1): one})
+    for e in set(want) | set(h.coeffs):
+        if h.reliable_at(e):
+            assert h.coeffs.get(e, 0) == want.get(e, 0), e
+
+
 # -- substitute and comp_inverse against the per-monomial product loop --------
 
 
