@@ -39,12 +39,15 @@ MUTANTS = [
     ("series.py", "        return LaurentElement(R, self.vars, out, r.top + 1, floors=r._floors())\n",
      "        return LaurentElement(R, self.vars, out, r.top + 2, floors=r._floors())\n",
      "LaurentElement.__mul__: truncation + 1", "killed"),
-    ("series.py", "other.top + self._least(a))",
-     "other.top + self._least(a) + 1)",
+    ("series.py", "other.top + least_x)",
+     "other.top + least_x + 1)",
      "_Region._product: tail bound least + g.trunc", "killed"),
-    ("series.py", "min(self.top + other._least(b),",
-     "min(self.top + other._least(b) + 1,",
+    ("series.py", "min(self.top + least_y,",
+     "min(self.top + least_y + 1,",
      "_Region._product: ceiling top + least + 1", "killed"),
+    ("series.py", "            top = min(top, least_x + least_y - 1)\n",
+     "            pass\n",
+     "_Region._product: drop the cap for cuts in different variables", "killed"),
     ("series.py", "lows[i] = max(lows[i], lo + rise)",
      "lows[i] = max(lows[i], lo + rise - 1)",
      "_Region._product: low - 1", "killed"),

@@ -117,9 +117,6 @@ class FBinomialTable:
             self.slices[n] = LaurentElement(s.ring, s.vars, {**s.coeffs, (i, j): v},
                                             s.trunc, floors=s.floors, _clean=True)
 
-    def reliable(self, n, i, j):
-        return self.slices[n].reliable_at((i, j))
-
     def entry(self, n, i, j):
         return self.slices[n].certified((i, j))
 

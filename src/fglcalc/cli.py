@@ -79,19 +79,6 @@ class CliConfig:
             raise ConfigError(f"unknown format {format!r}")
 
 
-def _parse_params(pairs):
-    out = {}
-    for p in pairs or []:
-        if "=" not in p:
-            raise ConfigError(f"--param expects key=val, got {p!r}")
-        k, v = p.split("=", 1)
-        try:
-            out[k] = int(v)
-        except ValueError:
-            out[k] = v
-    return out
-
-
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -444,8 +431,6 @@ def build_parser():
     common.add_argument("--kind", default="additive",
                         choices=["additive", "multiplicative", "one_parameter",
                                  "elliptic", "p_typical"])
-    common.add_argument("--param", action="append", default=[],
-                        metavar="key=val")
     common.add_argument("--law-file", default=None)
     common.add_argument("--trunc", type=int, default=12)
     common.add_argument("--window", type=int, default=6)
@@ -454,7 +439,7 @@ def build_parser():
     common.add_argument("--format", default="json",
                         choices=["json", "csv", "pretty"])
     common.add_argument("--out", default=None)
-    # convenience aliases used by the p_typical examples
+    # the parameters of p_typical, the only built-in law that reads any
     common.add_argument("--p", type=int, default=None)
     common.add_argument("--h", type=int, default=None)
     common.add_argument("--inject-fault", action="store_true",
@@ -476,11 +461,7 @@ def build_parser():
 
 
 def config_from_args(args):
-    params = _parse_params(args.param)
-    if args.p is not None:
-        params.setdefault("p", args.p)
-    if args.h is not None:
-        params.setdefault("h", args.h)
+    params = {k: v for k, v in (("p", args.p), ("h", args.h)) if v is not None}
     return CliConfig(kind=args.kind, params=params, law_file=args.law_file,
                      trunc=args.trunc, window=args.window, weight=args.weight,
                      seed=args.seed, format=args.format, out=args.out,

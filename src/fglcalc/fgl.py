@@ -210,12 +210,6 @@ class FormalGroupLaw:
 
     # -- operations --------------------------------------------------------
 
-    def apply(self, x, y):
-        """F(x, y) for power series x, y over a common variable list."""
-        if x.vars != y.vars:
-            raise ValueError("operands must share variables")
-        return self.F.substitute({Z: x, W: y})
-
     def partial_derivative(self, m, n):
         """F^{m,n} = d^{m+n} F / dz^m dw^n, without factorial normalization."""
         out = self.F
@@ -249,7 +243,10 @@ class FormalGroupLaw:
     def power(self, n, *, twisted=False, dominant=0, floors=None, trunc=None):
         """F(z, w)^n, or F(z, iota w)^n when twisted.
 
-        The expansion has (z, w)[dominant] dominant; exponents and ``floors``
+        A twisted expansion has (z, w)[dominant] dominant; F(z, w)^n is
+        z-dominant, and ``dominant=1`` without ``twisted`` raises ValueError:
+        F is symmetric, so the w-dominant expansion of F(z,w)^n is
+        ``power(n).rename(("w", "z"))``.  Exponents and ``floors``
         (as ``LaurentElement.int_power`` takes them, default -N on both
         variables for n < 0, N the law's truncation) are in (z, w) order.
         With ``trunc`` below the power's natural truncation N - 1 + n, and n
@@ -264,10 +261,10 @@ class FormalGroupLaw:
         is kept in the law's power table under (twisted, dominant, n, floors)
         by the table's one depth rule (``_served``); the stored coefficient
         dict must not be mutated.  A caller that needs other variable names
-        reads the entry through ``rename``, a view sharing that dict.  F is
-        symmetric, so the w-dominant expansion of F(z,w)^n is
-        ``power(n).rename(("w", "z"))``.
+        reads the entry through ``rename``, a view sharing that dict.
         """
+        if dominant and not twisted:
+            raise ValueError('the w-dominant F(z,w)^n is power(n).rename(("w", "z"))')
         natural = self.trunc if n == 0 else self.trunc - 1 + n
         t = natural if n in (0, 1) or trunc is None else min(trunc, natural)
         return self._served((twisted, dominant, n, floors), t,
@@ -289,10 +286,7 @@ class FormalGroupLaw:
             # the base has valuation 1, so F^n is certified below its
             # truncation - 1 + n
             base = self.power(1).truncate(max(2, t - n + 1))
-            if dominant:
-                g = base.reorder((W, Z)).int_power(n, floors=floors[::-1]).reorder((Z, W))
-            else:
-                g = base.int_power(n, floors=floors)
+            g = base.int_power(n, floors=floors)
         # n >= t: the power has no cell below total degree t
         return g.truncate(t) if g.trunc > t else g
 
@@ -306,9 +300,9 @@ class FormalGroupLaw:
 
     def power_slices(self, n, cap, floor):
         """(S_0, ..., S_cap): the w^j slices, j <= cap, of the z-dominant
-        F(z,w)^n, n < 0, cut below z^floor.  S_j is ``power(n,
-        floors=(floor, None)).coefficient_of("w", j)``: one variable z, the
-        power's truncation minus j and its z floor ``floor``.  The
+        F(z,w)^n, n < 0, cut below z^floor.  S_j holds the cells of ``power(n,
+        floors=(floor, None))`` of w-exponent j: one variable z, the power's
+        truncation minus j and its z floor ``floor``.  The
         recurrence stops at w-degree cap (``LaurentElement.power_slices``),
         so the cells of higher w-degree are never formed, and reading a
         slice above cap raises WindowMiss.  The slices are one entry per

@@ -38,7 +38,8 @@ class Ring:
     """A commutative unital ring with exact arithmetic on raw values.
 
     ``Ring(kind, ...)`` returns the per-kind subclass: Rationals, Integers,
-    IntegersMod or ParamPoly.  Each provides zero, from_int, add, neg, mul,
+    IntegersMod or ParamPoly.  Each provides zero, from_int, from_fraction
+    (ValueError for a fraction outside the ring), add, neg, mul,
     try_invert (b with a*b = 1, or NOT_INVERTIBLE; never raises for
     non-units), divide_by_int (exact division by a nonzero integer; raises if
     not divisible), denominator (the least positive integer D with D*a
@@ -99,9 +100,6 @@ class Ring:
             and self.params == other.params
             and (self.base == other.base)
         )
-
-    def __hash__(self):
-        return hash((self.kind, self.modulus, self.params, self.base))
 
     def __repr__(self):
         return f"Ring({self.kind})"

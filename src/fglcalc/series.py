@@ -137,14 +137,15 @@ class _Region:
         (``_least``).  So a cut low rises by the other factor's largest
         exponent and a high moves by its least one (a factor with no stored
         cells counts as 0), while a stated low stays; the top is min(top_x +
-        least_y, top_y + least_x).  The product states its support when both
-        factors do and no finite low meets a negative exponent of the other.
-        An unknown cell of one factor meeting one of the other is not
-        counted, which is sound only when a factor is a series without
-        floors (a PowerSeries, ``mul_laurent``'s g) or the floors of both
-        lie in one variable: 1 with floors (0, None) times 1 with floors
-        (None, 0), at truncation 1, certifies (0, 0) = 1, where z^-1 w times
-        z w^-1 adds 1.  fglcalc's checks never form such a product.
+        least_y, top_y + least_x).  An unknown cell of one factor meets one
+        of the other below a low only when the two are cut in different
+        variables (a cut low of x in z, of y in w): their product lies
+        anywhere at total degree least_x + least_y or more, so the top is
+        then at most least_x + least_y - 1.  Cut in one variable only, such
+        a product lies below the product's low there (above the top when a
+        factor has no stored cells).  The product states its support when
+        both factors do and no finite low meets a negative exponent of the
+        other.
         """
         lows, highs = [-inf] * len(self.lows), [inf] * len(self.lows)
         stated = self.stated and other.stated
@@ -156,8 +157,13 @@ class _Region:
                     stated = stated and min((e[i] for e in cells), default=0) >= 0
                 if hi < inf:
                     highs[i] = min(highs[i], hi + min((e[i] for e in cells), default=0))
-        return _Region(tuple(lows), tuple(highs),
-                       min(self.top + other._least(b), other.top + self._least(a)), stated)
+        least_x, least_y = self._least(a), other._least(b)
+        top = min(self.top + least_y, other.top + least_x)
+        cuts = [set() if r.stated else {i for i, lo in enumerate(r.lows) if lo > -inf}
+                for r in (self, other)]
+        if any(i != j for i in cuts[0] for j in cuts[1]):
+            top = min(top, least_x + least_y - 1)
+        return _Region(tuple(lows), tuple(highs), top, stated)
 
 
 class LaurentElement:
@@ -263,29 +269,11 @@ class LaurentElement:
                              f"(trunc {self.trunc}, floors {self.floors})")
         return self.coefficient(e)
 
-    def truncate(self, n, floors=None):
-        """Truncate to total degree n and, optionally, clip below floors.
-
-        A requested floor is only recorded when it actually removes a stored
-        term; clipping nothing leaves the element exact in that direction.
-        """
+    def truncate(self, n):
+        """Truncate to total degree n (at most the element's own)."""
         n = min(n, self.trunc)
-        out_floors = list(self.floors)
         coeffs = {e: c for e, c in self.coeffs.items() if _tot(e) < n}
-        if floors is not None:
-            for i, f in enumerate(floors):
-                if f is None:
-                    continue
-                cur = out_floors[i]
-                if cur is not None and cur >= f:
-                    continue
-                cut = [e for e in coeffs if e[i] < f]
-                if cut:
-                    for e in cut:
-                        del coeffs[e]
-                    out_floors[i] = f
-        return type(self)(self.ring, self.vars, coeffs, n,
-                          floors=tuple(out_floors), _clean=True)
+        return type(self)(self.ring, self.vars, coeffs, n, floors=self.floors, _clean=True)
 
     def __eq__(self, other):
         return (
@@ -296,9 +284,6 @@ class LaurentElement:
             and self.floors == other.floors
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.vars, self.trunc, self.floors, len(self.coeffs)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -410,8 +395,8 @@ class LaurentElement:
         """(s_0, ..., s_kmax): the y^j slices of ``int_power(n, floors=(floor,
         None))``, n < 0, for an exact two-variable base (x, y) whose leading
         term is free of y and has a unit coefficient, as ``CappedSlices``.
-        Slice j is that power's ``coefficient_of(y, j)``: a one-variable
-        element in x with the power's truncation minus j and the x floor
+        Slice j holds that power's cells of y-exponent j as a one-variable
+        element in x, with the power's truncation minus j and the x floor
         ``floor``.  The recurrence, graded by y, stops at grade kmax, so the
         power itself is never formed.  The x floor is the power's whenever
         the base has a term of its leading term's total degree (then
@@ -466,16 +451,6 @@ class LaurentElement:
         return out, t_rel + n * v, out_floors
 
     # -- expansion maps ----------------------------------------------------
-
-    def reorder(self, ordering):
-        """Permute the variable axes (exact elements only)."""
-        ordering = tuple(ordering)
-        idx = [self.vars.index(v) for v in ordering]
-        out = {}
-        for e, c in self.coeffs.items():
-            out[tuple(e[i] for i in idx)] = c
-        floors = tuple(self.floors[i] for i in idx)
-        return LaurentElement(self.ring, ordering, out, self.trunc, floors=floors)
 
     def extend(self, new_vars):
         """View in a larger variable list (new variables get exponent 0)."""
@@ -659,18 +634,6 @@ class LaurentElement:
         if not rest:
             return LaurentElement.const(R, (), out.get((), R.zero()), t + 1)
         return LaurentElement(R, rest, out, t + 1, floors=floors[:i] + floors[i + 1:])
-
-    def coefficient_of(self, name, k):
-        """Coefficient of name^k as an element in the remaining variables."""
-        i = self.vars.index(name)
-        R = self.ring
-        rest = self.vars[:i] + self.vars[i + 1:]
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i] == k:
-                out[e[:i] + e[i + 1:]] = c
-        floors = self.floors[:i] + self.floors[i + 1:]
-        return LaurentElement(R, rest, out, self.trunc - k, floors=floors)
 
     def scalar(self):
         """The value of a zero-variable element."""
@@ -1067,9 +1030,6 @@ class BilateralWindow:
         return BilateralWindow(self.ring, self.vars, coeffs, zip(r.lows, r.highs),
                                _max_total(r, bounded), r.stated)
 
-    def _inside(self, e):
-        return self._region()._contains(e)
-
     def is_empty_window(self):
         return self._region()._empty()
 
@@ -1142,10 +1102,6 @@ class BilateralWindow:
         if self.is_empty_window():
             raise EmptyWindow(f"no surviving window: {self.reliable}")
         return not self.coeffs
-
-    def window_size(self):
-        """Number of certified exponent vectors (for check reports)."""
-        return self._region()._size()
 
     def __repr__(self):
         return (f"<window {self.vars} reliable {self.reliable} "

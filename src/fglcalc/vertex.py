@@ -141,9 +141,6 @@ class StateSpace:
     def __eq__(self, other):
         return isinstance(other, StateSpace) and self.base == other.base
 
-    def __hash__(self):
-        return hash(("state-module", self.base))
-
     def __repr__(self):
         return f"StateSpace({self.base!r})"
 
@@ -188,9 +185,6 @@ class VertexFAlgebra:
         self.adapter = StateSpace(law.ring)
         self.vacuum = {(): 1}
         self._quotients = {}
-
-    def weight(self, s):
-        return state_weight(s)
 
     def y_field(self, a, c, kmax):
         """{k: coefficient of z^k in Y(a,z)c} for k up to kmax (finite below)."""
@@ -337,24 +331,18 @@ class TrivialAlgebra(VertexFAlgebra):
 
     States are r*vac + s*eps with eps^2 = 0, Y(a,z)b = (S(z)a) * b, and the
     honest shift is the identity (S^(0) = id, higher components zero), making
-    every axiom hold with N = M = 0.  With corrupt=True the higher shift
-    components instead act as the projection onto the nilpotent line, which
-    breaks translation covariance and weak associativity in a way the
-    checkers must localize.
+    every axiom hold with N = M = 0.  A subclass whose ``shift`` breaks this
+    is how the tests check that the axiom checkers localize a fault.
     """
 
     EPS = ("e",)
     W = 4
 
-    def __init__(self, law, corrupt=False):
+    def __init__(self, law):
         if law.ring.kind != "rationals":
             raise NeedsField("fixture uses exact rational states")
         super().__init__(law)
-        self.corrupt = corrupt
         self.eps = {self.EPS: 1}
-
-    def weight(self, s):
-        return 0
 
     def basis_monomials(self, W=None):
         return [(), self.EPS]
@@ -372,12 +360,7 @@ class TrivialAlgebra(VertexFAlgebra):
         return out
 
     def shift(self, n, s):
-        if n == 0:
-            return dict(s)
-        if self.corrupt:
-            c = s.get(self.EPS, 0)
-            return {self.EPS: c} if c else {}
-        return {}
+        return dict(s) if n == 0 else {}
 
     def y_defined(self, a):
         return True
@@ -474,9 +457,6 @@ class LieClass:
 
     def __add__(self, other):
         return self.quotient.reduce(st_add(self.rep, other.rep))
-
-    def to_json(self):
-        return {"rep": state_to_json(self.rep)}
 
     def __repr__(self):
         return f"LieClass({state_text(self.rep)})"

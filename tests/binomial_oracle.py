@@ -20,6 +20,14 @@ from fglcalc.ring import NOT_INVERTIBLE, sparse_add, sparse_mul
 from fglcalc.series import LaurentElement, NotInvertibleError, _tot, comb_any
 
 
+def swap_variables(f):
+    """f in two variables with their exponents and floors exchanged: under
+    the same names the second variable dominates, which is how the tests
+    expand a w-dominant power by a z-dominant route."""
+    return LaurentElement(f.ring, f.vars, {e[::-1]: c for e, c in f.coeffs.items()},
+                          f.trunc, floors=f.floors[::-1])
+
+
 def binomial_power(f, n, floors=None):
     """f^n by the binomial loop."""
     R = f.ring
@@ -130,7 +138,7 @@ def _binomial_series(f, h_coeffs, n, t_rel, work_floors):
         k += 1
         coef = R.from_int(comb_any(n, k))
         full = term * h
-        term = full.truncate(work_trunc, floors=cut_floors)
+        term = clip(full, work_trunc, cut_floors)
         if deep:
             mark({e: c for e, c in full.coeffs.items()
                   if _tot(e) < work_trunc and e not in term.coeffs}, coef)
@@ -151,7 +159,7 @@ def _binomial_series(f, h_coeffs, n, t_rel, work_floors):
         k += 1
         mark({}, R.from_int(comb_any(n, k)))
     if deep:
-        acc = acc.truncate(acc.trunc, floors=work_floors)
+        acc = clip(acc, acc.trunc, work_floors)
         final = tuple(
             wf if wf is not None and (dropped[i] or acc.floors[i] is not None)
             else None
@@ -159,14 +167,32 @@ def _binomial_series(f, h_coeffs, n, t_rel, work_floors):
         acc = LaurentElement(R, f.vars, acc.coeffs, acc.trunc,
                              floors=final, _clean=True)
     else:
-        acc = acc.truncate(acc.trunc, floors=loop_floors)
+        acc = clip(acc, acc.trunc, loop_floors)
         acc = LaurentElement(R, f.vars, acc.coeffs, acc.trunc,
                              floors=_join_floors(acc.floors, loop_floors))
     return acc, min_trunc
 
 
+def clip(f, n, floors):
+    """f cut to total degree n and below ``floors``.  A floor is recorded
+    only where it removes a stored cell (and lies above f's own there), so
+    clipping nothing leaves f exact in that direction."""
+    coeffs = {e: c for e, c in f.coeffs.items() if _tot(e) < n}
+    out_floors = list(f.floors)
+    for i, fl in enumerate(floors):
+        if fl is None or (out_floors[i] is not None and out_floors[i] >= fl):
+            continue
+        cut = [e for e in coeffs if e[i] < fl]
+        for e in cut:
+            del coeffs[e]
+        if cut:
+            out_floors[i] = fl
+    return LaurentElement(f.ring, f.vars, coeffs, min(n, f.trunc), floors=out_floors,
+                          _clean=True)
+
+
 def _first_cut(e, floors):
-    # the variable whose floor ``LaurentElement.truncate`` cuts e at
+    # the variable whose floor ``clip`` cuts e at
     return next(i for i, fl in enumerate(floors) if fl is not None and e[i] < fl)
 
 

@@ -40,8 +40,9 @@ def _join_floors(f1, f2):
 
 
 def slice_w(g, n):
-    """The w^n coefficient of g, which must lie at or above g's w floor."""
-    wi = g.vars.index("w")
-    if g.floors[wi] is not None and n < g.floors[wi]:
+    """The w^n coefficient of g in (z, w), an element in z; n must lie at
+    or above g's w floor."""
+    if g.floors[1] is not None and n < g.floors[1]:
         raise WindowMiss(f"w^{n} slice below the reliable floor")
-    return g.coefficient_of("w", n)
+    return LaurentElement(g.ring, ("z",), {(i,): c for (i, j), c in g.coeffs.items() if j == n},
+                          g.trunc - n, floors=g.floors[:1])

@@ -115,7 +115,6 @@ def test_fgl_p_typical_integrality(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["--h", "0"], ["--h", "-1"], ["--p", "1"], ["--p", "0"], ["--p", "-2"],
-    ["--param", "p=x"],
 ])
 def test_fgl_p_typical_bad_parameters_exit_2(args):
     # q = p^h <= 1 used to loop forever in _phi_p, and a negative or
@@ -126,6 +125,14 @@ def test_fgl_p_typical_bad_parameters_exit_2(args):
     assert "Traceback" not in done.stderr
     assert "ConfigError" in done.stderr and "p >= 2 and h >= 1" in done.stderr
     assert done.stdout == ""
+
+
+def test_param_is_not_an_option():
+    # --p and --h set the only parameters a built-in law reads; there is no
+    # second key=value route that could take keys no law reads
+    done = run_process(["fgl", "--kind", "additive", "--param", "foo=1"], timeout=60)
+    assert done.returncode == 2
+    assert "unrecognized arguments: --param" in done.stderr
 
 
 def test_fgl_malformed_law_file_exits_2(tmp_path):

@@ -68,6 +68,26 @@ def test_every_mutant_text_occurs_once():
         assert expected == "killed" or expected.startswith("equivalent: "), label
 
 
+def test_reach_map_lists_every_function_no_command_enters():
+    # scripts/reach.py --subset runs 17 of the payload gate's commands under
+    # the profiler (they enter the same defs as all of the gate's): every def
+    # they do not enter is in LIBRARY_SURFACE, and every name listed there is
+    # a def they do not enter
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "reach.py"), "--subset"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    reach = runpy.run_path(str(ROOT / "scripts" / "reach.py"))
+    listed = [name for name, _ in reach["LIBRARY_SURFACE"]]
+    assert len(set(listed)) == len(listed)
+    # the verdict names a def neither entered nor listed, and a listed name
+    # that is entered or gone
+    names = set(listed) | {"fgl.unlisted"}
+    assert reach["problems"](names - {listed[0]}, {listed[1]}) == [
+        "not entered and not listed: fgl.unlisted",
+        f"listed but entered: {listed[1]}",
+        f"listed but no such def: {listed[0]}"]
+
+
 def test_every_export_resolves():
     assert len(set(fglcalc.__all__)) == len(fglcalc.__all__)
     missing = [name for name in fglcalc.__all__ if not hasattr(fglcalc, name)]
