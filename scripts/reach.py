@@ -9,16 +9,18 @@ reaches it; everything else the CLI does not reach is deleted.  A listed name
 that a command enters, or that no longer names a ``def``, is reported too.
 
 ``--subset`` runs ``subset``, 17 of the gate's commands that enter exactly
-the ``def``s all 67 enter, in a few seconds (the tier-1 suite runs it).
-``--tests [PYTEST_ARGS ...]`` then also runs pytest in process (the tier-1
-suite by default) and names, under each function no command enters, the
-tests that enter it; a test that reaches a function only through a
-subprocess is not seen.
+the ``def``s all 67 enter, in a few seconds (the tier-1 suite runs it).  The
+full run also runs ``subset`` and reports each ``def`` the gate enters and
+the subset does not, so the subset cannot drift from the gate unseen.
+``--tests`` then also runs pytest on ``tests/`` in process and names, under
+each function no command enters, the tests that enter it; a test that
+reaches a function only through a subprocess is not seen.
 
-Usage: python3 scripts/reach.py [--subset] [--tests [PYTEST_ARGS ...]]
+Usage: python3 scripts/reach.py [--subset] [--tests]
 
-Exit codes: 0 every function no command enters is listed and every listed
-name is a ``def`` no command enters, 1 otherwise.
+Exit codes: 0 every function no command enters is listed, every listed
+name is a ``def`` no command enters, the subset enters what the gate enters
+and (with ``--tests``) pytest passed; 1 otherwise.
 """
 
 import argparse
@@ -77,13 +79,11 @@ LIBRARY_SURFACE = [
     ("ring.IntegersMod.divide_by_int", TORSION),
     ("ring.IntegersMod.to_text", TORSION),
     ("series.LaurentElement.zero", f"{TORSION}: hyper/torsion_s1 over Z/m"),
-    ("ring.Ring.from_fraction", "Ring contract: from_fraction (QQ's reads law files)"),
-    ("ring.ParamPoly.from_fraction", "Ring contract: from_fraction (QQ's reads law files)"),
     ("series.LaurentElement.diagonal_eval", "scripts/law_survey.py"),
-    ("vertex.TrivialAlgebra.basis_monomials", "VertexFAlgebra contract: lie_axiom_check"),
     ("vertex.NotFound.__init__", "failure-report path: no order up to MAX_ORDER"),
     ("vertex.StateSpace.to_text", "failure-report path: a defect cell of states"),
-    ("series.LaurentElement.__eq__", "value equality, which the tests compare series by"),
+    ("series.LaurentElement.__eq__",
+     "acceptance criterion 2: phi(F(z,w)) == phi(z) + phi(w) compares series by value"),
     ("ring._NotInvertible.__repr__", REPR),
     ("ring.Ring.__repr__", REPR),
     ("ring.IntegersMod.__repr__", REPR),
@@ -154,10 +154,13 @@ def _profiled(on_call):
 def entered(cmds):
     """The keys of ``defs()`` that running ``cmds`` through the CLI enters."""
     codes = set()
+    # the first command imports the package afresh under the profiler, so
+    # that what runs at import counts for every list of commands
+    for name in [m for m in sys.modules if m.split(".")[0] == "fglcalc"]:
+        del sys.modules[name]
     for argv in cmds:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()), _profiled(codes.add):
-            # the first command imports the package under the profiler too
             from fglcalc.cli import main
             main(argv)
     return {(c.co_filename, c.co_firstlineno) for c in codes}
@@ -174,8 +177,9 @@ def problems(names, reached):
     return out
 
 
-def _tests_reaching(targets, pytest_args):
-    """{key: [test ids entering it]} for the def keys in ``targets``."""
+def _tests_reaching(targets):
+    """({key: [test ids entering it]} for the def keys in ``targets``,
+    pytest's exit code) for one run of pytest on tests/."""
     import pytest
 
     by_code, current = defaultdict(set), [None]
@@ -193,38 +197,44 @@ def _tests_reaching(targets, pytest_args):
             by_code[key].add(current[0])
 
     with _profiled(on_call):
-        pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args], plugins=[Plugin()])
-    return {key: sorted(ids) for key, ids in by_code.items()}
+        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")],
+                           plugins=[Plugin()])
+    return {key: sorted(ids) for key, ids in by_code.items()}, code
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--subset", action="store_true",
                     help="run subset() instead of the full gate list")
-    ap.add_argument("--tests", nargs=argparse.REMAINDER,
-                    help="also name the tests (pytest arguments, default tests/) "
-                         "that enter each function no command enters")
+    ap.add_argument("--tests", action="store_true",
+                    help="also run pytest on tests/ and name the tests that "
+                         "enter each function no command enters")
     args = ap.parse_args(argv)
+    found = defs()
     with tempfile.TemporaryDirectory() as law_dir:
         for name, law in payload_gate.LAW_FILES.items():
             (Path(law_dir) / f"{name}.json").write_text(json.dumps(law))
         cmds = subset(law_dir) if args.subset else payload_gate.gate_list(law_dir)
-        keys = entered(cmds)
-    found = defs()
-    reached = {found[k] for k in keys if k in found}
+        reached = {found[k] for k in entered(cmds) if k in found}
+        drift = (set() if args.subset else
+                 reached - {found[k] for k in entered(subset(law_dir)) if k in found})
     unreached = {k: n for k, n in found.items() if n not in reached}
     listed = dict(LIBRARY_SURFACE)
-    tests = (_tests_reaching(set(unreached), args.tests or [str(ROOT / "tests")])
-             if args.tests is not None else {})
+    if args.tests:
+        tests, code = _tests_reaching(set(unreached))
+        if code != 0:
+            print(f"pytest exited {code}: the tests entering each function are not known")
+            return 1
     print(f"{len(found)} defs in src/fglcalc; {len(cmds)} commands enter "
           f"{len(reached)}; {len(unreached)} are entered by none:")
     for (path, line), name in sorted(unreached.items(), key=lambda kv: kv[1]):
         print(f"  {name} ({Path(path).name}:{line}): "
               f"{listed.get(name, 'NOT LISTED')}")
-        if args.tests is not None:
+        if args.tests:
             ids = tests.get((path, line), [])
             print(f"    entered by {len(ids)} tests" + "".join(f"\n      {t}" for t in ids))
     bad = problems(set(found.values()), reached)
+    bad += [f"entered by the gate but not by subset(): {n}" for n in sorted(drift)]
     for line in bad:
         print(line)
     return 1 if bad else 0

@@ -38,8 +38,7 @@ class Ring:
     """A commutative unital ring with exact arithmetic on raw values.
 
     ``Ring(kind, ...)`` returns the per-kind subclass: Rationals, Integers,
-    IntegersMod or ParamPoly.  Each provides zero, from_int, from_fraction
-    (ValueError for a fraction outside the ring), add, neg, mul,
+    IntegersMod or ParamPoly.  Each provides zero, from_int, add, neg, mul,
     try_invert (b with a*b = 1, or NOT_INVERTIBLE; never raises for
     non-units), divide_by_int (exact division by a nonzero integer; raises if
     not divisible), denominator (the least positive integer D with D*a
@@ -111,12 +110,6 @@ class Ring:
 
     def one(self):
         return self.from_int(1)
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        if q.denominator == 1:
-            return self.from_int(q.numerator)
-        raise ValueError(f"{q} does not lie in {self!r}")
 
     def param(self, name):
         """The raw value of a single parameter variable."""
@@ -298,12 +291,6 @@ class ParamPoly(Ring):
 
     def from_int(self, n):
         return self._const(self.base.from_int(n))
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        if q.denominator != 1 and not self.base.contains_rationals:
-            raise ValueError(f"{q} does not lie in {self!r}")
-        return self._const(self.base.from_fraction(q))
 
     def add(self, a, b):
         if len(a) < len(b):

@@ -331,8 +331,9 @@ class TrivialAlgebra(VertexFAlgebra):
 
     States are r*vac + s*eps with eps^2 = 0, Y(a,z)b = (S(z)a) * b, and the
     honest shift is the identity (S^(0) = id, higher components zero), making
-    every axiom hold with N = M = 0.  A subclass whose ``shift`` breaks this
-    is how the tests check that the axiom checkers localize a fault.
+    every axiom hold with N = M = 0.  It has no monomial basis, so it is
+    not a Lie-axiom input.  A subclass whose ``shift`` breaks this is how
+    the tests check that the axiom checkers localize a fault.
     """
 
     EPS = ("e",)
@@ -343,9 +344,6 @@ class TrivialAlgebra(VertexFAlgebra):
             raise NeedsField("fixture uses exact rational states")
         super().__init__(law)
         self.eps = {self.EPS: 1}
-
-    def basis_monomials(self, W=None):
-        return [(), self.EPS]
 
     def mul(self, a, b):
         a0, a1 = a.get((), 0), a.get(self.EPS, 0)

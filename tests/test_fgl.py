@@ -118,7 +118,7 @@ def test_rescaled_associativity_check_reports_the_plain_monomial():
     # differ
     law = standard_law("elliptic", trunc=10)
     R = law.ring
-    bump = R.mul(R.from_fraction(Fraction(1, 3)), R.param("d"))
+    bump = R.mul({(0, 0): Fraction(1, 3)}, R.param("d"))
     coeffs = dict(law.F.coeffs)
     for e in [(2, 3), (3, 2)]:
         coeffs[e] = R.add(coeffs.get(e, R.zero()), bump)
@@ -571,13 +571,19 @@ def reference_law(kind):
     return REFERENCE_BUILDERS[kind]()
 
 
-def _assert_w_dominant_power_is_renamed(law):
-    # F(z,w)^n has no w-dominant entry of its own: the request is refused,
-    # and F is symmetric, so the z-dominant entry renamed is that expansion
-    for n in (-2, 0, 1, 3):
-        with pytest.raises(ValueError, match="rename"):
-            law.power(n, dominant=1)
-    assert law.F.coeffs == {e[::-1]: c for e, c in law.F.coeffs.items()}
+@pytest.mark.parametrize("kw", [{}, {"trunc": 4}, {"floors": (-3, -3)}],
+                         ids=["full", "cut", "floored"])
+def test_untwisted_w_dominant_power_is_refused(kw):
+    # F(z,w)^n has no w-dominant entry of its own: the request is refused
+    # and names the z-dominant entry renamed, which is that expansion
+    for kind in REFERENCE_BUILDERS:
+        for n in (-2, 0, 1, 3):
+            with pytest.raises(ValueError, match="rename"):
+                reference_law(kind).power(n, dominant=1, **kw)
+
+
+def _exchanged(f):
+    return None if f is None else f[::-1]
 
 
 def twisted_by_int_power(base, n, dominant, floors=None, trunc=None):
@@ -604,8 +610,6 @@ def twisted_by_int_power(base, n, dominant, floors=None, trunc=None):
 @pytest.mark.parametrize("dominant", [0, 1])
 def test_power_table_matches_int_power(kind, twisted, dominant):
     law = reference_law(kind)
-    if dominant and not twisted:
-        return _assert_w_dominant_power_is_renamed(law)
     t = law.trunc
     # the reference: the binomial loop on a base built afresh, outside the
     # table
@@ -616,10 +620,16 @@ def test_power_table_matches_int_power(kind, twisted, dominant):
     deep[dominant] = -2 * t
     for floors in (None, (-3 * t, -3 * t), tuple(deep)):
         for n in range(-6, 11):
-            got = law.power(n, twisted=twisted, dominant=dominant, floors=floors)
+            if dominant and not twisted:
+                # F is symmetric: the w-dominant F(z,w)^n is the z-dominant
+                # entry with z and w exchanged, which power(n).rename(("w",
+                # "z")) reads
+                got = swap_variables(law.power(n, floors=_exchanged(floors)))
+            else:
+                got = law.power(n, twisted=twisted, dominant=dominant, floors=floors)
             if dominant:
                 want = swap_variables(binomial_power(
-                    swap_variables(base), n, floors=None if floors is None else floors[::-1]))
+                    swap_variables(base), n, floors=_exchanged(floors)))
             else:
                 want = binomial_power(base, n, floors=floors)
             assert (got.coeffs, got.trunc, got.floors) == \
@@ -664,7 +674,7 @@ def test_capped_power_is_the_truncated_power(kind, params, twisted, dominant,
     # (t descending after the full power); n = 0 and n = 1 are never cut
     law = standard_law(kind, trunc=10, **params)
     if dominant and not twisted:
-        return _assert_w_dominant_power_is_renamed(law)
+        return _assert_capped_w_dominant_power_is_exchanged(law)
     kw = {"twisted": twisted, "dominant": dominant}
     builds = []
     int_power = LaurentElement.int_power
@@ -700,6 +710,20 @@ def test_capped_power_is_the_truncated_power(kind, params, twisted, dominant,
                 assert (g.coeffs, g.trunc, g.floors) == \
                     (want.coeffs, want.trunc, want.floors), (n, t)
                 assert g.trunc == min(t, natural)
+
+
+def _assert_capped_w_dominant_power_is_exchanged(law):
+    # F is symmetric: the w-dominant F(z,w)^n cut at t is the capped
+    # z-dominant entry with z and w exchanged, against the binomial loop on
+    # the exchanged base cut at t
+    base = swap_variables(law.as_laurent())
+    for n in range(-5, 11):
+        full = swap_variables(binomial_power(base, n))
+        for t in range(-2, law.trunc + n + 1):
+            got = swap_variables(law.power(n, trunc=t))
+            want = full if n in (0, 1) else full.truncate(t)
+            assert (got.coeffs, got.trunc, got.floors) == \
+                (want.coeffs, want.trunc, want.floors), (n, t)
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "elliptic"])

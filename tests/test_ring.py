@@ -44,7 +44,7 @@ def test_try_invert_parampoly():
     s = ZS.param("s")
     assert ZS.try_invert(s) is NOT_INVERTIBLE
     assert ZS.try_invert(ZS.from_int(-1)) == ZS.from_int(-1)
-    half = QDE.from_fraction(Fraction(1, 2))
+    half = {(0, 0): Fraction(1, 2)}
     assert QDE.mul(QDE.try_invert(half), half) == QDE.one()
 
 

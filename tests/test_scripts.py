@@ -70,7 +70,8 @@ def test_every_mutant_text_occurs_once():
 
 def test_reach_map_lists_every_function_no_command_enters():
     # scripts/reach.py --subset runs 17 of the payload gate's commands under
-    # the profiler (they enter the same defs as all of the gate's): every def
+    # the profiler (the full run checks that they enter the same defs as all
+    # of the gate's): every def
     # they do not enter is in LIBRARY_SURFACE, and every name listed there is
     # a def they do not enter
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "reach.py"), "--subset"],

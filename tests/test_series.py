@@ -1123,10 +1123,12 @@ def _assert_canonical_series(f):
 
 
 _canon_q = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(QQ.from_fraction)
+# ring, canonical values, and the constant of a Fraction
 CANONICAL_RINGS = {
-    "QQ": (QQ, _canon_q),
+    "QQ": (QQ, _canon_q, QQ.from_fraction),
     "QQ[s]": (QS, st.dictionaries(st.tuples(st.integers(0, 2)), _canon_q.filter(bool),
-                                  max_size=3)),
+                                  max_size=3),
+              lambda q: {(0,): QQ.from_fraction(q)} if q else {}),
 }
 
 
@@ -1134,11 +1136,11 @@ CANONICAL_RINGS = {
        n=st.integers(-6, 6).filter(bool), q=st.fractions(max_denominator=6))
 @settings(max_examples=200, deadline=None)
 def test_rational_ring_ops_keep_canonical_form(data, ring, n, q):
-    R, values = CANONICAL_RINGS[ring]
+    R, values, constant = CANONICAL_RINGS[ring]
     a, b = data.draw(values), data.draw(values)
     out = [R.add(a, b), R.mul(a, b), R.neg(a), R.sub(a, b), R.divide_by_int(a, n),
-           R.from_fraction(q), R.from_int(n), R.one(), R.zero()]
-    for x in (a, b, R.from_fraction(q)):
+           constant(q), R.from_int(n), R.one(), R.zero()]
+    for x in (a, b, constant(q)):
         inv = R.try_invert(x)
         if inv is not NOT_INVERTIBLE:
             out.append(inv)
@@ -1153,7 +1155,7 @@ def test_rational_ring_ops_keep_canonical_form(data, ring, n, q):
        n=st.integers(-4, 5))
 @settings(max_examples=60, deadline=None)
 def test_series_results_keep_canonical_form(data, ring, n):
-    R, values = CANONICAL_RINGS[ring]
+    R, values, _ = CANONICAL_RINGS[ring]
     nonzero = values.filter(bool)
     t = data.draw(st.integers(2, 7))
     exps = st.tuples(st.integers(0, 3), st.integers(0, 3))

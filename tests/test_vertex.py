@@ -41,7 +41,15 @@ HA = HeisenbergAlgebra(ADD, K=6, W=6)
 HM = HeisenbergAlgebra(MUL, K=6, W=6)
 
 
-class CorruptTrivialAlgebra(TrivialAlgebra):
+class BasedTrivialAlgebra(TrivialAlgebra):
+    """The fixture with the monomial basis {vac, eps} that the Lie-axiom
+    check and the quotient iterate over."""
+
+    def basis_monomials(self, W=None):
+        return [(), self.EPS]
+
+
+class CorruptTrivialAlgebra(BasedTrivialAlgebra):
     """The fixture with its higher shift components acting as the projection
     onto the nilpotent line, which breaks translation covariance and weak
     associativity in a way the checkers must localize."""
@@ -53,7 +61,7 @@ class CorruptTrivialAlgebra(TrivialAlgebra):
         return {self.EPS: c} if c else {}
 
 
-TRIV = TrivialAlgebra(standard_law("additive", trunc=12))
+TRIV = BasedTrivialAlgebra(standard_law("additive", trunc=12))
 CORRUPT = CorruptTrivialAlgebra(standard_law("additive", trunc=12))
 
 
