@@ -92,6 +92,18 @@ MUTANTS = [
     ("calculus.py", "for n in range(-m - 1, sum(cell) + 1):",
      "for n in range(-m, sum(cell) + 1):",
      "_tower_cell: drop n = -m - 1", "killed"),
+    ("calculus.py", "cut=min(0, r.top + 1)",
+     "cut=min(-1, r.top + 1)",
+     "product_residue: cut at total degree 0 -> -1", "killed"),
+    ("calculus.py", "floors=(-depth, -depth), trunc=a + 1)",
+     "floors=(-depth, -depth), trunc=a)",
+     "iterated_residue_check: power depth a + 1 -> a", "killed"),
+    ("calculus.py", "(lo, s.trunc - 1 - j)",
+     "(lo, s.trunc - j)",
+     "_row_spans: row top trunc - 1 - j -> trunc - j", "killed"),
+    ("calculus.py", "floors=(-B, -B))",
+     "floors=(-B + 1, -B + 1))",
+     "f_jacobi_delta_check: tower floors -B -> -B + 1", "killed"),
     ("fgl.py", "        if _depth(entry) == depth:\n",
      "        if _depth(entry) >= depth:\n",
      "_served: serve a deeper entry uncut", "killed"),

@@ -58,9 +58,11 @@ LIBRARY_SURFACE = [
     ("fgl.FormalGroupLaw.exponential", f"{README}: exponential"),
     ("fgl.FormalGroupLaw.partial_derivative", f"{README}: fgl.partial_derivative"),
     ("fgl.FormalGroupLaw.f_z_iota_w", "the tests' reference base for twisted powers"),
+    ("calculus.Report.__eq__", "reports compare by value, field by field"),
     ("vertex.heisenberg_cocycle", "acceptance criterion 8"),
     ("vertex.meromorphicity_pair", W_DOMINANT),
     ("vertex._substituted_p_check", W_DOMINANT),
+    ("vertex.MeromorphicityPair.__init__", W_DOMINANT),
     ("vertex.MeromorphicityPair.ok", W_DOMINANT),
     ("vertex.MeromorphicityPair.to_json", W_DOMINANT),
     ("ring.Ring.integers", TORSION),

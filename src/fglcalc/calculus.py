@@ -9,29 +9,32 @@ report records that region.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from math import inf
 
 from .fgl import times_line_power
-from .ring import sparse_add
-from .series import BilateralWindow, LaurentElement, WindowMiss
+from .ring import sparse_add, sparse_mul
+from .series import BilateralWindow, LaurentElement, WindowMiss, require_residue_cell
 
 
 class NonConvergentSubstitution(Exception):
     pass
 
 
-@dataclass
 class Report:
-    """Outcome of one identity check on one law."""
+    """Outcome of one identity check on one law.  Two reports are equal when
+    all their fields are."""
 
-    identity: str
-    law: str
-    window: object
-    status: object = "pass"
-    details: dict = field(default_factory=dict)
+    def __init__(self, identity, law, window, status="pass", details=None):
+        self.identity = identity
+        self.law = law
+        self.window = window
+        self.status = status
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        return isinstance(other, Report) and vars(self) == vars(other)
 
     @property
     def ok(self):
@@ -126,11 +129,14 @@ def f_binomial(law, n):
     return dict(law.power(n).coeffs)
 
 
-def _row_certified(s, lo, hi, j):
-    """Whether slice s certifies every cell (i, j), lo <= i <= hi: the total
-    degree rises with i and the z-exponent falls with it, so the two end
-    cells decide."""
-    return s.reliable_at((lo, j)) and s.reliable_at((hi, j))
+def _row_spans(s, rows):
+    """[(lo, hi)] for j < rows: the z-exponents i whose cell (i, j) slice s
+    certifies, from its z floor up to trunc - 1 - j (empty below its w
+    floor)."""
+    zf, wf = s.floors
+    lo = -inf if zf is None else zf
+    return [(lo, s.trunc - 1 - j) if wf is None or j >= wf else (inf, -inf)
+            for j in range(rows)]
 
 
 def f_binomial_identities(law, nmax=3, smax=4, override=None):
@@ -140,8 +146,10 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
     reading; see the package docs for the index-naming caveat).  `override`
     injects corrupted entries for fault testing.  A symmetry pair is checked
     when its transposed cell is certified too.  A convolution cell is
-    checked when every entry of its sum is certified, which each row of the
-    sum decides by its end cells; the cells are then read directly.
+    checked when every entry of its sum is certified: each row of the sum is
+    a run of z-exponents, which must lie in that row's certified span
+    (``_row_spans``, one per slice and row); the cells are then read
+    directly.
     """
     table = FBinomialTable(law, nmax=2 * nmax, override=override)
     R = law.ring
@@ -175,6 +183,7 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
                 checked += 1
 
     # convolution: entry(m+n, r, s) = sum over i+k=r, j+l=s
+    spans = {n: _row_spans(table.slices[n], smax + 1) for n in range(-nmax, nmax + 1)}
     for m in range(-nmax, nmax + 1):
         xs = table.slices[m]
         for n in range(-nmax, nmax + 1):
@@ -191,8 +200,9 @@ def f_binomial_identities(law, nmax=3, smax=4, override=None):
                         # x runs over (i, j) and y over (r - i, ell) for
                         # m - j <= i <= hi; a miss on either skips the cell
                         hi = r - n + ell
-                        if not (_row_certified(xs, m - j, hi, j)
-                                and _row_certified(ys, r - hi, r - m + j, ell)):
+                        (xlo, xhi), (ylo, yhi) = spans[m][j], spans[n][ell]
+                        if not (xlo <= m - j and hi <= xhi
+                                and ylo <= r - hi and r - m + j <= yhi):
                             break
                         for i in range(m - j, hi + 1):
                             # canonical zeros are falsy, and so is a miss
@@ -356,13 +366,18 @@ def f_jacobi_delta_check(law, B=4):
     F(z1, iota z2), in its two expansions, against the z2^{-1} term.  Part
     two: the exchange identity relating the z2-term to the delta of F(z0,z2).
     The four towers contract one delta element against powers with n <= 2B,
-    each read from the law's power table no deeper than 2B + 1.
+    each read from the law's power table no deeper than 2B + 1.  The box
+    reads no exponent below -B, so the twisted powers are cut at floors
+    (-B, -B), the box lows ``_delta_tower`` clips to.
     """
     a, b = _inverse_expansions(law)
     delta = a - b
 
     def tower(base_vars, out_var, twisted=True, dominant=0):
-        power = partial(law.power, twisted=twisted, dominant=dominant)
+        if twisted:
+            power = partial(law.power, twisted=True, dominant=dominant, floors=(-B, -B))
+        else:
+            power = law.power
         return _delta_tower(delta, power, base_vars, out_var, B)
 
     t1 = tower(("z1", "z2"), "z0")
@@ -403,6 +418,34 @@ def f_residue(law, f, var="z"):
     return res
 
 
+def product_residue(a, b, pf):
+    """Res^F (a * b) for one-variable series a and b in z, with p_F given as
+    the Laurent element pf: ``f_residue(law, a * b)`` without forming a * b.
+
+    p_F = 1 + O(z) has no negative exponent, so it meets only the cells of
+    a * b of total degree < 0.  Only those cells are formed, cut and clipped
+    as the product would cut and clip them, and they are contracted once
+    against pf.  The certified region is the one product rule applied
+    twice: to a * b, then to (a * b) * p_F.  So WindowMiss is raised where
+    f_residue raises it, with the same message.
+
+    The second rule reads the cells of a * b only through their least total
+    degree.  Leaving out the cells of total >= 0 changes that least only
+    when it is >= 0 anyway.  The rule's top is then at least the lower of
+    the tops of a * b and of p_F, so at least -1, and cell (-1,) is
+    certified either way.
+    """
+    R, p = a.ring, pf.coeffs
+    r = a._region()._product(b._region(), a.coeffs, b.coeffs)
+    low = sparse_mul(R, a.coeffs, b.coeffs, cut=min(0, r.top + 1))
+    cells = {e: c for e, c in low.items() if e[0] >= r.lows[0]}
+    r = r._product(pf._region(), cells, p)
+    require_residue_cell(a.vars, 0, r.top + 1, r._floors())
+    out = sparse_add(R, {}, (((), R.mul(c, p[(-1 - k,)])) for (k,), c in cells.items()
+                             if (-1 - k,) in p))
+    return out.get((), R.zero())
+
+
 # -- F-hyperderivatives ----------------------------------------------------
 
 
@@ -418,7 +461,8 @@ def _hyper_slices(law, f, nmin, nmax):
     that the result stays residue-reliable after multiplication by p_F,
     and are read as their w-slices up to nmax alone (``law.power_slices``),
     each with the full power's truncation minus its w-degree and its z
-    floor; a nonnegative power is read from the law's power table.  The
+    floor; a nonnegative power is read from the law's power table below
+    total degree t, the most any cut keeps of it.  The
     sum is cut once at the least of these truncations and, when f has a
     pole, at that z floor, so one pass over each power multiplies only the
     cells with w-exponent in [nmin, nmax] that survive the cut: slice n
@@ -437,8 +481,9 @@ def _hyper_slices(law, f, nmin, nmax):
             cells = [((i, j), v) for j in range(nmin, nmax + 1)
                      for (i,), v in sl[j].coeffs.items()]
         else:
-            # a nonnegative power has no floors
-            g = law.power(e)
+            # a nonnegative power has no floors; only its cells of total
+            # degree < t are kept
+            g = law.power(e, trunc=t)
             gt = g.trunc
             cells = [(x, v) for x, v in g.coeffs.items() if nmin <= x[1] <= nmax]
         out_t = min(out_t, t + min(e, 0), gt)
@@ -583,6 +628,7 @@ def residue_theorems_check(law, nmax=5, samples=20, seed=0):
                 coeffs[(e,)] = R.from_int(c)
         return LaurentElement(R, ("z",), coeffs, law.trunc)
 
+    pf = law.pF.rename(("z",)).as_laurent()
     for idx in range(samples):
         f = sample()
         g = sample()
@@ -593,10 +639,10 @@ def residue_theorems_check(law, nmax=5, samples=20, seed=0):
             if not R.is_zero(r):
                 return Report("residue/vanishing", name, {"seed": seed, "sample": idx},
                               _fail(R, ("n", n), r, R.zero()))
-            lhs = f_residue(law, sf[n] * g)
+            lhs = product_residue(sf[n], g, pf)
             rhs = R.zero()
             for j in range(1, n + 1):
-                rhs = R.sub(rhs, f_residue(law, sf[n - j] * sg[j]))
+                rhs = R.sub(rhs, product_residue(sf[n - j], sg[j], pf))
             if not R.eq(lhs, rhs):
                 return Report("residue/by_parts", name, {"seed": seed, "sample": idx},
                               _fail(R, ("n", n), lhs, rhs))
@@ -655,13 +701,18 @@ def iterated_residue_check(law, triples):
     Convergence of the substitutions is automatic for monomials; anything
     else is rejected.
 
-    Each double residue reads F(x, iota y)^a times a monomial shift with
-    exponents at most s = max of the triples, contracted twice against p_F
-    of degree d.  A residue in a variable reads the power's exponent -1 - k
-    - (shift) for k <= d only, never below -1 - d - s, so the powers are
-    expanded to floors -depth with depth = 1 + d + s and no deeper.  Were
-    the depth too small, the product floor -depth + s + d would lie above -1
-    and the residue would raise ``WindowMiss``; it cannot pass silently.
+    Each double residue reads F(x, iota y)^a times the exact monomial shift
+    x^b y^c with exponents at most s = max of the triples, contracted twice
+    against p_F of degree d.  A residue in a variable reads the power's
+    exponent -1 - k - (shift) for k <= d only, never below -1 - d - s, so
+    the powers are expanded to floors -depth with depth = 1 + d + s and no
+    deeper.  The two residues read power cells (i, j) with i + b = -1 - k
+    and j + c = -1 - l, k, l >= 0, so of total degree a - k - l <= a, as a
+    + b + c = -2: each power is asked for below total degree a + 1 and no
+    higher.  Were the depth or that bound too small, the product floor
+    -depth + s + d would lie above -1, or cell (-1,) of the outer residue
+    above its truncation, and the residue would raise ``WindowMiss``; it
+    cannot pass silently.
     """
     R = law.ring
     for t in triples:
@@ -677,10 +728,8 @@ def iterated_residue_check(law, triples):
         # residue in the other variable, then in the dominant one; the power
         # is expanded deep enough to survive both p_F factors
         a_pow = law.power(a, twisted=True, dominant=dominant,
-                          floors=(-depth, -depth)).rename(vars)
-        shift = LaurentElement(R, vars,
-                               {b_exps: R.one()}, a_pow.trunc + sum(b_exps) + 1)
-        el = a_pow * shift
+                          floors=(-depth, -depth), trunc=a + 1).rename(vars)
+        el = a_pow * LaurentElement(R, vars, {b_exps: R.one()}, inf)
         inner = f_residue(law, el, vars[1 - dominant])
         return f_residue(law, inner, vars[dominant])
 

@@ -63,6 +63,10 @@ class CliConfig:
         self.format = format
         self.out = out
         self.inject_fault = inject_fault
+        if self.params and (law_file or kind != "p_typical"):
+            # no other law reads them, so they would be silently ignored
+            raise ConfigError("--p and --h set the parameters of p_typical, not of "
+                              + ("a law file" if law_file else kind))
         if trunc < 4:
             raise ConfigError("--trunc must be at least 4")
         _check_trunc(trunc, "--trunc")

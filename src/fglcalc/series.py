@@ -166,6 +166,18 @@ class _Region:
         return _Region(tuple(lows), tuple(highs), top, stated)
 
 
+def require_residue_cell(vars, i, t, floors):
+    """Raise WindowMiss unless a residue in vars[i] of a series certified
+    below total degree t and at ``floors`` is certified: exponent -1 must lie
+    at or above the floor on vars[i], and in one variable the residue is the
+    one cell (-1,), which must lie below t."""
+    if floors[i] is not None and floors[i] > -1:
+        raise WindowMiss(f"exponent -1 of {vars[i]!r} lies below the reliable floor")
+    if len(vars) == 1 and -1 >= t:
+        raise WindowMiss(f"cell (-1,) of {vars} is not certified "
+                         f"(trunc {t}, floors {floors})")
+
+
 class LaurentElement:
     """An iterated-Laurent element at truncation, with reliability floors.
 
@@ -453,8 +465,11 @@ class LaurentElement:
     # -- expansion maps ----------------------------------------------------
 
     def extend(self, new_vars):
-        """View in a larger variable list (new variables get exponent 0)."""
+        """View in a larger variable list (new variables get exponent 0);
+        the element itself when the list is its own."""
         new_vars = tuple(new_vars)
+        if new_vars == self.vars:
+            return self
         idx = [new_vars.index(v) for v in self.vars]
         out = {}
         for e, c in self.coeffs.items():
@@ -610,13 +625,8 @@ class LaurentElement:
             self._check(p)
             r = self._region()._product(p._region(), self.coeffs, p.coeffs)
             t, floors, pk = r.top + 1, r._floors(), factor.coeffs
-        if floors[i] is not None and floors[i] > -1:
-            raise WindowMiss(f"exponent -1 of {name!r} lies below the reliable floor")
+        require_residue_cell(self.vars, i, t, floors)
         rest = self.vars[:i] + self.vars[i + 1:]
-        if not rest and -1 >= t:
-            # one variable: the residue is one cell, which must be certified
-            raise WindowMiss(f"cell (-1,) of {self.vars} is not certified "
-                             f"(trunc {t}, floors {floors})")
         terms = []
         for e, c in self.coeffs.items():
             if pk is None:

@@ -14,12 +14,11 @@ accounts for that exactly instead of papering over it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import chain
 
 from .calculus import (Report, _compare, _fail, _inverse_expansions, _tower_cell,
-                       f_residue, hyperderivative)
+                       f_residue, hyperderivative, product_residue)
 from .fgl import times_line_power
 from .ring import Ring, sparse_add
 from .series import BilateralWindow, LaurentElement, WindowMiss
@@ -440,12 +439,12 @@ class ShiftQuotient:
         return len(self.pivots)
 
 
-@dataclass
 class LieClass:
     """A canonical representative in V modulo the shift image span."""
 
-    rep: dict
-    quotient: ShiftQuotient = field(repr=False, compare=False)
+    def __init__(self, rep, quotient):
+        self.rep = rep
+        self.quotient = quotient
 
     def is_zero(self):
         return not self.rep
@@ -1009,7 +1008,6 @@ def weak_commutativity_order(A, a, b, c, factor="group"):
 # -- meromorphicity -----------------------------------------------------------
 
 
-@dataclass
 class MeromorphicityPair:
     """The common Laurent series F^N i_{z,w}Y(a,F(z,w))Y(b,w)c with its
     coherence checks.
@@ -1018,10 +1016,11 @@ class MeromorphicityPair:
     value outside the partial domain and was skipped (recorded, not hidden).
     """
 
-    p: object
-    N: int
-    law: str
-    checks: dict
+    def __init__(self, p, N, law, checks):
+        self.p = p
+        self.N = N
+        self.law = law
+        self.checks = checks
 
     @property
     def ok(self):
@@ -1270,7 +1269,7 @@ def heisenberg_cocycle(law, f, g):
     fz = f.rename(("z",))
     gz = g.rename(("z",))
     s1 = hyperderivative(law, fz, 1)
-    lhs = f_residue(law, s1 * gz)
+    lhs = product_residue(s1, gz, law.pF.rename(("z",)).as_laurent())
     rhs = fz.derivative("z").residue_coeff("z", gz).scalar()
     if not law.ring.eq(lhs, rhs):
         raise MismatchBug(

@@ -12,6 +12,7 @@ from fglcalc.series import (BilateralWindow, EmptyWindow, LaurentElement,
 from fglcalc.fgl import FormalGroupLaw, standard_law
 from fglcalc.calculus import (
     FBinomialTable,
+    Report,
     _compare,
     _delta_tower,
     _inverse_expansions,
@@ -28,6 +29,7 @@ from fglcalc.calculus import (
     hyperderivative_properties,
     hyperderivatives,
     iterated_residue_check,
+    product_residue,
     residue_inversion_check,
     residue_theorems_check,
 )
@@ -150,7 +152,8 @@ def per_cell_entries_checked(law, nmax, smax):
 
 def test_f_binomial_convolution_rows_decide_by_their_ends(monkeypatch):
     # truncated slices make whole convolution rows miss, at either end; the
-    # row test by end cells skips exactly the cells a per-cell read skips.
+    # row test by certified spans, which the end cells of a row decide,
+    # skips exactly the cells a per-cell read skips.
     # F^2 clipped below z = 1 keeps its cell z^2 but not the transposed w^2,
     # a symmetry pair that is skipped, not failed
     law = standard_law("multiplicative", trunc=10)
@@ -569,6 +572,87 @@ def test_iterated_residue_depth_follows_p_F(t, monkeypatch):
         monkeypatch.setattr(law, "power", partial(cut, lift=1))
         with pytest.raises(WindowMiss):
             iterated_residue_check(law, ITERATED_TRIPLES)
+
+
+@pytest.mark.parametrize("t", [6, 12])
+def test_iterated_residue_powers_stop_at_the_cells_read(t, monkeypatch):
+    # each twisted power is asked for below total degree a + 1 and agrees
+    # with the full power on every cell of total degree <= a, the only ones
+    # the two residues read; asked one degree lower, a residue raises
+    # WindowMiss instead of passing
+    for kind, params in TOWER_LAWS:
+        law = standard_law(kind, trunc=t, **params)
+        power, reads = law.power, []
+
+        def capped(n, *, trunc, drop=0, **kw):
+            got = power(n, trunc=trunc - drop, **kw)
+            reads.append((n, trunc, kw, got))
+            return got
+
+        monkeypatch.setattr(law, "power", capped)
+        rep = iterated_residue_check(law, ITERATED_TRIPLES)
+        assert rep.ok, rep.to_json()
+        assert {n for n, *_ in reads} == {a for a, _, _ in ITERATED_TRIPLES} | \
+            {c for _, _, c in ITERATED_TRIPLES}
+        for n, trunc, kw, got in reads:
+            assert trunc == n + 1, kind
+            full = power(n, **kw)
+            assert got.trunc >= n + 1 and got.floors == full.floors, (kind, n)
+            assert got.truncate(n + 1).coeffs == full.truncate(n + 1).coeffs, (kind, n)
+        monkeypatch.setattr(law, "power", partial(capped, drop=1))
+        with pytest.raises(WindowMiss):
+            iterated_residue_check(law, ITERATED_TRIPLES)
+        monkeypatch.undo()
+
+
+def _mod4_multiplicative():
+    # z + w + 2zw over Z/4: p_F = 1 + 2z, and a product's lowest cell can
+    # vanish (2 * 2 = 0)
+    Z4 = Ring.integers_mod(4)
+    return FormalGroupLaw(PowerSeries(Z4, ("z", "w"), {(1, 0): 1, (0, 1): 1, (1, 1): 2}, 8),
+                          name="mod4")
+
+
+RESIDUE_LAWS = [MUL, ONEP, standard_law("elliptic", trunc=8),
+                standard_law("p_typical", trunc=9, p=2, h=1), _mod4_multiplicative()]
+
+
+def _outcome(read):
+    try:
+        return read()
+    except WindowMiss as exc:
+        return "WindowMiss", str(exc)
+
+
+@given(data=st.data(), k=st.integers(0, len(RESIDUE_LAWS) - 1))
+@settings(max_examples=200, deadline=None)
+def test_product_residue_is_the_residue_of_the_product(data, k):
+    # the contraction forms only the product cells of total degree < 0, yet
+    # it must give the residue of the full product, and raise WindowMiss,
+    # with the same message, exactly where that residue raises
+    law = RESIDUE_LAWS[k]
+    R = law.ring
+
+    def series():
+        coeffs = data.draw(st.dictionaries(st.integers(-5, 4), st.integers(-3, 3),
+                                           max_size=5))
+        floor = data.draw(st.one_of(st.none(), st.integers(-14, 0)))
+        return LaurentElement(R, ("z",), {(e,): R.from_int(c) for e, c in coeffs.items()},
+                              data.draw(st.integers(-2, 12)), floors=(floor,))
+
+    a, b = series(), series()
+    pf = law.pF.rename(("z",)).as_laurent()
+    assert _outcome(lambda: product_residue(a, b, pf)) == \
+        _outcome(lambda: f_residue(law, a * b))
+
+
+def test_report_equality_compares_every_field():
+    rep = Report("x", "law", [1, 2], details={"n": 1})
+    assert rep == Report("x", "law", [1, 2], "pass", {"n": 1})
+    assert rep != Report("x", "law", [1, 2])
+    assert rep != Report("x", "law", [1, 2], "fail", {"n": 1})
+    assert rep != rep.to_json()
+    assert Report("x", "law", None).details == {}
 
 
 def test_iterated_residue_rejects_non_monomial():

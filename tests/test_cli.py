@@ -127,6 +127,20 @@ def test_fgl_p_typical_bad_parameters_exit_2(args):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("args,source", [
+    (["--kind", "additive", "--p", "5"], "additive"),
+    (["--kind", "elliptic", "--h", "2"], "elliptic"),
+    (["--law-file", "law.json", "--p", "2", "--h", "1"], "a law file"),
+])
+def test_p_and_h_are_refused_where_no_law_reads_them(args, source, capsys):
+    # only p_typical reads --p and --h; elsewhere they would be ignored
+    assert main(["fgl", "--trunc", "4", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: ConfigError: --p and --h set the parameters of "
+                   f"p_typical, not of {source}\n")
+
+
 def test_param_is_not_an_option():
     # --p and --h set the only parameters a built-in law reads; there is no
     # second key=value route that could take keys no law reads
@@ -459,6 +473,19 @@ def test_fgl_loads_neither_calculus_nor_vertex():
         "print(sorted({'fglcalc.calculus', 'fglcalc.vertex', 'dataclasses'}\n"
         "             & set(sys.modules)), file=sys.stderr)\n")
     assert err.splitlines()[-1] == "[]"
+
+
+def test_verify_loads_no_dataclasses():
+    # the reports and the vertex records are plain classes, so verify
+    # imports neither dataclasses nor inspect, which it would pull in
+    err = run_fresh(
+        "import sys\n"
+        "from fglcalc import cli\n"
+        "assert cli.main(['verify', '--kind', 'multiplicative', '--trunc', '8',\n"
+        "                 '--weight', '5', '--window', '2']) == 0\n"
+        "print(sorted({'fglcalc.calculus', 'fglcalc.vertex', 'dataclasses', 'inspect'}\n"
+        "             & set(sys.modules)), file=sys.stderr)\n")
+    assert err.splitlines()[-1] == "['fglcalc.calculus', 'fglcalc.vertex']"
 
 
 def test_suite_helpers_run_on_a_fresh_import():

@@ -9,6 +9,7 @@ from fglcalc.fgl import (
     AxiomViolation,
     FormalGroupLaw,
     NeedsRationals,
+    exponential,
     fgl_inverse,
     fgl_new,
     g_factor,
@@ -428,11 +429,19 @@ def test_exponential_round_trip(kind):
     assert back == PowerSeries.var(L.ring, ("z",), "z", back.trunc)
 
 
+def test_exponential_is_the_laws_companion():
+    L = standard_law("multiplicative", trunc=8)
+    assert exponential(L) is L.exp
+    assert repr(L) == "<FormalGroupLaw multiplicative over Ring(rationals) at N=8>"
+
+
 def test_integer_law_has_no_logarithm():
     F = PowerSeries(ZZ, ("z", "w"), {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 10)
     L = fgl_new(F)
     with pytest.raises(NeedsRationals):
         logarithm(L)
+    with pytest.raises(NeedsRationals):
+        exponential(L)
     # everything that does not need denominators still works
     assert fgl_inverse(L).coefficient((2,)) == 1
     assert g_factor(L).constant_term() == 1

@@ -35,6 +35,21 @@ def test_try_invert_integer_nonunit():
     assert ZZ.try_invert(-1) == -1
 
 
+def test_divide_by_int_mod_m_multiplies_by_the_inverse():
+    assert Z7.divide_by_int(3, 2) == 5
+    assert Z7.divide_by_int(3, 9) == 5
+    with pytest.raises(ValueError, match="3 not invertible mod 6"):
+        Z6.divide_by_int(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        Z7.divide_by_int(1, 0)
+
+
+def test_reprs_name_the_ring():
+    assert repr(NOT_INVERTIBLE) == "NotInvertible"
+    assert (repr(QQ), repr(ZZ), repr(Z7)) == ("Ring(rationals)", "Ring(integers)", "Ring(mod 7)")
+    assert repr(QDE) == "Ring(Ring(rationals)[d,e])"
+
+
 def test_try_invert_mod_nonunit():
     assert Z6.try_invert(3) is NOT_INVERTIBLE
     assert Z6.try_invert(5) == 5

@@ -91,6 +91,7 @@ def test_reach_map_lists_every_function_no_command_enters():
 
 def test_every_export_resolves():
     assert len(set(fglcalc.__all__)) == len(fglcalc.__all__)
+    assert set(fglcalc.__all__) <= set(dir(fglcalc))
     missing = [name for name in fglcalc.__all__ if not hasattr(fglcalc, name)]
     assert missing == []
     ns = {}

@@ -160,6 +160,16 @@ def test_two_bilateral_factors_rejected():
         w.mul_laurent(w)
 
 
+def test_reprs_show_cells_truncation_and_region():
+    f = lz({(-1, 2): 3, (0, 0): 1, (2, 0): Fraction(1, 2)}, vars=("z", "w"), trunc=6,
+           floors=(-2, None))
+    assert repr(f) == "<(1)*1 + (3)*z^-1*w^2 + (1/2)*z^2 | trunc 6, floors (-2, None)>"
+    g = lz({(k,): 1 for k in range(14)}, trunc=20)
+    assert repr(g).endswith("(1)*z^11 + [2 more] | trunc 20, floors (None,)>")
+    win = BilateralWindow(QQ, ("z", "w"), {(0, 0): 1}, [(-1, 1), (-2, 2)], max_total=3)
+    assert repr(win) == "<window ('z', 'w') reliable ((-1, 1), (-2, 2)) max_total 3 (1 terms)>"
+
+
 def test_diagonal_eval():
     f = lz({(1, 1): 1}, vars=("z", "w"))
     assert f.diagonal_eval().coefficient((2,)) == 1

@@ -1,6 +1,8 @@
 import re
 from fractions import Fraction
 
+from fglcalc import vertex
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from fglcalc.series import LaurentElement, WindowMiss
 from fglcalc.fgl import standard_law
 from fglcalc.vertex import (
     HeisenbergAlgebra,
+    NotFound,
     ShiftQuotient,
     TrivialAlgebra,
     _residue_of_field,
@@ -279,6 +282,15 @@ def test_commutativity_order_factor_choice_is_unit_independent():
                                         factor="classical") == 2
 
 
+def test_commutativity_order_not_found_below_the_cap(monkeypatch):
+    # the generator pair needs M = 2: with the search capped at 1 it reports
+    # that no order was found, naming the cap
+    monkeypatch.setattr(vertex, "MAX_ORDER", 1)
+    with pytest.raises(NotFound, match="^no commutativity order found up to 1$") as exc:
+        weak_commutativity_order(HA, bgen(), bgen(), vac())
+    assert exc.value.bound == 1
+
+
 def test_commutativity_order_trivial_algebra():
     a = st_add(vac(), TRIV.eps)
     assert weak_commutativity_order(TRIV, a, a, vac()) == 0
@@ -415,6 +427,8 @@ def test_quotient_generator_class_nonzero():
     q = quotient_reduce(HA, bgen(), W=4)
     assert not q.is_zero()
     assert q.rep == bgen()
+    assert repr(q) == "LieClass((1)*b(-1))"
+    assert repr(HA.adapter) == "StateSpace(Ring(rationals))"
 
 
 def test_quotient_reduction_is_order_independent():
