@@ -477,7 +477,7 @@ def test_fgl_loads_neither_calculus_nor_vertex():
 
 def test_verify_loads_no_dataclasses():
     # the reports and the vertex records are plain classes, so verify
-    # imports neither dataclasses nor inspect, which it would pull in
+    # imports neither dataclasses nor the inspect module that it imports
     err = run_fresh(
         "import sys\n"
         "from fglcalc import cli\n"
