@@ -28,13 +28,13 @@ def main():
 
     for kind in ("additive", "multiplicative"):
         law = standard_law(kind, trunc=max(12, 3 * W))
-        A = HeisenbergAlgebra(law, K=min(6, W), W=W)
+        A = HeisenbergAlgebra(law, W=W)
         print(f"== {kind} (W={W}, trunc {law.trunc})")
 
         names = {"vac": A.vacuum, "b": A.generator}
         for na, a in names.items():
             for nb, b in names.items():
-                q = lie_bracket(A, a, b, W=W)
+                q = lie_bracket(A, a, b)
                 print(f"   [{na},{nb}] = {state_text(q.rep)}")
 
         d, emin, emax = field_skew_defect(A, A.generator, A.generator)
@@ -45,7 +45,7 @@ def main():
         else:
             print("   skew defect (b,b): none")
 
-        r = lie_axiom_check(A, W=W)
+        r = lie_axiom_check(A)
         print(f"   lie_axiom_check: {'pass' if r.ok else 'FAIL'}; "
               f"skew-scoped pairs {r.details['skew_defect_pairs']}, "
               f"conjugation-scoped {r.details['conjugation_defect_pairs']}, "

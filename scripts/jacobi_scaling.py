@@ -21,7 +21,7 @@ def main():
 
     for kind in ("additive", "multiplicative"):
         law = standard_law(kind, trunc=max(args.trunc, 18))
-        A = HeisenbergAlgebra(law, K=6, W=6)
+        A = HeisenbergAlgebra(law, W=6)
         bg, vac = A.generator, A.vacuum
         print(f"== {kind} (trunc {args.trunc})")
         for B in range(2, args.bmax + 1):

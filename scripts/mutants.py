@@ -86,6 +86,12 @@ MUTANTS = [
      "residue_coeff: guard cut > t + 1",
      "equivalent: the result's truncation t + 1 drops every cell the guard "
      "would, and keeps every cell it keeps"),
+    ("series.py", "        kmax = kcap\n",
+     "        kmax = kcap - 1\n",
+     "_graded_power: grade cap kcap -> kcap - 1", "killed"),
+    ("series.py", "row, t - j, _clean=True)",
+     "row, t - j + 1, _clean=True)",
+     "power_slices: slice truncation t - j -> t - j + 1", "killed"),
     ("calculus.py", "hi[oi] = min(hi[oi], -delta.floors[1] - 1)",
      "hi[oi] = min(hi[oi], -delta.floors[1])",
      "_delta_tower: out high + 1", "killed"),

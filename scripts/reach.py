@@ -72,6 +72,7 @@ LIBRARY_SURFACE = [
     ("ring._Numbers.mul", TORSION),
     ("ring.Integers.try_invert", TORSION),
     ("ring.Integers.divide_by_int", TORSION),
+    ("ring.IntegersMod.__init__", TORSION),
     ("ring.IntegersMod.lift", TORSION),
     ("ring.IntegersMod.from_int", TORSION),
     ("ring.IntegersMod.add", TORSION),

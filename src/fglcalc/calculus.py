@@ -457,27 +457,28 @@ def _hyper_slices(law, f, nmin, nmax):
     F(z,w)^e, cut at t + min(e, 0) for t the lower of f's and the law's
     truncation: what substituting F(z,w) into z^e at truncation t
     certifies, since a negative valuation lowers the truncation of the
-    product.  Negative powers are expanded three truncation orders deep so
-    that the result stays residue-reliable after multiplication by p_F,
-    and are read as their w-slices up to nmax alone (``law.power_slices``),
-    each with the full power's truncation minus its w-degree and its z
-    floor; a nonnegative power is read from the law's power table below
-    total degree t, the most any cut keeps of it.  The
-    sum is cut once at the least of these truncations and, when f has a
-    pole, at that z floor, so one pass over each power multiplies only the
-    cells with w-exponent in [nmin, nmax] that survive the cut: slice n
-    has truncation (the cut) - n and the z floor.
+    product.  Negative powers are read as their w-slices up to nmax alone
+    (``law.power_slices``), each exact in z with the full power's
+    truncation minus its w-degree; a nonnegative power is read from the
+    law's power table below total degree t, the most any cut keeps of it.
+    The sum is cut once at the least of these truncations, so one pass
+    over each power multiplies only the cells with w-exponent in [nmin,
+    nmax] that survive the cut: slice n has truncation (the cut) - n and
+    no floor, since S_n z^e has no cell below z^(e - n).  An f with floors
+    is refused (ValueError), as ``substitute`` refuses one: its cells
+    below the floor are unknown, and every S_n would read them.
     """
     if f.vars != ("z",):
         raise ValueError("hyperderivative input must be univariate in z")
+    if f.floors != (None,):
+        raise ValueError("cannot expand an element with floors")
     R = law.ring
     t = min(f.trunc, law.trunc)
-    deep = -3 * law.trunc
-    terms, out_t, zlo = [], t, None
+    terms, out_t = [], t
     for (e,), c in sorted(f.coeffs.items()):
         if e < 0:
-            sl = law.power_slices(e, nmax, deep)
-            gt, zlo = sl[0].trunc, deep
+            sl = law.power_slices(e, nmax)
+            gt = sl[0].trunc
             cells = [((i, j), v) for j in range(nmin, nmax + 1)
                      for (i,), v in sl[j].coeffs.items()]
         else:
@@ -488,16 +489,15 @@ def _hyper_slices(law, f, nmin, nmax):
             cells = [(x, v) for x, v in g.coeffs.items() if nmin <= x[1] <= nmax]
         out_t = min(out_t, t + min(e, 0), gt)
         terms.append((c, cells))
-    low = -inf if zlo is None else zlo
     # one running sum over the cells read, split into slices at the end
     out = {}
     for c, cells in terms:
         sparse_add(R, out, (((i, j), R.mul(v, c)) for (i, j), v in cells
-                            if low <= i < out_t - j))
+                            if i < out_t - j))
     slices = {n: {} for n in range(nmin, nmax + 1)}
     for (i, j), v in out.items():
         slices[j][(i,)] = v
-    return [LaurentElement(R, ("z",), sl, out_t - n, floors=(zlo,), _clean=True)
+    return [LaurentElement(R, ("z",), sl, out_t - n, _clean=True)
             for n, sl in slices.items()]
 
 
@@ -513,18 +513,17 @@ def hyperderivatives(law, f, nmax):
     return _hyper_slices(law, f, 0, nmax)
 
 
-def hyperderivative_properties(law, fs=None, nmax=3):
-    """Leibniz rule, composition rule, commutation, and the S_1 identities;
-    nmax is clipped to (trunc - 1) // 2, as composition reads (nmax, nmax)
-    of F^0 = 1, which is certified below total degree trunc."""
+def hyperderivative_properties(law, nmax=3):
+    """Leibniz rule, composition rule, commutation, and the S_1 identities,
+    on f = z^3 + z^-1 and g = z^-2 + 2z; nmax is clipped to (trunc - 1) //
+    2, as composition reads (nmax, nmax) of F^0 = 1, which is certified
+    below total degree trunc."""
     R = law.ring
     nmax = min(nmax, (law.trunc - 1) // 2)
-    if fs is None:
-        fs = [
-            LaurentElement(R, ("z",), {(3,): R.one(), (-1,): R.one()}, law.trunc),
-            LaurentElement(R, ("z",), {(-2,): R.one(), (1,): R.from_int(2)},
-                           law.trunc),
-        ]
+    fs = [
+        LaurentElement(R, ("z",), {(3,): R.one(), (-1,): R.one()}, law.trunc),
+        LaurentElement(R, ("z",), {(-2,): R.one(), (1,): R.from_int(2)}, law.trunc),
+    ]
     name = law.name
 
     cache = []
@@ -542,8 +541,8 @@ def hyperderivative_properties(law, fs=None, nmax=3):
             return rep
 
     # Leibniz
-    f, g = fs[0], fs[1 % len(fs)]
-    sf, sg = cache[0], cache[1 % len(fs)]
+    f, g = fs
+    sf, sg = cache
     prod = f * g
     sprod = hyperderivatives(law, prod, nmax)
     for n in range(0, nmax + 1):

@@ -139,8 +139,7 @@ def _coeff_rows(name, el, ring):
     return rows
 
 
-def emit(cfg, payload, stream=None):
-    stream = stream or sys.stdout
+def emit(cfg, payload):
     if cfg.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif cfg.format == "csv":
@@ -162,7 +161,7 @@ def emit(cfg, payload, stream=None):
         with open(cfg.out, "w") as fh:
             fh.write(text)
     else:
-        stream.write(text)
+        sys.stdout.write(text)
 
 
 # -- fgl ------------------------------------------------------------------------
@@ -369,7 +368,7 @@ def _heisenberg_algebra(cfg, law):
             raise ConfigError(
                 f"law file truncation {law.trunc} too small for weight {W}")
         law = standard_law(cfg.kind, trunc=3 * W, **cfg.params)
-    return HeisenbergAlgebra(law, K=min(6, W), W=W)
+    return HeisenbergAlgebra(law, W=W)
 
 
 def cmd_heisenberg(cfg, action):
@@ -384,7 +383,7 @@ def cmd_heisenberg(cfg, action):
     if action == "commutators":
         rows = []
         ok = True
-        basis = A.basis_monomials(A.W)
+        basis = A.basis_monomials()
         for n in range(-K, K + 1):
             for m in range(-K, K + 1):
                 want = n if n == -m else 0

@@ -229,16 +229,14 @@ class FormalGroupLaw:
             raise NeedsRationals("the exponential needs rational coefficients")
         return self.exp
 
-    def f_z_iota_w(self, zname=Z, wname=W, trunc=None):
+    def f_z_iota_w(self, zname=Z, wname=W):
         """F(z, iota(w)) as an exact LaurentElement in (zname, wname)."""
-        t = trunc or self.trunc
-        iw = self.iota.truncate(t).rename((wname,)).extend((zname, wname))
-        f = self.F.truncate(t).rename((zname, wname))
-        return f.substitute({wname: iw}).as_laurent()
+        iw = self.iota.rename((wname,)).extend((zname, wname))
+        return self.F.rename((zname, wname)).substitute({wname: iw}).as_laurent()
 
-    def as_laurent(self, zname=Z, wname=W, trunc=None):
-        t = trunc or self.trunc
-        return self.F.truncate(t).rename((zname, wname)).as_laurent()
+    def as_laurent(self):
+        """F(z, w) as a plain LaurentElement, sharing F's coefficient dict."""
+        return self.F.as_laurent()
 
     def power(self, n, *, twisted=False, dominant=0, floors=None, trunc=None):
         """F(z, w)^n, or F(z, iota w)^n when twisted.
@@ -298,18 +296,18 @@ class FormalGroupLaw:
         tg = self.G.trunc if trunc is None else min(trunc, self.G.trunc)
         return self._served(("G", n), tg, lambda: self.G.truncate(tg).int_power(n))
 
-    def power_slices(self, n, cap, floor):
+    def power_slices(self, n, cap):
         """(S_0, ..., S_cap): the w^j slices, j <= cap, of the z-dominant
-        F(z,w)^n, n < 0, cut below z^floor.  S_j holds the cells of ``power(n,
-        floors=(floor, None))`` of w-exponent j: one variable z, the power's
-        truncation minus j and its z floor ``floor``.  The
-        recurrence stops at w-degree cap (``LaurentElement.power_slices``),
-        so the cells of higher w-degree are never formed, and reading a
-        slice above cap raises WindowMiss.  The slices are one entry per
-        (n, floor) in the law's power table, ("w_slices", n, floor), served
-        as its first cap + 1 slices; they never stand for the full power."""
-        return self._served(("w_slices", n, floor), cap + 1,
-                            lambda: self.power(1).power_slices(n, cap, floor))
+        F(z,w)^n, n < 0.  S_j holds the power's cells of w-exponent j: one
+        variable z, the power's truncation N - 1 + n minus j and no floor,
+        as F(0,w) = w leaves no cell below z^(n - j).  The recurrence stops
+        at w-degree cap (``LaurentElement.power_slices``), so the cells of
+        higher w-degree are never formed, and reading a slice above cap
+        raises WindowMiss.  The slices are one entry per n in the law's
+        power table, ("w_slices", n), served as its first cap + 1 slices;
+        they never stand for the full power."""
+        return self._served(("w_slices", n), cap + 1,
+                            lambda: self.power(1).power_slices(n, cap))
 
     def _served(self, key, depth, build):
         """The power table's one rule, for powers, G's powers and slices.
@@ -398,8 +396,8 @@ def times_line_power(g, n, dominant, floors):
     return LaurentElement(R, (Z, W), out, tg + n, floors=tuple(out_floors), _clean=True)
 
 
-def fgl_new(F, name="custom", params=None):
-    return FormalGroupLaw(F, name=name, params=params)
+def fgl_new(F, name="custom"):
+    return FormalGroupLaw(F, name=name)
 
 
 def fgl_inverse(law):

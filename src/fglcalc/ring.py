@@ -37,8 +37,13 @@ NOT_INVERTIBLE = _NotInvertible()
 class Ring:
     """A commutative unital ring with exact arithmetic on raw values.
 
-    ``Ring(kind, ...)`` returns the per-kind subclass: Rationals, Integers,
-    IntegersMod or ParamPoly.  Each provides zero, from_int, add, neg, mul,
+    Each kind is a subclass, built directly or by a named constructor
+    (``Ring.rationals()``, ``integers()``, ``integers_mod(m)``,
+    ``parampoly(base, params)``): Rationals, Integers, IntegersMod or
+    ParamPoly.  The class attribute ``kind`` names it ("rationals",
+    "integers", "mod", "parampoly").  Two rings are equal when they are of
+    one class with equal attributes (the modulus; the base and the
+    parameters).  Each kind provides zero, from_int, add, neg, mul,
     try_invert (b with a*b = 1, or NOT_INVERTIBLE; never raises for
     non-units), divide_by_int (exact division by a nonzero integer; raises if
     not divisible), denominator (the least positive integer D with D*a
@@ -50,55 +55,30 @@ class Ring:
     code, parsing and printing all call these methods on them directly.
     """
 
-    KINDS = ("rationals", "integers", "mod", "parampoly")
     contains_rationals = False
-
-    def __new__(cls, kind, modulus=None, base=None, params=()):
-        if kind not in cls.KINDS:
-            raise ValueError(f"unknown ring kind {kind!r}")
-        return super().__new__(_CLASSES[kind])
-
-    def __init__(self, kind, modulus=None, base=None, params=()):
-        self.kind = kind
-        self.modulus = modulus
-        self.base = base
-        self.params = tuple(params)
-        if kind == "mod" and (modulus is None or modulus < 1):
-            raise ValueError("modulus must be a positive integer")
-        if kind == "parampoly":
-            if base is None or base.kind not in ("rationals", "integers"):
-                raise ValueError("parampoly base must be rationals or integers")
-            if not self.params:
-                raise ValueError("parampoly needs at least one parameter")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rationals():
-        return Ring("rationals")
+        return Rationals()
 
     @staticmethod
     def integers():
-        return Ring("integers")
+        return Integers()
 
     @staticmethod
     def integers_mod(m):
-        return Ring("mod", modulus=m)
+        return IntegersMod(m)
 
     @staticmethod
     def parampoly(base, params):
-        return Ring("parampoly", base=base, params=params)
+        return ParamPoly(base, params)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Ring)
-            and self.kind == other.kind
-            and self.modulus == other.modulus
-            and self.params == other.params
-            and (self.base == other.base)
-        )
+        return type(self) is type(other) and vars(self) == vars(other)
 
     def __repr__(self):
         return f"Ring({self.kind})"
@@ -110,13 +90,6 @@ class Ring:
 
     def one(self):
         return self.from_int(1)
-
-    def param(self, name):
-        """The raw value of a single parameter variable."""
-        if name not in self.params:
-            raise ValueError(f"{name!r} is not a parameter of {self!r}")
-        exp = tuple(1 if p == name else 0 for p in self.params)
-        return {exp: self.base.one()}
 
     def is_zero(self, a):
         return not a
@@ -174,6 +147,7 @@ class Rationals(_Numbers):
     on ints would give a float.
     """
 
+    kind = "rationals"
     contains_rationals = True
 
     def from_fraction(self, q):
@@ -206,6 +180,8 @@ class Rationals(_Numbers):
 class Integers(_Numbers):
     """ZZ; raw values are ints."""
 
+    kind = "integers"
+
     def try_invert(self, a):
         return a if a in (1, -1) else NOT_INVERTIBLE
 
@@ -219,7 +195,13 @@ class Integers(_Numbers):
 class IntegersMod(Ring):
     """Z/m; raw values are ints in [0, m)."""
 
+    kind = "mod"
     _ZERO = 0
+
+    def __init__(self, m):
+        if m is None or m < 1:
+            raise ValueError("modulus must be a positive integer")
+        self.modulus = m
 
     def __repr__(self):
         return f"Ring(mod {self.modulus})"
@@ -274,8 +256,25 @@ class ParamPoly(Ring):
     times a polynomial needs no pruning.  Every result is a new dict.
     """
 
+    kind = "parampoly"
+
+    def __init__(self, base, params):
+        if base is None or base.kind not in ("rationals", "integers"):
+            raise ValueError("parampoly base must be rationals or integers")
+        self.base = base
+        self.params = tuple(params)
+        if not self.params:
+            raise ValueError("parampoly needs at least one parameter")
+
     def __repr__(self):
         return f"Ring({self.base!r}[{','.join(self.params)}])"
+
+    def param(self, name):
+        """The raw value of a single parameter variable."""
+        if name not in self.params:
+            raise ValueError(f"{name!r} is not a parameter of {self!r}")
+        exp = tuple(1 if p == name else 0 for p in self.params)
+        return {exp: self.base.one()}
 
     @property
     def contains_rationals(self):
@@ -381,10 +380,6 @@ class ParamPoly(Ring):
         for t in terms[1:]:
             out += t if t.startswith("-") else "+" + t
         return out
-
-
-_CLASSES = {"rationals": Rationals, "integers": Integers, "mod": IntegersMod,
-            "parampoly": ParamPoly}
 
 
 # -- the sparse kernel -----------------------------------------------------

@@ -403,18 +403,16 @@ class LaurentElement:
         out, t, out_floors = self._exact_power(n, floors, m, c, cinv)
         return LaurentElement(R, self.vars, out, t, floors=out_floors)
 
-    def power_slices(self, n, kmax, floor):
-        """(s_0, ..., s_kmax): the y^j slices of ``int_power(n, floors=(floor,
-        None))``, n < 0, for an exact two-variable base (x, y) whose leading
-        term is free of y and has a unit coefficient, as ``CappedSlices``.
-        Slice j holds that power's cells of y-exponent j as a one-variable
-        element in x, with the power's truncation minus j and the x floor
-        ``floor``.  The recurrence, graded by y, stops at grade kmax, so the
-        power itself is never formed.  The x floor is the power's whenever
-        the base has a term of its leading term's total degree (then
-        int_power reports it at every depth, as it does for F(z,w), whose
-        w/z term is one); for any other base the slices carry it where the
-        power might not.
+    def power_slices(self, n, kmax):
+        """(s_0, ..., s_kmax): the y^j slices of the power f^n, n < 0, for an
+        exact two-variable base (x, y) whose leading term c * x^a is free of
+        y and has a unit c, as ``CappedSlices``.  Slice j holds the power's
+        cells of y-exponent j as an exact one-variable element in x: no
+        floor, and the power's truncation minus j.  The recurrence, graded
+        by y, stops at grade kmax, so the power itself is never formed.  No
+        floor is needed: every term of f / (c * x^a) has total degree >= 0,
+        so one of y-exponent k has x-exponent >= -k, and slice j has no
+        cell below x^(n * a - j).
         """
         R = self.ring
         m, c = self.leading()
@@ -423,18 +421,18 @@ class LaurentElement:
                 or any(f is not None for f in self.floors)):
             raise ValueError("power slices need n < 0 and an exact two-variable "
                              "base with a unit leading term free of y")
-        out, t, _ = self._exact_power(n, (floor, None), m, c, cinv, kmax)
+        out, t, _ = self._exact_power(n, (None, None), m, c, cinv, kmax)
         rows = [{} for _ in range(kmax + 1)]
         for (i, j), v in out.items():
             rows[j][(i,)] = v
-        return CappedSlices(
-            LaurentElement(R, self.vars[:1], row, t - j, floors=(floor,), _clean=True)
-            for j, row in enumerate(rows))
+        return CappedSlices(LaurentElement(R, self.vars[:1], row, t - j, _clean=True)
+                            for j, row in enumerate(rows))
 
     def _exact_power(self, n, floors, m, c, cinv, kmax=None):
         """The cells, truncation and floors of ``int_power(n, floors)`` for
         an exact base with leading term c * x^m, c a unit; with ``kmax``,
-        the cells of the last variable's grades 0 ... kmax above m's only."""
+        the cells of the last variable's grades 0 ... kmax above m's only,
+        which need no floor."""
         R = self.ring
         v = _tot(m)
         t_rel = self.trunc - v  # relative precision above the valuation
@@ -837,7 +835,9 @@ def _graded_power(R, h, n, t_rel, work_floors, kcap=None):
     """(1 + h)^n for an exact one- or two-variable h whose terms have total
     degree >= 0, cut at total degree t_rel and clipped at ``work_floors``;
     returns the cells and the floors (see ``LaurentElement.int_power``).
-    With ``kcap`` the recurrence stops at the last variable's grade kcap."""
+    With ``kcap`` (n < 0, no floors) the recurrence stops at the last
+    variable's grade kcap; each grade k is finite without a floor, since a
+    term of grade k has x-exponent >= -k."""
     arity = len(work_floors)
     if arity > 2:
         raise ValueError(f"no power recurrence in {arity} variables")
@@ -847,7 +847,7 @@ def _graded_power(R, h, n, t_rel, work_floors, kcap=None):
     # for n < 0, terms of total degree 0 leave cells of total degree 0 at
     # every depth in x, so the x floor always cuts something
     tail = n < 0 and any(_tot(e) == 0 for e in h)
-    if tail and work_floors[0] is None:
+    if tail and work_floors[0] is None and kcap is None:
         raise ValueError("a negative power of a base with a term of "
                          "its leading term's total degree needs a floor on "
                          "the dominant variable")
@@ -867,15 +867,15 @@ def _graded_power(R, h, n, t_rel, work_floors, kcap=None):
     for e, c in h.items():
         parts[e[-1]][e] = c
     p0, parts[0] = parts[0], one
-    if n > 0:
+    if kcap is not None:
+        kmax = kcap
+    elif n > 0:
         kmax = n * top
     elif tail:
         # the last y-degree with a cell of total < t_rel above the x floor
         kmax = max(0, t_rel - 1 - work_floors[0])
     else:
         kmax = None  # every factor raises the total degree
-    if kcap is not None:
-        kmax = kcap if kmax is None else min(kmax, kcap)
     if p0:
         # u_0 = 1 + p(x): u^n = u_0^n * (u / u_0)^n, where u_0^n and u_0^-1
         # come from the same recurrence graded by the x-degree

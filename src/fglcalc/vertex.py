@@ -14,14 +14,13 @@ accounts for that exactly instead of papering over it).
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import chain
 
 from .calculus import (Report, _compare, _fail, _inverse_expansions, _tower_cell,
                        f_residue, hyperderivative, product_residue)
-from .fgl import times_line_power
 from .ring import Ring, sparse_add
-from .series import BilateralWindow, LaurentElement, WindowMiss
+from .series import BilateralWindow, WindowMiss
 
 
 class YUndefined(Exception):
@@ -37,8 +36,8 @@ class MismatchBug(Exception):
 
 
 class NotFound(Exception):
-    def __init__(self, bound, what="order"):
-        super().__init__(f"no {what} found up to {bound}")
+    def __init__(self, bound):
+        super().__init__(f"no commutativity order found up to {bound}")
         self.bound = bound
 
 
@@ -174,8 +173,8 @@ class VertexFAlgebra:
     """Common interface: a law, a vacuum, a shift operator, a partial Y.
 
     Subclasses provide shift(n, state), y_defined(a), y_coeff(a, c, k), a
-    finite monomial basis per weight and W, the weight cap that the
-    quotient, the bracket and the axiom windows default to.
+    finite monomial basis up to W and W, the one weight cap of the
+    quotient, the bracket and the axiom windows.
     """
 
     def __init__(self, law):
@@ -183,7 +182,11 @@ class VertexFAlgebra:
         self.ring = law.ring
         self.adapter = StateSpace(law.ring)
         self.vacuum = {(): 1}
-        self._quotients = {}
+
+    @cached_property
+    def quotient(self):
+        """The ``ShiftQuotient`` at weight cap W, built on first use."""
+        return ShiftQuotient(self)
 
     def y_field(self, a, c, kmax):
         """{k: coefficient of z^k in Y(a,z)c} for k up to kmax (finite below)."""
@@ -195,8 +198,14 @@ class VertexFAlgebra:
         return out
 
 
+# the creation modes of the Heisenberg algebra at weight cap W are b(-1),
+# ..., b(-K) with K = min(MAX_MODE, W)
+MAX_MODE = 6
+
+
 class HeisenbergAlgebra(VertexFAlgebra):
-    """Polynomial Fock space on creation modes b(-1), ..., b(-K).
+    """Polynomial Fock space on creation modes b(-1), ..., b(-K), K =
+    min(MAX_MODE, W).
 
     The shift operator is determined inductively from S(z) fixing the vacuum
     and the conjugation relation S(z) b(w) = b(F(z,w)) S(z); written in
@@ -212,7 +221,7 @@ class HeisenbergAlgebra(VertexFAlgebra):
     with Y(b(-1)vac, z) the generator field sum_n b_n z^(-n-1).
     """
 
-    def __init__(self, law, K=6, W=6):
+    def __init__(self, law, W=6):
         if law.ring.kind != "rationals":
             raise NeedsField("Heisenberg construction needs rational coefficients")
         if law.trunc < 3 * W:
@@ -220,13 +229,13 @@ class HeisenbergAlgebra(VertexFAlgebra):
                 f"law truncation {law.trunc} too small for weight cap {W}; "
                 f"need at least {3 * W}")
         super().__init__(law)
-        self.K = K
+        self.K = min(MAX_MODE, W)
         self.W = W
         self._smono = {}
         self.generator = {(-1,): 1}
         # precompute the shift images of the weight basis; these rows are the
         # spanning set for the quotient modulus and the per-weight matrices
-        for mono in self.basis_monomials(W):
+        for mono in self.basis_monomials():
             for n in range(0, W + 1):
                 self._shift_mono(n, mono)
 
@@ -241,9 +250,9 @@ class HeisenbergAlgebra(VertexFAlgebra):
 
     # -- basis ---------------------------------------------------------------
 
-    def basis_monomials(self, W=None):
+    def basis_monomials(self):
         """Monomials of weight <= W with parts at most K, weight-then-lex order."""
-        W = self.W if W is None else W
+        W = self.W
         out = [()]
         seen = {()}
         frontier = [()]
@@ -387,15 +396,14 @@ class ShiftQuotient:
     dict equality of representatives.
     """
 
-    def __init__(self, A, W):
+    def __init__(self, A):
         if A.ring.kind != "rationals":
             raise NeedsField("quotient reduction needs a field")
         self.A = A
-        self.W = W
         rows = []
-        for mono in A.basis_monomials(W):
+        for mono in A.basis_monomials():
             st = {mono: 1}
-            for n in range(1, W + 1):
+            for n in range(1, A.W + 1):
                 img = A.shift(n, st)
                 if img:
                     rows.append(img)
@@ -459,15 +467,8 @@ class LieClass:
         return f"LieClass({state_text(self.rep)})"
 
 
-def _quotient(A, W):
-    if W not in A._quotients:
-        A._quotients[W] = ShiftQuotient(A, W)
-    return A._quotients[W]
-
-
-def quotient_reduce(A, state, W=None):
-    W = A.W if W is None else W
-    return _quotient(A, W).reduce(state)
+def quotient_reduce(A, state):
+    return A.quotient.reduce(state)
 
 
 def bracket_raw(A, a, b):
@@ -475,8 +476,8 @@ def bracket_raw(A, a, b):
     return _residue_of_field(A.law, A.y_field(a, b, -1))
 
 
-def lie_bracket(A, a, b, W=None):
-    return quotient_reduce(A, bracket_raw(A, a, b), W)
+def lie_bracket(A, a, b):
+    return quotient_reduce(A, bracket_raw(A, a, b))
 
 
 def shifted_bracket_series(A, a, b, mmax):
@@ -503,31 +504,28 @@ def shifted_bracket_series(A, a, b, mmax):
     return out
 
 
-def field_skew_defect(A, a, b, emax=None):
-    """Coefficients of Y(a,z)b - S(z) Y(b, iota(z))a on a certified z-range.
+def field_skew_defect(A, a, b):
+    """Coefficients of Y(a,z)b - S(z) Y(b, iota(z))a on the z-range up to
+    emax = W + 1.
 
     Returns (defect dict e -> state, emin, emax).  A zero defect on the range
     is the field-level skew symmetry; nonzero entries are reported, not
     hidden, because the bracket antisymmetry argument runs through this
-    identity.
+    identity.  iota = -z + O(z^2) has no term of its leading term's total
+    degree but that term, so each power iota^k is exact.
     """
     law = A.law
-    if emax is None:
-        emax = A.W + 1
+    emax = A.W + 1
     kmin_ab = A.y_kmin(a, b)
     kmin_ba = A.y_kmin(b, a)
     emin = min(kmin_ab, kmin_ba)
     iota = law.iota.as_laurent()
-    depth = 3 * law.trunc
     H = {}
     for k in range(kmin_ba, emax + 1):
         yk = A.y_coeff(b, a, k)
         if not yk:
             continue
-        if k >= 0:
-            ip = iota.int_power(k)
-        else:
-            ip = iota.int_power(k, floors=(-depth,))
+        ip = iota.int_power(k)
         for e in range(max(k, emin), emax + 1):
             c = ip.certified((e,))
             if c:
@@ -564,7 +562,7 @@ def _residue_of_field(law, coeffs):
 LIE_MMAX = 4
 
 
-def lie_axiom_check(A, W=None):
+def lie_axiom_check(A):
     """Descent, the proof's Jacobi variant, and antisymmetry of the bracket.
 
     Antisymmetry [a,b] + [b,a] = 0 is asserted on pairs whose field-level
@@ -574,10 +572,9 @@ def lie_axiom_check(A, W=None):
     defective pairs are listed in the report.
     """
     samples = A.samples()
-    W = A.W if W is None else W
     law = A.law
     name = law.name
-    Q = _quotient(A, W)
+    Q = A.quotient
 
     # descent: [S^(m)a, b] = 0 exactly; [a, S^(m)b] lands in the modulus on
     # pairs satisfying shift conjugation (the second-slot argument moves the
@@ -610,7 +607,7 @@ def lie_axiom_check(A, W=None):
     clean_pairs = 0
     for i, a in enumerate(samples):
         for j, b in enumerate(samples):
-            defect, emin, emax = field_skew_defect(A, a, b, emax=W + 1)
+            defect, emin, emax = field_skew_defect(A, a, b)
             anti = st_add(bracket_raw(A, a, b), bracket_raw(A, b, a))
             transfer = _residue_of_field(law, defect)
             if Q.reduce(anti) != Q.reduce(transfer):
@@ -640,7 +637,7 @@ def lie_axiom_check(A, W=None):
                     return Report("lie/jacobi_variant", name, None,
                                   _fail(A.adapter, None, lhs, rhs))
                 triples += 1
-    return Report("lie_axioms", name, {"W": W, "mmax": LIE_MMAX},
+    return Report("lie_axioms", name, {"W": A.W, "mmax": LIE_MMAX},
                   details={"triples": triples,
                            "antisymmetry_pairs": clean_pairs,
                            "skew_defect_pairs": defect_pairs,
@@ -965,7 +962,7 @@ def axiom_check(A, which):
         defects = []
         for i, a in enumerate(samples):
             for j, b in enumerate(samples):
-                d, emin, emax = field_skew_defect(A, a, b, emax=kmax)
+                d, emin, emax = field_skew_defect(A, a, b)
                 if d:
                     defects.append({"pair": [i, j],
                                     "first_exponent": min(d)})
@@ -978,12 +975,10 @@ def axiom_check(A, which):
     raise ValueError(f"unknown axiom {which!r}")
 
 
-def weak_commutativity_order(A, a, b, c, factor="group"):
+def weak_commutativity_order(A, a, b, c):
     """Minimal M <= MAX_ORDER such that F(z, iota w)^M kills the ordering
-    discrepancy of Y(a,z)Y(b,w)c on a box with highs WEAK_COMMUTATIVITY_TOP;
-    factor="classical" uses (z-w)^M instead (the two differ by a unit and
-    must give the same M).  Both grids are complete down to the box lows,
-    and state it."""
+    discrepancy of Y(a,z)Y(b,w)c on a box with highs WEAK_COMMUTATIVITY_TOP.
+    Both grids are complete down to the box lows, and state it."""
     zhi, whi = WEAK_COMMUTATIVITY_TOP
     g1c, zlo1, wlo1 = _op_products(A, a, b, c, whi, lambda j: zhi)
     g2t, wlo2, zlo2 = _op_products(A, b, a, c, zhi, lambda i: whi)
@@ -993,16 +988,10 @@ def weak_commutativity_order(A, a, b, c, factor="group"):
                          box, supported=True, _clean=True)
     diff = g1 - g2
     if _escaped_lowest_part(diff, box) is None:
-        if factor == "classical":
-            # (z - w)^M is the binomial line of the twisted powers with G = 1
-            one = LaurentElement.one(A.ring, ("z", "w"), A.law.trunc - 1)
-            power = partial(times_line_power, one, dominant=0, floors=(None, None))
-        else:
-            power = partial(A.law.power, twisted=True)
-        M, _ = _annihilation_order(diff, power)
+        M, _ = _annihilation_order(diff, partial(A.law.power, twisted=True))
         if M is not None:
             return M
-    raise NotFound(MAX_ORDER, what="commutativity order")
+    raise NotFound(MAX_ORDER)
 
 
 # -- meromorphicity -----------------------------------------------------------

@@ -452,19 +452,24 @@ def hyper_law(k, t):
        coeffs=st.dictionaries(st.integers(-6, 8), st.integers(-5, 5), max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_hyperderivative_slices_match_the_expansion(k, t, nmax, ftrunc, coeffs):
-    # the slice route equals slicing the full expansion: cells, truncation
-    # and floors of every S_n, for both entry points
+    # the slice route equals slicing the full expansion, whose negative
+    # powers are cut three truncation orders deep: cells and truncation of
+    # every S_n, for both entry points.  S_n carries no floor, and no cell
+    # of the expansion's slice n lies below z^(e_min - n), e_min the least
+    # exponent of f: the support the floor-free S_n claims
     law = hyper_law(k, t)
     R = law.ring
     f = LaurentElement(R, ("z",), {(e,): R.from_int(c) for e, c in coeffs.items()},
                        t + ftrunc)
+    e_min = min((e for (e,) in f.coeffs), default=0)
     g = hyperderivative_expansion(law, f)
     got = hyperderivatives(law, f, nmax)
     assert len(got) == nmax + 1
     for n, sn in enumerate(got):
         want = slice_w(g, n)
         assert (sn.vars, sn.coeffs, sn.trunc, sn.floors) == \
-            (want.vars, want.coeffs, want.trunc, want.floors), n
+            (want.vars, want.coeffs, want.trunc, (None,)), n
+        assert all(i >= e_min - n for (i,) in want.coeffs), n
     one = hyperderivative(law, f, nmax)
     assert (one.coeffs, one.trunc, one.floors) == \
         (got[nmax].coeffs, got[nmax].trunc, got[nmax].floors)
@@ -479,7 +484,7 @@ def test_hyper_slices_one_grade_short_raise_window_miss(monkeypatch):
     want = hyperderivatives(law, f, 3)
     real = law.power_slices
     monkeypatch.setattr(law, "power_slices",
-                        lambda n, cap, floor: real(n, cap - 1, floor))
+                        lambda n, cap: real(n, cap - 1))
     for nmax in (1, 3, 6):
         with pytest.raises(WindowMiss):
             hyperderivatives(law, f, nmax)
@@ -488,6 +493,23 @@ def test_hyper_slices_one_grade_short_raise_window_miss(monkeypatch):
     monkeypatch.undo()
     assert [(s.coeffs, s.trunc, s.floors) for s in hyperderivatives(law, f, 3)] == \
         [(s.coeffs, s.trunc, s.floors) for s in want]
+
+
+def test_hyperderivatives_refuse_a_floored_input():
+    # f1 = z^-1 cut below z^-2 agrees with f2 = z^-1 + z^-5 wherever f1 is
+    # known, yet S_n f2 has a cell at z^(-5 - n): every S_n of f1 would
+    # read its unknown cells, so a floored input is refused, as substitute
+    # refuses one
+    law = MUL
+    R = law.ring
+    f1 = LaurentElement(R, ("z",), {(-1,): R.one()}, 12, floors=(-2,))
+    f2 = laurent(law, {-1: 1, -5: 1})
+    s2 = hyperderivatives(law, f2, 2)
+    assert all(s2[n].coefficient((-5 - n,)) for n in range(3))
+    with pytest.raises(ValueError, match="floors"):
+        hyperderivatives(law, f1, 2)
+    with pytest.raises(ValueError, match="floors"):
+        hyperderivative(law, f1, 1)
 
 
 # -- residues --------------------------------------------------------------

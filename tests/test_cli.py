@@ -387,7 +387,7 @@ def test_verify_all_computes_no_power_an_entry_covers(monkeypatch):
     watch("power", lambda n, twisted=False, dominant=0, floors=None, **_:
           (twisted, dominant, n, floors), lambda p: p.trunc)
     watch("g_power", lambda n, trunc=None: ("G", n), lambda p: p.trunc)
-    watch("power_slices", lambda n, cap, floor: ("w_slices", n, floor), len)
+    watch("power_slices", lambda n, cap: ("w_slices", n), len)
     checks = cli._suite_checks(CliConfig(kind="elliptic", seed=1), law, "all")
     assert all(check().ok for _, check in checks)
     assert deepest

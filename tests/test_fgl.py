@@ -774,21 +774,23 @@ def test_power_table_shares_entries_across_names(monkeypatch):
 
 
 @given(kind=st.sampled_from(list(REFERENCE_BUILDERS)), n=st.integers(-6, -1),
-       cap=st.integers(0, 8), depth=st.integers(-3, 3))
+       cap=st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
-def test_power_slices_match_the_full_power(kind, n, cap, depth):
-    # the capped slices are the full power's w-slices in cells, truncation
-    # and z floor, for floors from -3 trunc (the hyperderivatives') to 3;
-    # a grade above the cap is a WindowMiss, never an empty slice
+def test_power_slices_match_the_full_power(kind, n, cap):
+    # the capped slices are the w-slices of the full power, cut three
+    # truncation orders deep, in cells and truncation; they carry no floor,
+    # and no cell of the full power's slice j lies below z^(n - j), the
+    # support the floor-free slices claim; a grade above the cap is a
+    # WindowMiss, never an empty slice
     law = reference_law(kind)
-    floor = depth * law.trunc if depth < 0 else depth
-    slices = law.power_slices(n, cap, floor)
-    full = REFERENCE_BUILDERS[kind]().power(n, floors=(floor, None))
+    slices = law.power_slices(n, cap)
+    full = REFERENCE_BUILDERS[kind]().power(n, floors=(-3 * law.trunc, None))
     assert len(slices) == cap + 1
     for j, sj in enumerate(slices):
         want = slice_w(full, j)
         assert (sj.vars, sj.coeffs, sj.trunc, sj.floors) == \
-            (want.vars, want.coeffs, want.trunc, want.floors), j
+            (want.vars, want.coeffs, want.trunc, (None,)), j
+        assert all(i >= n - j for (i,) in want.coeffs), j
     # a repeated or shallower request runs no recurrence and is the
     # deeper entry's prefix
     graded = []
@@ -797,7 +799,7 @@ def test_power_slices_match_the_full_power(kind, n, cap, depth):
         mp.setattr(series_module, "_graded_power",
                    lambda *a, **kw: graded.append(1) or real(*a, **kw))
         for k in range(cap, -1, -1):
-            again = law.power_slices(n, k, floor)
+            again = law.power_slices(n, k)
             assert len(again) == k + 1
             assert all(a is b for a, b in zip(again, slices))
     assert graded == []
@@ -811,7 +813,7 @@ def test_power_slices_match_the_full_power(kind, n, cap, depth):
 POWER_KEYS = st.tuples(st.just("power"), st.integers(-4, 6), st.booleans(),
                        st.integers(0, 1), st.sampled_from([None, -2]))
 G_KEYS = st.tuples(st.just("G"), st.integers(-3, 3))
-SLICE_KEYS = st.tuples(st.just("slices"), st.integers(-4, -1), st.sampled_from([-3, -1, 0]))
+SLICE_KEYS = st.tuples(st.just("slices"), st.integers(-4, -1))
 
 
 @st.composite
@@ -832,8 +834,7 @@ def table_requests(draw):
 
 def table_request(law, req):
     """Serve one request of the power table: a power, a power of G or power
-    slices; floors and slice floors are given in multiples of the law's
-    truncation."""
+    slices; floors are given in multiples of the law's truncation."""
     N = law.trunc
     if req[0] == "power":
         _, n, twisted, dominant, deep, trunc = req
@@ -842,8 +843,8 @@ def table_request(law, req):
                          floors=floors, trunc=trunc)
     if req[0] == "G":
         return law.g_power(req[1], req[2])
-    _, n, depth, cap = req
-    return law.power_slices(n, cap, depth * N)
+    _, n, cap = req
+    return law.power_slices(n, cap)
 
 
 @given(kind=st.sampled_from(["multiplicative", "elliptic", "ZZ"]), reqs=table_requests())

@@ -166,3 +166,37 @@ def test_twisted_powers(kind):
                               {(i + j - n, j): c for (i, j), c in got.coeffs.items()},
                               got.trunc, _clean=True)
         assert as_ring(mine) == want, n
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "one_parameter",
+                                  "elliptic"])
+def test_power_slices(kind):
+    # with w = z*u, F(z, w) = z * A(z, u), A = (1 + u) + z*P(z, u), so the
+    # z-dominant F(z, w)^n is z^n * sum_k C(n, k) (1 + u)^(n-k) (zP)^k: cell
+    # z^i w^j of its slice j is the coefficient of z^(i+j-n) u^j there, and
+    # no cell lies below z^(n-j).  A is known below z-degree T - 1, so slice
+    # j is certified below z^(T - 1 + n - j), with no floor
+    L = standard_law(kind, trunc=T)
+    F, _ = closed_form(kind)
+    zA = cut(F.compose(w, z * u), T)
+    A = R({(m[0] - 1,) + m[1:]: c for m, c in zA.items()})
+    zP = A - (1 + u)
+    cap = 4
+    zPk = [R(1)]
+    for _ in range(T - 2):
+        zPk.append(cut_zu(zPk[-1] * zP, T - 1, cap))
+    for n in (-3, -1):
+        An = R(0)
+        for k, q in enumerate(zPk):
+            line = sum((sp.binomial(n - k, b) * u ** b for b in range(cap + 1)), R(0))
+            An += sp.binomial(n, k) * cut_zu(line * q, T - 1, cap)
+        slices = L.power_slices(n, cap)
+        assert len(slices) == cap + 1
+        for j, sj in enumerate(slices):
+            assert (sj.vars, sj.trunc, sj.floors) == (("z",), T - 1 + n - j, (None,))
+            assert all(i >= n - j for (i,) in sj.coeffs), (n, j)
+            mine = LaurentElement(sj.ring, ("z", "u"),
+                                  {(i + j - n, j): c for (i,), c in sj.coeffs.items()},
+                                  T - 1, _clean=True)
+            want = R({m: c for m, c in An.items() if m[2] == j})
+            assert as_ring(mine) == want, (n, j)

@@ -1200,9 +1200,9 @@ def test_law_companions_keep_canonical_form(kind, params):
         _assert_canonical_series(f)
     if law.ring.kind == "rationals":
         # Heisenberg states: shift images and the reduced rows of the quotient
-        A = HeisenbergAlgebra(law, K=3, W=3)
+        A = HeisenbergAlgebra(law, W=3)
         states = [A.shift(n, {mono: 1}) for mono in A.basis_monomials() for n in range(4)]
-        states += ShiftQuotient(A, 3).pivots.values()
+        states += ShiftQuotient(A).pivots.values()
         for s in states:
             for c in s.values():
                 _assert_canonical(QQ, c)
