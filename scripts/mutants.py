@@ -95,9 +95,24 @@ MUTANTS = [
     ("calculus.py", "hi[oi] = min(hi[oi], -delta.floors[1] - 1)",
      "hi[oi] = min(hi[oi], -delta.floors[1])",
      "_delta_tower: out high + 1", "killed"),
-    ("calculus.py", "for n in range(-m - 1, sum(cell) + 1):",
-     "for n in range(-m, sum(cell) + 1):",
+    ("calculus.py", "for n in range(-m - 1, top + 1):",
+     "for n in range(-m, top + 1):",
      "_tower_cell: drop n = -m - 1", "killed"),
+    ("calculus.py", "get = delta._reader((m, -m - 1), m + top)",
+     "get = delta._reader((m, -m), m + top)",
+     "_tower_cell: delta run checked from n = -m", "killed"),
+    ("calculus.py", "get = delta._reader((m, -m - 1), m + top)",
+     "get = delta._reader((m, -m - 1), m + top - 1)",
+     "_tower_cell: delta run checked to tot(cell) - 1", "killed"),
+    ("calculus.py", "p._reader(blo, min(btop, mt - max(lo[oi], -n - 1)))",
+     "p._reader(tuple(x + 1 for x in blo), min(btop, mt - max(lo[oi], -n - 1)))",
+     "_delta_tower: power read region low + 1", "killed"),
+    ("calculus.py", "p._reader(blo, min(btop, mt - max(lo[oi], -n - 1)))",
+     "p._reader(blo, min(btop - 1, mt - max(lo[oi], -n - 1)))",
+     "_delta_tower: power read region top below the box top", "killed"),
+    ("calculus.py", "p._reader(blo, min(btop, mt - max(lo[oi], -n - 1)))",
+     "p._reader(blo, min(btop, mt - max(lo[oi], -n)))",
+     "_delta_tower: power read region top from m >= -n", "killed"),
     ("calculus.py", "cut=min(0, r.top + 1)",
      "cut=min(-1, r.top + 1)",
      "product_residue: cut at total degree 0 -> -1", "killed"),
@@ -110,6 +125,45 @@ MUTANTS = [
     ("calculus.py", "floors=(-B, -B))",
      "floors=(-B + 1, -B + 1))",
      "f_jacobi_delta_check: tower floors -B -> -B + 1", "killed"),
+    ("series.py", "return top < self.trunc and all(",
+     "return top <= self.trunc and all(",
+     "_certifies: greatest total < trunc -> <= trunc", "killed"),
+    ("series.py", "f is None or lo >= f for lo, f in zip(lows, self.floors))",
+     "f is None or lo >= f - 1 for lo, f in zip(lows, self.floors))",
+     "_certifies: least cell one below the floors", "killed"),
+    ("vertex.py", "if not g._certifies((zlo, qlo), top):",
+     "if not g._certifies((zlo + 1, qlo), top):",
+     "y_at_group_law_grid: read box least z + 1", "killed"),
+    ("vertex.py", "if not g._certifies((zlo, qlo), top):",
+     "if not g._certifies((zlo, qlo + 1), top):",
+     "y_at_group_law_grid: read box least w + 1", "killed"),
+    ("vertex.py", "if not g._certifies((zlo, qlo), top):",
+     "if not g._certifies((zlo, qlo), top - 1):",
+     "y_at_group_law_grid: read box greatest total - 1", "killed"),
+    ("vertex.py", "qlo <= q <= qhi and i + q <= top\n",
+     "qlo <= q <= qhi and i + q <= top + 1\n",
+     "y_at_group_law_grid: stored cells walked to total top + 1", "killed"),
+    ("vertex.py", "and not (ilo <= i <= ihi and jlo <= q + n <= jhi)",
+     "and not (ilo - 1 <= i <= ihi and jlo <= q + n <= jhi)",
+     "y_at_group_law_grid: widening skips a row below the inner box", "killed"),
+    ("vertex.py", "(max(-B - j1, j2 - 2 * B - 1) for",
+     "(max(-B - j1 + 1, j2 - 2 * B - 1) for",
+     "jacobi_identity_check: z-dominant read low -B - j1 + 1", "killed"),
+    ("vertex.py", "(max(-B - j1, j2 - 2 * B - 1) for",
+     "(max(-B - j1, j2 - 2 * B) for",
+     "jacobi_identity_check: z-dominant read low j2 - 2B", "killed"),
+    ("vertex.py", "(N - B, 0))",
+     "(N - B + 1, 0))",
+     "jacobi_identity_check: left-side read low N - B + 1", "killed"),
+    ("vertex.py", "(max(-B - j2, j1 - 2 * B - 1) for",
+     "(max(-B - j2 + 1, j1 - 2 * B - 1) for",
+     "jacobi_identity_check: w-dominant read low -B - j2 + 1", "killed"),
+    ("vertex.py", "(max(-B - j2, j1 - 2 * B - 1) for",
+     "(max(-B - j2, j1 - 2 * B) for",
+     "jacobi_identity_check: w-dominant read low j1 - 2B", "killed"),
+    ("fgl.py", "t = self.trunc if k == 0 else self.trunc - 1 + k",
+     "t = self.trunc if k == 0 else self.trunc + k",
+     "iota_power: depth N - 1 + k -> N + k", "killed"),
     ("fgl.py", "        if _depth(entry) == depth:\n",
      "        if _depth(entry) >= depth:\n",
      "_served: serve a deeper entry uncut", "killed"),

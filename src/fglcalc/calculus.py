@@ -287,22 +287,27 @@ def delta_phi_relation_check(law, box=(-6, 6)):
     return _compare("delta/invariant_factor", law.name, lhs, rhs)
 
 
-def _tower_cell(delta, power, m, cell):
+def _tower_cell(delta, read, m, cell):
     """The out^m (cell) coefficient of out^{-1} delta_F(u/out) with u^n
     replaced by power(n): the sum of delta[out^m u^n] * power(n)[cell] over
-    -m-1 <= n <= tot(cell), every read through ``certified``.
+    -m-1 <= n <= tot(cell).
 
     delta is the two-variable (out, u) element, the difference of the two
     ``_inverse_expansions``; power(n) has valuation n and exponents in the
-    order of ``cell``.  No other n reaches the cell: delta has total degree
-    >= -1, and power(n) has no cell of total degree below n.
+    order of ``cell``, and read(n) reads its cells (a ``_reader`` of it).  No
+    other n reaches the cell: delta has total degree >= -1, and power(n) has
+    no cell of total degree below n.  The delta run (m, -m-1)...(m, tot(cell))
+    is checked once, by its two ends; where they are not certified, each
+    read goes through ``certified`` and raises WindowMiss where it misses.
     """
     R = delta.ring
     r = R.zero()
-    for n in range(-m - 1, sum(cell) + 1):
-        d = delta.certified((m, n))
+    top = sum(cell)
+    get = delta._reader((m, -m - 1), m + top)
+    for n in range(-m - 1, top + 1):
+        d = get((m, n))
         if d:
-            c = power(n).certified(cell)
+            c = read(n)(cell)
             if c:
                 r = R.add(r, R.mul(d, c))
     return r
@@ -348,10 +353,17 @@ def _delta_tower(delta, power, base_vars, out_var, B):
         for k, f in zip(bi, p.floors):
             if f is not None:
                 lo[k] = max(lo[k], f)
+    # power(n) is read at base cells of the box, from out-exponents
+    # m >= -n-1, so at total degree <= mt - m; each power is checked once
+    # on that region
+    blo = tuple(lo[k] for k in bi)
+    btop = sum(hi[k] for k in bi)
+    read = {n: p._reader(blo, min(btop, mt - max(lo[oi], -n - 1)))
+            for n, p in powers.items()}
     coeffs = {}
     for e in product(*(range(x, y + 1) for x, y in zip(lo, hi))):
         if sum(e) <= mt:
-            c = _tower_cell(delta, powers.__getitem__, e[oi],
+            c = _tower_cell(delta, read.__getitem__, e[oi],
                             tuple(e[k] for k in bi))
             if c:
                 coeffs[e] = c

@@ -158,8 +158,11 @@ def emit(cfg, payload):
             lines.append("  " + "  ".join(f"{k}={v}" for k, v in r.items()))
         text = "\n".join(lines) + "\n"
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {cfg.out}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -484,10 +487,10 @@ def main(argv=None):
             payload, code = cmd_verify(cfg, args.suite)
         else:
             payload, code = cmd_heisenberg(cfg, args.action)
+        emit(cfg, payload)
     except (ConfigError, AxiomViolation, IntegralityFailure) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    emit(cfg, payload)
     return code
 
 

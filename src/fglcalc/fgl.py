@@ -59,14 +59,13 @@ def _first_difference(a, b):
 class FormalGroupLaw:
     """A validated formal group law with eagerly computed companions."""
 
-    def __init__(self, F, name="custom", params=None):
+    def __init__(self, F, name="custom"):
         if F.vars != (Z, W):
             F = F.rename((Z, W))
         self.ring = F.ring
         self.F = F
         self.trunc = F.trunc
         self.name = name
-        self.params = dict(params or {})
         self.validate()
         self.iota = self._solve_inverse()
         self.G = self._g_factor()
@@ -229,10 +228,10 @@ class FormalGroupLaw:
             raise NeedsRationals("the exponential needs rational coefficients")
         return self.exp
 
-    def f_z_iota_w(self, zname=Z, wname=W):
-        """F(z, iota(w)) as an exact LaurentElement in (zname, wname)."""
-        iw = self.iota.rename((wname,)).extend((zname, wname))
-        return self.F.rename((zname, wname)).substitute({wname: iw}).as_laurent()
+    def f_z_iota_w(self):
+        """F(z, iota(w)) as an exact LaurentElement in (z, w)."""
+        iw = self.iota.rename((W,)).extend((Z, W))
+        return self.F.substitute({W: iw}).as_laurent()
 
     def as_laurent(self):
         """F(z, w) as a plain LaurentElement, sharing F's coefficient dict."""
@@ -296,6 +295,15 @@ class FormalGroupLaw:
         tg = self.G.trunc if trunc is None else min(trunc, self.G.trunc)
         return self._served(("G", n), tg, lambda: self.G.truncate(tg).int_power(n))
 
+    def iota_power(self, k):
+        """iota(z)^k, one variable, as ``LaurentElement.int_power`` of iota
+        gives it: certified below total degree N - 1 + k (N for k = 0).  iota
+        = -z + O(z^2) has no term of its leading term's total degree but
+        that term, so the power is exact.  It is the law's power-table entry
+        ("iota", k), built once under the table's one depth rule."""
+        t = self.trunc if k == 0 else self.trunc - 1 + k
+        return self._served(("iota", k), t, lambda: self.iota.as_laurent().int_power(k))
+
     def power_slices(self, n, cap):
         """(S_0, ..., S_cap): the w^j slices, j <= cap, of the z-dominant
         F(z,w)^n, n < 0.  S_j holds the power's cells of w-exponent j: one
@@ -310,7 +318,8 @@ class FormalGroupLaw:
                             lambda: self.power(1).power_slices(n, cap))
 
     def _served(self, key, depth, build):
-        """The power table's one rule, for powers, G's powers and slices.
+        """The power table's one rule, for powers, G's and iota's powers
+        and slices.
 
         An entry is certified to a depth: a power's truncation, or its
         number of slices.  A request to ``depth`` that the entry under
@@ -477,7 +486,7 @@ def standard_law(kind, trunc=12, **params):
         phi = _phi_p(QQ, p, h, trunc)
         F = PowerSeries(QQ, (Z, W), separable_sum(phi.comp_inverse(), phi, trunc),
                         trunc, _clean=True)
-        law = FormalGroupLaw(F, name=f"p_typical({p},{h})", params={"p": p, "h": h})
+        law = FormalGroupLaw(F, name=f"p_typical({p},{h})")
         for e, c in F.coeffs.items():
             if c.denominator != 1:
                 raise IntegralityFailure(

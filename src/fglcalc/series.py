@@ -281,6 +281,20 @@ class LaurentElement:
                              f"(trunc {self.trunc}, floors {self.floors})")
         return self.coefficient(e)
 
+    def _certifies(self, lows, top):
+        """Whether every cell at or above ``lows`` of total degree at most
+        ``top`` is certified: the region's least cell lies on or above the
+        floors, and its greatest total below the truncation."""
+        return top < self.trunc and all(
+            f is None or lo >= f for lo, f in zip(lows, self.floors))
+
+    def _reader(self, lows, top):
+        """A cell reader for reads inside the region of ``_certifies``,
+        checked once: the stored dict's ``get`` (None for a zero cell) when
+        the element certifies the region, else ``certified``, which raises
+        WindowMiss at the first uncertified read as a per-cell read does."""
+        return self.coeffs.get if self._certifies(lows, top) else self.certified
+
     def truncate(self, n):
         """Truncate to total degree n (at most the element's own)."""
         n = min(n, self.trunc)

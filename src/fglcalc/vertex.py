@@ -511,21 +511,20 @@ def field_skew_defect(A, a, b):
     Returns (defect dict e -> state, emin, emax).  A zero defect on the range
     is the field-level skew symmetry; nonzero entries are reported, not
     hidden, because the bracket antisymmetry argument runs through this
-    identity.  iota = -z + O(z^2) has no term of its leading term's total
-    degree but that term, so each power iota^k is exact.
+    identity.  Each power iota^k is exact, read from the law's power table
+    (``FormalGroupLaw.iota_power``).
     """
     law = A.law
     emax = A.W + 1
     kmin_ab = A.y_kmin(a, b)
     kmin_ba = A.y_kmin(b, a)
     emin = min(kmin_ab, kmin_ba)
-    iota = law.iota.as_laurent()
     H = {}
     for k in range(kmin_ba, emax + 1):
         yk = A.y_coeff(b, a, k)
         if not yk:
             continue
-        ip = iota.int_power(k)
+        ip = law.iota_power(k)
         for e in range(max(k, emin), emax + 1):
             c = ip.certified((e,))
             if c:
@@ -692,24 +691,35 @@ def shift_grid(A, fdict, box, supported=False):
                            _clean=True)
 
 
-def y_at_group_law_grid(A, a, series, box, tot_cap=None, supported=False):
+def y_at_group_law_grid(A, a, series, box, tot_cap=None, supported=False, inner=None):
     """i_{z,w} Y(a, F(z,w)) applied to a w-series of states {n: state}.
 
     series must hold every w-coefficient with index <= box w-top.  Cell
     (i,j) collects y_coeff(a, series[n], k) * [F^k]_(i, j-n) over the finite
-    range n <= j, k <= i+j-n; the z-dominant power table certifies each
-    lookup or raises WindowMiss.  tot_cap skips box cells above that total
-    degree and records the cap as the window's max_total, which keeps deep
-    box corners from demanding power cells beyond the truncation.
-    ``supported`` states that the box lows bound the support.
+    range n <= j, k <= i+j-n.  Each F^k, read at the box cells shifted by
+    w^-n, is checked once on that read box, by its least z, least w and
+    greatest total; the grid then walks the power's stored cells inside the
+    box.  Where the read box is not certified, every cell of it is read
+    through ``certified`` first, which raises WindowMiss at the first
+    uncertified read.  tot_cap skips box cells above that total degree and
+    records the cap as the window's max_total, which keeps deep box corners
+    from demanding power cells beyond the truncation.  ``supported``
+    states that the box lows bound the support.  ``inner``, this grid on a
+    box inside ``box`` (the same a, series and tot_cap), is widened: its
+    cells are kept and only the cells outside its box are summed, while
+    every read box is checked whole.
     """
     (zlo, zhi), (wlo, whi) = box
+    (ilo, ihi), (jlo, jhi) = ((0, -1), (0, -1)) if inner is None else inner.reliable
+    ztop = zhi + whi if tot_cap is None else min(zhi + whi, tot_cap)
     coeffs = {}
     for n, s in series.items():
         if n > whi or not s:
             continue
         kmin = A.y_kmin(a, s)
         ktop = zhi + whi - n if tot_cap is None else tot_cap - n
+        # F^k is read at (i, j - n) for box cells (i, j) with j >= n
+        qlo, qhi, top = max(wlo, n) - n, whi - n, ztop - n
         for k in range(kmin, ktop + 1):
             yk = A.y_coeff(a, s, k)
             if not yk:
@@ -718,16 +728,18 @@ def y_at_group_law_grid(A, a, series, box, tot_cap=None, supported=False):
             # lows ask for the floor explicitly
             deep = k < 0 and zlo < -A.law.trunc
             g = A.law.power(k, floors=(zlo, None) if deep else None)
-            for i in range(zlo, zhi + 1):
-                for j in range(max(wlo, n), whi + 1):
-                    if i + j - n < k:
-                        continue
-                    if tot_cap is not None and i + j > tot_cap:
-                        continue
-                    cf = g.certified((i, j - n))
-                    if cf:
-                        st_addmul(coeffs.setdefault((i, j), {}), yk, cf)
+            if not g._certifies((zlo, qlo), top):
+                for i in range(zlo, zhi + 1):
+                    for q in range(qlo, qhi + 1):
+                        if k <= i + q <= top:
+                            g.certified((i, q))
+            for (i, q), cf in g.coeffs.items():
+                if (zlo <= i <= zhi and qlo <= q <= qhi and i + q <= top
+                        and not (ilo <= i <= ihi and jlo <= q + n <= jhi)):
+                    st_addmul(coeffs.setdefault((i, q + n), {}), yk, cf)
     coeffs = {e: v for e, v in coeffs.items() if v}
+    if inner is not None:
+        coeffs.update(inner.coeffs)
     return BilateralWindow(A.adapter, ("z", "w"), coeffs, box, tot_cap, supported,
                            _clean=True)
 
@@ -1025,18 +1037,19 @@ class MeromorphicityPair:
         }
 
 
-def _group_route_grid(A, a, b, c, top, tot_cap=None, zlo=None):
+def _group_route_grid(A, a, b, c, top, tot_cap=None, zlo=None, inner=None):
     """i_{z,w} Y(a, F(z,w)) Y(b,w)c on a box sized so the lows are true
     support bounds (total degree min over the series, spread to the w-top),
     its z-low taken down to ``zlo`` when that is lower; the window states
-    them."""
+    them.  ``inner``, this grid at a lower w-top, is widened
+    (``y_at_group_law_grid``)."""
     zhi, whi = top
     series = A.y_field(b, c, whi)
     min_tot = min((n + A.y_kmin(a, s) for n, s in series.items()), default=-1)
     wlo = min(0, min(series, default=0))
     lo = min_tot - whi if zlo is None else min(min_tot - whi, zlo)
     return y_at_group_law_grid(A, a, series, ((lo, zhi), (wlo, whi)),
-                               tot_cap=tot_cap, supported=True)
+                               tot_cap=tot_cap, supported=True, inner=inner)
 
 
 # highs of the operator_product comparison box of meromorphicity_pair
@@ -1152,7 +1165,8 @@ def jacobi_identity_check(A, a, b, c, B=4):
     output cell is a certified finite sum: each Y product or kernel cell is
     contracted against one delta-tower cell, the ``calculus._tower_cell``
     sum that the scalar ``f_jacobi_delta_check`` uses too; each distinct
-    (out-exponent, cell, ordering) is summed once.  The powers of
+    (out-exponent, cell) is summed once for each side's power reads: the
+    right side's two orderings and the left side.  The powers of
     F(z, iota w) are certified below top + 1 and no deeper, top the largest
     total degree of a cell the loops read; a bound too low raises
     ``WindowMiss`` in ``certified`` rather than passing.  The kernel must
@@ -1175,12 +1189,13 @@ def jacobi_identity_check(A, a, b, c, B=4):
     cap_p = 3 * B + N + 1
     # the w-top of the kernel grid must reach every cell of total <= cap_p,
     # which needs the kernel's global z-low; that low is exactly what
-    # meromorphicity asserts, so find it by widening until it stabilizes
+    # meromorphicity asserts, so find it by widening until it stabilizes,
+    # each wider grid summing only its new rows and columns
     wtop = cap_p + 2
     zmin = None
-    p = None
+    g = p = None
     for _ in range(5):
-        g = _group_route_grid(A, a, b, c, (B, wtop), tot_cap=cap_p - N)
+        g = _group_route_grid(A, a, b, c, (B, wtop), tot_cap=cap_p - N, inner=g)
         p = g if N == 0 else g.mul_laurent(law.power(N))
         low = min((e[0] for e in p.coeffs
                    if sum(e) <= cap_p), default=0)
@@ -1205,16 +1220,31 @@ def jacobi_identity_check(A, a, b, c, B=4):
                             (i - N for i, j in p.coeffs if i <= B and i + j <= cap_p)),
                       default=0)
     # u^n is replaced by a power of F(z, iota w) in either dominance
-    # ordering, certified below total degree top + 1 and no deeper
-    powers = [cache(partial(law.power, twisted=True, dominant=d, trunc=top + 1))
-              for d in (0, 1)]
+    # ordering, certified below total degree top + 1 and no deeper.  Each
+    # side of the identity checks a power once on the cells it reads: of
+    # total <= top, and >= -B-1, the least n of a delta run; so on or above
+    # these lows.  The z-dominant right side reads w >= 0 and z >= max(-B -
+    # j1, j2 - 2B - 1) for the cells (j1, j2) of g1, the w-dominant one z >=
+    # 0 and w >= max(-B - j2, j1 - 2B - 1) for the cells of g2, and the left
+    # side, z-dominant, w >= 0 and z >= N - B
+    lows = ((min((max(-B - j1, j2 - 2 * B - 1) for j1, j2 in g1 if j2 <= B),
+                 default=0), 0),
+            (0, min((max(-B - j2, j1 - 2 * B - 1) for j1, j2 in g2 if j1 <= B),
+                    default=0)),
+            (N - B, 0))
+
+    def reader(d, low):
+        return cache(lambda n: law.power(n, twisted=True, dominant=d,
+                                         trunc=top + 1)._reader(low, top))
+
+    powers = [reader(d, low) for d, low in zip((0, 1, 0), lows)]
 
     @cache
-    def tower_cell(m, cell, dominant):
-        return _tower_cell(delta, powers[dominant], m, cell)
+    def tower_cell(m, cell, side):
+        return _tower_cell(delta, powers[side], m, cell)
 
-    def add_tower_cell(acc, state, m, cell, dominant=0):
-        r = tower_cell(m, cell, dominant)
+    def add_tower_cell(acc, state, m, cell, side):
+        r = tower_cell(m, cell, side)
         if r:
             st_addmul(acc, state, r)
 
@@ -1225,14 +1255,14 @@ def jacobi_identity_check(A, a, b, c, B=4):
                 rhs = {}
                 for (j1, j2), v in g1.items():
                     if e2 >= j2:
-                        add_tower_cell(rhs, v, e0, (e1 - j1, e2 - j2))
+                        add_tower_cell(rhs, v, e0, (e1 - j1, e2 - j2), 0)
                 for (j1, j2), v in g2.items():
                     if e1 >= j1:
                         add_tower_cell(rhs, v, e0, (e1 - j1, e2 - j2), 1)
                 lhs = {}
                 for (i, j), pij in p.coeffs.items():
                     if e0 >= i and i + j <= cap_p:
-                        add_tower_cell(lhs, pij, e2 - j, (e1 + N, e0 - i))
+                        add_tower_cell(lhs, pij, e2 - j, (e1 + N, e0 - i), 2)
                 if lhs != rhs:
                     return Report("vertex/jacobi", name, [[-B, B]] * 3,
                                   _fail(A.adapter, (e0, e1, e2), lhs, rhs))

@@ -15,6 +15,7 @@ from fglcalc.calculus import (
     Report,
     _compare,
     _delta_tower,
+    _tower_cell,
     _inverse_expansions,
     delta_F,
     delta_g_relation_check,
@@ -240,7 +241,7 @@ def test_delta_support_univariate():
 
 def test_delta_support_two_variable():
     # f(z, w) = F(z, iota w) vanishes on the diagonal, so delta * f = 0
-    f = MUL.f_z_iota_w("z", "w")
+    f = MUL.f_z_iota_w()
     rep = delta_support_check(MUL, f)
     assert rep.ok, rep.to_json()
     # the truncation of f is a polynomial, exact with truncation inf, that
@@ -387,6 +388,48 @@ def test_delta_tower_matches_oracle(k):
                 (want.coeffs, want.reliable, want.max_total), (t, B, name)
             cells += got._region()._size()
     assert cells
+
+
+def tower_cell_reads(delta, power, m, cell):
+    """The tower cell with every delta and power read through ``certified``:
+    the per-cell reads that ``_tower_cell`` checks once per run."""
+    R = delta.ring
+    r = R.zero()
+    for n in range(-m - 1, sum(cell) + 1):
+        d = delta.certified((m, n))
+        if d:
+            c = power(n).certified(cell)
+            if c:
+                r = R.add(r, R.mul(d, c))
+    return r
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_tower_cell_checks_its_delta_run_as_the_per_cell_reads(data):
+    # over random runs (m, -m-1)...(m, tot(cell)) and truncations and floors
+    # of delta near the run's ends, and random powers: the run checked by
+    # its two ends sums what the per-cell reads sum, and raises WindowMiss
+    # exactly where they raise
+    def element(vars, zs, ws, floors, trunc):
+        cells = st.tuples(st.integers(*zs), st.integers(*ws))
+        coeffs = data.draw(st.dictionaries(cells, st.integers(-2, 2), max_size=10))
+        return LaurentElement(QQ, vars, {e: Fraction(c) for e, c in coeffs.items()},
+                              data.draw(trunc), data.draw(st.tuples(*floors)))
+
+    m = data.draw(st.integers(-4, 4))
+    cell = data.draw(st.tuples(*[st.integers(-4, 4)] * 2))
+    top = sum(cell)
+    delta = element(("out", "u"), (m - 1, m + 1), (-m - 2, max(-m - 2, top + 1)),
+                    (st.none() | st.integers(m - 1, m + 1),
+                     st.none() | st.integers(-m - 2, -m)),
+                    st.integers(m + top - 1, m + top + 2))
+    powers = {n: element(("x", "y"), (-4, 5), (-4, 5), [st.none() | st.integers(-5, 5)] * 2,
+                         st.integers(-4, 10))
+              for n in range(-m - 1, top + 1)}
+    got = _outcome(lambda: _tower_cell(delta, lambda n: powers[n].certified, m, cell))
+    want = _outcome(lambda: tower_cell_reads(delta, powers.__getitem__, m, cell))
+    assert got == want
 
 
 @pytest.mark.parametrize("kind", ["multiplicative", "elliptic"])
@@ -713,7 +756,7 @@ def test_additive_iterated_oracle_matches_computation():
     for (a, b, c) in [(-1, -1, 0), (-3, 2, -1), (-2, 1, -1), (0, -2, 0)]:
         lhs, rhs = additive_iterated_oracle(a, b, c)
         assert lhs == rhs
-        f12 = ADD.f_z_iota_w("z1", "z2")
+        f12 = ADD.f_z_iota_w().rename(("z1", "z2"))
         p = f12.int_power(a, floors=(-3 * ADD.trunc,) * 2)
         shift = LaurentElement(QQ, ("z1", "z2"), {(b, c): Fraction(1)},
                                p.trunc + b + c + 1)

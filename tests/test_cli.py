@@ -72,6 +72,20 @@ def test_trunc_above_cap_exits_2(tmp_path, capsys):
     assert f"MAX_TRUNC = {MAX_TRUNC}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["fgl", "--kind", "additive", "--trunc", "4"],
+                                  ["verify", "--suite", "binom", "--kind", "additive"]])
+def test_unwritable_out_exits_2(tmp_path, args):
+    # a directory or a missing parent is a configuration error, exit 2, not
+    # a traceback with the "identity failed" exit 1
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        done = run_process(args + ["--out", str(out)])
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        last = done.stderr.splitlines()[-1]
+        assert last.startswith(f"error: ConfigError: cannot write {out}")
+        assert done.stdout == ""
+
+
 def test_weight_above_cap_exits_2(monkeypatch, capsys):
     # the vertex suite and heisenberg build the law at 3 * weight, so the
     # weight is capped with the truncation, before any law is built
@@ -351,12 +365,13 @@ def test_verify_vertex_multiplicative(tmp_path):
 
 def test_verify_all_computes_no_power_an_entry_covers(monkeypatch):
     # one law's power table serves the whole suite: no request for a power,
-    # a power of G or power slices that an entry already on the law covers
-    # runs int_power, times_line_power or the slice recurrence again
+    # a power of G or of iota or power slices that an entry already on the
+    # law covers runs int_power, times_line_power or the slice recurrence
+    # again; on verify --suite all over elliptic, and on the vertex suite
+    # over multiplicative at trunc 3 * weight, which runs on that law itself
     from fglcalc import fgl
     from fglcalc.series import LaurentElement
 
-    law = fgl.standard_law("elliptic")
     kernel = []
 
     def counted(real):
@@ -368,30 +383,35 @@ def test_verify_all_computes_no_power_an_entry_covers(monkeypatch):
     for owner, name in ((LaurentElement, "int_power"), (fgl, "times_line_power"),
                         (LaurentElement, "power_slices")):
         monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
-    deepest, recomputed = {}, []
 
-    def watch(name, family, depth):
-        real = getattr(law, name)
+    for kind, suite, trunc in (("elliptic", "all", 12), ("multiplicative", "vertex", 18)):
+        law = fgl.standard_law(kind, trunc=trunc)
+        deepest, recomputed = {}, []
 
-        def run(*args, **kwargs):
-            before = len(kernel)
-            out = real(*args, **kwargs)
-            if len(kernel) > before:
-                key, d = family(*args, **kwargs), depth(out)
-                if deepest.get(key, d - 1) >= d:
-                    recomputed.append((key, d, deepest[key]))
-                deepest[key] = max(d, deepest.get(key, d))
-            return out
-        monkeypatch.setattr(law, name, run)
+        def watch(name, family, depth):
+            real = getattr(law, name)
 
-    watch("power", lambda n, twisted=False, dominant=0, floors=None, **_:
-          (twisted, dominant, n, floors), lambda p: p.trunc)
-    watch("g_power", lambda n, trunc=None: ("G", n), lambda p: p.trunc)
-    watch("power_slices", lambda n, cap: ("w_slices", n), len)
-    checks = cli._suite_checks(CliConfig(kind="elliptic", seed=1), law, "all")
-    assert all(check().ok for _, check in checks)
-    assert deepest
-    assert recomputed == []
+            def run(*args, **kwargs):
+                before = len(kernel)
+                out = real(*args, **kwargs)
+                if len(kernel) > before:
+                    key, d = family(*args, **kwargs), depth(out)
+                    if deepest.get(key, d - 1) >= d:
+                        recomputed.append((key, d, deepest[key]))
+                    deepest[key] = max(d, deepest.get(key, d))
+                return out
+            monkeypatch.setattr(law, name, run)
+
+        watch("power", lambda n, twisted=False, dominant=0, floors=None, **_:
+              (twisted, dominant, n, floors), lambda p: p.trunc)
+        watch("g_power", lambda n, trunc=None: ("G", n), lambda p: p.trunc)
+        watch("power_slices", lambda n, cap: ("w_slices", n), len)
+        watch("iota_power", lambda k: ("iota", k), lambda p: p.trunc)
+        checks = cli._suite_checks(CliConfig(kind=kind, trunc=trunc, seed=1), law, suite)
+        assert all(check().ok for _, check in checks), suite
+        assert deepest, suite
+        assert recomputed == [], suite
+        assert any(key[0] == "iota" for key in deepest) == (suite == "vertex")
 
 
 # -- heisenberg --------------------------------------------------------------------

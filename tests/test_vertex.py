@@ -1,14 +1,18 @@
 import re
 from fractions import Fraction
+from math import inf
+from types import SimpleNamespace
 
 from fglcalc import vertex
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binomial_oracle import clip
 from fglcalc.ring import Ring
 from fglcalc.series import LaurentElement, WindowMiss
 from fglcalc.fgl import standard_law, times_line_power
+from fglcalc.calculus import f_jacobi_delta_check
 from fglcalc.vertex import (
     HeisenbergAlgebra,
     NotFound,
@@ -34,6 +38,7 @@ from fglcalc.vertex import (
     state_to_json,
     state_weight,
     weak_commutativity_order,
+    y_at_group_law_grid,
 )
 
 QQ = Ring.rationals()
@@ -359,6 +364,122 @@ def test_meromorphicity_generator_target_overlap(A):
     assert mp.checks["operator_product"].ok
 
 
+# -- the group-law grid ------------------------------------------------------------
+
+
+def group_law_grid_reads(A, a, series, box, tot_cap=None):
+    """i_{z,w} Y(a, F(z,w)) on a w-series with every box cell of every power
+    read through ``certified``: the per-cell reads that
+    ``y_at_group_law_grid`` checks once per read box."""
+    (zlo, zhi), (wlo, whi) = box
+    coeffs = {}
+    for n, s in series.items():
+        if n > whi or not s:
+            continue
+        ktop = zhi + whi - n if tot_cap is None else tot_cap - n
+        for k in range(A.y_kmin(a, s), ktop + 1):
+            yk = A.y_coeff(a, s, k)
+            if not yk:
+                continue
+            deep = k < 0 and zlo < -A.law.trunc
+            g = A.law.power(k, floors=(zlo, None) if deep else None)
+            for i in range(zlo, zhi + 1):
+                for j in range(max(wlo, n), whi + 1):
+                    if i + j - n < k or (tot_cap is not None and i + j > tot_cap):
+                        continue
+                    cf = g.certified((i, j - n))
+                    if cf:
+                        st_addmul(coeffs.setdefault((i, j), {}), yk, cf)
+    return {e: v for e, v in coeffs.items() if v}
+
+
+MUL12 = standard_law("multiplicative", trunc=12)
+
+
+def grid_outcome(run):
+    try:
+        grid = run()
+    except WindowMiss as err:
+        return str(err)
+    return grid if isinstance(grid, dict) else grid.coeffs
+
+
+@given(data=st.data(), c=st.sampled_from([vac(), bgen(), {(-1, -1): Fraction(1)}]))
+@settings(max_examples=150, deadline=None)
+def test_group_law_grid_checks_each_read_box_as_the_per_cell_reads(data, c):
+    # over random boxes and random truncations and floors of the powers
+    # F^k: checking each read box once and walking the stored cells gives
+    # the grid of the per-cell reads, and WindowMiss exactly where they
+    # raise; so does a grid widened from one on an inner box
+    zlo = data.draw(st.integers(-16, 0), "zlo")
+    wlo = data.draw(st.integers(-2, 2), "wlo")
+    # the powers read have k >= -3 and cells at z >= k - w: the box reaches them
+    box = ((zlo, data.draw(st.integers(max(zlo, -4), 6), "zhi")),
+           (wlo, data.draw(st.integers(wlo, wlo + 6), "whi")))
+    cap = box[0][1] + box[1][1] + 2
+    tot_cap = data.draw(st.none() | st.integers(min(-3, cap), cap), "cap")
+    series = HM.y_field(bgen(), c, box[1][1])
+    if series and data.draw(st.booleans(), "one term"):
+        n = data.draw(st.sampled_from(sorted(series)), "n")
+        series = {n: series[n]}
+    # F^k is read below total degree ztop - n + 1
+    ztop = box[0][1] + box[1][1] if tot_cap is None else min(box[0][1] + box[1][1], tot_cap)
+    cut = data.draw(st.booleans(), "cut")
+    cuts = {}
+
+    def power(k, floors=None):
+        p = MUL12.power(k, floors=floors)
+        if cut and (k, floors) not in cuts:
+            cuts[k, floors] = (
+                data.draw(st.integers(ztop - max(series), ztop - min(series) + 2)
+                          | st.just(p.trunc), f"trunc {k}"),
+                data.draw(st.tuples(st.none() | st.integers(zlo - 1, zlo + 2),
+                                    st.none() | st.integers(-1, 2)), f"floors {k}"))
+        return clip(p, *cuts[k, floors]) if cut else p
+
+    law = SimpleNamespace(trunc=MUL12.trunc, power=power)
+    A = SimpleNamespace(law=law, adapter=HM.adapter, y_kmin=HM.y_kmin, y_coeff=HM.y_coeff)
+    want = grid_outcome(lambda: group_law_grid_reads(A, bgen(), series, box, tot_cap))
+    assert grid_outcome(lambda: y_at_group_law_grid(A, bgen(), series, box, tot_cap)) == want
+    ilo, jlo = (data.draw(st.integers(lo, hi), "inner low") for lo, hi in box)
+    inner = ((ilo, data.draw(st.integers(ilo, box[0][1]))),
+             (jlo, data.draw(st.integers(jlo, box[1][1]))))
+    try:
+        grid = y_at_group_law_grid(A, bgen(), series, inner, tot_cap)
+    except WindowMiss:
+        return
+    assert grid_outcome(lambda: y_at_group_law_grid(A, bgen(), series, box, tot_cap,
+                                                    inner=grid)) == want
+
+
+@pytest.mark.parametrize("case", ["z floor", "w floor", "top", "tot_cap", "inner"])
+def test_group_law_grid_at_each_extreme_of_its_read_box(case):
+    # the random draws above reach each bound of the read box only in some
+    # runs; here each is reached on purpose.  On the box [-2, 3] x [0, 3]
+    # over the one term n = 0, every power read is cut one step inside the
+    # read box at its least z, its least w or its greatest total, and the
+    # per-cell reads raise WindowMiss; a tot_cap below the box's greatest
+    # total leaves stored cells above the cap; a grid widened from the inner
+    # box [-1, 3] x [0, 3] must sum the row z = -2 just below it
+    box, top = ((-2, 3), (0, 3)), 6
+    series = {0: HM.y_field(bgen(), vac(), 3)[0]}
+    cut = {"z floor": (inf, (-1, None)), "w floor": (inf, (None, 1)),
+           "top": (top, (None, None))}.get(case)
+    power = MUL12.power if cut is None else (lambda k, floors=None:
+                                             clip(MUL12.power(k, floors=floors), *cut))
+    A = SimpleNamespace(law=SimpleNamespace(trunc=MUL12.trunc, power=power),
+                        adapter=HM.adapter, y_kmin=HM.y_kmin, y_coeff=HM.y_coeff)
+    tot_cap = top - 1 if case == "tot_cap" else None
+    want = grid_outcome(lambda: group_law_grid_reads(A, bgen(), series, box, tot_cap))
+    assert isinstance(want, str) == (cut is not None), want
+    inner = None
+    if case == "inner":
+        inner = y_at_group_law_grid(A, bgen(), series, ((-1, 3), (0, 3)))
+        assert any(i == -2 for i, j in want)
+    assert grid_outcome(lambda: y_at_group_law_grid(A, bgen(), series, box, tot_cap,
+                                                    inner=inner)) == want
+
+
 # -- the three-term delta Jacobi identity ---------------------------------------
 
 
@@ -399,6 +520,55 @@ def test_jacobi_identity_power_depth_is_tight(kind, params, monkeypatch):
     monkeypatch.setattr(law, "power", shallower)
     with pytest.raises(WindowMiss, match=r"cell \(5, 5\) .*\(trunc 10,"):
         jacobi_identity_check(A, bgen(), bgen(), vac(), B=3)
+
+
+def test_every_region_read_lies_in_its_checked_region(monkeypatch):
+    # a reader checked once on a region skips the per-cell check, so every
+    # cell it reads must lie in that region: on or above its lows, of total
+    # degree at most its top (the delta runs and the powers of the delta
+    # towers and of the vertex Jacobi check).  With a or b the vacuum, the
+    # Y products hold no cell of large z or w exponent, and the Jacobi
+    # lows -B - j1 and -B - j2 are the least cells read
+    reader = LaurentElement._reader
+    reads = []
+
+    def checked(self, lows, top):
+        read = reader(self, lows, top)
+
+        def run(e):
+            reads.append(e)
+            assert all(x >= lo for x, lo in zip(e, lows)) and sum(e) <= top, (e, lows, top)
+            return read(e)
+        return run
+
+    monkeypatch.setattr(LaurentElement, "_reader", checked)
+    assert f_jacobi_delta_check(standard_law("elliptic", trunc=12), B=4).ok
+    for a, b in ((bgen(), bgen()), (vac(), bgen()), (bgen(), vac())):
+        assert jacobi_identity_check(HM, a, b, vac(), B=3).ok
+    assert len(reads) > 1000
+
+
+def test_jacobi_kernel_grid_widened_equals_the_grid_built_wide(monkeypatch):
+    # the kernel grid at a wider w-top sums only its new rows and columns;
+    # the widened grid equals the one built at that w-top, cell for cell
+    law = standard_law("multiplicative", trunc=18)
+    A = HeisenbergAlgebra(law, W=6)
+    route = vertex._group_route_grid
+    grids = []
+
+    def recorded(*args, **kw):
+        grids.append((args, kw, route(*args, **kw)))
+        return grids[-1][2]
+
+    monkeypatch.setattr(vertex, "_group_route_grid", recorded)
+    assert jacobi_identity_check(A, bgen(), bgen(), vac(), B=3).ok
+    assert [args[4] for args, _, _ in grids] == [(3, 14), (3, 16)]
+    args, kw, widened = grids[-1]
+    assert kw["inner"] is grids[0][2]
+    fresh = route(*args, tot_cap=kw["tot_cap"])
+    assert widened.coeffs
+    assert (widened.coeffs, widened.reliable, widened.max_total, widened.supported) == \
+        (fresh.coeffs, fresh.reliable, fresh.max_total, fresh.supported)
 
 
 # -- cocycle ----------------------------------------------------------------------
