@@ -84,7 +84,6 @@ LIBRARY_SURFACE = [
     ("series.LaurentElement.zero", f"{TORSION}: hyper/torsion_s1 over Z/m"),
     ("series.LaurentElement.diagonal_eval", "scripts/law_survey.py"),
     ("vertex.NotFound.__init__", "failure-report path: no order up to MAX_ORDER"),
-    ("vertex.StateSpace.to_text", "failure-report path: a defect cell of states"),
     ("series.LaurentElement.__eq__",
      "acceptance criterion 2: phi(F(z,w)) == phi(z) + phi(w) compares series by value"),
     ("ring._NotInvertible.__repr__", REPR),

@@ -15,7 +15,8 @@ from math import inf
 
 from .fgl import times_line_power
 from .ring import sparse_add, sparse_mul
-from .series import BilateralWindow, LaurentElement, WindowMiss, require_residue_cell
+from .series import (BilateralWindow, EmptyWindow, LaurentElement, WindowMiss,
+                     require_residue_cell)
 
 
 class NonConvergentSubstitution(Exception):
@@ -63,39 +64,44 @@ def _fail(ring, monomial, lhs, rhs):
 def _compare(identity, name, lhs, rhs, window=None, details=None):
     """The Report of lhs = rhs, compared cell by cell where both certify.
 
-    Both sides are compared on the meet of their certified regions.  For
-    two BilateralWindows (EmptyWindow when the meet is empty) a pass reports
+    Both sides are compared on the meet of their certified regions, in one
+    scan of the stored cells there in sorted order.  For two
+    BilateralWindows (EmptyWindow when the meet is empty) a pass reports
     the surviving box with ``details``, by default the number of cells
     compared (``window_size``); a fail reports ``window``, by default the
     surviving box.  For two LaurentElements both outcomes report ``window``;
     a pair whose certified regions do not meet certifies nothing and fails
     with "no certified cells", and a cell where both sides are certified
     zero counts as certified.  The fail status names the least differing
-    exponent with both sides' coefficients there.
+    exponent with both sides' coefficients there.  Sides over different
+    rings or variables raise OrderingMismatch.
     """
     R = lhs.ring
-    meet = lhs._region()._meet(rhs._region())
-    if isinstance(lhs, BilateralWindow):
-        ok, bad, box = lhs.agrees_with(rhs)
-        surv = [list(r) for r in box]
-        if ok:
+    lhs._check(rhs)
+    windows = isinstance(lhs, BilateralWindow)
+    if windows:
+        meet = lhs.region._meet(rhs.region)
+    else:
+        meet = lhs._region()._meet(rhs._region())
+    if meet._empty():
+        if windows:
+            raise EmptyWindow(f"no surviving window: {meet._box()} (max total {meet.top})")
+        return Report(identity, name, window, {"fail": {"reason": "no certified cells"}})
+    zero = R.zero()
+    a, b = lhs.coeffs, rhs.coeffs
+    cells = sorted(e for e in a.keys() | b.keys() if meet._contains(e))
+    bad = next((e for e in cells if not R.eq(a.get(e, zero), b.get(e, zero))), None)
+    if windows:
+        surv = [list(r) for r in meet._box()]
+        if bad is None:
             if details is None:
                 details = {"window_size": meet._size()}
             return Report(identity, name, surv, details=details)
         if window is None:
             window = surv
-    else:
-        if meet._empty():
-            return Report(identity, name, window,
-                          {"fail": {"reason": "no certified cells"}})
-        bad = next((e for e in sorted(set(lhs.coeffs) | set(rhs.coeffs))
-                    if meet._contains(e)
-                    and not R.eq(lhs.coefficient(e), rhs.coefficient(e))), None)
-        if bad is None:
-            return Report(identity, name, window, details=details or {})
-    zero = R.zero()
-    return Report(identity, name, window,
-                  _fail(R, bad, lhs.coeffs.get(bad, zero), rhs.coeffs.get(bad, zero)))
+    elif bad is None:
+        return Report(identity, name, window, details=details or {})
+    return Report(identity, name, window, _fail(R, bad, a.get(bad, zero), b.get(bad, zero)))
 
 
 # -- F-binomial coefficients ----------------------------------------------
@@ -266,15 +272,14 @@ def delta_support_check(law, f, box=(-6, 6)):
     fz = LaurentElement(f.ring, fz.vars, fz.coeffs, inf, fz.floors)
     fw = LaurentElement(f.ring, ("z", "w"),
                         {(0, e[0]): c for e, c in diag.coeffs.items()}, inf)
-    return _compare("delta/diagonal_support", law.name, D.mul_laurent(fz),
-                    D.mul_laurent(fw))
+    return _compare("delta/diagonal_support", law.name, D * fz, D * fw)
 
 
 def delta_g_relation_check(law, box=(-6, 6)):
     """delta_F(w/z) = G(z,w)^{-1} * delta_{F_a}(w/z) on the surviving window."""
     D = delta_F(law, box=box)
     Da = _delta_window(law, box, classical=True)
-    rhs = Da.mul_laurent(law.g_power(-1))
+    rhs = Da * law.g_power(-1)
     return _compare("delta/g_relation", law.name, D, rhs)
 
 
@@ -282,7 +287,7 @@ def delta_phi_relation_check(law, box=(-6, 6)):
     """delta_F(w/z) * p_F(z) = delta_{F_a}(w/z); valid over any base ring."""
     D = delta_F(law, box=box)
     pf = law.pF.rename(("z",)).extend(("z", "w"))
-    lhs = D.mul_laurent(pf.as_laurent())
+    lhs = D * pf
     rhs = _delta_window(law, box, classical=True)
     return _compare("delta/invariant_factor", law.name, lhs, rhs)
 
@@ -327,7 +332,7 @@ def _delta_tower(delta, power, base_vars, out_var, B):
     certifies: out-exponents at or above the delta's out floor and below
     minus its u floor (out-exponent e0 needs every u^n with n >= -e0-1),
     base exponents at or above the floors of the powers read, and totals up
-    to ``max_total``, which a power cuts only when it is certified below
+    to the window's top, which a power cuts only when it is certified below
     2B + 1 alone.
     """
     allvars = ("z0", "z1", "z2")
@@ -367,8 +372,7 @@ def _delta_tower(delta, power, base_vars, out_var, B):
                             tuple(e[k] for k in bi))
             if c:
                 coeffs[e] = c
-    return BilateralWindow(delta.ring, allvars, coeffs, list(zip(lo, hi)),
-                           max_total=mt, _clean=True)
+    return BilateralWindow(delta.ring, allvars, coeffs, list(zip(lo, hi)), mt, _clean=True)
 
 
 def f_jacobi_delta_check(law, B=4):

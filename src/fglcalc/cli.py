@@ -97,15 +97,21 @@ def _exact(x, text=False):
 def load_law(cfg):
     """Build the configured law: a built-in kind or a coefficient file.
 
-    A law file's trunc and exponents must be JSON integers and its
-    coefficients integers or exact "p" / "p/q" strings; floats are refused
-    rather than rounded.  Its trunc, like --trunc, is capped at MAX_TRUNC."""
+    A law file's keys are name, trunc and coeffs, and any other is refused
+    rather than ignored.  Its trunc and exponents must be JSON integers and
+    its coefficients integers or exact "p" / "p/q" strings; floats are
+    refused rather than rounded.  Its trunc, like --trunc, is capped at
+    MAX_TRUNC."""
     if cfg.law_file:
         try:
             with open(cfg.law_file) as fh:
                 data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("the file must hold a JSON object")
+            unread = sorted(set(data) - {"name", "trunc", "coeffs"})
+            if unread:
+                raise ValueError(f"unknown key {', '.join(map(repr, unread))}: a law "
+                                 "file reads name, trunc and coeffs")
             name = data.get("name", "file")
             if not isinstance(name, str):
                 raise ValueError(f"name {name!r} is not a string")

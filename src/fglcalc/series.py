@@ -18,14 +18,15 @@ Two element kinds, and a window:
                       what law construction needs (a floor-free product,
                       inverses, square roots, primitives).
   BilateralWindow  -- a finite coefficient box standing for a bilateral series,
-                      with a certified-correct interval per variable.
+                      which stores the region it is certified on.
 
 Both say where they are certified with one region (``_Region``): per-variable
-lows and highs and a greatest certified total degree.  A series is the region
-of its floors and truncation, a window the region of its box.  Every sum,
-comparison and window view certifies the meet of its operands' regions, and
-every product, the residue contraction included, the region of one product
-rule (``_Region._product``).
+lows and highs, a greatest certified total degree and whether the lows bound
+the support.  A series derives its region from its floors and truncation; a
+window stores its own, the region of its box.  Every sum, comparison and
+window view certifies the meet of its operands' regions, and every product,
+``*`` of two series or of a window and a series and the residue contraction,
+the region of one product rule (``_Region._product``).
 
 All coefficients are raw ring values owned by a Ring (see ring.py).
 """
@@ -80,11 +81,11 @@ class _Region:
     e[i] <= highs[i] in every variable i and total degree at most ``top``.
 
     A series is the region with highs +inf, its floors as lows (-inf where
-    it has none) and top trunc - 1.  A window is the region of its box, with
-    its max_total as top (+inf where it has none).  A finite low is a cut:
-    the cells below it are unknown.  When ``stated``, every low is instead a
-    support bound: no cell below it is nonzero (a series without floors
-    states its support, as nothing lies below -inf).
+    it has none) and top trunc - 1.  A window stores its region: its box,
+    and a top that is +inf where the box alone bounds it.  A finite low is
+    a cut: the cells below it are unknown.  When ``stated``, every low is
+    instead a support bound: no cell below it is nonzero (a series without
+    floors states its support, as nothing lies below -inf).
     """
 
     __slots__ = ("lows", "highs", "top", "stated")
@@ -101,10 +102,16 @@ class _Region:
                 or sum(self.lows) > self.top)
 
     def _size(self):
-        """The number of cells in a region with finite lows and highs."""
+        """The number of cells in a region with finite lows and highs: the
+        box is walked in every variable but the last, whose run of cells of
+        total degree at most top is counted at once."""
         from itertools import product as iproduct
-        ranges = [range(lo, hi + 1) for lo, hi in zip(self.lows, self.highs)]
-        return sum(1 for e in iproduct(*ranges) if _tot(e) <= self.top)
+        *rest, (lo, hi) = self._box()
+        return sum(max(0, min(hi, self.top - _tot(e)) - lo + 1)
+                   for e in iproduct(*(range(a, b + 1) for a, b in rest)))
+
+    def _box(self):
+        return tuple(zip(self.lows, self.highs))
 
     def _floors(self):
         return tuple(None if lo == -inf else lo for lo in self.lows)
@@ -1009,61 +1016,38 @@ def comb_any(n, k):
     return (-1) ** k * comb(k - n - 1, k)
 
 
-def _max_total(r, bounded):
-    """A window's max_total for region r: its top, or None where that is
-    +inf and ``bounded`` (an operand had a max_total) is false."""
-    return r.top if bounded or r.top < inf else None
-
-
 class BilateralWindow:
-    """A finite coefficient box for a bilateral series.
-
-    ``reliable[i] = (lo, hi)`` is the closed interval of exponents of
-    variable i inside which coefficients are certified correct.  When the
-    window descends from a truncated element, ``max_total`` additionally
-    bounds the certified total degree (None means no bound); coefficients
-    are only stored inside the certified region.  ``supported`` states that
-    every cell below the box lows is zero: the lows then bound the series'
-    support, as a floor of None does for a ``LaurentElement``, instead of
-    merely cutting the view.  The three are the window's ``_Region``.
+    """A finite coefficient box for a bilateral series, certified on one
+    ``_Region``: the box's per-variable (lo, hi) intervals, a greatest
+    certified total degree ``top`` (``math.inf`` when the box alone bounds
+    it) and ``stated``, true when every cell below the box lows is zero, so
+    that the lows bound the series' support, as a floor of None does for a
+    ``LaurentElement``, instead of merely cutting the view.  Coefficients
+    are only stored inside the region.
     """
 
-    __slots__ = ("ring", "vars", "coeffs", "reliable", "max_total", "supported")
+    __slots__ = ("ring", "vars", "coeffs", "region")
 
-    def __init__(self, ring, vars, coeffs, reliable, max_total=None, supported=False,
-                 _clean=False):
+    def __init__(self, ring, vars, coeffs, box, top=inf, stated=False, _clean=False):
         self.ring = ring
         self.vars = tuple(vars)
-        self.reliable = tuple((lo, hi) for lo, hi in reliable)
-        self.max_total = max_total
-        self.supported = supported
+        lows, highs = zip(*box)
+        self.region = _Region(lows, highs, top, stated)
         if _clean:
             self.coeffs = coeffs
         else:
-            inside = self._region()._contains
+            inside = self.region._contains
             self.coeffs = {tuple(e): c for e, c in coeffs.items()
                            if not ring.is_zero(c) and inside(e)}
-
-    def _region(self):
-        lows, highs = zip(*self.reliable)
-        return _Region(lows, highs, inf if self.max_total is None else self.max_total,
-                       self.supported)
-
-    def _with(self, coeffs, r, bounded):
-        """A window over this one's vars with ``coeffs`` on region r."""
-        return BilateralWindow(self.ring, self.vars, coeffs, zip(r.lows, r.highs),
-                               _max_total(r, bounded), r.stated)
-
-    def is_empty_window(self):
-        return self._region()._empty()
 
     @staticmethod
     def from_laurent(f, box):
         """Window view of a LaurentElement on a requested box: the meet of
         the box with f's region, so the floors clip the box and no cell of
         total degree f.trunc or more is certified."""
-        view = BilateralWindow(f.ring, f.vars, {}, box)
-        return view._with(f.coeffs, view._region()._meet(f._region()), True)
+        lows, highs = zip(*box)
+        r = _Region(lows, highs, inf, False)._meet(f._region())
+        return BilateralWindow(f.ring, f.vars, f.coeffs, r._box(), r.top, r.stated)
 
     def _check(self, other):
         if self.ring != other.ring or self.vars != other.vars:
@@ -1071,21 +1055,19 @@ class BilateralWindow:
 
     def __add__(self, other):
         self._check(other)
+        r = self.region._meet(other.region)
         out = sparse_add(self.ring, dict(self.coeffs), other.coeffs.items())
-        return self._with(out, self._region()._meet(other._region()),
-                          self.max_total is not None or other.max_total is not None)
+        return BilateralWindow(self.ring, self.vars, out, r._box(), r.top, r.stated)
 
     def __neg__(self):
-        R = self.ring
-        return BilateralWindow(R, self.vars,
-                               {e: R.neg(c) for e, c in self.coeffs.items()},
-                               self.reliable, self.max_total, self.supported,
-                               _clean=True)
+        R, r = self.ring, self.region
+        return BilateralWindow(R, self.vars, {e: R.neg(c) for e, c in self.coeffs.items()},
+                               r._box(), r.top, r.stated, _clean=True)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def mul_laurent(self, g):
+    def __mul__(self, g):
         """The one product of a window and a series: g has no floors and is
         known below total degree ``g.trunc`` (``math.inf`` when exact), over
         the window's ring or the scalars of a window of states, on the
@@ -1099,34 +1081,18 @@ class BilateralWindow:
             raise OrderingMismatch("window/factor mismatch")
         if any(f is not None for f in g.floors):
             raise NonConvergentProduct("factor must have certain finite support")
-        r = self._region()._product(g._region(), self.coeffs, g.coeffs)
-        return self._with(sparse_mul(R, self.coeffs, g.coeffs), r, self.max_total is not None)
-
-    def agrees_with(self, other):
-        """Exact comparison on the intersection of certified regions.
-
-        Returns (ok, first_bad_exponent, surviving_box); raises EmptyWindow
-        if the intersection is empty.
-        """
-        self._check(other)
-        r = self._region()._meet(other._region())
-        box = tuple(zip(r.lows, r.highs))
-        if r._empty():
-            mt = _max_total(r, self.max_total is not None or other.max_total is not None)
-            raise EmptyWindow(f"no surviving window: {box} (max total {mt})")
-        R = self.ring
-        keys = {e for w in (self, other) for e in w.coeffs if r._contains(e)}
-        zero = R.zero()
-        for e in sorted(keys):
-            if not R.eq(self.coeffs.get(e, zero), other.coeffs.get(e, zero)):
-                return False, e, box
-        return True, None, box
+        r = self.region._product(g._region(), self.coeffs, g.coeffs)
+        return BilateralWindow(R, self.vars, sparse_mul(R, self.coeffs, g.coeffs),
+                               r._box(), r.top, r.stated)
 
     def is_zero_on_window(self):
-        if self.is_empty_window():
-            raise EmptyWindow(f"no surviving window: {self.reliable}")
+        """Whether no cell of the region is nonzero; EmptyWindow when the
+        region holds no cell."""
+        if self.region._empty():
+            raise EmptyWindow(f"no surviving window: {self.region._box()}")
         return not self.coeffs
 
     def __repr__(self):
-        return (f"<window {self.vars} reliable {self.reliable} "
-                f"max_total {self.max_total} ({len(self.coeffs)} terms)>")
+        r = self.region
+        return (f"<window {self.vars} box {r._box()} top {r.top}"
+                f"{', stated' if r.stated else ''} ({len(self.coeffs)} terms)>")

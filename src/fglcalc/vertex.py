@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property, partial
 from itertools import chain
+from math import inf
 
 from .calculus import (Report, _compare, _fail, _inverse_expansions, _tower_cell,
                        f_residue, hyperderivative, product_residue)
@@ -647,8 +648,8 @@ def lie_axiom_check(A):
 # -- state-valued windows -----------------------------------------------------
 #
 # Every checker below reduces to finite grids of states: the cell values are
-# exact (each one is a finite sum of mode applications), so the windows carry
-# max_total=None and certification comes purely from the requested box.
+# exact (each one is a finite sum of mode applications), so the windows have
+# top inf and certification comes purely from the requested box.
 
 
 def _op_products(A, a, b, c, jtop, itop):
@@ -674,9 +675,9 @@ def _op_products(A, a, b, c, jtop, itop):
     return cells, ilo, jlo
 
 
-def shift_grid(A, fdict, box, supported=False):
+def shift_grid(A, fdict, box, stated=False):
     """S(w) applied to a z-series of states {e: state}: cell (e+0, n).
-    ``supported`` states that fdict has no cell below the box's z-low."""
+    ``stated`` says that fdict has no cell below the box's z-low."""
     (zlo, zhi), (wlo, whi) = box
     coeffs = {}
     for e, s in fdict.items():
@@ -687,11 +688,10 @@ def shift_grid(A, fdict, box, supported=False):
             if v:
                 coeffs[(e, n)] = v
     return BilateralWindow(A.adapter, ("z", "w"), coeffs,
-                           [(zlo, zhi), (max(0, wlo), whi)], supported=supported,
-                           _clean=True)
+                           [(zlo, zhi), (max(0, wlo), whi)], stated=stated, _clean=True)
 
 
-def y_at_group_law_grid(A, a, series, box, tot_cap=None, supported=False, inner=None):
+def y_at_group_law_grid(A, a, series, box, tot_cap=None, stated=False, inner=None):
     """i_{z,w} Y(a, F(z,w)) applied to a w-series of states {n: state}.
 
     series must hold every w-coefficient with index <= box w-top.  Cell
@@ -702,15 +702,15 @@ def y_at_group_law_grid(A, a, series, box, tot_cap=None, supported=False, inner=
     box.  Where the read box is not certified, every cell of it is read
     through ``certified`` first, which raises WindowMiss at the first
     uncertified read.  tot_cap skips box cells above that total degree and
-    records the cap as the window's max_total, which keeps deep box corners
-    from demanding power cells beyond the truncation.  ``supported``
-    states that the box lows bound the support.  ``inner``, this grid on a
+    records the cap as the window's top, which keeps deep box corners
+    from demanding power cells beyond the truncation.  ``stated``
+    says that the box lows bound the support.  ``inner``, this grid on a
     box inside ``box`` (the same a, series and tot_cap), is widened: its
     cells are kept and only the cells outside its box are summed, while
     every read box is checked whole.
     """
     (zlo, zhi), (wlo, whi) = box
-    (ilo, ihi), (jlo, jhi) = ((0, -1), (0, -1)) if inner is None else inner.reliable
+    (ilo, ihi), (jlo, jhi) = ((0, -1), (0, -1)) if inner is None else inner.region._box()
     ztop = zhi + whi if tot_cap is None else min(zhi + whi, tot_cap)
     coeffs = {}
     for n, s in series.items():
@@ -740,8 +740,8 @@ def y_at_group_law_grid(A, a, series, box, tot_cap=None, supported=False, inner=
     coeffs = {e: v for e, v in coeffs.items() if v}
     if inner is not None:
         coeffs.update(inner.coeffs)
-    return BilateralWindow(A.adapter, ("z", "w"), coeffs, box, tot_cap, supported,
-                           _clean=True)
+    return BilateralWindow(A.adapter, ("z", "w"), coeffs, box,
+                           inf if tot_cap is None else tot_cap, stated, _clean=True)
 
 
 SHIFT_CONJUGATION_BOX = ((-8, 4), (0, 4))
@@ -760,7 +760,7 @@ def shift_conjugation_defect(A, a, b):
     lhs = shift_grid(A, A.y_field(a, b, box[0][1]), box)
     series = {n: A.shift(n, b) for n in range(0, box[1][1] + 1)}
     rhs = y_at_group_law_grid(A, a, series, box)
-    return lhs.agrees_with(rhs)[0]
+    return _compare("shift_conjugation", A.law.name, lhs, rhs).ok
 
 
 def _escaped_lowest_part(diff, box):
@@ -781,7 +781,7 @@ def _escaped_lowest_part(diff, box):
         return None
     d = min(i + j for (i, j) in diff.coeffs)
     p = [cell for cell in diff.coeffs if sum(cell) == d]
-    (_, zhi), (_, whi) = diff.reliable
+    zhi, whi = diff.region.highs
     if max(i for i, _ in p) < zhi and max(j for _, j in p) < whi:
         return min(p)
     return None
@@ -800,7 +800,7 @@ def _w_route_grid(A, inner, c, box):
     if all(m == () for m in c):
         scale = c.get((), 0)
         return shift_grid(A, {e: st_scale(s, scale) for e, s in inner.items()},
-                          box, supported=True)
+                          box, stated=True)
     coeffs = {}
     for e, s in inner.items():
         if not A.y_defined(s):
@@ -811,8 +811,7 @@ def _w_route_grid(A, inner, c, box):
             v = A.y_coeff(s, c, j)
             if v:
                 coeffs[(e, j)] = v
-    return BilateralWindow(A.adapter, ("z", "w"), coeffs, box, supported=True,
-                           _clean=True)
+    return BilateralWindow(A.adapter, ("z", "w"), coeffs, box, stated=True, _clean=True)
 
 
 # highs of the weak-associativity comparison box, whose cells reach total
@@ -840,7 +839,7 @@ def weak_associativity_order(A, a, b, c):
     inner = A.y_field(a, b, top[0])
     rhs = _group_route_grid(A, a, b, c, top,
                             zlo=min(min(inner, default=0), A.y_kmin(a, b)))
-    box = rhs.reliable
+    box = rhs.region._box()
     diff = _w_route_grid(A, inner, c, box) - rhs
     bad = _escaped_lowest_part(diff, box)
     if bad is not None:
@@ -853,7 +852,7 @@ def _annihilation_order(diff, power):
     the window, else (None, the least cell of diff).  power(N) is a scalar
     element with no floors."""
     for N in range(0, MAX_ORDER + 1):
-        prod = diff if N == 0 else diff.mul_laurent(power(N))
+        prod = diff if N == 0 else diff * power(N)
         if prod.is_zero_on_window():
             return N, None
     return None, min(diff.coeffs)
@@ -995,9 +994,9 @@ def weak_commutativity_order(A, a, b, c):
     g1c, zlo1, wlo1 = _op_products(A, a, b, c, whi, lambda j: zhi)
     g2t, wlo2, zlo2 = _op_products(A, b, a, c, zhi, lambda i: whi)
     box = ((min(zlo1, zlo2), zhi), (min(wlo1, wlo2), whi))
-    g1 = BilateralWindow(A.adapter, ("z", "w"), g1c, box, supported=True, _clean=True)
+    g1 = BilateralWindow(A.adapter, ("z", "w"), g1c, box, stated=True, _clean=True)
     g2 = BilateralWindow(A.adapter, ("z", "w"), {(i, j): v for (j, i), v in g2t.items()},
-                         box, supported=True, _clean=True)
+                         box, stated=True, _clean=True)
     diff = g1 - g2
     if _escaped_lowest_part(diff, box) is None:
         M, _ = _annihilation_order(diff, partial(A.law.power, twisted=True))
@@ -1049,7 +1048,7 @@ def _group_route_grid(A, a, b, c, top, tot_cap=None, zlo=None, inner=None):
     wlo = min(0, min(series, default=0))
     lo = min_tot - whi if zlo is None else min(min_tot - whi, zlo)
     return y_at_group_law_grid(A, a, series, ((lo, zhi), (wlo, whi)),
-                               tot_cap=tot_cap, supported=True, inner=inner)
+                               tot_cap=tot_cap, stated=True, inner=inner)
 
 
 # highs of the operator_product comparison box of meromorphicity_pair
@@ -1083,19 +1082,19 @@ def meromorphicity_pair(A, a, b, c):
     # z <= u + N + whi - j, so size the p grid accordingly
     ztop = vhi + N + whi - min(0, kbc)
     g = _group_route_grid(A, a, b, c, (ztop, whi))
-    box = g.reliable
-    p = g if N == 0 else g.mul_laurent(law.power(N))
+    box = g.region._box()
+    p = g if N == 0 else g * law.power(N)
     checks = {}
 
-    p_up = g.mul_laurent(law.power(N + 1))
-    p_mul = p.mul_laurent(law.power(1))
+    p_up = g * law.power(N + 1)
+    p_mul = p * law.power(1)
     checks["n_independence"] = _compare("meromorphicity/n_independence", name,
                                         p_up, p_mul, {"N": N}, {"N": N})
 
     try:
         inner = A.y_field(a, b, box[0][1])
         lhs = _w_route_grid(A, inner, c, box)
-        lhsN = lhs if N == 0 else lhs.mul_laurent(law.power(N))
+        lhsN = lhs if N == 0 else lhs * law.power(N)
         checks["w_dominant"] = _compare("meromorphicity/w_dominant", name,
                                         lhsN, p, {"N": N}, {"N": N})
     except YUndefined:
@@ -1124,7 +1123,6 @@ def _substituted_p_check(A, a, b, c, p, N):
     direct = BilateralWindow(A.adapter, ("z", "w"), cells, cmp_box)
 
     coeffs = {}
-    mt = p.max_total
     for (i, j), pij in p.coeffs.items():
         P = law.power(i, twisted=True)
         for u in range(vlo, vhi + 1):
@@ -1139,8 +1137,7 @@ def _substituted_p_check(A, a, b, c, p, N):
                 st_addmul(coeffs.setdefault((u, j2), {}), pij, cf)
     coeffs = {e: v for e, v in coeffs.items() if v}
     # same variable labels as the direct grid (v plays the role of z there)
-    sub = BilateralWindow(A.adapter, ("z", "w"), coeffs, cmp_box,
-                          max_total=None if mt is None else mt - N)
+    sub = BilateralWindow(A.adapter, ("z", "w"), coeffs, cmp_box, p.region.top - N)
     return _compare("meromorphicity/operator_product", name, sub, direct,
                     {"N": N}, {"N": N})
 
@@ -1196,7 +1193,7 @@ def jacobi_identity_check(A, a, b, c, B=4):
     g = p = None
     for _ in range(5):
         g = _group_route_grid(A, a, b, c, (B, wtop), tot_cap=cap_p - N, inner=g)
-        p = g if N == 0 else g.mul_laurent(law.power(N))
+        p = g if N == 0 else g * law.power(N)
         low = min((e[0] for e in p.coeffs
                    if sum(e) <= cap_p), default=0)
         if low == zmin and cap_p - min(low, 0) + 2 <= wtop:
@@ -1208,9 +1205,8 @@ def jacobi_identity_check(A, a, b, c, B=4):
                       {"fail": {"reason":
                                 "kernel z-support not bounded below",
                                 "z_min_seen": zmin}})
-    if p.max_total is not None and p.max_total < cap_p:
-        raise WindowMiss(
-            f"kernel certified only to total {p.max_total}, need {cap_p}")
+    if p.region.top < cap_p:
+        raise WindowMiss(f"kernel certified only to total {p.region.top}, need {cap_p}")
 
     # the largest total degree of a power cell the loops below read: every
     # e_k <= B, the right side reads (e1 - j1, e2 - j2) with e2 >= j2 (g1)

@@ -49,4 +49,4 @@ def delta_tower(law, delta, power, base_vars, out_var, B):
         out_terms = {tuple(e0 if k == oi else 0 for k in range(3)): c0
                      for e0, c0 in sl.items()}
         sparse_mul(R, out_terms, p.extend(allvars).coeffs, out=coeffs)
-    return BilateralWindow(R, allvars, coeffs, list(zip(lo, hi)), max_total=mt)
+    return BilateralWindow(R, allvars, coeffs, list(zip(lo, hi)), mt)

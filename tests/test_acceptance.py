@@ -178,7 +178,7 @@ def test_criterion_05_delta_suite():
         D = delta_F(_law("additive", 12), box=(-6, 6))
         for e0 in range(-6, 7):
             for e1 in range(-6, 7):
-                if not D._region()._contains((e0, e1)):
+                if not D.region._contains((e0, e1)):
                     continue
                 want = Fraction(1 if e1 == -e0 - 1 else 0)
                 assert D.coeffs.get((e0, e1), Fraction(0)) == want, (e0, e1)
@@ -188,7 +188,7 @@ def test_criterion_05_delta_suite():
         D = delta_F(L, box=(-6, 6))
         for e0 in range(-6, 7):
             for e1 in range(-6, 7):
-                if not D._region()._contains((e0, e1)):
+                if not D.region._contains((e0, e1)):
                     continue
                 want = R.one() if e1 == -e0 - 1 else \
                     (s if e1 == -e0 else R.zero())
@@ -333,6 +333,6 @@ def test_criterion_10_cross_truncation_stability():
             D4 = delta_F(L12, box=(-4, 4))
             D6 = delta_F(L12, box=(-6, 6))
             for e in set(D4.coeffs) | set(D6.coeffs):
-                if D4._region()._contains(e) and D6._region()._contains(e):
+                if D4.region._contains(e) and D6.region._contains(e):
                     assert R.eq(D4.coeffs.get(e, R.zero()),
                                 D6.coeffs.get(e, R.zero())), (kind, e)

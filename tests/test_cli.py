@@ -186,6 +186,16 @@ def test_fgl_malformed_law_file_exits_2(tmp_path):
         assert main(["fgl", "--law-file", str(bad)]) == 2, law
 
 
+def test_law_file_refuses_keys_it_does_not_read(tmp_path, capsys):
+    # a key that no loader reads is refused by name instead of ignored: this
+    # file would otherwise print the law over QQ under the name "file"
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"trunc": 6, "ring": "integers_mod 4", "nmae": "typo",
+                               "coeffs": [[1, 0, "1"], [0, 1, "1"]]}))
+    assert main(["fgl", "--law-file", str(law)]) == 2
+    assert "unknown key 'nmae', 'ring'" in capsys.readouterr().err
+
+
 def test_fgl_valid_law_file(tmp_path):
     f = tmp_path / "mult.json"
     f.write_text(json.dumps(
@@ -304,6 +314,16 @@ def test_verify_hyper_clips_nmax_to_the_truncation(tmp_path):
         assert code == 0, args
         rep = next(r for r in d["reports"] if r["identity"] == "hyperderivative")
         assert rep["window"] == {"nmax": nmax}, args
+
+
+def test_verify_delta_wide_window_counts_its_cells():
+    # window_size walks a two-variable box in its first variable only and
+    # counts each run of the second at once, so each 60001 x 60001 box of
+    # --window 30000 takes 60001 steps, where a walk of every cell never ends
+    done = run_process(["verify", "--suite", "delta", "--kind", "multiplicative",
+                        "--window", "30000"], timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ok"]
 
 
 def test_verify_empty_window_exits_2():

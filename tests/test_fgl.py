@@ -232,7 +232,7 @@ def candidate_laws(draw):
 
 @given(F=candidate_laws())
 @settings(max_examples=60, deadline=None)
-def test_separable_certificate_agrees_with_the_substitution(F):
+def test_separable_certificate_matches_the_substitution(F):
     # the certificate accepts exactly the laws that the full substitution
     # finds associative, and every rejection names its first failing monomial
     want = two_sided_failure(F)

@@ -62,10 +62,25 @@ def test_every_mutant_text_occurs_once():
     # the mutation gate's list cannot rot silently: each mutant's text is
     # still in its file exactly once (no mutant is run here)
     mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))["MUTANTS"]
-    for name, text, replacement, label, expected in mutants:
+    for name, text, replacement, label, expected, killer in mutants:
         assert (ROOT / "src" / "fglcalc" / name).read_text().count(text) == 1, label
         assert replacement != text, label
         assert expected == "killed" or expected.startswith("equivalent: "), label
+        # a killed mutant names the test node the gate runs first
+        assert (killer is not None) == (expected == "killed"), label
+
+
+def test_every_mutant_killer_is_a_collected_test():
+    # the node each killed mutant names is one that pytest collects, so a
+    # renamed or deleted test shows here and not as an error of the gate
+    mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))["MUTANTS"]
+    nodes = sorted({m[5] for m in mutants if m[5]})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                           "-p", "no:cacheprovider", *nodes],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert set(nodes) <= set(done.stdout.splitlines())
 
 
 def test_reach_map_lists_every_function_no_command_enters():

@@ -567,8 +567,9 @@ def test_jacobi_kernel_grid_widened_equals_the_grid_built_wide(monkeypatch):
     assert kw["inner"] is grids[0][2]
     fresh = route(*args, tot_cap=kw["tot_cap"])
     assert widened.coeffs
-    assert (widened.coeffs, widened.reliable, widened.max_total, widened.supported) == \
-        (fresh.coeffs, fresh.reliable, fresh.max_total, fresh.supported)
+    r, q = widened.region, fresh.region
+    assert (widened.coeffs, r.lows, r.highs, r.top, r.stated) == \
+        (fresh.coeffs, q.lows, q.highs, q.top, q.stated)
 
 
 # -- cocycle ----------------------------------------------------------------------
